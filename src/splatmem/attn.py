@@ -20,6 +20,8 @@ from .errors import FormatError, InvalidInputError
 
 _OPACITY_EPS = 1e-6
 _QUAT_EPS = 1e-8
+# Query rows per attention block; the score buffer is _BLOCK_ROWS x M.
+_BLOCK_ROWS = 128
 
 WTS_MAGIC = b"TGSW"
 WTS_VERSION = 1
@@ -246,17 +248,16 @@ def load_weights(path) -> EncoderWeights:
     return w
 
 
-def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def mha(Q: np.ndarray, K: np.ndarray, V: np.ndarray, n_heads: int) -> np.ndarray:
     """Multi-head attention, heads concatenated, no output projection.
 
-    Q is (N, d); K and V are (M, d); scores are max-subtracted before the
-    softmax so output stays finite for any finite input.
+    Q is (N, d); K and V are (M, d). Each head runs over blocks of
+    _BLOCK_ROWS query rows in one reused (block, M) float64 score buffer,
+    so the peak score memory is _BLOCK_ROWS x M x 8 bytes (1 MiB at
+    M = 1024) instead of an (H, N, M) tensor. Scores are max-subtracted
+    before the exponential, so output stays finite for any finite input,
+    and each row is normalised after the product with V (FlashAttention's
+    deferred normalisation, Dao et al. 2022).
     """
     Q, K, V = (np.asarray(a, dtype=np.float64) for a in (Q, K, V))
     if Q.ndim != 2 or K.ndim != 2 or V.ndim != 2:
@@ -270,13 +271,22 @@ def mha(Q: np.ndarray, K: np.ndarray, V: np.ndarray, n_heads: int) -> np.ndarray
     if d % n_heads != 0:
         raise InvalidInputError(f"d={d} not divisible by n_heads={n_heads}")
     dh = d // n_heads
-    qh = Q.reshape(n, n_heads, dh).transpose(1, 0, 2)   # (H, N, dh)
-    kh = K.reshape(m, n_heads, dh).transpose(1, 0, 2)
-    vh = V.reshape(m, n_heads, dh).transpose(1, 0, 2)
-    scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(dh)   # (H, N, M)
-    attn = _softmax_rows(scores)
-    out = attn @ vh                                      # (H, N, dh)
-    return out.transpose(1, 0, 2).reshape(n, d)
+    scale = np.sqrt(dh)
+    out = np.empty((n, d))
+    buf = np.empty((min(n, _BLOCK_ROWS), m))
+    for h in range(n_heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        kt = np.ascontiguousarray(K[:, cols].T)          # (dh, M)
+        vh = np.ascontiguousarray(V[:, cols])            # (M, dh)
+        for a in range(0, n, _BLOCK_ROWS):
+            b = min(a + _BLOCK_ROWS, n)
+            s = buf[: b - a]
+            np.matmul(Q[a:b, cols], kt, out=s)
+            s /= scale
+            s -= s.max(axis=1, keepdims=True)
+            np.exp(s, out=s)
+            out[a:b, cols] = (s @ vh) / s.sum(axis=1, keepdims=True)
+    return out
 
 
 def cca(query: PrimitiveBatch, keyval: PrimitiveBatch, w: EncoderWeights) -> np.ndarray:

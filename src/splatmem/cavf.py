@@ -5,6 +5,15 @@ by a per-cell softmax over their confidences, and merged into one
 primitive per occupied cell by convex combination of every attribute and
 feature. Quaternions are sign-aligned to the highest-weight group member
 before summation since q and -q encode the same rotation.
+
+Both steps run without a Python loop over cells: one lexsort groups the
+rows, the groups are bucketed by their number of rows k, and each bucket
+is reduced at once, the softmax by row-wise sums over a (G, k) array and
+the merge by one (G, 1, k) @ (G, k, D) batched matmul per attribute. These
+reductions add in the same order as a per-group `e.sum()` and `gw @ X`, so
+results are bit-identical to a loop over cells. `np.add.reduceat` is not:
+it adds the rows of a segment in another order and changes the last bit
+of some sums of three or more rows.
 """
 
 from __future__ import annotations
@@ -58,16 +67,25 @@ def assign_voxels(primitives, cfg: FusionConfig) -> np.ndarray:
     return np.floor((means - origin) / cfg.voxel_size).astype(np.int64)
 
 
-def _group_slices(cells: np.ndarray):
-    """Sort rows lexicographically and yield (order, start, stop) per group."""
+def _group_buckets(cells: np.ndarray) -> tuple[int, list]:
+    """Group rows by cell, and the groups by their number of rows.
+
+    Returns the number of groups and, for each group size k, a pair
+    (g, rows): the ids g of the groups of k rows, numbered in lexicographic
+    cell order, and their (len(g), k) row indices in stable sorted order.
+    """
     if len(cells) == 0:
-        return np.zeros(0, dtype=np.int64), []
+        return 0, []
     order = np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0]))
     sc = cells[order]
     change = np.any(sc[1:] != sc[:-1], axis=1)
     starts = np.concatenate([[0], np.nonzero(change)[0] + 1])
-    stops = np.concatenate([starts[1:], [len(cells)]])
-    return order, list(zip(starts, stops))
+    sizes = np.diff(np.append(starts, len(cells)))
+    buckets = []
+    for k in np.unique(sizes):
+        g = np.nonzero(sizes == k)[0]
+        buckets.append((g, order[starts[g][:, None] + np.arange(k)]))
+    return len(starts), buckets
 
 
 def fusion_weights(confidences, cells, temperature: float) -> np.ndarray:
@@ -79,13 +97,11 @@ def fusion_weights(confidences, cells, temperature: float) -> np.ndarray:
     if temperature <= 0:
         raise InvalidInputError("temperature must be positive")
     w = np.empty(len(conf))
-    order, groups = _group_slices(cells)
-    for a, b in groups:
-        idx = order[a:b]
-        z = conf[idx] / temperature
-        z -= z.max()
+    for _, rows in _group_buckets(cells)[1]:
+        z = conf[rows] / temperature
+        z -= z.max(axis=1, keepdims=True)
         e = np.exp(z)
-        w[idx] = e / e.sum()
+        w[rows] = e / e.sum(axis=1, keepdims=True)
     return w
 
 
@@ -132,37 +148,39 @@ def fuse(primitives, features, weights, cells) -> FusedSet:
     n = len(means)
     if not (len(feats) == len(w) == len(cells) == n):
         raise InvalidInputError("primitives, features, weights, cells length mismatch")
+    if feats.ndim != 2:
+        raise InvalidInputError("features must be an (N, d) array")
 
-    order, groups = _group_slices(cells)
-    m = len(groups)
+    m, buckets = _group_buckets(cells)
     out = FusedSet(
         means=np.empty((m, 3)),
         scales=np.empty((m, 3)),
         rotations=np.empty((m, 4)),
         opacities=np.empty(m),
         logits=np.empty((m, logits.shape[1])),
-        features=np.empty((m, feats.shape[1] if feats.ndim == 2 else 0)),
+        features=np.empty((m, feats.shape[1])),
         cells=np.empty((m, 3), dtype=np.int64),
         quat_fallback=np.zeros(m, dtype=bool),
     )
-    for gi, (a, b) in enumerate(groups):
-        idx = order[a:b]
-        gw = w[idx]
-        out.cells[gi] = cells[idx[0]]
-        out.means[gi] = gw @ means[idx]
-        out.scales[gi] = np.maximum(gw @ scales[idx], MIN_SCALE)
-        out.opacities[gi] = gw @ opac[idx]
-        out.logits[gi] = gw @ logits[idx]
-        out.features[gi] = gw @ feats[idx]
-        ref = quats[idx[np.argmax(gw)]]
-        aligned = quats[idx] * np.where(quats[idx] @ ref < 0, -1.0, 1.0)[:, None]
-        qs = gw @ aligned
-        norm = np.linalg.norm(qs)
-        if norm < _QUAT_SUM_EPS:
-            out.rotations[gi] = ref
-            out.quat_fallback[gi] = True
-        else:
-            out.rotations[gi] = qs / norm
+    # Each (1, k) @ (k, D) product of a batched matmul is the same BLAS call
+    # as a per-group gw @ X; summing gw[:, :, None] * X would round differently.
+    for g, rows in buckets:
+        out.cells[g] = cells[rows[:, 0]]
+        gw = w[rows][:, None, :]                              # (G, 1, k)
+        out.means[g] = np.matmul(gw, means[rows])[:, 0]
+        out.scales[g] = np.maximum(np.matmul(gw, scales[rows])[:, 0], MIN_SCALE)
+        out.opacities[g] = np.matmul(gw, opac[rows][:, :, None])[:, 0, 0]
+        out.logits[g] = np.matmul(gw, logits[rows])[:, 0]
+        out.features[g] = np.matmul(gw, feats[rows])[:, 0]
+        q = quats[rows]                                       # (G, k, 4)
+        ref = q[np.arange(len(g)), np.argmax(gw[:, 0], axis=1)]
+        sign = np.where(np.matmul(q, ref[:, :, None]) < 0, -1.0, 1.0)
+        qs = np.matmul(gw, q * sign)                          # (G, 1, 4)
+        norm = np.sqrt(np.matmul(qs, qs.transpose(0, 2, 1)))[:, 0, 0]
+        fallback = norm < _QUAT_SUM_EPS
+        out.rotations[g] = np.where(fallback[:, None], ref,
+                                    qs[:, 0] / np.where(fallback, 1.0, norm)[:, None])
+        out.quat_fallback[g] = fallback
     return out
 
 

@@ -26,7 +26,8 @@ from .cavf import FusionConfig
 from .conf import ConfidenceConfig
 from .errors import ConfigError, FormatError, InvalidInputError, InvariantError
 from .grid import VoxelGrid, load_vgrid, save_vgrid
-from .memory import (GaussianMemory, init_memory, load_gmem, save_gmem, update)
+from .memory import (GaussianMemory, gmem_nbytes, init_memory, load_gmem, save_gmem,
+                     update)
 from .metrics import MetricReport, iou, local_mask, observed_mask
 from .splat import RenderOptions, argmax_labels, render
 from .synth import (NoiseParams, StubConfig, default_scene, generate_scene,
@@ -228,15 +229,16 @@ def run_embodied(cfg: RunConfig) -> MetricReport:
             elif len(batch):
                 concat_batch = concat_batches(concat_batch, batch)
             count, inside = len(concat_batch), len(batch)
-            bytes_est = count * (17 + cfg.encoder.d_model) * 4
+            bytes_est = gmem_nbytes(count, concat_batch.n_logits + 1,
+                                    concat_batch.d_model)
         else:
             if memory is None:
                 if len(batch) == 0:
                     raise InvariantError("first frame produced no primitives")
                 memory = init_memory(batch, cfg.fusion, cfg.confidence)
             else:
-                update(memory, batch, frame, weights, cfg.encoder.n_blocks,
-                       cfg.confidence)
+                update(memory, batch, frame, weights if cfg.use_dte else None,
+                       cfg.encoder.n_blocks, cfg.confidence)
             count = len(memory)
             inside = memory.stats[-1].inside_count
             bytes_est = memory.bytes_estimate()

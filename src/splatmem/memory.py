@@ -25,6 +25,17 @@ GMEM_VERSION = 1
 _GMEM_HEADER = struct.Struct("<4sI3Id3d")  # magic, version, count, d_model, C, cell size, origin
 
 
+def _record_floats(n_classes: int, d_model: int) -> int:
+    """Width of one `.gmem` record: mean 3, scale 3, quat 4, opacity 1,
+    logits C-1, feature d_model."""
+    return 3 + 3 + 4 + 1 + (n_classes - 1) + d_model
+
+
+def gmem_nbytes(count: int, n_classes: int, d_model: int) -> int:
+    """Size in bytes of a `.gmem` checkpoint of `count` primitives."""
+    return _GMEM_HEADER.size + count * _record_floats(n_classes, d_model) * 4
+
+
 @dataclass
 class FrameStats:
     frame: int
@@ -48,7 +59,8 @@ class GaussianMemory:
         return len(self.batch)
 
     def bytes_estimate(self) -> int:
-        return len(self) * (17 + self.batch.d_model) * 4
+        """Size in bytes of this memory's `.gmem` checkpoint."""
+        return gmem_nbytes(len(self), self.batch.n_logits + 1, self.batch.d_model)
 
     def _log(self, inside_count: int) -> None:
         self.stats.append(
@@ -75,7 +87,15 @@ def _fuse_at_origin(
     conf_cfg: ConfidenceConfig | None,
 ) -> tuple[PrimitiveBatch, np.ndarray]:
     """Fuse a batch against a fixed grouping origin; returns (batch, cells)."""
-    cells = _cells_for(batch.means, origin, cfg.voxel_size)
+    return _fuse_cells(batch, _cells_for(batch.means, origin, cfg.voxel_size),
+                       cfg, conf_cfg)
+
+
+def _fuse_cells(
+    batch: PrimitiveBatch, cells: np.ndarray, cfg: FusionConfig,
+    conf_cfg: ConfidenceConfig | None,
+) -> tuple[PrimitiveBatch, np.ndarray]:
+    """Fuse a batch grouped by the given cells; returns (batch, cells)."""
     w = fusion_weights(batch.confidences, cells, cfg.temperature)
     fused = fuse(batch, batch.features, w, cells)
     out = _from_fused(fused, conf_cfg)
@@ -126,60 +146,77 @@ def update(
     memory: GaussianMemory,
     local_prediction: PrimitiveBatch,
     frame: CameraFrame,
-    weights: EncoderWeights,
+    weights: EncoderWeights | None,
     n_blocks: int = 2,
     conf_cfg: ConfidenceConfig | None = None,
     extent_sigmas: float | None = None,
 ) -> GaussianMemory:
-    """Absorb one frame into the memory (mutates and returns it)."""
+    """Absorb one frame into the memory (mutates and returns it).
+
+    With weights None the temporal encoder is skipped: the raw local batch
+    is fused with the in-view slice as it is.
+    """
     memory.frame_counter += 1
     if len(local_prediction) == 0:
         memory._log(inside_count=0)
         return memory
 
     inside, idx_out = query_fov(memory, frame, extent_sigmas)
-    refined_local, refined_hist = dte_step(local_prediction, inside, weights,
-                                           n_blocks, conf_cfg)
-    union = concat_batches(refined_local, refined_hist)
+    if weights is None:
+        union = concat_batches(local_prediction, inside)
+    else:
+        refined_local, refined_hist = dte_step(local_prediction, inside, weights,
+                                               n_blocks, conf_cfg)
+        union = concat_batches(refined_local, refined_hist)
     new_batch, new_cells = _fuse_at_origin(union, memory.origin, memory.fusion,
                                            conf_cfg)
-
-    kept = memory.batch.select(idx_out)
     kept_cells = memory.cells[idx_out]
-
-    # A refined mean can drift into a cell still owned by an out-of-view
-    # primitive. Merge exactly those pairs so the one-per-cell invariant
-    # survives while every other out-of-view primitive stays bit-identical.
-    if len(kept) and len(new_batch):
-        kept_lookup = {tuple(c): i for i, c in enumerate(kept_cells)}
-        collide_new = []
-        for j, c in enumerate(new_cells):
-            i = kept_lookup.get(tuple(c))
-            if i is not None:
-                pair = concat_batches(kept.select([i]), new_batch.select([j]))
-                merged, _ = _fuse_at_origin(pair, memory.origin, memory.fusion,
-                                            conf_cfg)
-                _replace_row(kept, i, merged)
-                collide_new.append(j)
-        if collide_new:
-            keep = np.setdiff1d(np.arange(len(new_batch)), collide_new)
-            new_batch = new_batch.select(keep)
-            new_cells = new_cells[keep]
+    kept, new_batch, new_cells = _merge_collisions(
+        memory.batch.select(idx_out), kept_cells, new_batch, new_cells,
+        memory.fusion, conf_cfg)
 
     memory.batch = concat_batches(kept, new_batch)
-    memory.cells = (
-        np.concatenate([kept_cells, new_cells])
-        if len(kept) and len(new_batch)
-        else (new_cells if len(new_batch) else kept_cells)
-    )
+    memory.cells = np.concatenate([kept_cells, new_cells])
     memory._log(inside_count=len(inside))
     return memory
 
 
-def _replace_row(batch: PrimitiveBatch, i: int, single: PrimitiveBatch) -> None:
+def _merge_collisions(
+    kept: PrimitiveBatch, kept_cells: np.ndarray,
+    new: PrimitiveBatch, new_cells: np.ndarray,
+    cfg: FusionConfig, conf_cfg: ConfidenceConfig | None,
+) -> tuple[PrimitiveBatch, PrimitiveBatch, np.ndarray]:
+    """Merge new rows into the kept rows that own the same cell.
+
+    A refined mean can drift into a cell still owned by an out-of-view
+    primitive. Both sides hold at most one row per cell, so each shared
+    cell has one kept and one new row; all such pairs go through one fuse
+    call, each group kept row first (lexsort is stable), exactly as a
+    separate fuse of each pair. The merged rows replace their kept rows in
+    place, the new rows are dropped, and every other row stays
+    bit-identical. Returns (kept, new without the merged rows, its cells).
+    """
+    if len(kept) == 0 or len(new) == 0:
+        return kept, new, new_cells
+    uniq, ids = np.unique(np.concatenate([kept_cells, new_cells]), axis=0,
+                          return_inverse=True)
+    ids = ids.reshape(-1)
+    kept_of_id = np.full(len(uniq), -1)
+    kept_of_id[ids[: len(kept)]] = np.arange(len(kept))
+    owner = kept_of_id[ids[len(kept):]]
+    hit = owner >= 0
+    if not hit.any():
+        return kept, new, new_cells
+    ki, nj = owner[hit], np.nonzero(hit)[0]
+    pairs = concat_batches(kept.select(ki), new.select(nj))
+    merged, _ = _fuse_cells(pairs, np.concatenate([kept_cells[ki], new_cells[nj]]),
+                            cfg, conf_cfg)
+    # fuse returns one row per pair, in lexicographic cell order
+    ki = ki[np.lexsort(kept_cells[ki].T[::-1])]
     for name in ("means", "scales", "rotations", "opacities", "logits",
                  "features", "confidences"):
-        getattr(batch, name)[i] = getattr(single, name)[0]
+        getattr(kept, name)[ki] = getattr(merged, name)
+    return kept, new.select(~hit), new_cells[~hit]
 
 
 def save_gmem(path, memory: GaussianMemory) -> None:
@@ -198,13 +235,14 @@ def save_gmem(path, memory: GaussianMemory) -> None:
         GMEM_MAGIC, GMEM_VERSION, len(b), d_model, n_classes,
         memory.fusion.voxel_size, *memory.origin.tolist(),
     )
-    rec = np.concatenate(
+    rec = np.empty((len(b), _record_floats(n_classes, d_model)), dtype="<f4")
+    np.concatenate(
         [b.means, b.scales, b.rotations, b.opacities[:, None], b.logits, b.features],
-        axis=1,
-    ).astype("<f4")
+        axis=1, out=rec, casting="same_kind",
+    )
     with open(path, "wb") as f:
         f.write(header)
-        f.write(np.ascontiguousarray(rec).tobytes())
+        f.write(rec.tobytes())
 
 
 def load_gmem(path, conf_cfg: ConfidenceConfig | None = None) -> GaussianMemory:
@@ -217,12 +255,22 @@ def load_gmem(path, conf_cfg: ConfidenceConfig | None = None) -> GaussianMemory:
         raise FormatError(f"bad gmem magic {magic!r}")
     if version != GMEM_VERSION:
         raise FormatError(f"unsupported gmem version {version}")
-    rec_width = 3 + 3 + 4 + 1 + (n_classes - 1) + d_model
+    if n_classes < 2 or d_model == 0:
+        raise FormatError(f"gmem header has C={n_classes}, d_model={d_model}; "
+                          "need C >= 2 and d_model >= 1")
+    if not (np.isfinite(vs) and vs > 0):
+        raise FormatError(f"gmem voxel size {vs} is not a positive number")
+    origin = np.array([ox, oy, oz])
+    if not np.all(np.isfinite(origin)):
+        raise FormatError("gmem origin is not finite")
+    rec_width = _record_floats(n_classes, d_model)
     expect = count * rec_width * 4
     payload = raw[_GMEM_HEADER.size:]
     if len(payload) != expect:
         raise FormatError(f"gmem payload is {len(payload)} bytes, expected {expect}")
     rec = np.frombuffer(payload, dtype="<f4").reshape(count, rec_width).astype(np.float64)
+    if not np.all(np.isfinite(rec)):
+        raise FormatError("gmem records hold non-finite values")
     means = rec[:, 0:3]
     scales = rec[:, 3:6]
     quats = rec[:, 6:10]
@@ -232,7 +280,6 @@ def load_gmem(path, conf_cfg: ConfidenceConfig | None = None) -> GaussianMemory:
     confs = confidence_values(logits, opac, conf_cfg) if count else np.zeros(0)
     batch = PrimitiveBatch(means, scales, quats, opac, logits, feats, confs)
     cfg = FusionConfig(voxel_size=vs)
-    origin = np.array([ox, oy, oz])
     mem = GaussianMemory(batch, cfg, origin,
                          _cells_for(means, origin, vs) if count else np.zeros((0, 3), dtype=np.int64))
     return mem

@@ -62,6 +62,20 @@ def mha_reference(Q, K, V, n_heads):
     return out
 
 
+def mha_materialised(Q, K, V, n_heads):
+    """The (H, N, M) score-tensor attention that the blocked mha replaced."""
+    n, d = Q.shape
+    m = K.shape[0]
+    dh = d // n_heads
+    qh = Q.reshape(n, n_heads, dh).transpose(1, 0, 2)
+    kh = K.reshape(m, n_heads, dh).transpose(1, 0, 2)
+    vh = V.reshape(m, n_heads, dh).transpose(1, 0, 2)
+    scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(dh)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    return (attn @ vh).transpose(1, 0, 2).reshape(n, d)
+
+
 class TestInitWeights:
     def test_deterministic(self):
         a = init_weights(seed=5)
@@ -151,6 +165,32 @@ class TestMha:
         K = np.full((3, D), 1e3)
         V = RNG.normal(size=(3, D))
         assert np.all(np.isfinite(mha(Q, K, V, 4)))
+
+    # Query counts around the 128-row block and key counts of the sizes an
+    # embodied frame sees. Normalising after the product with V reorders
+    # rounding only: outputs agree to rtol 1e-12, and atol 1e-14 covers
+    # outputs that cancel to near zero.
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 823])
+    @pytest.mark.parametrize("m", [1, 609, 1200])
+    def test_matches_materialised_softmax(self, n, m):
+        rng = np.random.default_rng(n * 10007 + m)
+        Q, K, V = (rng.normal(size=(r, D)) for r in (n, m, m))
+        np.testing.assert_allclose(mha(Q, K, V, 4), mha_materialised(Q, K, V, 4),
+                                   rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_finite_for_scores_near_1e3(self, sign):
+        # scores q.k / sqrt(dh) = sqrt(dh) * amp**2 of about +-1e3: exp
+        # overflows or underflows unless each block subtracts its row max
+        rng = np.random.default_rng(5)
+        amp = np.sqrt(1e3 / np.sqrt(D // 4))
+        Q = np.full((300, D), sign * amp)
+        K = amp * rng.normal(1.0, 0.01, size=(200, D))
+        V = rng.normal(size=(200, D))
+        out = mha(Q, K, V, 4)
+        assert np.all(np.isfinite(out))
+        np.testing.assert_allclose(out, mha_materialised(Q, K, V, 4),
+                                   rtol=1e-12, atol=1e-14)
 
 
 class TestCca:

@@ -9,7 +9,7 @@ from splatmem.cavf import (
     fuse_with_config,
     fusion_weights,
 )
-from splatmem.core import GaussianPrimitive
+from splatmem.core import MIN_SCALE, GaussianPrimitive
 from splatmem.errors import InvalidInputError
 
 RNG = np.random.default_rng(17)
@@ -275,3 +275,104 @@ class TestFuse:
             FusionConfig(temperature=0.0)
         with pytest.raises(InvalidInputError):
             FusionConfig(grid_origin_policy="corner")
+
+
+# Reference implementations: the per-group loops that fusion_weights and
+# fuse replaced. The loop-free versions must reproduce them bit for bit.
+def _reference_groups(cells):
+    order = np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0]))
+    sc = cells[order]
+    change = np.any(sc[1:] != sc[:-1], axis=1)
+    starts = np.concatenate([[0], np.nonzero(change)[0] + 1])
+    stops = np.concatenate([starts[1:], [len(cells)]])
+    return [order[a:b] for a, b in zip(starts, stops)]
+
+
+def fusion_weights_reference(conf, cells, temperature):
+    w = np.empty(len(conf))
+    for idx in _reference_groups(cells):
+        z = conf[idx] / temperature
+        z -= z.max()
+        e = np.exp(z)
+        w[idx] = e / e.sum()
+    return w
+
+
+def fuse_reference(b, feats, w, cells):
+    groups = _reference_groups(cells)
+    out = {k: [] for k in ("means", "scales", "rotations", "opacities", "logits",
+                           "features", "cells", "quat_fallback")}
+    for idx in groups:
+        gw = w[idx]
+        out["cells"].append(cells[idx[0]])
+        out["means"].append(gw @ b.means[idx])
+        out["scales"].append(np.maximum(gw @ b.scales[idx], MIN_SCALE))
+        out["opacities"].append(gw @ b.opacities[idx])
+        out["logits"].append(gw @ b.logits[idx])
+        out["features"].append(gw @ feats[idx])
+        quats = b.rotations
+        ref = quats[idx[np.argmax(gw)]]
+        aligned = quats[idx] * np.where(quats[idx] @ ref < 0, -1.0, 1.0)[:, None]
+        qs = gw @ aligned
+        norm = np.linalg.norm(qs)
+        out["quat_fallback"].append(norm < 1e-8)
+        out["rotations"].append(ref if norm < 1e-8 else qs / norm)
+    return {k: np.array(v) for k, v in out.items()}
+
+
+def clustered_batch(seed, n_cells=300, max_group=16):
+    """Rows in n_cells random cells, 1 to max_group rows per cell, shuffled;
+    some quaternions are sign-flipped copies of a neighbour's and the first
+    groups have quaternion sums below the fallback threshold."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, max_group + 1, n_cells)
+    cell_ids = rng.choice(10**6, n_cells, replace=False)
+    centers = np.stack([cell_ids % 100, cell_ids // 100 % 100, cell_ids // 10**4],
+                       axis=1) * 0.12 + 0.06
+    means = np.repeat(centers, sizes, axis=0) + rng.uniform(-0.05, 0.05,
+                                                            (sizes.sum(), 3))
+    b = make_batch(len(means), seed=seed)
+    b.means[:] = means
+    flip = rng.random(len(b)) < 0.3
+    b.rotations[flip] = -np.roll(b.rotations, 1, axis=0)[flip]
+    # Sign alignment keeps a unit-quaternion sum away from zero, so the
+    # fallback needs near-zero quaternions: scale a few groups down.
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    for s, k in list(zip(starts, sizes))[:8]:
+        b.rotations[s:s + k] *= 1e-9
+    perm = rng.permutation(len(b))
+    return b.select(perm)
+
+
+class TestLoopFreeMatchesReference:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fusion_weights_bitwise(self, seed):
+        b = clustered_batch(seed)
+        cells = assign_voxels(b, FusionConfig(voxel_size=0.12))
+        for t in (1.0, 0.3):
+            assert np.array_equal(fusion_weights(b.confidences, cells, t),
+                                  fusion_weights_reference(b.confidences, cells, t))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fuse_bitwise(self, seed):
+        b = clustered_batch(seed)
+        cells = assign_voxels(b, FusionConfig(voxel_size=0.12))
+        w = fusion_weights(b.confidences, cells, 1.0)
+        got = fuse(b, b.features, w, cells)
+        ref = fuse_reference(b, b.features, w, cells)
+        assert len(got) == len(ref["means"])
+        for name, expect in ref.items():
+            assert np.array_equal(getattr(got, name), expect), name
+
+    def test_fallback_groups_present(self):
+        b = clustered_batch(0)
+        cells = assign_voxels(b, FusionConfig(voxel_size=0.12))
+        w = fusion_weights(b.confidences, cells, 1.0)
+        assert fuse(b, b.features, w, cells).quat_fallback.sum() >= 1
+
+    def test_empty_input(self):
+        b = make_batch(0)
+        cells = np.zeros((0, 3), dtype=np.int64)
+        assert len(fusion_weights(b.confidences, cells, 1.0)) == 0
+        out = fuse(b, b.features, np.zeros(0), cells)
+        assert len(out) == 0 and out.features.shape == (0, 16)

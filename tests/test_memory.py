@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from splatmem.attn import PrimitiveBatch, init_weights
+import splatmem.memory as memory_mod
+from splatmem.attn import PrimitiveBatch, concat_batches, init_weights
 from splatmem.cavf import FusionConfig
 from splatmem.core import CameraFrame
 from splatmem.errors import FormatError, InvalidInputError
 from splatmem.memory import (
+    _fuse_at_origin,
+    _merge_collisions,
     init_memory,
     load_gmem,
     query_fov,
@@ -16,6 +19,8 @@ from splatmem.memory import (
 RNG = np.random.default_rng(31)
 C = 12
 D = 32
+FIELDS = ("means", "scales", "rotations", "opacities", "logits", "features",
+          "confidences")
 
 
 def make_batch(n, lo=0.0, hi=1.0, seed=None):
@@ -195,7 +200,91 @@ class TestUpdate:
         assert len(mem.stats) == 2
         s = mem.stats[-1]
         assert s.count == len(mem)
-        assert s.bytes_estimate == len(mem) * (17 + D) * 4
+        # 52-byte header, then mean 3, scale 3, quat 4, opacity 1, logits
+        # C-1 and feature D floats per primitive
+        assert s.bytes_estimate == 52 + len(mem) * (11 + (C - 1) + D) * 4
+
+
+    def test_without_weights_skips_the_encoder(self, monkeypatch):
+        frame = make_frame(position=(0.5, 0.5, -2.0))
+        b, locals_ = make_batch(40, seed=21), make_batch(20, seed=22)
+        # an encoder that returns its inputs unchanged ...
+        monkeypatch.setattr(memory_mod, "dte_step", lambda cur, hist, *a: (cur, hist))
+        expect = update(init_memory(b, FusionConfig(voxel_size=0.12)), locals_,
+                        frame, init_weights(d_model=D))
+
+        def no_dte(*args):
+            raise AssertionError("dte_step called")
+
+        # ... gives the memory that weights None gives without calling it
+        monkeypatch.setattr(memory_mod, "dte_step", no_dte)
+        got = update(init_memory(b, FusionConfig(voxel_size=0.12)), locals_,
+                     frame, None)
+        for name in FIELDS:
+            assert np.array_equal(getattr(got.batch, name), getattr(expect.batch, name))
+        assert np.array_equal(got.cells, expect.cells)
+        got.check_unique_cells()
+
+
+def merge_collisions_reference(kept, kept_cells, new, new_cells, cfg, conf_cfg):
+    """The per-pair collision merge that _merge_collisions replaced."""
+    kept = kept.copy()
+    kept_lookup = {tuple(c): i for i, c in enumerate(kept_cells)}
+    collide_new = []
+    for j, c in enumerate(new_cells):
+        i = kept_lookup.get(tuple(c))
+        if i is not None:
+            pair = concat_batches(kept.select([i]), new.select([j]))
+            merged, _ = _fuse_at_origin(pair, np.zeros(3), cfg, conf_cfg)
+            for name in FIELDS:
+                getattr(kept, name)[i] = getattr(merged, name)[0]
+            collide_new.append(j)
+    keep = np.setdiff1d(np.arange(len(new)), collide_new)
+    return kept, new.select(keep), new_cells[keep]
+
+
+def one_per_cell(n, cells, seed):
+    """A batch with one row inside each given cell of size 0.12."""
+    rng = np.random.default_rng(seed)
+    b = make_batch(n, seed=seed)
+    b.means[:] = (cells + rng.uniform(0.05, 0.95, (n, 3))) * 0.12
+    return b
+
+
+class TestMergeCollisions:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_pair_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        pool = np.stack(np.meshgrid(*[np.arange(-6, 6)] * 3), -1).reshape(-1, 3)
+        pool = pool[rng.permutation(len(pool))]
+        kept_cells, new_cells = pool[:400], np.concatenate([pool[200:300], pool[400:500]])
+        new_cells = new_cells[rng.permutation(len(new_cells))]
+        kept = one_per_cell(400, kept_cells, seed)
+        new = one_per_cell(200, new_cells, seed + 100)
+        # sign-flipped partners and near-zero quaternions (the fallback)
+        j, i = np.nonzero((new_cells[:, None] == kept_cells[None]).all(2))
+        new.rotations[j[:50]] = -kept.rotations[i[:50]]
+        new.rotations[j[-5:]] *= 1e-9
+        kept.rotations[i[-5:]] *= 1e-9
+        cfg = FusionConfig(voxel_size=0.12)
+        got = _merge_collisions(kept.copy(), kept_cells, new, new_cells, cfg, None)
+        ref = merge_collisions_reference(kept, kept_cells, new, new_cells, cfg, None)
+        for g, r in zip(got[:2], ref[:2]):
+            for name in FIELDS:
+                assert np.array_equal(getattr(g, name), getattr(r, name)), name
+        assert np.array_equal(got[2], ref[2])
+        assert len(got[1]) == 100
+
+    def test_all_pairs_in_one_fuse_call(self, monkeypatch):
+        calls = []
+        real = memory_mod.fuse
+        monkeypatch.setattr(memory_mod, "fuse",
+                            lambda *a: calls.append(1) or real(*a))
+        pool = np.stack(np.meshgrid(*[np.arange(4)] * 3), -1).reshape(-1, 3)
+        kept = one_per_cell(40, pool[:40], 1)
+        new = one_per_cell(20, pool[30:50], 2)
+        _merge_collisions(kept, pool[:40], new, pool[30:50], FusionConfig(), None)
+        assert len(calls) == 1
 
 
 class TestGmemRoundtrip:
@@ -223,6 +312,42 @@ class TestGmemRoundtrip:
         save_gmem(path, init_memory(make_batch(3, seed=19)))
         raw = bytearray(path.read_bytes())
         raw[:4] = b"XXXX"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError):
+            load_gmem(path)
+
+    def test_bytes_estimate_is_file_size(self, tmp_path):
+        mem = init_memory(make_batch(25, seed=23))
+        path = tmp_path / "m.gmem"
+        save_gmem(path, mem)
+        assert mem.bytes_estimate() == path.stat().st_size
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_classes", 0), ("n_classes", 1), ("d_model", 0),
+        ("voxel_size", 0.0), ("voxel_size", -0.1), ("voxel_size", float("nan")),
+        ("voxel_size", float("inf")), ("origin", float("nan")),
+        ("origin", float("-inf")),
+    ])
+    def test_bad_header_values(self, tmp_path, field, value):
+        import struct
+
+        path = tmp_path / "m.gmem"
+        save_gmem(path, init_memory(make_batch(3, seed=24)))
+        raw = bytearray(path.read_bytes())
+        offsets = {"d_model": (12, "<I"), "n_classes": (16, "<I"),
+                   "voxel_size": (20, "<d"), "origin": (36, "<d")}
+        off, fmt = offsets[field]
+        struct.pack_into(fmt, raw, off, value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError):
+            load_gmem(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_record_value(self, tmp_path, value):
+        path = tmp_path / "m.gmem"
+        save_gmem(path, init_memory(make_batch(3, seed=25)))
+        raw = bytearray(path.read_bytes())
+        raw[52:56] = np.float32(value).tobytes()  # first mean coordinate
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
             load_gmem(path)

@@ -1,11 +1,12 @@
 """Gaussian-to-voxel semantic splatting with a persistent fused memory."""
 
-from .core import CameraFrame, Covariance, GaussianPrimitive, covariance, density, kernel, quat_to_rotation
+from .core import (CameraFrame, Covariance, GaussianPrimitive, PrimitiveBatch, cell_of,
+                   concat_batches, covariance, density, kernel, quat_to_rotation)
 from .grid import VoxelGrid, load_vgrid, save_vgrid
-from .splat import SpatialIndex, argmax_labels, build_index, render, splat_opacity, splat_semantics
-from .conf import ConfidenceConfig, confidence, confidence_batch, entropy
-from .cavf import FusionConfig, assign_voxels, fuse, fusion_weights
-from .attn import EncoderWeights, PrimitiveBatch, cca, dte_step, init_weights, mha, temporal_encoder_block
+from .splat import argmax_labels, render, splat_fields
+from .conf import ConfidenceConfig, confidence, entropy
+from .cavf import FusionConfig, fuse, fusion_weights
+from .attn import EncoderWeights, cca, dte_step, init_weights, mha, temporal_encoder_block
 from .memory import GaussianMemory, init_memory, load_gmem, query_fov, save_gmem, update
 from .metrics import MetricReport, iou, local_mask, observed_mask
 

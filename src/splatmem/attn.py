@@ -1,6 +1,7 @@
 """Deterministic forward-only attention machinery.
 
-Covers seeded weight bundles, plain multi-head attention, cross-attention
+Covers the seeded weight bundle (rebuilt from its seed on every run, never
+read from a file), plain multi-head attention, cross-attention
 with dual confidence modulation (values scaled by key-side confidence,
 concatenated heads scaled by query-side confidence before the output
 projection), the FFN + refinement block, and the dual-stream temporal
@@ -9,123 +10,18 @@ encoder step. No layer norm, no masking, no gradients.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .conf import ConfidenceConfig, confidence_values
-from .core import MIN_SCALE, NUM_CLASSES, GaussianPrimitive
-from .errors import FormatError, InvalidInputError
+from .core import MIN_SCALE, NUM_CLASSES, PrimitiveBatch
+from .errors import InvalidInputError
 
 _OPACITY_EPS = 1e-6
 _QUAT_EPS = 1e-8
 # Query rows per attention block; the score buffer is _BLOCK_ROWS x M.
 _BLOCK_ROWS = 128
-
-WTS_MAGIC = b"TGSW"
-WTS_VERSION = 1
-_WTS_HEADER = struct.Struct("<4sI4IQ")  # magic, version, d_model, n_heads, d_ff, C, seed
-
-
-@dataclass
-class PrimitiveBatch:
-    """A set of primitives with their feature rows and confidences.
-
-    Arrays: means (N,3), scales (N,3), rotations (N,4), opacities (N,),
-    logits (N,C-1), features (N,d), confidences (N,).
-    """
-
-    means: np.ndarray
-    scales: np.ndarray
-    rotations: np.ndarray
-    opacities: np.ndarray
-    logits: np.ndarray
-    features: np.ndarray
-    confidences: np.ndarray
-
-    def __post_init__(self):
-        for name in ("means", "scales", "rotations", "opacities", "logits",
-                     "features", "confidences"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        n = len(self.means)
-        for name in ("scales", "rotations", "opacities", "logits", "features", "confidences"):
-            if len(getattr(self, name)) != n:
-                raise InvalidInputError(f"batch field {name} has mismatched length")
-        if n and (np.min(self.confidences) < -1e-12 or np.max(self.confidences) > 1 + 1e-12):
-            raise InvalidInputError("confidences must lie in [0, 1]")
-
-    def __len__(self) -> int:
-        return len(self.means)
-
-    @property
-    def d_model(self) -> int:
-        return self.features.shape[1]
-
-    @property
-    def n_logits(self) -> int:
-        return self.logits.shape[1]
-
-    @classmethod
-    def empty(cls, d_model: int, n_classes: int = NUM_CLASSES) -> "PrimitiveBatch":
-        z = np.zeros
-        return cls(z((0, 3)), z((0, 3)), z((0, 4)), z(0), z((0, n_classes - 1)),
-                   z((0, d_model)), z(0))
-
-    @classmethod
-    def from_primitives(
-        cls,
-        primitives: list[GaussianPrimitive],
-        features: np.ndarray | None = None,
-        confidences: np.ndarray | None = None,
-        conf_cfg: ConfidenceConfig | None = None,
-    ) -> "PrimitiveBatch":
-        prims = list(primitives)
-        if not prims:
-            raise InvalidInputError("cannot build a batch from zero primitives")
-        logits = np.stack([g.logits for g in prims])
-        opac = np.array([g.opacity for g in prims])
-        if features is None:
-            features = np.stack([g.feature for g in prims])
-        if confidences is None:
-            confidences = confidence_values(logits, opac, conf_cfg)
-        return cls(
-            np.stack([g.mean for g in prims]),
-            np.stack([g.scale for g in prims]),
-            np.stack([g.rotation for g in prims]),
-            opac,
-            logits,
-            np.asarray(features, dtype=np.float64),
-            np.asarray(confidences, dtype=np.float64),
-        )
-
-    def primitives(self) -> list[GaussianPrimitive]:
-        return [
-            GaussianPrimitive(self.means[i], self.scales[i], self.rotations[i],
-                              float(self.opacities[i]), self.logits[i], self.features[i])
-            for i in range(len(self))
-        ]
-
-    def copy(self) -> "PrimitiveBatch":
-        return PrimitiveBatch(*(np.array(getattr(self, f)) for f in (
-            "means", "scales", "rotations", "opacities", "logits", "features",
-            "confidences")))
-
-    def select(self, idx) -> "PrimitiveBatch":
-        return PrimitiveBatch(*(getattr(self, f)[idx] for f in (
-            "means", "scales", "rotations", "opacities", "logits", "features",
-            "confidences")))
-
-
-def concat_batches(a: PrimitiveBatch, b: PrimitiveBatch) -> PrimitiveBatch:
-    if len(a) == 0:
-        return b.copy()
-    if len(b) == 0:
-        return a.copy()
-    return PrimitiveBatch(*(
-        np.concatenate([getattr(a, f), getattr(b, f)]) for f in (
-            "means", "scales", "rotations", "opacities", "logits", "features",
-            "confidences")))
 
 
 @dataclass
@@ -135,7 +31,7 @@ class EncoderWeights:
     All entries are drawn from numpy's default_rng(seed) as standard
     normals scaled by 1/sqrt(d_model), in declaration order (W_q, W_k,
     W_v, W_o, ffn_w1, ffn_b1, ffn_w2, ffn_b2, refine_w, refine_b), then
-    rounded to float32 so a weight file reproduces the bundle bit-exactly.
+    rounded to float32. The tests pin the float32 bytes of seed 42.
     """
 
     d_model: int
@@ -156,11 +52,6 @@ class EncoderWeights:
 
     MATRIX_FIELDS = ("w_q", "w_k", "w_v", "w_o", "ffn_w1", "ffn_b1", "ffn_w2",
                      "ffn_b2", "refine_w", "refine_b")
-
-    @property
-    def refine_dim(self) -> int:
-        # mean 3 + log-scale 3 + quat 4 + opacity logit 1 + class logits
-        return 11 + (self.n_classes - 1)
 
     def with_zero_refinement(self) -> "EncoderWeights":
         """Copy with the refinement head zeroed (features still update)."""
@@ -189,6 +80,7 @@ def init_weights(
     def draw(*shape):
         return (rng.standard_normal(shape) * scale).astype(np.float32).astype(np.float64)
 
+    # mean 3 + log-scale 3 + quat 4 + opacity logit 1 + class logits
     refine_dim = 11 + (n_classes - 1)
     return EncoderWeights(
         d_model, n_heads, d_ff, n_classes, seed,
@@ -203,49 +95,6 @@ def init_weights(
         refine_w=draw(d_model, refine_dim),
         refine_b=draw(refine_dim),
     )
-
-
-def save_weights(path, w: EncoderWeights) -> None:
-    """Write a `.wts` bundle: header then row-major f32 matrices in order."""
-    with open(path, "wb") as f:
-        f.write(_WTS_HEADER.pack(WTS_MAGIC, WTS_VERSION, w.d_model, w.n_heads,
-                                 w.d_ff, w.n_classes, w.seed))
-        for name in EncoderWeights.MATRIX_FIELDS:
-            f.write(np.ascontiguousarray(getattr(w, name), dtype="<f4").tobytes())
-
-
-def load_weights(path) -> EncoderWeights:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < _WTS_HEADER.size:
-        raise FormatError("weights file shorter than header")
-    magic, version, d_model, n_heads, d_ff, n_classes, seed = _WTS_HEADER.unpack_from(raw)
-    if magic != WTS_MAGIC:
-        raise FormatError(f"bad weights magic {magic!r}")
-    if version != WTS_VERSION:
-        raise FormatError(f"unsupported weights version {version}")
-    w = EncoderWeights(d_model, n_heads, d_ff, n_classes, seed)
-    refine_dim = w.refine_dim
-    shapes = {
-        "w_q": (d_model, d_model), "w_k": (d_model, d_model),
-        "w_v": (d_model, d_model), "w_o": (d_model, d_model),
-        "ffn_w1": (d_model, d_ff), "ffn_b1": (d_ff,),
-        "ffn_w2": (d_ff, d_model), "ffn_b2": (d_model,),
-        "refine_w": (d_model, refine_dim), "refine_b": (refine_dim,),
-    }
-    off = _WTS_HEADER.size
-    for name in EncoderWeights.MATRIX_FIELDS:
-        shape = shapes[name]
-        count = int(np.prod(shape))
-        end = off + count * 4
-        if end > len(raw):
-            raise FormatError("weights file truncated")
-        arr = np.frombuffer(raw[off:end], dtype="<f4").reshape(shape).astype(np.float64)
-        setattr(w, name, arr)
-        off = end
-    if off != len(raw):
-        raise FormatError("weights file has trailing bytes")
-    return w
 
 
 def mha(Q: np.ndarray, K: np.ndarray, V: np.ndarray, n_heads: int) -> np.ndarray:

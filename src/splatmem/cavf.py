@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MIN_SCALE
+from .conf import ConfidenceConfig, confidence_values
+from .core import MIN_SCALE, PrimitiveBatch
 from .errors import InvalidInputError
 
 WORLD_ZERO = "world_zero"
@@ -48,23 +49,10 @@ class FusionConfig:
             )
 
 
-def _means_of(primitives) -> np.ndarray:
-    if hasattr(primitives, "means"):
-        return np.asarray(primitives.means, dtype=np.float64)
-    return np.stack([g.mean for g in primitives]) if primitives else np.zeros((0, 3))
-
-
 def fusion_origin(means: np.ndarray, cfg: FusionConfig) -> np.ndarray:
     if cfg.grid_origin_policy == WORLD_ZERO or len(means) == 0:
         return np.zeros(3)
     return means.min(axis=0)
-
-
-def assign_voxels(primitives, cfg: FusionConfig) -> np.ndarray:
-    """Integer grouping cell floor((mean - origin) / voxel_size), (N, 3)."""
-    means = _means_of(primitives)
-    origin = fusion_origin(means, cfg)
-    return np.floor((means - origin) / cfg.voxel_size).astype(np.int64)
 
 
 def _group_buckets(cells: np.ndarray) -> tuple[int, list]:
@@ -109,83 +97,57 @@ def fusion_weights(confidences, cells, temperature: float) -> np.ndarray:
 class FusedSet:
     """One merged primitive per occupied cell, in cell-sorted order."""
 
-    means: np.ndarray
-    scales: np.ndarray
-    rotations: np.ndarray
-    opacities: np.ndarray
-    logits: np.ndarray
-    features: np.ndarray
+    batch: PrimitiveBatch
     cells: np.ndarray               # (M, 3) grouping cell of each output
     quat_fallback: np.ndarray       # (M,) True where the quaternion sum degenerated
 
     def __len__(self) -> int:
-        return len(self.means)
+        return len(self.batch)
 
 
-def fuse(primitives, features, weights, cells) -> FusedSet:
+def fuse(
+    primitives: PrimitiveBatch, weights, cells,
+    conf_cfg: ConfidenceConfig | None = None,
+) -> FusedSet:
     """Merge co-cell primitives by confidence-weighted summation.
 
     `weights` must come from fusion_weights over the same `cells`. Output
     order is canonical (cell-sorted), so the result is independent of the
-    input ordering.
+    input ordering. The merged rows get confidences recomputed from their
+    merged logits and opacities.
     """
-    if hasattr(primitives, "means"):
-        means = np.asarray(primitives.means, dtype=np.float64)
-        scales = np.asarray(primitives.scales, dtype=np.float64)
-        quats = np.asarray(primitives.rotations, dtype=np.float64)
-        opac = np.asarray(primitives.opacities, dtype=np.float64)
-        logits = np.asarray(primitives.logits, dtype=np.float64)
-    else:
-        prims = list(primitives)
-        means = np.stack([g.mean for g in prims])
-        scales = np.stack([g.scale for g in prims])
-        quats = np.stack([g.rotation for g in prims])
-        opac = np.array([g.opacity for g in prims])
-        logits = np.stack([g.logits for g in prims])
-    feats = np.asarray(features, dtype=np.float64)
+    b = primitives
     w = np.asarray(weights, dtype=np.float64)
     cells = np.asarray(cells)
-    n = len(means)
-    if not (len(feats) == len(w) == len(cells) == n):
-        raise InvalidInputError("primitives, features, weights, cells length mismatch")
-    if feats.ndim != 2:
-        raise InvalidInputError("features must be an (N, d) array")
+    if not (len(w) == len(cells) == len(b)):
+        raise InvalidInputError("primitives, weights, cells length mismatch")
 
     m, buckets = _group_buckets(cells)
-    out = FusedSet(
-        means=np.empty((m, 3)),
-        scales=np.empty((m, 3)),
-        rotations=np.empty((m, 4)),
-        opacities=np.empty(m),
-        logits=np.empty((m, logits.shape[1])),
-        features=np.empty((m, feats.shape[1])),
-        cells=np.empty((m, 3), dtype=np.int64),
-        quat_fallback=np.zeros(m, dtype=bool),
-    )
+    means, scales = np.empty((m, 3)), np.empty((m, 3))
+    rotations, opacities = np.empty((m, 4)), np.empty(m)
+    logits = np.empty((m, b.n_logits))
+    features = np.empty((m, b.d_model))
+    out_cells = np.empty((m, 3), dtype=np.int64)
+    quat_fallback = np.zeros(m, dtype=bool)
     # Each (1, k) @ (k, D) product of a batched matmul is the same BLAS call
     # as a per-group gw @ X; summing gw[:, :, None] * X would round differently.
     for g, rows in buckets:
-        out.cells[g] = cells[rows[:, 0]]
+        out_cells[g] = cells[rows[:, 0]]
         gw = w[rows][:, None, :]                              # (G, 1, k)
-        out.means[g] = np.matmul(gw, means[rows])[:, 0]
-        out.scales[g] = np.maximum(np.matmul(gw, scales[rows])[:, 0], MIN_SCALE)
-        out.opacities[g] = np.matmul(gw, opac[rows][:, :, None])[:, 0, 0]
-        out.logits[g] = np.matmul(gw, logits[rows])[:, 0]
-        out.features[g] = np.matmul(gw, feats[rows])[:, 0]
-        q = quats[rows]                                       # (G, k, 4)
+        means[g] = np.matmul(gw, b.means[rows])[:, 0]
+        scales[g] = np.maximum(np.matmul(gw, b.scales[rows])[:, 0], MIN_SCALE)
+        opacities[g] = np.matmul(gw, b.opacities[rows][:, :, None])[:, 0, 0]
+        logits[g] = np.matmul(gw, b.logits[rows])[:, 0]
+        features[g] = np.matmul(gw, b.features[rows])[:, 0]
+        q = b.rotations[rows]                                 # (G, k, 4)
         ref = q[np.arange(len(g)), np.argmax(gw[:, 0], axis=1)]
         sign = np.where(np.matmul(q, ref[:, :, None]) < 0, -1.0, 1.0)
         qs = np.matmul(gw, q * sign)                          # (G, 1, 4)
         norm = np.sqrt(np.matmul(qs, qs.transpose(0, 2, 1)))[:, 0, 0]
         fallback = norm < _QUAT_SUM_EPS
-        out.rotations[g] = np.where(fallback[:, None], ref,
-                                    qs[:, 0] / np.where(fallback, 1.0, norm)[:, None])
-        out.quat_fallback[g] = fallback
-    return out
-
-
-def fuse_with_config(primitives, features, confidences, cfg: FusionConfig) -> FusedSet:
-    """Convenience: assign cells, weight, and fuse in one call."""
-    cells = assign_voxels(primitives, cfg)
-    w = fusion_weights(confidences, cells, cfg.temperature)
-    return fuse(primitives, features, w, cells)
+        rotations[g] = np.where(fallback[:, None], ref,
+                                qs[:, 0] / np.where(fallback, 1.0, norm)[:, None])
+        quat_fallback[g] = fallback
+    confs = confidence_values(logits, opacities, conf_cfg)
+    batch = PrimitiveBatch(means, scales, rotations, opacities, logits, features, confs)
+    return FusedSet(batch, out_cells, quat_fallback)

@@ -21,15 +21,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .attn import EncoderWeights, PrimitiveBatch, concat_batches, dte_step, init_weights
+from .attn import EncoderWeights, dte_step, init_weights
 from .cavf import FusionConfig
 from .conf import ConfidenceConfig
+from .core import PrimitiveBatch, concat_batches
 from .errors import ConfigError, FormatError, InvalidInputError, InvariantError
 from .grid import VoxelGrid, load_vgrid, save_vgrid
 from .memory import (GaussianMemory, gmem_nbytes, init_memory, load_gmem, save_gmem,
                      update)
 from .metrics import MetricReport, iou, local_mask, observed_mask
-from .splat import RenderOptions, argmax_labels, render
+from .splat import argmax_labels, render
 from .synth import (NoiseParams, StubConfig, default_scene, generate_scene,
                     generate_trajectory, load_scene_spec, stub_predict)
 
@@ -313,15 +314,13 @@ def cmd_render(args) -> None:
         hi = mem.batch.means.max(axis=0) + pad
         dims = np.maximum(np.ceil((hi - lo) / vs).astype(int), 1)
         geom = VoxelGrid.empty_prob(lo, vs, tuple(dims), mem.batch.n_logits + 1)
-    out = render(geom, mem.batch, RenderOptions())
+    out = render(geom, mem.batch)
     if args.labels:
         out = argmax_labels(out)
     save_vgrid(args.out, out)
 
 
 def cmd_fuse(args) -> None:
-    from .memory import init_memory as _init
-
     mem = load_gmem(args.gmem)
     if len(mem.batch) == 0:
         raise ConfigError("cannot fuse an empty memory")
@@ -329,7 +328,7 @@ def cmd_fuse(args) -> None:
         voxel_size=args.voxel_size or mem.fusion.voxel_size,
         temperature=args.temperature or mem.fusion.temperature,
     )
-    fused = _init(mem.batch, fusion)
+    fused = init_memory(mem.batch, fusion)
     save_gmem(args.out, fused)
 
 

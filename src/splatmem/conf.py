@@ -3,8 +3,9 @@
 The default mapping is the power transform
     C = (1 - min(H / h_max, 1))^p * opacity
 with H the Shannon entropy (natural log) of the softmaxed logits. A sharp
-sigmoid variant sigma(-beta (H - gamma)) * opacity and an optional batch
-softmax normalization with temperature are provided as alternatives.
+sigmoid variant sigma(-beta (H - gamma)) * opacity is the alternative.
+Confidences are raw per-primitive scores in [0, 1]; the fusion softmax
+over each cell is their only normalization.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from .errors import InvalidInputError
 
 POWER = "power"
 SHARP_SIGMOID = "sharp_sigmoid"
-NORM_NONE = "none"
-NORM_SOFTMAX = "softmax"
 
 
 @dataclass(frozen=True)
@@ -28,18 +27,12 @@ class ConfidenceConfig:
     transform: str = POWER
     sigmoid_beta: float = 10.0
     sigmoid_gamma: float = 1.5
-    normalize: str = NORM_NONE
-    softmax_temperature: float = 0.2
 
     def __post_init__(self):
         if self.h_max <= 0 or self.sharpness <= 0:
             raise InvalidInputError("h_max and sharpness must be positive")
         if self.transform not in (POWER, SHARP_SIGMOID):
             raise InvalidInputError(f"unknown transform {self.transform!r}")
-        if self.normalize not in (NORM_NONE, NORM_SOFTMAX):
-            raise InvalidInputError(f"unknown normalize mode {self.normalize!r}")
-        if self.softmax_temperature <= 0:
-            raise InvalidInputError("softmax_temperature must be positive")
 
 
 def entropy(logits) -> float:
@@ -71,7 +64,7 @@ def _semantic_factor(h: np.ndarray, cfg: ConfidenceConfig) -> np.ndarray:
 def confidence_values(
     logits: np.ndarray, opacities: np.ndarray, cfg: ConfidenceConfig | None = None
 ) -> np.ndarray:
-    """Raw (un-normalized) confidences for rows of logits and opacities."""
+    """Confidences for rows of logits and opacities."""
     cfg = cfg or ConfidenceConfig()
     h = entropy_batch(np.atleast_2d(logits))
     return _semantic_factor(h, cfg) * np.asarray(opacities, dtype=np.float64)
@@ -80,32 +73,3 @@ def confidence_values(
 def confidence(g, cfg: ConfidenceConfig | None = None) -> float:
     """Confidence of a single primitive, in [0, 1]."""
     return float(confidence_values(g.logits[None, :], np.array([g.opacity]), cfg)[0])
-
-
-def confidence_batch(primitives, cfg: ConfidenceConfig | None = None) -> np.ndarray:
-    """Confidences for a primitive collection.
-
-    With cfg.normalize = "softmax" the raw scores are softmax-normalized
-    across the batch at cfg.softmax_temperature (outputs then sum to 1).
-    """
-    cfg = cfg or ConfidenceConfig()
-    if hasattr(primitives, "logits"):
-        logits = np.asarray(primitives.logits, dtype=np.float64)
-        opac = np.asarray(primitives.opacities, dtype=np.float64)
-    else:
-        prims = list(primitives)
-        if not prims:
-            if cfg.normalize == NORM_SOFTMAX:
-                raise InvalidInputError("softmax normalization needs a nonempty batch")
-            return np.zeros(0)
-        logits = np.stack([g.logits for g in prims])
-        opac = np.array([g.opacity for g in prims])
-    if len(logits) == 0 and cfg.normalize == NORM_SOFTMAX:
-        raise InvalidInputError("softmax normalization needs a nonempty batch")
-    raw = confidence_values(logits, opac, cfg)
-    if cfg.normalize == NORM_SOFTMAX:
-        z = raw / cfg.softmax_temperature
-        z -= z.max()
-        e = np.exp(z)
-        return e / e.sum()
-    return raw

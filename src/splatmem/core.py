@@ -1,5 +1,9 @@
-"""Primitive types and closed-form anisotropic Gaussian math.
+"""Primitive types, the fusion-cell key and closed-form Gaussian math.
 
+`PrimitiveBatch` is the one struct-of-arrays primitive set that every
+layer takes and returns. `GaussianPrimitive` and the scalar functions
+(`quat_to_rotation`, `covariance`, `kernel`, `density`) describe one
+primitive; the tests use them as the dense oracle for the batched code.
 Quaternions are stored (w, x, y, z) everywhere, including file formats.
 """
 
@@ -9,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .conf import confidence_values
 from .errors import InvalidInputError
 
 # Class count: occupied classes 0..NUM_CLASSES-2 plus one empty class.
@@ -28,6 +33,12 @@ def _vec3(v, name: str) -> np.ndarray:
     if a.shape != (3,):
         raise InvalidInputError(f"{name} must be a 3-vector, got shape {a.shape}")
     return a
+
+
+def cell_of(points, origin, size: float) -> np.ndarray:
+    """Integer cell floor((p - origin) / size) of each (N, 3) point."""
+    p = np.asarray(points, dtype=np.float64)
+    return np.floor((p - origin) / size).astype(np.int64)
 
 
 def quat_to_rotation(q) -> np.ndarray:
@@ -164,6 +175,87 @@ def density(x, g: GaussianPrimitive) -> float:
     return kernel(x, g) / norm
 
 
+_BATCH_FIELDS = ("means", "scales", "rotations", "opacities", "logits",
+                 "features", "confidences")
+
+
+@dataclass
+class PrimitiveBatch:
+    """A set of primitives with their feature rows and confidences.
+
+    Arrays: means (N,3), scales (N,3), rotations (N,4), opacities (N,),
+    logits (N,C-1), features (N,d), confidences (N,).
+    """
+
+    means: np.ndarray
+    scales: np.ndarray
+    rotations: np.ndarray
+    opacities: np.ndarray
+    logits: np.ndarray
+    features: np.ndarray
+    confidences: np.ndarray
+
+    def __post_init__(self):
+        for name in _BATCH_FIELDS:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        n = len(self.means)
+        for name in _BATCH_FIELDS[1:]:
+            if len(getattr(self, name)) != n:
+                raise InvalidInputError(f"batch field {name} has mismatched length")
+        if n and (np.min(self.confidences) < -1e-12 or np.max(self.confidences) > 1 + 1e-12):
+            raise InvalidInputError("confidences must lie in [0, 1]")
+
+    def __len__(self) -> int:
+        return len(self.means)
+
+    @property
+    def d_model(self) -> int:
+        return self.features.shape[1]
+
+    @property
+    def n_logits(self) -> int:
+        return self.logits.shape[1]
+
+    @classmethod
+    def empty(cls, d_model: int, n_classes: int = NUM_CLASSES) -> "PrimitiveBatch":
+        z = np.zeros
+        return cls(z((0, 3)), z((0, 3)), z((0, 4)), z(0), z((0, n_classes - 1)),
+                   z((0, d_model)), z(0))
+
+    @classmethod
+    def from_primitives(cls, primitives: list[GaussianPrimitive]) -> "PrimitiveBatch":
+        """Stack GaussianPrimitive rows; confidences use the default config."""
+        prims = list(primitives)
+        if not prims:
+            raise InvalidInputError("cannot build a batch from zero primitives")
+        logits = np.stack([g.logits for g in prims])
+        opac = np.array([g.opacity for g in prims])
+        return cls(
+            np.stack([g.mean for g in prims]),
+            np.stack([g.scale for g in prims]),
+            np.stack([g.rotation for g in prims]),
+            opac,
+            logits,
+            np.stack([g.feature for g in prims]),
+            confidence_values(logits, opac),
+        )
+
+    def copy(self) -> "PrimitiveBatch":
+        return PrimitiveBatch(*(np.array(getattr(self, f)) for f in _BATCH_FIELDS))
+
+    def select(self, idx) -> "PrimitiveBatch":
+        return PrimitiveBatch(*(getattr(self, f)[idx] for f in _BATCH_FIELDS))
+
+
+def concat_batches(a: PrimitiveBatch, b: PrimitiveBatch) -> PrimitiveBatch:
+    if len(a) == 0:
+        return b.copy()
+    if len(b) == 0:
+        return a.copy()
+    return PrimitiveBatch(*(
+        np.concatenate([getattr(a, f), getattr(b, f)]) for f in _BATCH_FIELDS))
+
+
 @dataclass(frozen=True)
 class CameraFrame:
     """Pinhole camera: intrinsics K, rigid camera-to-world pose, depth range.
@@ -239,8 +331,7 @@ class CameraFrame:
         """World-space rays through pixel coords (N,2).
 
         Returns (origin (3,), directions (N,3)). Directions are scaled so
-        that the ray parameter equals camera-space depth (z), which makes
-        depth images and lifted points exact inverses of each other.
+        that the ray parameter equals camera-space depth (z).
         """
         px = np.atleast_2d(np.asarray(pixels, dtype=np.float64))
         K = self.intrinsics

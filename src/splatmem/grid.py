@@ -8,11 +8,11 @@ integer per voxel with the same class indexing (C-1 = empty).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NUM_CLASSES
+from .core import NUM_CLASSES, cell_of
 from .errors import FormatError, InvalidInputError
 
 PROB_MODE = 0
@@ -38,9 +38,6 @@ class VoxelGrid:
     values: np.ndarray
     mode: int = PROB_MODE
     num_classes: int = NUM_CLASSES
-    # Optional per-voxel rendered confidence field; produced by the splatter
-    # when requested, never serialized.
-    confidence: np.ndarray | None = None
 
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
@@ -91,8 +88,7 @@ class VoxelGrid:
 
     def voxel_of(self, points: np.ndarray) -> np.ndarray:
         """Integer voxel index of each (N,3) point (floor semantics)."""
-        p = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return np.floor((p - self.origin) / self.voxel_size).astype(np.int64)
+        return cell_of(np.atleast_2d(points), self.origin, self.voxel_size)
 
     def in_bounds(self, idx: np.ndarray) -> np.ndarray:
         idx = np.atleast_2d(idx)
@@ -160,6 +156,14 @@ def load_vgrid(path) -> VoxelGrid:
         raise FormatError(f"unsupported vgrid version {version}")
     if mode not in (PROB_MODE, LABEL_MODE):
         raise FormatError(f"unknown vgrid mode {mode}")
+    if min(nx, ny, nz) < 1:
+        raise FormatError(f"vgrid dims {(nx, ny, nz)} must all be >= 1")
+    if not (np.isfinite(vs) and vs > 0):
+        raise FormatError(f"vgrid voxel size {vs} is not a positive number")
+    if not np.all(np.isfinite((ox, oy, oz))):
+        raise FormatError("vgrid origin is not finite")
+    if C < 2:
+        raise FormatError(f"vgrid header has C={C}; need C >= 2")
     payload = raw[_HEADER.size :]
     n_vox = nx * ny * nz
     if mode == PROB_MODE:
@@ -167,11 +171,15 @@ def load_vgrid(path) -> VoxelGrid:
         if len(payload) != expect:
             raise FormatError(f"vgrid payload is {len(payload)} bytes, expected {expect}")
         vals = np.frombuffer(payload, dtype="<f4").reshape(nz, ny, nx, C)
+        if not np.all(np.isfinite(vals)):
+            raise FormatError("vgrid probabilities hold non-finite values")
         vals = vals.transpose(2, 1, 0, 3).astype(np.float64)
     else:
         expect = n_vox * 2
         if len(payload) != expect:
             raise FormatError(f"vgrid payload is {len(payload)} bytes, expected {expect}")
         vals = np.frombuffer(payload, dtype="<u2").reshape(nz, ny, nx)
+        if vals.max() >= C:
+            raise FormatError(f"vgrid labels reach {vals.max()}, need < C={C}")
         vals = vals.transpose(2, 1, 0).copy()
     return VoxelGrid((ox, oy, oz), vs, (nx, ny, nz), vals, mode, C)

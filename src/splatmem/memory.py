@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attn import EncoderWeights, PrimitiveBatch, concat_batches, dte_step
-from .cavf import FusedSet, FusionConfig, fuse, fusion_origin, fusion_weights
+from .attn import EncoderWeights, dte_step
+from .cavf import FusionConfig, fuse, fusion_origin, fusion_weights
 from .conf import ConfidenceConfig, confidence_values
-from .core import CameraFrame
+from .core import CameraFrame, PrimitiveBatch, cell_of, concat_batches
 from .errors import FormatError, InvalidInputError
 
 GMEM_MAGIC = b"GMEM"
@@ -72,22 +72,12 @@ class GaussianMemory:
             raise InvalidInputError("memory holds more than one primitive per cell")
 
 
-def _cells_for(means: np.ndarray, origin: np.ndarray, voxel_size: float) -> np.ndarray:
-    return np.floor((means - origin) / voxel_size).astype(np.int64)
-
-
-def _from_fused(f: FusedSet, conf_cfg: ConfidenceConfig | None) -> PrimitiveBatch:
-    confs = confidence_values(f.logits, f.opacities, conf_cfg)
-    return PrimitiveBatch(f.means, f.scales, f.rotations, f.opacities,
-                          f.logits, f.features, confs)
-
-
 def _fuse_at_origin(
     batch: PrimitiveBatch, origin: np.ndarray, cfg: FusionConfig,
     conf_cfg: ConfidenceConfig | None,
 ) -> tuple[PrimitiveBatch, np.ndarray]:
     """Fuse a batch against a fixed grouping origin; returns (batch, cells)."""
-    return _fuse_cells(batch, _cells_for(batch.means, origin, cfg.voxel_size),
+    return _fuse_cells(batch, cell_of(batch.means, origin, cfg.voxel_size),
                        cfg, conf_cfg)
 
 
@@ -97,9 +87,8 @@ def _fuse_cells(
 ) -> tuple[PrimitiveBatch, np.ndarray]:
     """Fuse a batch grouped by the given cells; returns (batch, cells)."""
     w = fusion_weights(batch.confidences, cells, cfg.temperature)
-    fused = fuse(batch, batch.features, w, cells)
-    out = _from_fused(fused, conf_cfg)
-    return out, fused.cells
+    fused = fuse(batch, w, cells, conf_cfg)
+    return fused.batch, fused.cells
 
 
 def init_memory(
@@ -280,6 +269,4 @@ def load_gmem(path, conf_cfg: ConfidenceConfig | None = None) -> GaussianMemory:
     confs = confidence_values(logits, opac, conf_cfg) if count else np.zeros(0)
     batch = PrimitiveBatch(means, scales, quats, opac, logits, feats, confs)
     cfg = FusionConfig(voxel_size=vs)
-    mem = GaussianMemory(batch, cfg, origin,
-                         _cells_for(means, origin, vs) if count else np.zeros((0, 3), dtype=np.int64))
-    return mem
+    return GaussianMemory(batch, cfg, origin, cell_of(means, origin, vs))

@@ -1,159 +1,27 @@
 """Decoupled Gaussian-to-voxel splatting.
 
-A primitive contributes to every voxel whose index cell overlaps the
-axis-aligned bounding box of its truncated ellipsoid (default 3 sigma).
-Rendering walks primitives and scatters each one onto the voxel block
-covered by those cells, which enumerates exactly the same neighborhoods a
-bucket query would return, just primitive-major. With truncation disabled
-the block is the whole grid and the result coincides with a dense
-all-pairs evaluation.
+A primitive contributes to every voxel of the block covered by the
+cells its truncated ellipsoid (default 3 sigma) overlaps: the cells are
+cubes of CELL_FACTOR voxels anchored at the world origin, and the
+ellipsoid is bounded by its axis-aligned box. Rendering walks the
+primitives and scatters each one onto its block. With truncation
+disabled the block is the whole grid and the result coincides with a
+dense all-pairs evaluation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianPrimitive, quats_to_rotations
+from .core import PrimitiveBatch, quats_to_rotations
 from .errors import InvalidInputError
-from .grid import PROB_MODE, VoxelGrid
+from .grid import LABEL_MODE, PROB_MODE, VoxelGrid
 
 DEFAULT_TRUNCATION_SIGMAS = 3.0
-# Index cells default to 4 voxels per side; amortizes bucket overhead.
-DEFAULT_CELL_FACTOR = 4.0
-
-
-@dataclass
-class PrimitiveArrays:
-    """Struct-of-arrays view of a primitive set, precomputed for splatting."""
-
-    means: np.ndarray       # (N, 3)
-    scales: np.ndarray      # (N, 3)
-    rotations: np.ndarray   # (N, 4) quaternions (w, x, y, z)
-    opacities: np.ndarray   # (N,)
-    logits: np.ndarray      # (N, C-1)
-    confidences: np.ndarray | None = None  # (N,), only for confidence splatting
-
-    inv_cov: np.ndarray = field(init=False)     # (N, 3, 3)
-    pdf_norm: np.ndarray = field(init=False)    # (N,) (2 pi)^{3/2} s1 s2 s3
-    class_probs: np.ndarray = field(init=False)  # (N, C-1) softmaxed logits
-    cov_diag: np.ndarray = field(init=False)    # (N, 3) diagonal of covariance
-
-    def __post_init__(self):
-        n = len(self.means)
-        if n:
-            R = quats_to_rotations(self.rotations)
-            s2 = self.scales**2
-            self.inv_cov = np.einsum("nab,nb,ncb->nac", R, 1.0 / s2, R)
-            self.cov_diag = np.einsum("nab,nb->na", R**2, s2)
-        else:
-            self.inv_cov = np.zeros((0, 3, 3))
-            self.cov_diag = np.zeros((0, 3))
-        self.pdf_norm = (2.0 * np.pi) ** 1.5 * np.prod(self.scales, axis=1)
-        shifted = self.logits - self.logits.max(axis=1, keepdims=True) if n else self.logits
-        e = np.exp(shifted)
-        self.class_probs = e / e.sum(axis=1, keepdims=True) if n else e
-
-    def __len__(self) -> int:
-        return len(self.means)
-
-    def support_halfwidth(self, radius_sigmas: float) -> np.ndarray:
-        """Half extents of the truncated ellipsoid's world AABB, (N, 3)."""
-        return radius_sigmas * np.sqrt(self.cov_diag)
-
-
-def as_arrays(primitives) -> PrimitiveArrays:
-    """Accept a list of GaussianPrimitive or any batch with SoA fields."""
-    if isinstance(primitives, PrimitiveArrays):
-        return primitives
-    if hasattr(primitives, "means"):
-        return PrimitiveArrays(
-            np.asarray(primitives.means, dtype=np.float64),
-            np.asarray(primitives.scales, dtype=np.float64),
-            np.asarray(primitives.rotations, dtype=np.float64),
-            np.asarray(primitives.opacities, dtype=np.float64),
-            np.asarray(primitives.logits, dtype=np.float64),
-            None if getattr(primitives, "confidences", None) is None
-            else np.asarray(primitives.confidences, dtype=np.float64),
-        )
-    prims = list(primitives)
-    if not prims:
-        c = 1
-        return PrimitiveArrays(
-            np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 4)),
-            np.zeros(0), np.zeros((0, c)),
-        )
-    if not isinstance(prims[0], GaussianPrimitive):
-        raise InvalidInputError("expected GaussianPrimitive items or a batch")
-    return PrimitiveArrays(
-        np.stack([g.mean for g in prims]),
-        np.stack([g.scale for g in prims]),
-        np.stack([g.rotation for g in prims]),
-        np.array([g.opacity for g in prims]),
-        np.stack([g.logits for g in prims]),
-    )
-
-
-@dataclass
-class SpatialIndex:
-    """Uniform hash grid over primitive supports.
-
-    Every primitive id is inserted into each cell its truncated-support
-    AABB overlaps, so querying a point returns a superset of the
-    primitives whose support contains it. Cells are anchored at the world
-    origin: cell(p) = floor(p / cell_size).
-    """
-
-    cell_size: float
-    truncation_radius_sigmas: float
-    buckets: dict[tuple[int, int, int], np.ndarray]
-    n_primitives: int
-
-    @property
-    def unbounded(self) -> bool:
-        return not np.isfinite(self.truncation_radius_sigmas)
-
-    def cell_of(self, point) -> tuple[int, int, int]:
-        p = np.asarray(point, dtype=np.float64)
-        return tuple(int(c) for c in np.floor(p / self.cell_size))
-
-    def query(self, point) -> np.ndarray:
-        """Candidate primitive ids for a world point."""
-        if self.unbounded:
-            return np.arange(self.n_primitives)
-        return self.buckets.get(self.cell_of(point), np.empty(0, dtype=np.int64))
-
-
-def build_index(
-    primitives,
-    cell_size: float,
-    truncation_radius_sigmas: float = DEFAULT_TRUNCATION_SIGMAS,
-) -> SpatialIndex:
-    """Index primitives by the cells their truncated supports overlap."""
-    if cell_size <= 0:
-        raise InvalidInputError("cell_size must be positive")
-    arrs = as_arrays(primitives)
-    buckets: dict[tuple[int, int, int], list[int]] = {}
-    if len(arrs) and np.isfinite(truncation_radius_sigmas):
-        half = arrs.support_halfwidth(truncation_radius_sigmas)
-        lo = np.floor((arrs.means - half) / cell_size).astype(np.int64)
-        hi = np.floor((arrs.means + half) / cell_size).astype(np.int64)
-        for i in range(len(arrs)):
-            for cx in range(lo[i, 0], hi[i, 0] + 1):
-                for cy in range(lo[i, 1], hi[i, 1] + 1):
-                    for cz in range(lo[i, 2], hi[i, 2] + 1):
-                        buckets.setdefault((cx, cy, cz), []).append(i)
-    packed = {k: np.array(v, dtype=np.int64) for k, v in buckets.items()}
-    return SpatialIndex(cell_size, truncation_radius_sigmas, packed, len(arrs))
-
-
-@dataclass
-class RenderOptions:
-    cell_size: float | None = None  # defaults to voxel_size * DEFAULT_CELL_FACTOR
-    truncation_radius_sigmas: float = DEFAULT_TRUNCATION_SIGMAS
-    confidence_weighted: bool = False
-    confidences: np.ndarray | None = None  # overrides batch confidences
+# Support cells are 4 voxels per side.
+CELL_FACTOR = 4.0
 
 
 @dataclass
@@ -163,7 +31,6 @@ class SplatFields:
     alpha: np.ndarray            # (nx, ny, nz)
     semantics: np.ndarray        # (nx, ny, nz, C-1), rows sum to 1
     undefined: np.ndarray        # (nx, ny, nz) bool: zero total density
-    confidence: np.ndarray | None  # (nx, ny, nz) or None
 
 
 def _voxel_span(mean, half, origin, voxel_size, cell_size, dims):
@@ -181,37 +48,39 @@ def _voxel_span(mean, half, origin, voxel_size, cell_size, dims):
 
 def splat_fields(
     grid: VoxelGrid,
-    primitives,
-    cell_size: float | None = None,
+    primitives: PrimitiveBatch,
     truncation_radius_sigmas: float = DEFAULT_TRUNCATION_SIGMAS,
-    confidences: np.ndarray | None = None,
 ) -> SplatFields:
-    """Evaluate opacity, semantic, and optional confidence fields at voxel centers."""
-    arrs = as_arrays(primitives)
-    if confidences is None:
-        confidences = arrs.confidences
-    if cell_size is None:
-        cell_size = grid.voxel_size * DEFAULT_CELL_FACTOR
+    """Evaluate the opacity and semantic fields at voxel centers."""
+    b = primitives
+    n = len(b)
+    cell_size = grid.voxel_size * CELL_FACTOR
     nx, ny, nz = grid.dims
-    c_occ = arrs.class_probs.shape[1] if len(arrs) else grid.num_classes - 1
+    c_occ = b.n_logits if n else grid.num_classes - 1
 
     keep = np.ones((nx, ny, nz))            # running product of (1 - a_i k_i)
     dens = np.zeros((nx, ny, nz))           # sum of pdf values
     sem = np.zeros((nx, ny, nz, c_occ))     # density-weighted class probs
-    conf = np.zeros((nx, ny, nz)) if confidences is not None else None
 
     ax, ay, az = grid.axis_centers()
     finite = np.isfinite(truncation_radius_sigmas)
-    if len(arrs):
+    if n:
+        R = quats_to_rotations(b.rotations)
+        s2 = b.scales**2
+        inv_cov = np.einsum("nab,nb,ncb->nac", R, 1.0 / s2, R)
+        pdf_norm = (2.0 * np.pi) ** 1.5 * np.prod(b.scales, axis=1)
+        e = np.exp(b.logits - b.logits.max(axis=1, keepdims=True))
+        class_probs = e / e.sum(axis=1, keepdims=True)
+        # half extents of each truncated ellipsoid's world AABB
         half_all = (
-            arrs.support_halfwidth(truncation_radius_sigmas)
+            truncation_radius_sigmas * np.sqrt(np.einsum("nab,nb->na", R**2, s2))
             if finite
-            else np.zeros((len(arrs), 3))
+            else np.zeros((n, 3))
         )
-    for i in range(len(arrs)):
+    for i in range(n):
         if finite:
             lo, hi = _voxel_span(
-                arrs.means[i], half_all[i], grid.origin, grid.voxel_size,
+                b.means[i], half_all[i], grid.origin, grid.voxel_size,
                 cell_size, grid.dims,
             )
             if np.any(lo > hi):
@@ -219,10 +88,10 @@ def splat_fields(
         else:
             lo, hi = np.zeros(3, dtype=np.int64), np.asarray(grid.dims) - 1
         sl = tuple(slice(lo[a], hi[a] + 1) for a in range(3))
-        dx = ax[sl[0]] - arrs.means[i, 0]
-        dy = ay[sl[1]] - arrs.means[i, 1]
-        dz = az[sl[2]] - arrs.means[i, 2]
-        A = arrs.inv_cov[i]
+        dx = ax[sl[0]] - b.means[i, 0]
+        dy = ay[sl[1]] - b.means[i, 1]
+        dz = az[sl[2]] - b.means[i, 2]
+        A = inv_cov[i]
         q = (
             A[0, 0] * dx[:, None, None] ** 2
             + A[1, 1] * dy[None, :, None] ** 2
@@ -232,12 +101,10 @@ def splat_fields(
             + 2.0 * A[1, 2] * dy[None, :, None] * dz[None, None, :]
         )
         k = np.exp(-0.5 * q)
-        keep[sl] *= 1.0 - arrs.opacities[i] * k
-        p = k / arrs.pdf_norm[i]
+        keep[sl] *= 1.0 - b.opacities[i] * k
+        p = k / pdf_norm[i]
         dens[sl] += p
-        sem[sl] += p[..., None] * arrs.class_probs[i]
-        if conf is not None:
-            conf[sl] += p * confidences[i]
+        sem[sl] += p[..., None] * class_probs[i]
 
     alpha = 1.0 - keep
     undefined = dens == 0.0
@@ -245,74 +112,27 @@ def splat_fields(
     safe = np.where(undefined, 1.0, dens)
     sem_out[:] = sem / safe[..., None]
     sem_out[undefined] = 1.0 / c_occ
-    if conf is not None:
-        conf = np.where(undefined, 0.0, conf / safe)
-    return SplatFields(alpha, sem_out, undefined, conf)
-
-
-def splat_opacity(grid: VoxelGrid, primitives, index: SpatialIndex | None = None) -> np.ndarray:
-    """Per-voxel occupancy probability 1 - prod_i (1 - a_i k_i(x))."""
-    cell, trunc = _index_params(grid, index)
-    return splat_fields(grid, primitives, cell, trunc).alpha
-
-
-def splat_semantics(
-    grid: VoxelGrid, primitives, index: SpatialIndex | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Density-weighted class distribution per voxel.
-
-    Returns (field, undefined mask); voxels with zero total density get the
-    uniform distribution and are flagged instead of raising.
-    """
-    cell, trunc = _index_params(grid, index)
-    f = splat_fields(grid, primitives, cell, trunc)
-    return f.semantics, f.undefined
-
-
-def _index_params(grid: VoxelGrid, index: SpatialIndex | None):
-    if index is None:
-        return grid.voxel_size * DEFAULT_CELL_FACTOR, DEFAULT_TRUNCATION_SIGMAS
-    return index.cell_size, index.truncation_radius_sigmas
+    return SplatFields(alpha, sem_out, undefined)
 
 
 def render(
     grid: VoxelGrid,
-    primitives,
-    options: RenderOptions | None = None,
-    index: SpatialIndex | None = None,
+    primitives: PrimitiveBatch,
+    truncation_radius_sigmas: float = DEFAULT_TRUNCATION_SIGMAS,
 ) -> VoxelGrid:
     """Render primitives into a probability grid.
 
     Per-voxel channels are (alpha * e_1, ..., alpha * e_{C-1}, 1 - alpha).
-    With options.confidence_weighted the result carries a per-voxel
-    confidence field (density-weighted mean of primitive confidences).
     """
-    opts = options or RenderOptions()
-    if index is not None:
-        cell, trunc = index.cell_size, index.truncation_radius_sigmas
-    else:
-        cell = opts.cell_size or grid.voxel_size * DEFAULT_CELL_FACTOR
-        trunc = opts.truncation_radius_sigmas
-    conf_in = None
-    if opts.confidence_weighted:
-        arrs = as_arrays(primitives)
-        conf_in = opts.confidences if opts.confidences is not None else arrs.confidences
-        if conf_in is None:
-            raise InvalidInputError(
-                "confidence_weighted render needs per-primitive confidences"
-            )
-        primitives = arrs
-    f = splat_fields(grid, primitives, cell, trunc, confidences=conf_in)
+    f = splat_fields(grid, primitives, truncation_radius_sigmas)
     c_occ = f.semantics.shape[-1]
     values = np.empty(grid.dims + (c_occ + 1,))
     values[..., :c_occ] = f.alpha[..., None] * f.semantics
     values[..., c_occ] = 1.0 - f.alpha
-    out = VoxelGrid(
+    return VoxelGrid(
         grid.origin.copy(), grid.voxel_size, grid.dims, values,
         PROB_MODE, c_occ + 1,
     )
-    out.confidence = f.confidence
-    return out
 
 
 def argmax_labels(grid: VoxelGrid) -> VoxelGrid:
@@ -325,8 +145,6 @@ def argmax_labels(grid: VoxelGrid) -> VoxelGrid:
     if grid.mode != PROB_MODE:
         raise InvalidInputError("argmax_labels expects a probability grid")
     labels = np.argmax(grid.values, axis=-1).astype(np.uint16)
-    from .grid import LABEL_MODE
-
     return VoxelGrid(
         grid.origin.copy(), grid.voxel_size, grid.dims, labels,
         LABEL_MODE, grid.num_classes,

@@ -1,10 +1,10 @@
 """Synthetic scenes standing in for a learned perception stack.
 
 Scenes are box compositions voxelized into ground-truth label grids.
-Depth comes from exact voxel ray marching (amanatides-woo stepping), the
-lifter reprojects sampled depths through the intrinsics, and a noise
-controllable stub predictor turns ground truth into per-frame primitive
-batches so the temporal pipeline can run end to end.
+Exact voxel ray marching (amanatides-woo stepping) finds the surface each
+sampled pixel ray strikes, and a noise controllable stub predictor turns
+those hits into per-frame primitive batches so the temporal pipeline can
+run end to end.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attn import PrimitiveBatch
 from .conf import ConfidenceConfig, confidence_values
-from .core import NUM_CLASSES, CameraFrame, GaussianPrimitive
+from .core import NUM_CLASSES, CameraFrame, PrimitiveBatch, cell_of
 from .errors import InvalidInputError
 from .grid import LABEL_MODE, VoxelGrid
 
@@ -66,24 +65,6 @@ class SceneSpec:
                 raise InvalidInputError(f"box {b} exceeds the scene extent")
             if not (0 <= b.cls <= self.num_classes - 2):
                 raise InvalidInputError(f"box class {b.cls} outside occupied range")
-
-
-def save_scene_spec(path, spec: SceneSpec) -> None:
-    """Write the human-readable scene format (one record per line)."""
-    lines = [
-        f"extent {spec.extent[0]} {spec.extent[1]} {spec.extent[2]}",
-        f"voxel_size {spec.gt_voxel_size}",
-        f"seed {spec.seed}",
-        f"classes {spec.num_classes}",
-    ]
-    for b in spec.boxes:
-        lines.append(
-            "box "
-            + " ".join(str(v) for v in (*b.lo, *b.hi))
-            + f" {b.cls}"
-        )
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
 
 
 def load_scene_spec(path) -> SceneSpec:
@@ -170,20 +151,6 @@ def generate_scene(spec: SceneSpec) -> VoxelGrid:
 
 
 @dataclass
-class DepthImage:
-    """Per-pixel camera-space depth (z, meters); infinity marks no hit."""
-
-    width: int
-    height: int
-    depths: np.ndarray  # (height, width)
-    degenerate: bool = False  # camera started inside an occupied voxel
-
-    def __post_init__(self):
-        if self.depths.shape != (self.height, self.width):
-            raise InvalidInputError("depth array shape must be (height, width)")
-
-
-@dataclass
 class RayHits:
     """Raw trace results for a pixel sample set."""
 
@@ -198,8 +165,8 @@ def trace_rays(gt: VoxelGrid, frame: CameraFrame, pixels: np.ndarray,
                far: float | None = None) -> RayHits:
     """March rays through the label grid to the first occupied voxel.
 
-    The ray parameter equals camera-space depth, so entry/exit values plug
-    straight into the lifter. Marching stops at `far` (defaults to the
+    The ray parameter equals camera-space depth, so entry/exit values place
+    points along the ray directly. Marching stops at `far` (defaults to the
     frame's far plane) or at the grid boundary.
     """
     if gt.mode != LABEL_MODE:
@@ -235,8 +202,7 @@ def trace_rays(gt: VoxelGrid, frame: CameraFrame, pixels: np.ndarray,
     alive = (t_start <= t1) & (t_start <= far)
 
     pos = origin + t_start[:, None] * dirs
-    idx = np.floor((pos - gt.origin) / vs).astype(np.int64)
-    idx = np.clip(idx, 0, dims - 1)
+    idx = np.clip(cell_of(pos, gt.origin, vs), 0, dims - 1)
     step = np.where(dirs > 0, 1, -1)
     with np.errstate(divide="ignore"):
         t_delta = np.where(dirs != 0, vs / np.abs(dirs), np.inf)
@@ -273,61 +239,12 @@ def trace_rays(gt: VoxelGrid, frame: CameraFrame, pixels: np.ndarray,
     return RayHits(hit, t_entry, t_exit, voxel, face)
 
 
-def render_depth(gt: VoxelGrid, frame: CameraFrame) -> DepthImage:
-    """Full-image depth render; pixel (r, c) uses the ray through its center."""
-    uu, vv = np.meshgrid(np.arange(frame.width) + 0.5,
-                         np.arange(frame.height) + 0.5)
-    pixels = np.stack([uu.ravel(), vv.ravel()], axis=1)
-    hits = trace_rays(gt, frame, pixels)
-    depths = np.where(hits.hit, hits.t_entry, np.inf).reshape(frame.height, frame.width)
-    cam_vox = gt.voxel_of(frame.position[None, :])[0]
-    degenerate = bool(
-        np.all((cam_vox >= 0) & (cam_vox < np.array(gt.dims)))
-        and gt.values[tuple(cam_vox)] != gt.num_classes - 1
-    )
-    return DepthImage(frame.width, frame.height, depths, degenerate)
-
-
 def sample_pixels(width: int, height: int, grid_h: int, grid_w: int) -> np.ndarray:
     """Centers of the pixels nearest a uniform grid_h x grid_w sampling grid."""
     us = np.minimum(np.floor((np.arange(grid_w) + 0.5) * width / grid_w), width - 1)
     vs = np.minimum(np.floor((np.arange(grid_h) + 0.5) * height / grid_h), height - 1)
     uu, vv = np.meshgrid(us + 0.5, vs + 0.5)
     return np.stack([uu.ravel(), vv.ravel()], axis=1)
-
-
-def lift(
-    depth: DepthImage,
-    frame: CameraFrame,
-    grid_h: int = LIFT_GRID_H,
-    grid_w: int = LIFT_GRID_W,
-    init_scale: float = 0.08,
-    feature_dim: int = 32,
-    num_classes: int = NUM_CLASSES,
-) -> list[GaussianPrimitive]:
-    """Reproject sampled depths into world-frame initial primitives.
-
-    Samples a uniform grid of pixel centers; finite depths become means at
-    depth * K^-1 (u, v, 1) mapped through the pose. Attributes start
-    neutral: isotropic init_scale, identity rotation, opacity 0.5, zero
-    logits and features. Infinite-depth samples are skipped.
-    """
-    pixels = sample_pixels(depth.width, depth.height, grid_h, grid_w)
-    px = pixels[:, 0].astype(int)
-    py = pixels[:, 1].astype(int)
-    d = depth.depths[py, px]
-    keep = np.isfinite(d) & (d > 0)
-    origin, dirs = frame.pixel_rays(pixels[keep])
-    means = origin + d[keep, None] * dirs
-    out = []
-    for m in means:
-        out.append(
-            GaussianPrimitive(
-                m, np.full(3, init_scale), np.array([1.0, 0.0, 0.0, 0.0]),
-                0.5, np.zeros(num_classes - 1), np.zeros(feature_dim),
-            )
-        )
-    return out
 
 
 @dataclass(frozen=True)

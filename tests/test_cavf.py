@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from splatmem.attn import PrimitiveBatch
-from splatmem.cavf import (
-    FusionConfig,
-    assign_voxels,
-    fuse,
-    fuse_with_config,
-    fusion_weights,
-)
-from splatmem.core import MIN_SCALE, GaussianPrimitive
+from splatmem.cavf import FusionConfig, fuse, fusion_origin, fusion_weights
+from splatmem.conf import ConfidenceConfig, confidence_values
+from splatmem.core import MIN_SCALE, GaussianPrimitive, PrimitiveBatch, cell_of
 from splatmem.errors import InvalidInputError
 
 RNG = np.random.default_rng(17)
@@ -29,6 +23,16 @@ def make_batch(n, spread=0.6, seed=None):
         features=rng.normal(size=(n, 16)),
         confidences=rng.uniform(0.01, 1.0, size=n),
     )
+
+
+def assign_voxels(b, cfg):
+    """The fusion cell of each row: floor((mean - origin) / voxel_size)."""
+    return cell_of(b.means, fusion_origin(b.means, cfg), cfg.voxel_size)
+
+
+def fuse_with_config(b, cfg):
+    cells = assign_voxels(b, cfg)
+    return fuse(b, fusion_weights(b.confidences, cells, cfg.temperature), cells)
 
 
 def grouped_average_oracle(batch, weights, cells):
@@ -51,6 +55,8 @@ def grouped_average_oracle(batch, weights, cells):
 
 
 class TestAssignVoxels:
+    """The fusion cell key: cell_of(mean, fusion_origin(...), voxel_size)."""
+
     def test_interior_point(self):
         b = make_batch(1)
         b.means[0] = [0.06, 0.06, 0.06]
@@ -78,7 +84,7 @@ class TestAssignVoxels:
     def test_accepts_primitive_list(self):
         prims = [GaussianPrimitive((0.05, 0.05, 0.05), (0.1,) * 3, (1, 0, 0, 0),
                                    1.0, np.zeros(C - 1))]
-        cells = assign_voxels(prims, FusionConfig())
+        cells = assign_voxels(PrimitiveBatch.from_primitives(prims), FusionConfig())
         assert tuple(cells[0]) == (0, 0, 0)
 
 
@@ -123,7 +129,7 @@ class TestFuse:
             "confidences")))
         cells = np.zeros((2, 3), dtype=int)
         w = fusion_weights(pair.confidences, cells, 1.0)
-        out = fuse(pair, pair.features, w, cells)
+        out = fuse(pair, w, cells).batch
         assert len(out) == 1
         assert np.allclose(out.means[0], b.means[0], atol=1e-12)
         assert np.allclose(out.scales[0], b.scales[0], atol=1e-12)
@@ -140,7 +146,7 @@ class TestFuse:
         b.confidences[:] = 0.5
         cells = np.zeros((2, 3), dtype=int)
         w = fusion_weights(b.confidences, cells, 1.0)
-        out = fuse(b, b.features, w, cells)
+        out = fuse(b, w, cells).batch
         assert np.allclose(out.means[0], [0.03, 0.0, 0.0], atol=1e-12)
 
     def test_matches_group_by_oracle(self):
@@ -148,11 +154,12 @@ class TestFuse:
         cfg = FusionConfig(voxel_size=0.12)
         cells = assign_voxels(b, cfg)
         w = fusion_weights(b.confidences, cells, cfg.temperature)
-        out = fuse(b, b.features, w, cells)
+        fused = fuse(b, w, cells)
+        out = fused.batch
         oracle = grouped_average_oracle(b, w, cells)
         assert len(out) == len(oracle)
         for gi in range(len(out)):
-            exp = oracle[tuple(out.cells[gi])]
+            exp = oracle[tuple(fused.cells[gi])]
             assert np.allclose(out.means[gi], exp["mean"], atol=1e-9)
             assert np.allclose(out.scales[gi], exp["scale"], atol=1e-9)
             assert out.opacities[gi] == pytest.approx(exp["opacity"], abs=1e-9)
@@ -163,7 +170,7 @@ class TestFuse:
         b = make_batch(80, seed=6)
         cfg = FusionConfig(voxel_size=0.12)
         cells = assign_voxels(b, cfg)
-        out = fuse_with_config(b, b.features, b.confidences, cfg)
+        out = fuse_with_config(b, cfg)
         assert len(out) == len(np.unique(cells, axis=0))
         assert len(out) <= len(b)
 
@@ -172,10 +179,11 @@ class TestFuse:
         cfg = FusionConfig(voxel_size=0.15)
         cells = assign_voxels(b, cfg)
         w = fusion_weights(b.confidences, cells, cfg.temperature)
-        out = fuse(b, b.features, w, cells)
+        fused = fuse(b, w, cells)
+        out = fused.batch
         keys = [tuple(c) for c in cells]
         for gi in range(len(out)):
-            idx = [i for i, k in enumerate(keys) if k == tuple(out.cells[gi])]
+            idx = [i for i, k in enumerate(keys) if k == tuple(fused.cells[gi])]
             assert b.opacities[idx].min() - 1e-12 <= out.opacities[gi]
             assert out.opacities[gi] <= b.opacities[idx].max() + 1e-12
             assert 0.0 <= out.opacities[gi] <= 1.0
@@ -188,10 +196,11 @@ class TestFuse:
         cfg = FusionConfig(voxel_size=0.2, temperature=1e-3)
         cells = assign_voxels(b, cfg)
         w = fusion_weights(b.confidences, cells, cfg.temperature)
-        out = fuse(b, b.features, w, cells)
+        fused = fuse(b, w, cells)
+        out = fused.batch
         keys = [tuple(c) for c in cells]
         for gi in range(len(out)):
-            idx = np.array([i for i, k in enumerate(keys) if k == tuple(out.cells[gi])])
+            idx = np.array([i for i, k in enumerate(keys) if k == tuple(fused.cells[gi])])
             best = idx[np.argmax(b.confidences[idx])]
             # exclude effective ties
             others = np.delete(b.confidences[idx], np.argmax(b.confidences[idx]))
@@ -205,22 +214,18 @@ class TestFuse:
     def test_order_invariance(self):
         b = make_batch(40, seed=9)
         cfg = FusionConfig(voxel_size=0.12)
-        out1 = fuse_with_config(b, b.features, b.confidences, cfg)
-        perm = RNG.permutation(len(b))
-        b2 = b.select(perm)
-        out2 = fuse_with_config(b2, b2.features, b2.confidences, cfg)
+        out1 = fuse_with_config(b, cfg)
+        out2 = fuse_with_config(b.select(RNG.permutation(len(b))), cfg)
         assert np.array_equal(out1.cells, out2.cells)
-        assert np.allclose(out1.means, out2.means, atol=1e-12)
-        assert np.allclose(out1.logits, out2.logits, atol=1e-12)
+        assert np.allclose(out1.batch.means, out2.batch.means, atol=1e-12)
+        assert np.allclose(out1.batch.logits, out2.batch.logits, atol=1e-12)
 
     def test_idempotent_when_cells_stable(self):
         b = make_batch(30, seed=10)
         cfg = FusionConfig(voxel_size=0.12)
-        once = fuse_with_config(b, b.features, b.confidences, cfg)
-        batch1 = PrimitiveBatch(once.means, once.scales, once.rotations,
-                                once.opacities, once.logits, once.features,
-                                np.full(len(once), 0.5))
-        twice = fuse_with_config(batch1, batch1.features, batch1.confidences, cfg)
+        once = fuse_with_config(b, cfg).batch
+        once.confidences[:] = 0.5
+        twice = fuse_with_config(once, cfg).batch
         assert len(twice) == len(once)
         assert np.allclose(twice.means, once.means, atol=1e-9)
 
@@ -235,38 +240,39 @@ class TestFuse:
             features=np.zeros((2, 4)),
             confidences=np.array([0.5, 0.5]),
         )
-        out = fuse_with_config(b, b.features, b.confidences, FusionConfig())
+        out = fuse_with_config(b, FusionConfig())
         assert not out.quat_fallback[0]
-        got = out.rotations[0]
+        got = out.batch.rotations[0]
         assert min(np.linalg.norm(got - q), np.linalg.norm(got + q)) < 1e-9
 
     def test_degenerate_sum_falls_back_to_reference(self):
-        # orthogonal quaternions with weights engineered to cancel exactly
-        qa = np.array([1.0, 0.0, 0.0, 0.0])
-        qb = np.array([0.0, 1.0, 0.0, 0.0])
-        # alignment keeps qb as is (dot = 0, sign kept positive)
+        # Sign alignment keeps a sum of unit quaternions at norm >= the
+        # largest weight, so only near-zero quaternions can degenerate.
         b = PrimitiveBatch(
             means=np.zeros((2, 3)),
             scales=np.full((2, 3), 0.1),
-            rotations=np.stack([qa, qb]),
+            rotations=np.array([[1e-9, 0.0, 0.0, 0.0], [0.0, 1e-9, 0.0, 0.0]]),
             opacities=np.array([0.5, 0.5]),
             logits=np.zeros((2, C - 1)),
             features=np.zeros((2, 4)),
-            confidences=np.array([0.5, 0.5]),
+            confidences=np.array([0.2, 0.9]),
         )
         cells = np.zeros((2, 3), dtype=int)
-        w = np.array([0.5, 0.5])
-        out = fuse(b, b.features, w, cells)
-        # sum is (0.5, 0.5, 0, 0) which is fine; force cancellation instead
-        assert not out.quat_fallback[0]
-        b2 = b.copy()
-        b2.rotations[1] = -qa
-        b2.rotations[1, 1] = 1e-12  # break exact antipodality so sign stays
-        aligned_sum = 0.5 * b2.rotations[0] + 0.5 * (
-            b2.rotations[1] * np.sign(b2.rotations[1] @ b2.rotations[0]))
-        assert np.linalg.norm(aligned_sum) > 1e-8 or True
-        out2 = fuse(b2, b2.features, w, cells)
-        assert np.isclose(np.linalg.norm(out2.rotations[0]), 1.0)
+        w = fusion_weights(b.confidences, cells, 1.0)
+        out = fuse(b, w, cells)
+        assert out.quat_fallback[0]
+        assert np.array_equal(out.batch.rotations[0], b.rotations[np.argmax(w)])
+
+    def test_confidences_follow_the_config(self):
+        b = make_batch(40, seed=11)
+        cells = assign_voxels(b, FusionConfig())
+        w = fusion_weights(b.confidences, cells, 1.0)
+        cfg = ConfidenceConfig(transform="sharp_sigmoid")
+        out = fuse(b, w, cells, cfg).batch
+        assert np.array_equal(out.confidences,
+                              confidence_values(out.logits, out.opacities, cfg))
+        assert not np.array_equal(out.confidences,
+                                  confidence_values(out.logits, out.opacities))
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
@@ -298,7 +304,7 @@ def fusion_weights_reference(conf, cells, temperature):
     return w
 
 
-def fuse_reference(b, feats, w, cells):
+def fuse_reference(b, w, cells):
     groups = _reference_groups(cells)
     out = {k: [] for k in ("means", "scales", "rotations", "opacities", "logits",
                            "features", "cells", "quat_fallback")}
@@ -309,7 +315,7 @@ def fuse_reference(b, feats, w, cells):
         out["scales"].append(np.maximum(gw @ b.scales[idx], MIN_SCALE))
         out["opacities"].append(gw @ b.opacities[idx])
         out["logits"].append(gw @ b.logits[idx])
-        out["features"].append(gw @ feats[idx])
+        out["features"].append(gw @ b.features[idx])
         quats = b.rotations
         ref = quats[idx[np.argmax(gw)]]
         aligned = quats[idx] * np.where(quats[idx] @ ref < 0, -1.0, 1.0)[:, None]
@@ -358,21 +364,25 @@ class TestLoopFreeMatchesReference:
         b = clustered_batch(seed)
         cells = assign_voxels(b, FusionConfig(voxel_size=0.12))
         w = fusion_weights(b.confidences, cells, 1.0)
-        got = fuse(b, b.features, w, cells)
-        ref = fuse_reference(b, b.features, w, cells)
+        got = fuse(b, w, cells)
+        ref = fuse_reference(b, w, cells)
         assert len(got) == len(ref["means"])
+        assert np.array_equal(got.cells, ref.pop("cells"))
+        assert np.array_equal(got.quat_fallback, ref.pop("quat_fallback"))
         for name, expect in ref.items():
-            assert np.array_equal(getattr(got, name), expect), name
+            assert np.array_equal(getattr(got.batch, name), expect), name
+        assert np.array_equal(got.batch.confidences,
+                              confidence_values(ref["logits"], ref["opacities"]))
 
     def test_fallback_groups_present(self):
         b = clustered_batch(0)
         cells = assign_voxels(b, FusionConfig(voxel_size=0.12))
         w = fusion_weights(b.confidences, cells, 1.0)
-        assert fuse(b, b.features, w, cells).quat_fallback.sum() >= 1
+        assert fuse(b, w, cells).quat_fallback.sum() >= 1
 
     def test_empty_input(self):
         b = make_batch(0)
         cells = np.zeros((0, 3), dtype=np.int64)
         assert len(fusion_weights(b.confidences, cells, 1.0)) == 0
-        out = fuse(b, b.features, np.zeros(0), cells)
-        assert len(out) == 0 and out.features.shape == (0, 16)
+        out = fuse(b, np.zeros(0), cells)
+        assert len(out) == 0 and out.batch.features.shape == (0, 16)

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from splatmem.conf import (
-    ConfidenceConfig,
-    confidence,
-    confidence_batch,
-    confidence_values,
-    entropy,
-)
+from splatmem.conf import ConfidenceConfig, confidence, confidence_values, entropy
 from splatmem.core import GaussianPrimitive
 from splatmem.errors import InvalidInputError
 
@@ -119,51 +113,22 @@ class TestConfidence:
         assert cfg.sharpness == 3.0
         assert cfg.sigmoid_beta == 10.0
         assert cfg.sigmoid_gamma == 1.5
-        assert cfg.softmax_temperature == 0.2
         assert cfg.transform == "power"
-        assert cfg.normalize == "none"
 
 
 class TestConfidenceBatch:
     def test_no_normalization_matches_elementwise(self):
         prims = [prim(RNG.normal(size=11), RNG.uniform(0, 1)) for _ in range(8)]
-        got = confidence_batch(prims)
+        got = confidence_values(np.stack([g.logits for g in prims]),
+                                np.array([g.opacity for g in prims]))
         for g, c in zip(prims, got):
             assert c == pytest.approx(confidence(g), abs=1e-12)
-
-    def test_softmax_two_identical(self):
-        cfg = ConfidenceConfig(normalize="softmax")
-        prims = [prim(np.zeros(11), 0.7)] * 2
-        got = confidence_batch(prims, cfg)
-        assert np.allclose(got, [0.5, 0.5])
-
-    def test_softmax_scalar_oracle(self):
-        # raw scores (1, 0) at T = 0.2 -> softmax(5, 0)
-        cfg = ConfidenceConfig(normalize="softmax", softmax_temperature=0.2)
-        one_hot = np.zeros(11)
-        one_hot[0] = 60.0
-        high_entropy = np.zeros(11)
-        prims = [prim(one_hot, 1.0), prim(high_entropy, 1.0)]
-        raw = confidence_values(np.stack([p.logits for p in prims]),
-                                np.array([1.0, 1.0]))
-        assert raw[0] == pytest.approx(1.0, abs=1e-9)
-        assert raw[1] == pytest.approx(0.008084, abs=1e-5)
-        got = confidence_batch(prims, cfg)
-        z = raw / 0.2
-        expect = np.exp(z - z.max())
-        expect /= expect.sum()
-        assert np.allclose(got, expect, atol=1e-12)
-        assert got.sum() == pytest.approx(1.0)
-
-    def test_softmax_empty_batch_rejected(self):
-        cfg = ConfidenceConfig(normalize="softmax")
-        with pytest.raises(InvalidInputError):
-            confidence_batch([], cfg)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(InvalidInputError):
             ConfidenceConfig(h_max=0.0)
         with pytest.raises(InvalidInputError):
             ConfidenceConfig(transform="linear")
-        with pytest.raises(InvalidInputError):
-            ConfidenceConfig(softmax_temperature=-1.0)
+        # confidences are never normalized across a batch
+        with pytest.raises(TypeError):
+            ConfidenceConfig(normalize="softmax")

@@ -7,8 +7,10 @@ those rewrites keep every artifact byte for byte.
 """
 
 import hashlib
+import json
 import struct
 
+import numpy as np
 import pytest
 
 import splatmem.cli as cli
@@ -140,3 +142,68 @@ class TestCliExitCodes:
     def test_unknown_mode_exits_1(self, tmp_path):
         assert cli.main(["run-embodied", "--mode", "nope",
                          "--output-dir", str(tmp_path)]) == 1
+
+    def test_confidence_normalize_is_rejected(self, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"confidence": {"normalize": "softmax"}}))
+        assert cli.main(["run-embodied", "--config", str(config),
+                         "--output-dir", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("header", [
+        {"dims": (0, 2, 2)},
+        {"voxel_size": 0.0},
+        {"voxel_size": -0.1},
+        {"voxel_size": float("nan")},
+        {"voxel_size": float("inf")},
+        {"origin": (float("nan"), 0.0, 0.0)},
+        {"num_classes": 0},
+        {"num_classes": 1},
+        {"fill": float("nan")},
+        {"fill": float("inf")},
+        {"mode": 1, "fill": 12},
+    ], ids=lambda h: ",".join(f"{k}={v}" for k, v in h.items()))
+    def test_malformed_vgrid_exits_2(self, embodied_run, tmp_path, header):
+        out, _, _, _ = embodied_run
+        bad = tmp_path / "bad.vgrid"
+        bad.write_bytes(vgrid_bytes(**header))
+        assert cli.main(["render", str(out / "final.gmem"), str(tmp_path / "o.vgrid"),
+                         "--like", str(bad)]) == 2
+
+
+def vgrid_bytes(mode=0, num_classes=12, dims=(2, 2, 2), origin=(0.0, 0.0, 0.0),
+                voxel_size=0.08, fill=None):
+    """A `.vgrid` file whose payload size matches its header."""
+    n = dims[0] * dims[1] * dims[2]
+    if mode == 0:
+        payload = np.full(n * num_classes, 1.0 / max(num_classes, 1) if fill is None
+                          else fill, dtype="<f4")
+    else:
+        payload = np.full(n, num_classes - 1 if fill is None else fill, dtype="<u2")
+    header = struct.pack("<4sIBI3I3dd", b"VGRD", 1, mode, num_classes, *dims,
+                         *origin, voxel_size)
+    return header + payload.tobytes()
+
+
+class TestCliContract:
+    @pytest.mark.parametrize("flags,artifact", [
+        ([], "final_pred.vgrid"),
+        (["--labels"], "final_labels.vgrid"),
+    ])
+    def test_render_like_reproduces_the_run_grid(self, embodied_run, tmp_path,
+                                                  flags, artifact):
+        out, _, _, _ = embodied_run
+        got = tmp_path / "o.vgrid"
+        assert cli.main(["render", str(out / "final.gmem"), str(got),
+                         "--like", str(out / "final_pred.vgrid"), *flags]) == 0
+        assert got.read_bytes() == (out / artifact).read_bytes()
+
+    def test_fuse_leaves_one_row_per_cell(self, embodied_run, tmp_path):
+        out, _, _, _ = embodied_run
+        before = load_gmem(out / "final.gmem")
+        # the float32 checkpoint moves a few means across cell faces
+        assert (len(before), len(np.unique(before.cells, axis=0))) == (919, 917)
+        assert cli.main(["fuse", str(out / "final.gmem"), str(tmp_path / "f.gmem")]) == 0
+        after = load_gmem(tmp_path / "f.gmem")
+        assert len(after) == 917
+        after.check_unique_cells()

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import splatmem.memory as memory_mod
-from splatmem.attn import PrimitiveBatch, concat_batches, init_weights
+from splatmem.attn import init_weights
 from splatmem.cavf import FusionConfig
-from splatmem.core import CameraFrame
+from splatmem.core import CameraFrame, PrimitiveBatch, concat_batches
 from splatmem.errors import FormatError, InvalidInputError
 from splatmem.memory import (
     _fuse_at_origin,

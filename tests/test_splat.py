@@ -1,18 +1,10 @@
 import numpy as np
 import pytest
 
-from splatmem.core import GaussianPrimitive, kernel
+from splatmem.core import GaussianPrimitive, PrimitiveBatch, kernel
 from splatmem.errors import InvalidInputError
 from splatmem.grid import LABEL_MODE, PROB_MODE, VoxelGrid
-from splatmem.splat import (
-    RenderOptions,
-    argmax_labels,
-    as_arrays,
-    build_index,
-    render,
-    splat_opacity,
-    splat_semantics,
-)
+from splatmem.splat import argmax_labels, render, splat_fields
 
 RNG = np.random.default_rng(11)
 C = 12
@@ -44,6 +36,10 @@ def random_primitives(n, lo=0.0, hi=0.8, scale_range=(0.03, 0.12), seed=None):
     return prims
 
 
+def batch(prims):
+    return PrimitiveBatch.from_primitives(prims) if prims else PrimitiveBatch.empty(0, C)
+
+
 def dense_render_oracle(grid, prims):
     """Brute force: every primitive against every voxel center via the
     scalar core ops. Returns channel array shaped like a render result."""
@@ -71,66 +67,18 @@ def dense_render_oracle(grid, prims):
     return out
 
 
-class TestSpatialIndex:
-    def test_single_primitive_query_at_mean(self):
-        prims = random_primitives(1)
-        idx = build_index(prims, cell_size=0.4)
-        assert list(idx.query(prims[0].mean)) == [0]
-
-    def test_separated_primitives_disjoint(self):
-        a = GaussianPrimitive((0, 0, 0), (0.05, 0.05, 0.05), (1, 0, 0, 0), 1.0,
-                              np.zeros(C - 1))
-        b = GaussianPrimitive((5, 5, 5), (0.05, 0.05, 0.05), (1, 0, 0, 0), 1.0,
-                              np.zeros(C - 1))
-        idx = build_index([a, b], cell_size=0.2)
-        assert 1 not in idx.query(a.mean)
-        assert 0 not in idx.query(b.mean)
-
-    def test_superset_of_support_membership(self):
-        # oracle: direct Mahalanobis support test per point
-        prims = random_primitives(100, seed=3)
-        arrs = as_arrays(prims)
-        idx = build_index(prims, cell_size=0.25)
-        pts = np.random.default_rng(4).uniform(-0.2, 1.0, size=(1000, 3))
-        for x in pts:
-            got = set(idx.query(x))
-            d = x - arrs.means
-            m2 = np.einsum("ni,nij,nj->n", d, arrs.inv_cov, d)
-            inside = set(np.nonzero(m2 <= 3.0**2)[0])
-            assert inside <= got
-
-    def test_no_duplicate_ids_per_bucket(self):
-        prims = random_primitives(50, seed=5)
-        idx = build_index(prims, cell_size=0.3)
-        for ids in idx.buckets.values():
-            assert len(ids) == len(set(ids.tolist()))
-
-    def test_empty_input(self):
-        idx = build_index([], cell_size=0.5)
-        assert len(idx.query((0, 0, 0))) == 0
-
-    def test_unbounded_returns_all(self):
-        prims = random_primitives(7)
-        idx = build_index(prims, cell_size=0.5, truncation_radius_sigmas=np.inf)
-        assert list(idx.query((100, 100, 100))) == list(range(7))
-
-    def test_bad_cell_size(self):
-        with pytest.raises(InvalidInputError):
-            build_index([], cell_size=0.0)
-
-
 class TestSplatOpacity:
     def test_unit_opacity_at_center(self):
         grid = make_grid()
         center = grid.origin + (np.array([3, 3, 3]) + 0.5) * grid.voxel_size
         g = GaussianPrimitive(center, (0.05, 0.05, 0.05), (1, 0, 0, 0), 1.0,
                               np.zeros(C - 1))
-        alpha = splat_opacity(grid, [g])
+        alpha = splat_fields(grid, batch([g])).alpha
         assert alpha[3, 3, 3] == pytest.approx(1.0)
 
     def test_empty_product_is_zero(self):
         grid = make_grid()
-        alpha = splat_opacity(grid, [])
+        alpha = splat_fields(grid, batch([])).alpha
         assert np.all(alpha == 0.0)
 
     def test_two_half_opacity_primitives(self):
@@ -138,14 +86,14 @@ class TestSplatOpacity:
         center = grid.origin + (np.array([4, 4, 4]) + 0.5) * grid.voxel_size
         g = GaussianPrimitive(center, (0.05, 0.05, 0.05), (1, 0, 0, 0), 0.5,
                               np.zeros(C - 1))
-        alpha = splat_opacity(grid, [g, g])
+        alpha = splat_fields(grid, batch([g, g])).alpha
         assert alpha[4, 4, 4] == pytest.approx(0.75, abs=1e-12)
 
     def test_monotone_in_primitives(self):
         grid = make_grid()
         prims = random_primitives(12, seed=9)
-        a1 = splat_opacity(grid, prims[:6])
-        a2 = splat_opacity(grid, prims)
+        a1 = splat_fields(grid, batch(prims[:6])).alpha
+        a2 = splat_fields(grid, batch(prims)).alpha
         assert np.all(a2 >= a1 - 1e-12)
 
 
@@ -153,7 +101,8 @@ class TestSplatSemantics:
     def test_single_primitive_softmax_everywhere(self):
         grid = make_grid()
         g = random_primitives(1, seed=2)[0]
-        field, undef = splat_semantics(grid, [g])
+        f = splat_fields(grid, batch([g]))
+        field, undef = f.semantics, f.undefined
         expect = softmax(g.logits)
         defined = ~undef
         assert np.allclose(field[defined], expect, atol=1e-9)
@@ -165,20 +114,21 @@ class TestSplatSemantics:
         la, lb = RNG.normal(size=C - 1), RNG.normal(size=C - 1)
         a = GaussianPrimitive(x - off, (0.05,) * 3, (1, 0, 0, 0), 1.0, la)
         b = GaussianPrimitive(x + off, (0.05,) * 3, (1, 0, 0, 0), 1.0, lb)
-        field, _ = splat_semantics(grid, [a, b])
+        field = splat_fields(grid, batch([a, b])).semantics
         expect = 0.5 * (softmax(la) + softmax(lb))
         assert np.allclose(field[2, 2, 2], expect, atol=1e-9)
 
     def test_rows_sum_to_one(self):
         grid = make_grid()
-        field, _ = splat_semantics(grid, random_primitives(20, seed=13))
+        field = splat_fields(grid, batch(random_primitives(20, seed=13))).semantics
         assert np.allclose(field.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_zero_density_voxels_uniform_and_flagged(self):
         grid = make_grid(dims=(10, 10, 10))
         g = GaussianPrimitive((0.05, 0.05, 0.05), (0.01,) * 3, (1, 0, 0, 0), 1.0,
                               RNG.normal(size=C - 1))
-        field, undef = splat_semantics(grid, [g])
+        f = splat_fields(grid, batch([g]))
+        field, undef = f.semantics, f.undefined
         assert undef.any()
         assert np.allclose(field[undef], 1.0 / (C - 1))
 
@@ -187,67 +137,44 @@ class TestRenderOracle:
     def test_dense_oracle_match_with_truncation_disabled(self):
         grid = make_grid(dims=(6, 6, 6), voxel_size=0.12)
         prims = random_primitives(20, seed=21)
-        out = render(grid, prims,
-                     RenderOptions(truncation_radius_sigmas=np.inf))
+        out = render(grid, batch(prims), truncation_radius_sigmas=np.inf)
         oracle = dense_render_oracle(grid, prims)
         assert np.max(np.abs(out.values - oracle)) <= 1e-9
 
     def test_truncated_within_tolerance_of_dense(self):
         grid = make_grid(dims=(8, 8, 8), voxel_size=0.1)
         prims = random_primitives(30, seed=22)
-        out = render(grid, prims, RenderOptions(truncation_radius_sigmas=3.0))
+        out = render(grid, batch(prims), truncation_radius_sigmas=3.0)
         oracle = dense_render_oracle(grid, prims)
         assert np.max(np.abs(out.values - oracle)) <= 1e-2
 
+    def test_splat_block_covers_support(self):
+        # every voxel center within 3 sigma of a primitive gets its density
+        grid = make_grid(dims=(10, 10, 10), voxel_size=0.1)
+        centers = grid.centers()
+        for g in random_primitives(40, lo=-0.2, hi=1.2, seed=3):
+            d = centers - g.mean
+            m2 = np.einsum("...i,ij,...j->...", d, g.inv_covariance(), d)
+            f = splat_fields(grid, batch([g]), truncation_radius_sigmas=3.0)
+            assert not f.undefined[m2 <= 3.0**2].any()
+
     def test_empty_scene(self):
         grid = make_grid(dims=(3, 3, 3))
-        out = render(grid, [])
+        out = render(grid, batch([]))
         assert np.allclose(out.values[..., -1], 1.0)
         assert np.allclose(out.values[..., :-1], 0.0)
 
     def test_channel_sums_one(self):
         grid = make_grid()
-        out = render(grid, random_primitives(40, seed=23))
+        out = render(grid, batch(random_primitives(40, seed=23)))
         out.check_normalized(1e-6)
 
     def test_permutation_invariance(self):
         grid = make_grid(dims=(6, 6, 6))
         prims = random_primitives(15, seed=24)
-        a = render(grid, prims)
-        perm = list(reversed(prims))
-        b = render(grid, perm)
+        a = render(grid, batch(prims))
+        b = render(grid, batch(list(reversed(prims))))
         assert np.max(np.abs(a.values - b.values)) <= 1e-12
-
-    def test_confidence_channel_matches_dense_oracle(self):
-        grid = make_grid(dims=(5, 5, 5), voxel_size=0.15)
-        prims = random_primitives(10, seed=25)
-        confs = np.random.default_rng(26).uniform(0, 1, size=10)
-        out = render(grid, prims,
-                     RenderOptions(confidence_weighted=True, confidences=confs,
-                                   truncation_radius_sigmas=np.inf))
-        arrs = as_arrays(prims)
-        # dense confidence oracle
-        expect = np.zeros(grid.dims)
-        for i in range(5):
-            for j in range(5):
-                for k in range(5):
-                    x = grid.origin + (np.array([i, j, k]) + 0.5) * grid.voxel_size
-                    num = den = 0.0
-                    for gi, g in enumerate(prims):
-                        p = kernel(x, g) / arrs.pdf_norm[gi]
-                        num += p * confs[gi]
-                        den += p
-                    expect[i, j, k] = num / den if den > 0 else 0.0
-        assert out.confidence is not None
-        assert np.max(np.abs(out.confidence - expect)) <= 1e-9
-
-    def test_render_with_prebuilt_index_matches_options(self):
-        grid = make_grid()
-        prims = random_primitives(25, seed=27)
-        idx = build_index(prims, cell_size=grid.voxel_size * 4)
-        a = render(grid, prims, index=idx)
-        b = render(grid, prims, RenderOptions(cell_size=grid.voxel_size * 4))
-        assert np.array_equal(a.values, b.values)
 
 
 class TestArgmaxLabels:

@@ -39,9 +39,9 @@ class FusionConfig:
     grid_origin_policy: str = WORLD_ZERO
 
     def __post_init__(self):
-        if self.voxel_size <= 0:
+        if not self.voxel_size > 0:  # also rejects NaN
             raise InvalidInputError("voxel_size must be positive")
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise InvalidInputError("temperature must be positive")
         if self.grid_origin_policy not in (WORLD_ZERO, SCENE_MIN):
             raise InvalidInputError(

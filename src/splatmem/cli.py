@@ -294,21 +294,25 @@ def cmd_stats(path: str) -> str:
 
 
 def cmd_render(args) -> None:
+    if args.voxel_size is not None and not 0 < args.voxel_size < np.inf:
+        raise ConfigError(f"--voxel-size must be positive, got {args.voxel_size}")
     mem = load_gmem(args.gmem)
     if args.like:
         ref = load_vgrid(args.like)
         geom = VoxelGrid.empty_prob(ref.origin, ref.voxel_size, ref.dims,
                                     ref.num_classes)
     elif args.dims:
-        if not args.voxel_size:
+        if args.voxel_size is None:
             raise ConfigError("--dims requires --voxel-size")
+        if min(args.dims) < 1:
+            raise ConfigError(f"--dims must all be >= 1, got {args.dims}")
         origin = args.origin if args.origin else [0.0, 0.0, 0.0]
         geom = VoxelGrid.empty_prob(origin, args.voxel_size, args.dims,
                                     mem.batch.n_logits + 1)
     else:
         if len(mem.batch) == 0:
             raise ConfigError("cannot derive a grid from an empty memory")
-        vs = args.voxel_size or 0.08
+        vs = 0.08 if args.voxel_size is None else args.voxel_size
         pad = 0.5
         lo = mem.batch.means.min(axis=0) - pad
         hi = mem.batch.means.max(axis=0) + pad
@@ -324,10 +328,15 @@ def cmd_fuse(args) -> None:
     mem = load_gmem(args.gmem)
     if len(mem.batch) == 0:
         raise ConfigError("cannot fuse an empty memory")
-    fusion = FusionConfig(
-        voxel_size=args.voxel_size or mem.fusion.voxel_size,
-        temperature=args.temperature or mem.fusion.temperature,
-    )
+    try:
+        fusion = FusionConfig(
+            voxel_size=(mem.fusion.voxel_size if args.voxel_size is None
+                        else args.voxel_size),
+            temperature=(mem.fusion.temperature if args.temperature is None
+                         else args.temperature),
+        )
+    except InvalidInputError as e:
+        raise ConfigError(f"fuse: {e}") from e
     fused = init_memory(mem.batch, fusion)
     save_gmem(args.out, fused)
 

@@ -73,12 +73,7 @@ class VoxelGrid:
 
     def centers(self) -> np.ndarray:
         """World coordinates of all voxel centers, shape dims + (3,)."""
-        nx, ny, nz = self.dims
-        ii, jj, kk = np.meshgrid(
-            np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"
-        )
-        idx = np.stack([ii, jj, kk], axis=-1)
-        return self.origin + (idx + 0.5) * self.voxel_size
+        return np.stack(np.meshgrid(*self.axis_centers(), indexing="ij"), axis=-1)
 
     def axis_centers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return tuple(

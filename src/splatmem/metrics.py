@@ -86,7 +86,8 @@ def observed_mask(grid: VoxelGrid, frames: list[CameraFrame]) -> np.ndarray:
     """Union of per-frame frustum masks over an exploration sequence."""
     if not frames:
         raise InvalidInputError("observed_mask needs at least one frame")
-    out = np.zeros(grid.dims, dtype=bool)
+    centers = grid.centers().reshape(-1, 3)
+    out = np.zeros(len(centers), dtype=bool)
     for f in frames:
-        out |= local_mask(grid, f)
-    return out
+        out |= f.contains(centers)
+    return out.reshape(grid.dims)

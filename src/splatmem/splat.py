@@ -3,10 +3,21 @@
 A primitive contributes to every voxel of the block covered by the
 cells its truncated ellipsoid (default 3 sigma) overlaps: the cells are
 cubes of CELL_FACTOR voxels anchored at the world origin, and the
-ellipsoid is bounded by its axis-aligned box. Rendering walks the
-primitives and scatters each one onto its block. With truncation
-disabled the block is the whole grid and the result coincides with a
-dense all-pairs evaluation.
+ellipsoid is bounded by its axis-aligned box. With truncation disabled
+the block is the whole grid and the result coincides with a dense
+all-pairs evaluation.
+
+Rendering computes all blocks in one vectorised pass, then walks the
+primitives with a non-empty block in index order, in chunks of at most
+_CHUNK_PAIRS (primitive, voxel) pairs. Within a chunk the primitives are
+grouped by block shape, and each group's kernel values are evaluated as
+one (G, ex, ey, ez) array with the operation order of a per-primitive
+loop. The blocks are then scattered onto the grid in ascending primitive
+index, so every voxel multiplies its opacity terms and adds its density
+and class terms in the same order as that loop, and the fields are
+bit-identical to it. A flat pair list reduced by `np.multiply.at` and
+`np.add.at` is also bit-identical, but slower than the per-primitive loop
+itself; a log-domain opacity product changes the last bits of the result.
 """
 
 from __future__ import annotations
@@ -22,6 +33,10 @@ from .grid import LABEL_MODE, PROB_MODE, VoxelGrid
 DEFAULT_TRUNCATION_SIGMAS = 3.0
 # Support cells are 4 voxels per side.
 CELL_FACTOR = 4.0
+# (primitive, voxel) pairs evaluated at once; bounds the per-chunk arrays
+# to a few MiB whatever the batch size (a chunk still holds at least one
+# primitive).
+_CHUNK_PAIRS = 1 << 17
 
 
 @dataclass
@@ -33,10 +48,11 @@ class SplatFields:
     undefined: np.ndarray        # (nx, ny, nz) bool: zero total density
 
 
-def _voxel_span(mean, half, origin, voxel_size, cell_size, dims):
-    """Voxel index ranges covered by the cells the support AABB overlaps."""
-    lo_cell = np.floor((mean - half) / cell_size)
-    hi_cell = np.floor((mean + half) / cell_size)
+def _voxel_span(means, half, origin, voxel_size, cell_size, dims):
+    """Voxel index ranges, (N, 3) each, covered by the cells each support
+    AABB overlaps; lo > hi on an axis where the block misses the grid."""
+    lo_cell = np.floor((means - half) / cell_size)
+    hi_cell = np.floor((means + half) / cell_size)
     lo_world = lo_cell * cell_size
     hi_world = (hi_cell + 1.0) * cell_size
     lo_i = np.ceil((lo_world - origin) / voxel_size - 0.5).astype(np.int64)
@@ -44,6 +60,45 @@ def _voxel_span(mean, half, origin, voxel_size, cell_size, dims):
     lo_i = np.maximum(lo_i, 0)
     hi_i = np.minimum(hi_i, np.asarray(dims) - 1)
     return lo_i, hi_i
+
+
+def _chunks(pairs: np.ndarray, budget: int):
+    """(start, stop) runs of consecutive items whose pair counts sum to at
+    most `budget`; a run always holds at least one item."""
+    ends = np.cumsum(pairs)
+    start = 0
+    while start < len(ends):
+        base = ends[start - 1] if start else 0
+        stop = max(int(np.searchsorted(ends, base + budget, side="right")),
+                   start + 1)
+        yield start, stop
+        start = stop
+
+
+def _kernel_blocks(axes, means, inv_cov, opacities, pdf_norm, lo, shape):
+    """Opacity factors 1 - a k and densities k / pdf_norm of G primitives
+    that share one block shape, as (G, ex, ey, ez) arrays.
+
+    Each element is computed with the operations, in the order, of the
+    per-primitive quadratic form, e.g. ((2 A01) dx) dy.
+    """
+    dx, dy, dz = (axes[a][lo[:, a, None] + np.arange(w)] - means[:, a, None]
+                  for a, w in enumerate(shape))
+    X = dx[:, :, None, None]
+    Y = dy[:, None, :, None]
+    Z = dz[:, None, None, :]
+    A = inv_cov[:, :, :, None, None, None]
+    q = (
+        A[:, 0, 0] * X**2
+        + A[:, 1, 1] * Y**2
+        + A[:, 2, 2] * Z**2
+        + 2.0 * A[:, 0, 1] * X * Y
+        + 2.0 * A[:, 0, 2] * X * Z
+        + 2.0 * A[:, 1, 2] * Y * Z
+    )
+    k = np.exp(-0.5 * q)
+    return (1.0 - opacities[:, None, None, None] * k,
+            k / pdf_norm[:, None, None, None])
 
 
 def splat_fields(
@@ -59,11 +114,10 @@ def splat_fields(
     c_occ = b.n_logits if n else grid.num_classes - 1
 
     keep = np.ones((nx, ny, nz))            # running product of (1 - a_i k_i)
-    dens = np.zeros((nx, ny, nz))           # sum of pdf values
-    sem = np.zeros((nx, ny, nz, c_occ))     # density-weighted class probs
+    # channel 0: sum of pdf values; then density-weighted class probs
+    acc = np.zeros((nx, ny, nz, c_occ + 1))
 
-    ax, ay, az = grid.axis_centers()
-    finite = np.isfinite(truncation_radius_sigmas)
+    axes = grid.axis_centers()
     if n:
         R = quats_to_rotations(b.rotations)
         s2 = b.scales**2
@@ -71,46 +125,54 @@ def splat_fields(
         pdf_norm = (2.0 * np.pi) ** 1.5 * np.prod(b.scales, axis=1)
         e = np.exp(b.logits - b.logits.max(axis=1, keepdims=True))
         class_probs = e / e.sum(axis=1, keepdims=True)
-        # half extents of each truncated ellipsoid's world AABB
-        half_all = (
-            truncation_radius_sigmas * np.sqrt(np.einsum("nab,nb->na", R**2, s2))
-            if finite
-            else np.zeros((n, 3))
-        )
-    for i in range(n):
-        if finite:
-            lo, hi = _voxel_span(
-                b.means[i], half_all[i], grid.origin, grid.voxel_size,
-                cell_size, grid.dims,
-            )
-            if np.any(lo > hi):
-                continue
+        # 1.0 * p == p, so channel 0 accumulates the density itself
+        channel_weights = np.concatenate([np.ones((n, 1)), class_probs], axis=1)
+        if np.isfinite(truncation_radius_sigmas):
+            # half extents of each truncated ellipsoid's world AABB
+            half = truncation_radius_sigmas * np.sqrt(
+                np.einsum("nab,nb->na", R**2, s2))
+            lo, hi = _voxel_span(b.means, half, grid.origin, grid.voxel_size,
+                                 cell_size, grid.dims)
         else:
-            lo, hi = np.zeros(3, dtype=np.int64), np.asarray(grid.dims) - 1
-        sl = tuple(slice(lo[a], hi[a] + 1) for a in range(3))
-        dx = ax[sl[0]] - b.means[i, 0]
-        dy = ay[sl[1]] - b.means[i, 1]
-        dz = az[sl[2]] - b.means[i, 2]
-        A = inv_cov[i]
-        q = (
-            A[0, 0] * dx[:, None, None] ** 2
-            + A[1, 1] * dy[None, :, None] ** 2
-            + A[2, 2] * dz[None, None, :] ** 2
-            + 2.0 * A[0, 1] * dx[:, None, None] * dy[None, :, None]
-            + 2.0 * A[0, 2] * dx[:, None, None] * dz[None, None, :]
-            + 2.0 * A[1, 2] * dy[None, :, None] * dz[None, None, :]
-        )
-        k = np.exp(-0.5 * q)
-        keep[sl] *= 1.0 - b.opacities[i] * k
-        p = k / pdf_norm[i]
-        dens[sl] += p
-        sem[sl] += p[..., None] * class_probs[i]
+            lo = np.zeros((n, 3), dtype=np.int64)
+            hi = np.broadcast_to(np.asarray(grid.dims) - 1, (n, 3))
+        ext = hi - lo + 1
+        live = np.flatnonzero(np.all(ext > 0, axis=1))
+        pairs = np.prod(ext[live], axis=1)
+        # one reused buffer for each block's channel products
+        scratch = np.empty(int(pairs.max(initial=0)) * (c_occ + 1))
+        for start, stop in _chunks(pairs, _CHUNK_PAIRS):
+            idx = live[start:stop]
+            shapes, group = np.unique(ext[idx], axis=0, return_inverse=True)
+            blocks = [None] * len(idx)
+            for g, shape in enumerate(shapes.tolist()):
+                members = np.flatnonzero(group == g)
+                rows = idx[members]
+                factors, pdfs = _kernel_blocks(
+                    axes, b.means[rows], inv_cov[rows], b.opacities[rows],
+                    pdf_norm[rows], lo[rows], shape,
+                )
+                for j, m in enumerate(members.tolist()):
+                    blocks[m] = (factors[j], pdfs[j])
+            # Ascending primitive index: the order of the per-primitive loop.
+            for i, (l0, l1, l2), (h0, h1, h2), (factor, p) in zip(
+                idx.tolist(), lo[idx].tolist(), hi[idx].tolist(), blocks
+            ):
+                sl = (slice(l0, h0 + 1), slice(l1, h1 + 1), slice(l2, h2 + 1))
+                keep[sl] *= factor
+                # With no summed index, einsum rounds each p * w_c once, like
+                # a broadcast product, but its inner loop does not run over
+                # the few channels.
+                w = channel_weights[i]
+                prod = scratch[:p.size * w.size].reshape(p.shape + w.shape)
+                acc[sl] += np.einsum("xyz,c->xyzc", p, w, out=prod)
 
+    dens = acc[..., 0]
     alpha = 1.0 - keep
     undefined = dens == 0.0
-    sem_out = np.empty_like(sem)
     safe = np.where(undefined, 1.0, dens)
-    sem_out[:] = sem / safe[..., None]
+    sem_out = np.divide(acc[..., 1:], safe[..., None],
+                        out=np.empty((nx, ny, nz, c_occ)))
     sem_out[undefined] = 1.0 / c_occ
     return SplatFields(alpha, sem_out, undefined)
 
@@ -127,8 +189,8 @@ def render(
     f = splat_fields(grid, primitives, truncation_radius_sigmas)
     c_occ = f.semantics.shape[-1]
     values = np.empty(grid.dims + (c_occ + 1,))
-    values[..., :c_occ] = f.alpha[..., None] * f.semantics
-    values[..., c_occ] = 1.0 - f.alpha
+    np.multiply(f.alpha[..., None], f.semantics, out=values[..., :c_occ])
+    np.subtract(1.0, f.alpha, out=values[..., c_occ])
     return VoxelGrid(
         grid.origin.copy(), grid.voxel_size, grid.dims, values,
         PROB_MODE, c_occ + 1,

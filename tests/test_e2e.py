@@ -1,9 +1,10 @@
 """End-to-end regression: CLI driver -> synth -> memory -> render -> metrics.
 
-Runs the embodied and the local pipeline on the default scene with 6
-frames and a 12 x 16 lift grid. The pinned scores and SHA-256 digests were
-recorded before the blocked attention and the loop-free fusion landed;
-those rewrites keep every artifact byte for byte.
+Runs the embodied, the local and the concat-baseline pipeline on the
+default scene with 6 frames and a 12 x 16 lift grid. The embodied and
+local scores and SHA-256 digests were recorded before the blocked
+attention and the loop-free fusion landed, the concat ones before the
+batched splatting; those rewrites keep every artifact byte for byte.
 """
 
 import hashlib
@@ -31,6 +32,16 @@ LOCAL_MIOU = 0.7224730345428553
 LOCAL_SHA256 = {
     "metrics.csv": "025a24c1efd091e20513e63d0ebc1d1ba79c694317ce45a76cb5a42bbc7aa0fd",
     "pred_frame_005.vgrid": "ddd366db88952e0db653d27e29973498a07090e2b7d8c1f8e75957455761cbaf",
+}
+
+CONCAT_IOU = 0.8027100732912903
+CONCAT_MIOU = 0.8484178054006746
+CONCAT_SHA256 = {
+    "final.gmem": "9fb701bb3e0ca1d9137831d4152070ff52adcf1df96b8b5c7a03331506b693e2",
+    "final_pred.vgrid": "67fd653faf7707cd3350d09eb68b87bf6d2378f56b3d48303220f2897abfc4cf",
+    "final_labels.vgrid": "acb6652187b9fc894c785eafe2f967af9dfb4da534d9f21dad38ce32255de025",
+    "metrics.csv": "cd01dd1e214f1ec906ac8757fb3b2e5569b631e7c9cdd3976b7ee69f0dcf0ceb",
+    "stats.csv": "60ce208d3c925d240a62e13696ccff4347a3778bc2f76df1441f2eafda5bf70b",
 }
 
 
@@ -118,6 +129,18 @@ class TestLocal:
             assert sha256(tmp_path / name) == digest
 
 
+class TestConcatBaseline:
+    """The append-only baseline: its final render has the most overlapping
+    primitives, so it is the strongest check of the splat scatter order."""
+
+    def test_scores_and_digests_pinned(self, tmp_path):
+        report = cli.run_embodied(small_config(tmp_path, mode=cli.MODE_CONCAT))
+        assert report.iou == pytest.approx(CONCAT_IOU, abs=1e-12)
+        assert report.miou == pytest.approx(CONCAT_MIOU, abs=1e-12)
+        for name, digest in CONCAT_SHA256.items():
+            assert sha256(tmp_path / name) == digest, name
+
+
 class TestCliExitCodes:
     def test_stats_of_the_run_checkpoint(self, embodied_run, capsys):
         out, _, mem, _ = embodied_run
@@ -138,6 +161,27 @@ class TestCliExitCodes:
         bad.write_bytes(bytes(raw))
         assert cli.main(["stats", str(bad)]) == 2
         assert cli.main(["render", str(bad), str(tmp_path / "o.vgrid")]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["fuse", "--voxel-size", "0"],
+        ["fuse", "--voxel-size", "-0.1"],
+        ["fuse", "--voxel-size", "nan"],
+        ["fuse", "--temperature", "0"],
+        ["fuse", "--temperature", "-1"],
+        ["render", "--voxel-size", "0"],
+        ["render", "--voxel-size", "-0.08"],
+        ["render", "--voxel-size", "inf"],
+        ["render", "--dims", "4", "4", "4", "--voxel-size", "0"],
+        ["render", "--dims", "0", "4", "4", "--voxel-size", "0.1"],
+    ], ids=" ".join)
+    def test_invalid_knob_exits_1(self, embodied_run, tmp_path, capsys, argv):
+        # a flag value is honoured or rejected, never replaced by a default
+        out, _, _, _ = embodied_run
+        command, *flags = argv
+        dst = tmp_path / "o"
+        assert cli.main([command, str(out / "final.gmem"), str(dst), *flags]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not dst.exists()
 
     def test_unknown_mode_exits_1(self, tmp_path):
         assert cli.main(["run-embodied", "--mode", "nope",

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from splatmem.core import GaussianPrimitive, PrimitiveBatch, kernel
+import splatmem.splat as splat_mod
+from splatmem.core import GaussianPrimitive, PrimitiveBatch, kernel, quats_to_rotations
 from splatmem.errors import InvalidInputError
 from splatmem.grid import LABEL_MODE, PROB_MODE, VoxelGrid
-from splatmem.splat import argmax_labels, render, splat_fields
+from splatmem.splat import CELL_FACTOR, argmax_labels, render, splat_fields
 
 RNG = np.random.default_rng(11)
 C = 12
@@ -65,6 +68,151 @@ def dense_render_oracle(grid, prims):
                 out[i, j, k, : C - 1] = alpha * e
                 out[i, j, k, C - 1] = 1.0 - alpha
     return out
+
+
+def loop_splat_fields(grid, b, truncation_radius_sigmas=3.0):
+    """Reference: one primitive at a time, each scattered onto its block
+    as soon as it is evaluated."""
+    n = len(b)
+    cell_size = grid.voxel_size * CELL_FACTOR
+    nx, ny, nz = grid.dims
+    c_occ = b.n_logits if n else grid.num_classes - 1
+    keep = np.ones((nx, ny, nz))
+    dens = np.zeros((nx, ny, nz))
+    sem = np.zeros((nx, ny, nz, c_occ))
+    ax, ay, az = grid.axis_centers()
+    finite = np.isfinite(truncation_radius_sigmas)
+    if n:
+        R = quats_to_rotations(b.rotations)
+        s2 = b.scales**2
+        inv_cov = np.einsum("nab,nb,ncb->nac", R, 1.0 / s2, R)
+        pdf_norm = (2.0 * np.pi) ** 1.5 * np.prod(b.scales, axis=1)
+        e = np.exp(b.logits - b.logits.max(axis=1, keepdims=True))
+        class_probs = e / e.sum(axis=1, keepdims=True)
+        half_all = (
+            truncation_radius_sigmas * np.sqrt(np.einsum("nab,nb->na", R**2, s2))
+            if finite
+            else np.zeros((n, 3))
+        )
+    for i in range(n):
+        if finite:
+            mean, half = b.means[i], half_all[i]
+            lo_world = np.floor((mean - half) / cell_size) * cell_size
+            hi_world = (np.floor((mean + half) / cell_size) + 1.0) * cell_size
+            lo = np.ceil((lo_world - grid.origin) / grid.voxel_size - 0.5).astype(np.int64)
+            hi = np.floor((hi_world - grid.origin) / grid.voxel_size - 0.5).astype(np.int64)
+            lo = np.maximum(lo, 0)
+            hi = np.minimum(hi, np.asarray(grid.dims) - 1)
+            if np.any(lo > hi):
+                continue
+        else:
+            lo, hi = np.zeros(3, dtype=np.int64), np.asarray(grid.dims) - 1
+        sl = tuple(slice(lo[a], hi[a] + 1) for a in range(3))
+        dx = ax[sl[0]] - b.means[i, 0]
+        dy = ay[sl[1]] - b.means[i, 1]
+        dz = az[sl[2]] - b.means[i, 2]
+        A = inv_cov[i]
+        q = (
+            A[0, 0] * dx[:, None, None] ** 2
+            + A[1, 1] * dy[None, :, None] ** 2
+            + A[2, 2] * dz[None, None, :] ** 2
+            + 2.0 * A[0, 1] * dx[:, None, None] * dy[None, :, None]
+            + 2.0 * A[0, 2] * dx[:, None, None] * dz[None, None, :]
+            + 2.0 * A[1, 2] * dy[None, :, None] * dz[None, None, :]
+        )
+        k = np.exp(-0.5 * q)
+        keep[sl] *= 1.0 - b.opacities[i] * k
+        p = k / pdf_norm[i]
+        dens[sl] += p
+        sem[sl] += p[..., None] * class_probs[i]
+    alpha = 1.0 - keep
+    undefined = dens == 0.0
+    sem_out = np.empty_like(sem)
+    safe = np.where(undefined, 1.0, dens)
+    sem_out[:] = sem / safe[..., None]
+    sem_out[undefined] = 1.0 / c_occ
+    return alpha, sem_out, undefined
+
+
+def reference_batches():
+    """Seeded batches for the bit-identity tests, on a 0.8 m cube of voxels."""
+    far = random_primitives(20, lo=2.0, hi=3.0, seed=35)
+    far[5:10] = random_primitives(5, lo=-3.0, hi=-2.0, seed=36)
+    repeated = random_primitives(40, scale_range=(0.05, 0.1), seed=37)
+    # equal blocks at far-apart indices, with other primitives in between
+    repeated[30], repeated[39] = repeated[0], repeated[7]
+    return {
+        "empty": [],
+        "single": random_primitives(1, seed=31),
+        "clipped_at_faces": random_primitives(60, lo=-0.3, hi=1.1, seed=32),
+        "dense_overlap": random_primitives(80, scale_range=(0.1, 0.3), seed=33),
+        "outside_grid": far + random_primitives(20, seed=34),
+        "repeated_shapes": repeated,
+    }
+
+
+class TestBatchedMatchesLoop:
+    """The batched walk gives the loop's fields bit for bit."""
+
+    @pytest.mark.parametrize("budget", [1, 700, splat_mod._CHUNK_PAIRS],
+                             ids=["chunk_per_primitive", "small_chunks", "default"])
+    @pytest.mark.parametrize("truncation", [3.0, np.inf])
+    @pytest.mark.parametrize("name", sorted(reference_batches()))
+    def test_fields_bit_identical(self, monkeypatch, name, truncation, budget):
+        monkeypatch.setattr(splat_mod, "_CHUNK_PAIRS", budget)
+        grid = make_grid()
+        b = batch(reference_batches()[name])
+        f = splat_fields(grid, b, truncation_radius_sigmas=truncation)
+        alpha, sem, undefined = loop_splat_fields(grid, b, truncation)
+        assert np.array_equal(f.alpha, alpha)
+        assert np.array_equal(f.semantics, sem)
+        assert np.array_equal(f.undefined, undefined)
+
+    def test_batches_reach_the_cases_they_name(self):
+        grid = make_grid()
+        spans = {}
+        for name, prims in reference_batches().items():
+            if not prims:
+                continue
+            b = batch(prims)
+            R = quats_to_rotations(b.rotations)
+            half = 3.0 * np.sqrt(np.einsum("nab,nb->na", R**2, b.scales**2))
+            spans[name] = splat_mod._voxel_span(
+                b.means, half, grid.origin, grid.voxel_size,
+                grid.voxel_size * CELL_FACTOR, grid.dims)
+        lo, hi = spans["clipped_at_faces"]
+        assert (lo == 0).any() and (hi == 7).any()
+        lo, hi = spans["outside_grid"]
+        assert np.any(lo > hi, axis=1).sum() >= 10 and np.all(lo <= hi, axis=1).any()
+        pairs = np.prod(np.maximum(hi - lo + 1, 0), axis=1).sum()
+        assert pairs > 700  # several chunks at the small budget
+
+    @pytest.mark.parametrize("budget", [1, 3, 10, 100])
+    def test_chunks_respect_the_budget(self, budget):
+        pairs = np.array([4, 1, 9, 150, 2, 2, 7, 64, 1])
+        runs = list(splat_mod._chunks(pairs, budget))
+        assert runs[0][0] == 0 and runs[-1][1] == len(pairs)
+        for (a, b), (c, _) in zip(runs, runs[1:]):
+            assert b == c
+        for a, b in runs:
+            assert b > a
+            assert b - a == 1 or pairs[a:b].sum() <= budget
+
+    def test_chunk_memory_is_bounded(self):
+        # A flat list of this batch's (primitive, voxel) pairs with one
+        # float per channel would take 40 * 40^3 * 12 * 8 B = 234 MiB.
+        grid = make_grid(dims=(40, 40, 40), voxel_size=0.02)
+        b = batch(random_primitives(40, seed=38))
+        pairs = len(b) * 40**3
+        assert pairs * C * 8 > 200 * 2**20
+        tracemalloc.start()
+        try:
+            f = splat_fields(grid, b, truncation_radius_sigmas=np.inf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = f.alpha.nbytes + f.semantics.nbytes + f.undefined.nbytes
+        assert peak - outputs < 32 * 2**20
 
 
 class TestSplatOpacity:

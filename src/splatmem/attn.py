@@ -5,7 +5,11 @@ read from a file), plain multi-head attention, cross-attention
 with dual confidence modulation (values scaled by key-side confidence,
 concatenated heads scaled by query-side confidence before the output
 projection), the FFN + refinement block, and the dual-stream temporal
-encoder step. No layer norm, no masking, no gradients.
+encoder step. Each residual is followed by a parameter-free layer norm
+(post-norm, Ba et al. 2016), so refined features keep a per-row RMS of
+at most 1 however many frames they pass through; without it they grow
+about 4x per frame and leave float32 range within 70 frames. No masking,
+no gradients.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ _OPACITY_EPS = 1e-6
 _QUAT_EPS = 1e-8
 # Query rows per attention block; the score buffer is _BLOCK_ROWS x M.
 _BLOCK_ROWS = 128
+_NORM_EPS = 1e-5
 
 
 @dataclass
@@ -100,13 +105,15 @@ def init_weights(
 def mha(Q: np.ndarray, K: np.ndarray, V: np.ndarray, n_heads: int) -> np.ndarray:
     """Multi-head attention, heads concatenated, no output projection.
 
-    Q is (N, d); K and V are (M, d). Each head runs over blocks of
-    _BLOCK_ROWS query rows in one reused (block, M) float64 score buffer,
-    so the peak score memory is _BLOCK_ROWS x M x 8 bytes (1 MiB at
-    M = 1024) instead of an (H, N, M) tensor. Scores are max-subtracted
-    before the exponential, so output stays finite for any finite input,
-    and each row is normalised after the product with V (FlashAttention's
-    deferred normalisation, Dao et al. 2022).
+    Q is (N, d); K and V are (M, d). The 1/sqrt(dh) scale is folded into Q
+    in float64, then the attention runs in float32 (mixed precision,
+    Micikevicius et al. 2018) and returns float64. Each head runs over
+    blocks of _BLOCK_ROWS query rows in one reused (block, M) float32
+    score buffer, so the peak score memory is _BLOCK_ROWS x M x 4 bytes
+    (512 KiB at M = 1024) instead of an (H, N, M) tensor. Scores are
+    max-subtracted before the exponential, so output stays finite for any
+    finite input, and each row is normalised after the product with V
+    (FlashAttention's deferred normalisation, Dao et al. 2022).
     """
     Q, K, V = (np.asarray(a, dtype=np.float64) for a in (Q, K, V))
     if Q.ndim != 2 or K.ndim != 2 or V.ndim != 2:
@@ -120,18 +127,19 @@ def mha(Q: np.ndarray, K: np.ndarray, V: np.ndarray, n_heads: int) -> np.ndarray
     if d % n_heads != 0:
         raise InvalidInputError(f"d={d} not divisible by n_heads={n_heads}")
     dh = d // n_heads
-    scale = np.sqrt(dh)
+    q32 = (Q / np.sqrt(dh)).astype(np.float32)
+    k32 = K.astype(np.float32)
+    v32 = V.astype(np.float32)
     out = np.empty((n, d))
-    buf = np.empty((min(n, _BLOCK_ROWS), m))
+    buf = np.empty((min(n, _BLOCK_ROWS), m), dtype=np.float32)
     for h in range(n_heads):
         cols = slice(h * dh, (h + 1) * dh)
-        kt = np.ascontiguousarray(K[:, cols].T)          # (dh, M)
-        vh = np.ascontiguousarray(V[:, cols])            # (M, dh)
+        kt = np.ascontiguousarray(k32[:, cols].T)        # (dh, M)
+        vh = np.ascontiguousarray(v32[:, cols])          # (M, dh)
         for a in range(0, n, _BLOCK_ROWS):
             b = min(a + _BLOCK_ROWS, n)
             s = buf[: b - a]
-            np.matmul(Q[a:b, cols], kt, out=s)
-            s /= scale
+            np.matmul(q32[a:b, cols], kt, out=s)
             s -= s.max(axis=1, keepdims=True)
             np.exp(s, out=s)
             out[a:b, cols] = (s @ vh) / s.sum(axis=1, keepdims=True)
@@ -156,6 +164,12 @@ def cca(query: PrimitiveBatch, keyval: PrimitiveBatch, w: EncoderWeights) -> np.
     return (out * query.confidences[:, None]) @ w.w_o
 
 
+def _norm(x: np.ndarray) -> np.ndarray:
+    """Row-wise layer norm without gain or bias, in float64."""
+    x = x - x.mean(axis=1, keepdims=True)
+    return x / np.sqrt((x * x).mean(axis=1, keepdims=True) + _NORM_EPS)
+
+
 def _ffn(x: np.ndarray, w: EncoderWeights) -> np.ndarray:
     return np.maximum(x @ w.ffn_w1 + w.ffn_b1, 0.0) @ w.ffn_w2 + w.ffn_b2
 
@@ -173,14 +187,15 @@ def temporal_encoder_block(
 ) -> PrimitiveBatch:
     """One attention + FFN + refinement block.
 
-    Residual chain on features (x + cca, then + FFN), then the refinement
-    head maps features to additive attribute deltas: mean shift, log-scale
-    shift, quaternion delta (renormalized), opacity delta in logit space,
-    and class-logit deltas. Confidences are recomputed from the refined
+    Post-norm residual chain on features (norm(x + cca), then
+    norm(f1 + FFN(f1))), so every output row has RMS at most 1. The
+    refinement head maps features to additive attribute deltas: mean
+    shift, log-scale shift, quaternion delta (renormalized), opacity delta
+    in logit space, and class-logit deltas. Confidences are recomputed from the refined
     logits and opacities so later blocks see current values.
     """
-    f1 = query.features + cca(query, keyval, w)
-    f2 = f1 + _ffn(f1, w)
+    f1 = _norm(query.features + cca(query, keyval, w))
+    f2 = _norm(f1 + _ffn(f1, w))
     delta = f2 @ w.refine_w + w.refine_b
     d_mean, d_logs, d_quat = delta[:, 0:3], delta[:, 3:6], delta[:, 6:10]
     d_opa, d_logits = delta[:, 10], delta[:, 11:]

@@ -23,6 +23,8 @@ from .errors import FormatError, InvalidInputError
 GMEM_MAGIC = b"GMEM"
 GMEM_VERSION = 1
 _GMEM_HEADER = struct.Struct("<4sI3Id3d")  # magic, version, count, d_model, C, cell size, origin
+# float32 storage moves a unit quaternion's norm by about 1e-7.
+_QUAT_NORM_TOL = 1e-3
 
 
 def _record_floats(n_classes: int, d_model: int) -> int:
@@ -107,25 +109,13 @@ def init_memory(
     return mem
 
 
-def query_fov(
-    memory: GaussianMemory, frame: CameraFrame, extent_sigmas: float | None = None
-) -> tuple[PrimitiveBatch, np.ndarray]:
+def query_fov(memory: GaussianMemory, frame: CameraFrame) -> tuple[PrimitiveBatch, np.ndarray]:
     """Split the memory into the in-view batch and out-of-view indices.
 
     A primitive is inside when its mean projects within the image bounds at
-    a depth in [near, far]. With extent_sigmas set, a primitive also counts
-    as inside when any corner of its extent_sigmas-scaled axis-aligned
-    bound does (conservative culling for large primitives).
+    a depth in [near, far].
     """
-    means = memory.batch.means
-    inside = frame.contains(means)
-    if extent_sigmas is not None and len(means):
-        half = extent_sigmas * memory.batch.scales
-        for sx in (-1.0, 1.0):
-            for sy in (-1.0, 1.0):
-                for sz in (-1.0, 1.0):
-                    corner = means + half * np.array([sx, sy, sz])
-                    inside |= frame.contains(corner)
+    inside = frame.contains(memory.batch.means)
     idx_in = np.nonzero(inside)[0]
     idx_out = np.nonzero(~inside)[0]
     return memory.batch.select(idx_in), idx_out
@@ -138,7 +128,6 @@ def update(
     weights: EncoderWeights | None,
     n_blocks: int = 2,
     conf_cfg: ConfidenceConfig | None = None,
-    extent_sigmas: float | None = None,
 ) -> GaussianMemory:
     """Absorb one frame into the memory (mutates and returns it).
 
@@ -150,7 +139,7 @@ def update(
         memory._log(inside_count=0)
         return memory
 
-    inside, idx_out = query_fov(memory, frame, extent_sigmas)
+    inside, idx_out = query_fov(memory, frame)
     if weights is None:
         union = concat_batches(local_prediction, inside)
     else:
@@ -263,7 +252,13 @@ def load_gmem(path, conf_cfg: ConfidenceConfig | None = None) -> GaussianMemory:
     means = rec[:, 0:3]
     scales = rec[:, 3:6]
     quats = rec[:, 6:10]
-    opac = np.clip(rec[:, 10], 0.0, 1.0)
+    opac = rec[:, 10]
+    if np.any(scales <= 0):
+        raise FormatError("gmem records hold a non-positive scale")
+    if np.any((opac < 0) | (opac > 1)):
+        raise FormatError("gmem records hold an opacity outside [0, 1]")
+    if np.any(np.abs(np.linalg.norm(quats, axis=1) - 1) > _QUAT_NORM_TOL):
+        raise FormatError("gmem records hold a quaternion that is not unit norm")
     logits = rec[:, 11 : 11 + n_classes - 1]
     feats = rec[:, 11 + n_classes - 1 :]
     confs = confidence_values(logits, opac, conf_cfg) if count else np.zeros(0)

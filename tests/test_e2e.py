@@ -5,8 +5,12 @@ default scene with 6 frames and a 12 x 16 lift grid. The embodied and
 local scores and SHA-256 digests were recorded before the blocked
 attention and the loop-free fusion landed, the concat ones before the
 batched splatting; those rewrites keep every artifact byte for byte.
+The post-norm float32 encoder changed only the feature columns of the
+embodied `final.gmem`: its header and every other column keep the bytes
+they had before (EMBODIED_GMEM_NONFEATURE_SHA256).
 """
 
+import dataclasses
 import hashlib
 import json
 import struct
@@ -14,19 +18,30 @@ import struct
 import numpy as np
 import pytest
 
+import splatmem.attn as attn_mod
 import splatmem.cli as cli
 import splatmem.memory as memory_mod
-from splatmem.memory import load_gmem
+from splatmem.memory import _GMEM_HEADER, _record_floats, load_gmem
 from splatmem.synth import StubConfig
+from test_attn import mha_materialised
 
 EMBODIED_IOU = 0.8003755227447299
 EMBODIED_MIOU = 0.8522706540419506
 EMBODIED_SHA256 = {
-    "final.gmem": "fb9f21b99c1766b9f0b0f0488c78ba3424d6947084baaa5408cd5e6a8bf9572c",
+    "final.gmem": "23a807635caff65989e5feae4a592be1f13a217199eed5249b7177df571c2d5a",
     "final_pred.vgrid": "de5792d12c7b3c20fedaece9bcf419c1083c51bbb31ed34c55f5f4e4cae6924f",
     "final_labels.vgrid": "ec1a443f39e0cdb80ef27e73ac2ebc584d1f385db9e380f636329eb934d69c42",
     "metrics.csv": "7a32264c66aa69e9b29ef794e7900e6df04fb879dea3ac34454bb3f270c9e257",
+    "stats.csv": "0e8e48b9a90193d81898e3849a5ea5703f1a46a17a47b201d6b7925e96c61f21",
 }
+# header plus every record column but the features, recorded before the
+# post-norm float32 encoder
+EMBODIED_GMEM_NONFEATURE_SHA256 = (
+    "2d0280ce3f3a76f8158946c7250361e10664c7c596a052450925bd317f640fdf")
+# Features of a float64-attention run lie 2.4e-7 (one float32 ulp) from the
+# float32 ones after 6 frames; the bound leaves 40x headroom.
+FEATURE_ATOL_F64_ATTENTION = 1e-5
+D_MODEL = 32
 LOCAL_IOU = 0.7448166295202844
 LOCAL_MIOU = 0.7224730345428553
 LOCAL_SHA256 = {
@@ -52,6 +67,15 @@ def small_config(out, mode=cli.MODE_EMBODIED, **kwargs):
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def gmem_parts(path, n_classes=12, d_model=D_MODEL):
+    """A `.gmem` file split into (header and non-feature bytes, features)."""
+    raw = path.read_bytes()
+    rec = np.frombuffer(raw[_GMEM_HEADER.size:], dtype="<f4")
+    rec = rec.reshape(-1, _record_floats(n_classes, d_model))
+    return (raw[:_GMEM_HEADER.size] + rec[:, :-d_model].tobytes(),
+            rec[:, -d_model:].astype(np.float64))
 
 
 def artifacts(out):
@@ -91,6 +115,28 @@ class TestEmbodied:
         out, _, _, _ = embodied_run
         assert sha256(out / name) == EMBODIED_SHA256[name]
 
+    def test_checkpoint_outside_the_features_pinned(self, embodied_run):
+        out, _, _, _ = embodied_run
+        rest, _ = gmem_parts(out / "final.gmem")
+        assert hashlib.sha256(rest).hexdigest() == EMBODIED_GMEM_NONFEATURE_SHA256
+
+    def test_attention_precision_reaches_no_scored_artifact(self, embodied_run,
+                                                           tmp_path, monkeypatch):
+        # The default encoder has a zero refinement head, so attention
+        # reaches only the features; float64 attention must leave every
+        # scored byte as it is.
+        out, _, _, _ = embodied_run
+        monkeypatch.setattr(attn_mod, "mha", mha_materialised)
+        cli.run_embodied(small_config(tmp_path))
+        for name in ("final_pred.vgrid", "final_labels.vgrid", "metrics.csv",
+                     "stats.csv"):
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
+        rest64, feats64 = gmem_parts(tmp_path / "final.gmem")
+        rest32, feats32 = gmem_parts(out / "final.gmem")
+        assert rest64 == rest32
+        np.testing.assert_allclose(feats32, feats64, rtol=0,
+                                   atol=FEATURE_ATOL_F64_ATTENTION)
+
     def test_second_run_is_byte_identical(self, embodied_run, tmp_path):
         out, _, _, _ = embodied_run
         cli.run_embodied(small_config(tmp_path))
@@ -118,6 +164,18 @@ class TestEmbodied:
         assert calls == []
         assert 0.0 < report.iou <= 1.0
         load_gmem(tmp_path / "final.gmem")
+
+
+class TestLongRun:
+    def test_70_frames_keep_a_loadable_checkpoint(self, tmp_path):
+        # Without the encoder's post-norms the features grow about 4x per
+        # frame, and after 70 frames the checkpoint no longer reloads.
+        cfg = dataclasses.replace(small_config(tmp_path), n_frames=70)
+        report = cli.run_embodied(cfg)
+        assert 0.0 < report.iou <= 1.0
+        feats = load_gmem(tmp_path / "final.gmem").batch.features
+        assert np.all(np.isfinite(feats))
+        assert np.abs(feats).max() <= np.sqrt(D_MODEL)
 
 
 class TestLocal:
@@ -151,6 +209,11 @@ class TestCliExitCodes:
         (20, "<d", 0.0),              # voxel size
         (16, "<I", 0),                # number of classes
         (52, "<f", float("nan")),     # first mean coordinate
+        (64, "<f", -0.05),            # first scale
+        (64, "<f", 0.0),
+        (92, "<f", 7.0),              # first opacity
+        (92, "<f", -0.5),
+        (76, "<f", 3.0),              # first quaternion component
     ])
     def test_malformed_checkpoint_exits_2(self, embodied_run, tmp_path, offset,
                                           fmt, value):

@@ -114,14 +114,6 @@ class TestQueryFov:
         assert got_inside == expect_inside
         assert len(inside) == len(expect_inside)
 
-    def test_extent_option_is_superset(self):
-        b = make_batch(300, lo=-2.0, hi=2.0, seed=7)
-        mem = init_memory(b, FusionConfig(voxel_size=0.05))
-        frame = make_frame()
-        in1, _ = query_fov(mem, frame)
-        in2, _ = query_fov(mem, frame, extent_sigmas=3.0)
-        assert len(in2) >= len(in1)
-
 
 class TestUpdate:
     def test_duplicate_locals_with_zero_refinement_stable(self):

@@ -32,7 +32,7 @@ from .memory import (GaussianMemory, gmem_nbytes, init_memory, load_gmem, save_g
 from .metrics import MetricReport, iou, local_mask, observed_mask
 from .splat import argmax_labels, render
 from .synth import (NoiseParams, StubConfig, default_scene, generate_scene,
-                    generate_trajectory, load_scene_spec, stub_predict)
+                    generate_trajectory, load_scene_spec, scene_maps, stub_predict)
 
 MODE_LOCAL = "local"
 MODE_EMBODIED = "embodied"
@@ -163,6 +163,7 @@ def run_local(cfg: RunConfig) -> MetricReport:
     out.mkdir(parents=True, exist_ok=True)
     spec = _load_scene(cfg)
     gt = generate_scene(spec)
+    maps = scene_maps(gt, cfg.stub)
     frames = generate_trajectory(spec, cfg.n_frames, cfg.trajectory_seed)
     weights = _make_weights(cfg, gt.num_classes)
     empty_hist = PrimitiveBatch.empty(cfg.encoder.d_model, gt.num_classes)
@@ -170,7 +171,7 @@ def run_local(cfg: RunConfig) -> MetricReport:
     rows = ["frame,count,iou,miou,observed_fraction"]
     ious, mious = [], []
     for i, frame in enumerate(frames):
-        batch = stub_predict(gt, frame, cfg.noise, cfg.stub_seed + i,
+        batch = stub_predict(gt, maps, frame, cfg.noise, cfg.stub_seed + i,
                              cfg.stub, cfg.confidence)
         if len(batch) and cfg.use_dte:
             batch, _ = dte_step(batch, empty_hist, weights,
@@ -213,6 +214,7 @@ def run_embodied(cfg: RunConfig) -> MetricReport:
     out.mkdir(parents=True, exist_ok=True)
     spec = _load_scene(cfg)
     gt = generate_scene(spec)
+    maps = scene_maps(gt, cfg.stub)
     frames = generate_trajectory(spec, cfg.n_frames, cfg.trajectory_seed)
     weights = _make_weights(cfg, gt.num_classes)
 
@@ -222,7 +224,7 @@ def run_embodied(cfg: RunConfig) -> MetricReport:
     time_rows = ["frame,seconds"]
     for i, frame in enumerate(frames):
         t0 = time.perf_counter()
-        batch = stub_predict(gt, frame, cfg.noise, cfg.stub_seed + i,
+        batch = stub_predict(gt, maps, frame, cfg.noise, cfg.stub_seed + i,
                              cfg.stub, cfg.confidence)
         if concat_mode:
             if concat_batch is None:

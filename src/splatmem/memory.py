@@ -18,7 +18,7 @@ from .attn import EncoderWeights, dte_step
 from .cavf import FusionConfig, fuse, fusion_origin, fusion_weights
 from .conf import ConfidenceConfig, confidence_values
 from .core import CameraFrame, PrimitiveBatch, cell_of, concat_batches
-from .errors import FormatError, InvalidInputError
+from .errors import FormatError, InvalidInputError, InvariantError
 
 GMEM_MAGIC = b"GMEM"
 GMEM_VERSION = 1
@@ -204,7 +204,8 @@ def save_gmem(path, memory: GaussianMemory) -> None:
     fusion voxel_size f64, origin 3 x f64} followed by one packed f32
     record per primitive: mean 3, scale 3, quat 4, opacity 1, logits C-1,
     feature d_model. Confidences are derived data and are recomputed on
-    load; counters and stats are not persisted.
+    load; counters and stats are not persisted. Raises InvariantError, and
+    writes nothing, when a record value is not finite in float32.
     """
     b = memory.batch
     d_model = b.d_model
@@ -213,11 +214,13 @@ def save_gmem(path, memory: GaussianMemory) -> None:
         GMEM_MAGIC, GMEM_VERSION, len(b), d_model, n_classes,
         memory.fusion.voxel_size, *memory.origin.tolist(),
     )
+    columns = dict(means=b.means, scales=b.scales, rotations=b.rotations,
+                   opacities=b.opacities[:, None], logits=b.logits, features=b.features)
+    for name, col in columns.items():  # NaN fails the comparison too
+        if not np.all(np.abs(col) <= np.finfo(np.float32).max):
+            raise InvariantError(f"gmem column {name} holds a value float32 cannot store")
     rec = np.empty((len(b), _record_floats(n_classes, d_model)), dtype="<f4")
-    np.concatenate(
-        [b.means, b.scales, b.rotations, b.opacities[:, None], b.logits, b.features],
-        axis=1, out=rec, casting="same_kind",
-    )
+    np.concatenate(list(columns.values()), axis=1, out=rec, casting="same_kind")
     with open(path, "wb") as f:
         f.write(header)
         f.write(rec.tobytes())

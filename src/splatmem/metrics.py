@@ -1,4 +1,7 @@
-"""IoU metrics under the per-frame frustum and whole-episode protocols."""
+"""IoU metrics under the per-frame frustum and whole-episode protocols.
+
+Frustum masks project only the voxel centers in each frame's frustum box.
+"""
 
 from __future__ import annotations
 
@@ -76,18 +79,33 @@ def iou(pred: VoxelGrid, gt: VoxelGrid, mask: np.ndarray) -> MetricReport:
                         float(mask.sum() / mask.size))
 
 
+def _frustum_box(grid: VoxelGrid, frame: CameraFrame) -> tuple[tuple[slice, ...], np.ndarray]:
+    """The box of voxels around the world AABB of the frame's 8 frustum
+    corners, padded by one voxel, and the frustum test of its centers; no
+    center outside the box lies in the frustum."""
+    w, h = frame.width, frame.height
+    origin, dirs = frame.pixel_rays(np.array([[0, 0], [w, 0], [0, h], [w, h]]))
+    corners = origin + np.concatenate([frame.near * dirs, frame.far * dirs])
+    ijk = np.floor((corners - grid.origin) / grid.voxel_size)
+    lo = np.clip(ijk.min(axis=0) - 1, 0, grid.dims).astype(np.int64)
+    hi = np.clip(ijk.max(axis=0) + 2, 0, grid.dims).astype(np.int64)
+    box = tuple(slice(a, max(a, b)) for a, b in zip(lo.tolist(), hi.tolist()))
+    axes = [ax[sl] for ax, sl in zip(grid.axis_centers(), box)]
+    centers = np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1)
+    return box, frame.contains(centers.reshape(-1, 3)).reshape(centers.shape[:3])
+
+
 def local_mask(grid: VoxelGrid, frame: CameraFrame) -> np.ndarray:
     """Voxels whose centers fall inside one frame's frustum."""
-    centers = grid.centers().reshape(-1, 3)
-    return frame.contains(centers).reshape(grid.dims)
+    return observed_mask(grid, [frame])
 
 
 def observed_mask(grid: VoxelGrid, frames: list[CameraFrame]) -> np.ndarray:
     """Union of per-frame frustum masks over an exploration sequence."""
     if not frames:
         raise InvalidInputError("observed_mask needs at least one frame")
-    centers = grid.centers().reshape(-1, 3)
-    out = np.zeros(len(centers), dtype=bool)
+    out = np.zeros(grid.dims, dtype=bool)
     for f in frames:
-        out |= f.contains(centers)
-    return out.reshape(grid.dims)
+        box, inside = _frustum_box(grid, f)
+        out[box] |= inside
+    return out

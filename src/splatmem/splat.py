@@ -12,12 +12,14 @@ primitives with a non-empty block in index order, in chunks of at most
 _CHUNK_PAIRS (primitive, voxel) pairs. Within a chunk the primitives are
 grouped by block shape, and each group's kernel values are evaluated as
 one (G, ex, ey, ez) array with the operation order of a per-primitive
-loop. The blocks are then scattered onto the grid in ascending primitive
-index, so every voxel multiplies its opacity terms and adds its density
-and class terms in the same order as that loop, and the fields are
-bit-identical to it. A flat pair list reduced by `np.multiply.at` and
+loop. The blocks are then scattered in ascending primitive index onto the
+union box of the blocks, so every voxel multiplies its opacity terms and
+adds its density and class terms in the same order as that loop, and the
+fields are bit-identical to it. A flat pair list reduced by `np.multiply.at` and
 `np.add.at` is also bit-identical, but slower than the per-primitive loop
 itself; a log-domain opacity product changes the last bits of the result.
+`render` finalises only that box, in place in its output; every other
+voxel takes the channels (0, ..., 0, 1) a full-grid pass gives it.
 """
 
 from __future__ import annotations
@@ -41,11 +43,40 @@ _CHUNK_PAIRS = 1 << 17
 
 @dataclass
 class SplatFields:
-    """Raw per-voxel fields produced by one splatting pass."""
+    """Fields of one splatting pass, accumulated over `box`, the union of
+    the primitives' blocks; a voxel outside it has alpha 0, uniform
+    semantics and is undefined. Full-grid fields are built on access."""
 
-    alpha: np.ndarray            # (nx, ny, nz)
-    semantics: np.ndarray        # (nx, ny, nz, C-1), rows sum to 1
-    undefined: np.ndarray        # (nx, ny, nz) bool: zero total density
+    dims: tuple[int, int, int]
+    box: tuple[slice, slice, slice]
+    keep: np.ndarray  # over the box: running product of (1 - a_i k_i)
+    acc: np.ndarray   # over the box: density, then density-weighted class probs
+
+    def box_semantics(self, out: np.ndarray) -> None:
+        """Write the box's class distributions, uniform where the density
+        is zero, into `out` (box shape, C-1 channels)."""
+        undefined = self.acc[..., 0] == 0.0
+        np.divide(self.acc[..., 1:], self.acc[..., :1], out=out, where=~undefined[..., None])
+        out[undefined] = 1.0 / out.shape[-1]
+
+    def _full(self, outside, inside: np.ndarray) -> np.ndarray:
+        out = np.full(self.dims + inside.shape[3:], outside, dtype=inside.dtype)
+        out[self.box] = inside
+        return out
+
+    @property
+    def alpha(self) -> np.ndarray:
+        return self._full(0.0, 1.0 - self.keep)
+
+    @property
+    def semantics(self) -> np.ndarray:
+        sem = np.empty(self.acc.shape[:-1] + (self.acc.shape[-1] - 1,))
+        self.box_semantics(sem)
+        return self._full(1.0 / sem.shape[-1], sem)
+
+    @property
+    def undefined(self) -> np.ndarray:  # zero total density
+        return self._full(True, self.acc[..., 0] == 0.0)
 
 
 def _voxel_span(means, half, origin, voxel_size, cell_size, dims):
@@ -106,75 +137,65 @@ def splat_fields(
     primitives: PrimitiveBatch,
     truncation_radius_sigmas: float = DEFAULT_TRUNCATION_SIGMAS,
 ) -> SplatFields:
-    """Evaluate the opacity and semantic fields at voxel centers."""
+    """Accumulate the opacity and semantic fields at voxel centers over the
+    union box of the primitives' blocks."""
     b = primitives
     n = len(b)
-    cell_size = grid.voxel_size * CELL_FACTOR
-    nx, ny, nz = grid.dims
     c_occ = b.n_logits if n else grid.num_classes - 1
-
-    keep = np.ones((nx, ny, nz))            # running product of (1 - a_i k_i)
+    R = quats_to_rotations(b.rotations)
+    s2 = b.scales**2
+    if np.isfinite(truncation_radius_sigmas):
+        # half extents of each truncated ellipsoid's world AABB
+        half = truncation_radius_sigmas * np.sqrt(
+            np.einsum("nab,nb->na", R**2, s2))
+        lo, hi = _voxel_span(b.means, half, grid.origin, grid.voxel_size,
+                             grid.voxel_size * CELL_FACTOR, grid.dims)
+    else:
+        lo = np.zeros((n, 3), dtype=np.int64)
+        hi = np.broadcast_to(np.asarray(grid.dims) - 1, (n, 3))
+    ext = hi - lo + 1
+    live = np.flatnonzero(np.all(ext > 0, axis=1))
+    box_lo = lo[live].min(axis=0) if len(live) else np.zeros(3, dtype=np.int64)
+    box_hi = hi[live].max(axis=0) + 1 if len(live) else box_lo
+    box = tuple(slice(a, b) for a, b in zip(box_lo.tolist(), box_hi.tolist()))
+    keep = np.ones(tuple(box_hi - box_lo))
     # channel 0: sum of pdf values; then density-weighted class probs
-    acc = np.zeros((nx, ny, nz, c_occ + 1))
-
+    acc = np.zeros(keep.shape + (c_occ + 1,))
     axes = grid.axis_centers()
-    if n:
-        R = quats_to_rotations(b.rotations)
-        s2 = b.scales**2
-        inv_cov = np.einsum("nab,nb,ncb->nac", R, 1.0 / s2, R)
-        pdf_norm = (2.0 * np.pi) ** 1.5 * np.prod(b.scales, axis=1)
-        e = np.exp(b.logits - b.logits.max(axis=1, keepdims=True))
-        class_probs = e / e.sum(axis=1, keepdims=True)
-        # 1.0 * p == p, so channel 0 accumulates the density itself
-        channel_weights = np.concatenate([np.ones((n, 1)), class_probs], axis=1)
-        if np.isfinite(truncation_radius_sigmas):
-            # half extents of each truncated ellipsoid's world AABB
-            half = truncation_radius_sigmas * np.sqrt(
-                np.einsum("nab,nb->na", R**2, s2))
-            lo, hi = _voxel_span(b.means, half, grid.origin, grid.voxel_size,
-                                 cell_size, grid.dims)
-        else:
-            lo = np.zeros((n, 3), dtype=np.int64)
-            hi = np.broadcast_to(np.asarray(grid.dims) - 1, (n, 3))
-        ext = hi - lo + 1
-        live = np.flatnonzero(np.all(ext > 0, axis=1))
-        pairs = np.prod(ext[live], axis=1)
-        # one reused buffer for each block's channel products
-        scratch = np.empty(int(pairs.max(initial=0)) * (c_occ + 1))
-        for start, stop in _chunks(pairs, _CHUNK_PAIRS):
-            idx = live[start:stop]
-            shapes, group = np.unique(ext[idx], axis=0, return_inverse=True)
-            blocks = [None] * len(idx)
-            for g, shape in enumerate(shapes.tolist()):
-                members = np.flatnonzero(group == g)
-                rows = idx[members]
-                factors, pdfs = _kernel_blocks(
-                    axes, b.means[rows], inv_cov[rows], b.opacities[rows],
-                    pdf_norm[rows], lo[rows], shape,
-                )
-                for j, m in enumerate(members.tolist()):
-                    blocks[m] = (factors[j], pdfs[j])
-            # Ascending primitive index: the order of the per-primitive loop.
-            for i, (l0, l1, l2), (h0, h1, h2), (factor, p) in zip(
-                idx.tolist(), lo[idx].tolist(), hi[idx].tolist(), blocks
-            ):
-                sl = (slice(l0, h0 + 1), slice(l1, h1 + 1), slice(l2, h2 + 1))
-                keep[sl] *= factor
-                # With no summed index, einsum rounds each p * w_c once, like
-                # a broadcast product, but its inner loop does not run over
-                # the few channels.
-                w = channel_weights[i]
-                prod = scratch[:p.size * w.size].reshape(p.shape + w.shape)
-                acc[sl] += np.einsum("xyz,c->xyzc", p, w, out=prod)
-
-    dens = acc[..., 0]
-    alpha = 1.0 - keep
-    undefined = dens == 0.0
-    safe = np.where(undefined, 1.0, dens)
-    sem_out = np.divide(acc[..., 1:], safe[..., None],
-                        out=np.empty((nx, ny, nz, c_occ)))
-    sem_out[undefined] = 1.0 / c_occ
-    return SplatFields(alpha, sem_out, undefined)
+    inv_cov = np.einsum("nab,nb,ncb->nac", R, 1.0 / s2, R)
+    pdf_norm = (2.0 * np.pi) ** 1.5 * np.prod(b.scales, axis=1)
+    e = np.exp(b.logits - b.logits.max(axis=1, keepdims=True))
+    class_probs = e / e.sum(axis=1, keepdims=True)
+    # 1.0 * p == p, so channel 0 accumulates the density itself
+    channel_weights = np.concatenate([np.ones((n, 1)), class_probs], axis=1)
+    pairs = np.prod(ext[live], axis=1)
+    # one reused buffer for each block's channel products
+    scratch = np.empty(int(pairs.max(initial=0)) * (c_occ + 1))
+    for start, stop in _chunks(pairs, _CHUNK_PAIRS):
+        idx = live[start:stop]
+        shapes, group = np.unique(ext[idx], axis=0, return_inverse=True)
+        blocks = [None] * len(idx)
+        for g, shape in enumerate(shapes.tolist()):
+            members = np.flatnonzero(group == g)
+            rows = idx[members]
+            factors, pdfs = _kernel_blocks(
+                axes, b.means[rows], inv_cov[rows], b.opacities[rows],
+                pdf_norm[rows], lo[rows], shape,
+            )
+            for j, m in enumerate(members.tolist()):
+                blocks[m] = (factors[j], pdfs[j])
+        # Ascending primitive index: the order of the per-primitive loop.
+        for i, l, h, (factor, p) in zip(idx.tolist(), (lo[idx] - box_lo).tolist(),
+                                        (hi[idx] - box_lo + 1).tolist(), blocks):
+            sl = tuple(map(slice, l, h))
+            keep[sl] *= factor
+            # With no summed index, einsum rounds each p * w_c once, like
+            # a broadcast product, but its inner loop does not run over
+            # the few channels.
+            w = channel_weights[i]
+            prod = scratch[:p.size * w.size].reshape(p.shape + w.shape)
+            acc[sl] += np.einsum("xyz,c->xyzc", p, w, out=prod)
+    return SplatFields(grid.dims, box, keep, acc)
 
 
 def render(
@@ -187,10 +208,14 @@ def render(
     Per-voxel channels are (alpha * e_1, ..., alpha * e_{C-1}, 1 - alpha).
     """
     f = splat_fields(grid, primitives, truncation_radius_sigmas)
-    c_occ = f.semantics.shape[-1]
-    values = np.empty(grid.dims + (c_occ + 1,))
-    np.multiply(f.alpha[..., None], f.semantics, out=values[..., :c_occ])
-    np.subtract(1.0, f.alpha, out=values[..., c_occ])
+    c_occ = f.acc.shape[-1] - 1
+    values = np.zeros(grid.dims + (c_occ + 1,))
+    values[..., c_occ] = 1.0
+    out = values[f.box]
+    f.box_semantics(out[..., :c_occ])
+    alpha = np.subtract(1.0, f.keep, out=f.keep)  # keep is not read again
+    out[..., :c_occ] *= alpha[..., None]
+    np.subtract(1.0, alpha, out=out[..., c_occ])
     return VoxelGrid(
         grid.origin.copy(), grid.voxel_size, grid.dims, values,
         PROB_MODE, c_occ + 1,

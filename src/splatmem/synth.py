@@ -4,7 +4,10 @@ Scenes are box compositions voxelized into ground-truth label grids.
 Exact voxel ray marching (amanatides-woo stepping) finds the surface each
 sampled pixel ray strikes, and a noise controllable stub predictor turns
 those hits into per-frame primitive batches so the temporal pipeline can
-run end to end.
+run end to end. What depends only on the scene is built once per run as
+`SceneMaps`: the occupancy, its thin-axis map, and a code grid padded by
+one voxel that the march reads by flat index, so leaving the grid reads
+"outside" with no bounds test.
 """
 
 from __future__ import annotations
@@ -161,20 +164,41 @@ class RayHits:
     face_axis: np.ndarray  # (N,) axis of the face the ray entered through
 
 
-def trace_rays(gt: VoxelGrid, frame: CameraFrame, pixels: np.ndarray,
-               far: float | None = None) -> RayHits:
+@dataclass(frozen=True)
+class SceneMaps:
+    """Lookups of the stub predictor that depend only on the scene: int8
+    `codes` padded by one voxel (0 free, 1 occupied, 2 outside), and per
+    occupied voxel the axis along which the shell is thinnest (0 at free
+    voxels, where no run reads it)."""
+
+    codes: np.ndarray
+    occupied: np.ndarray
+    thin_axis: np.ndarray
+
+
+def scene_maps(gt: VoxelGrid, stub_cfg: StubConfig) -> SceneMaps:
+    """Build the maps of one scene, once per run."""
+    occupied = gt.values != gt.num_classes - 1
+    codes = np.pad(occupied.astype(np.int8), 1, constant_values=2)
+    shell = np.argwhere(occupied)
+    runs = _surface_extent(shell, 1.0, stub_cfg.surface_extent_reach, (occupied, True))
+    thin_axis = np.zeros(gt.dims, dtype=np.int8)
+    thin_axis[tuple(shell.T)] = np.argmin(runs, axis=1)
+    return SceneMaps(codes, occupied, thin_axis)
+
+
+def trace_rays(gt: VoxelGrid, maps: SceneMaps, frame: CameraFrame,
+               pixels: np.ndarray) -> RayHits:
     """March rays through the label grid to the first occupied voxel.
 
     The ray parameter equals camera-space depth, so entry/exit values place
-    points along the ray directly. Marching stops at `far` (defaults to the
-    frame's far plane) or at the grid boundary.
+    points along the ray directly. Marching stops at the frame's far plane
+    or at the grid boundary, where the padded code grid reads "outside".
     """
     if gt.mode != LABEL_MODE:
         raise InvalidInputError("trace_rays expects a label grid")
-    far = frame.far if far is None else far
     origin, dirs = frame.pixel_rays(pixels)
     n = len(dirs)
-    occupied = gt.values != gt.num_classes - 1
     dims = np.array(gt.dims)
     vs = gt.voxel_size
 
@@ -199,43 +223,46 @@ def trace_rays(gt: VoxelGrid, frame: CameraFrame, pixels: np.ndarray,
         inside = (origin[a] >= gt.origin[a]) & (origin[a] <= gt.origin[a] + dims[a] * vs)
         t1[z & ~inside] = -np.inf
     t_start = np.maximum(t0, 0.0)
-    alive = (t_start <= t1) & (t_start <= far)
+    ids = np.flatnonzero((t_start <= t1) & (t_start <= frame.far))
 
-    pos = origin + t_start[:, None] * dirs
-    idx = np.clip(cell_of(pos, gt.origin, vs), 0, dims - 1)
-    step = np.where(dirs > 0, 1, -1)
+    d = dirs[ids]
+    idx = np.clip(cell_of(origin + t_start[ids, None] * d, gt.origin, vs), 0, dims - 1)
+    strides = np.array(maps.codes.strides) // maps.codes.itemsize
+    flat = (idx + 1) @ strides
+    step = np.where(d > 0, strides, -strides)
     with np.errstate(divide="ignore"):
-        t_delta = np.where(dirs != 0, vs / np.abs(dirs), np.inf)
-    next_face = gt.origin + (idx + (dirs > 0)) * vs
+        t_delta = np.where(d != 0, vs / np.abs(d), np.inf)
+    next_face = gt.origin + (idx + (d > 0)) * vs
     with np.errstate(invalid="ignore"):
-        t_max = np.where(dirs != 0, (next_face - origin) * inv_d, np.inf)
-
-    t_cur = t_start.copy()
-    while np.any(alive):
-        live = np.nonzero(alive)[0]
-        occ = occupied[idx[live, 0], idx[live, 1], idx[live, 2]]
-        newly = live[occ]
-        if len(newly):
-            hit[newly] = True
-            t_entry[newly] = t_cur[newly]
-            t_exit[newly] = np.min(t_max[newly], axis=1)
-            voxel[newly] = idx[newly]
-            alive[newly] = False
-            live = live[~occ]
-            if len(live) == 0:
-                continue
-        axis = np.argmin(t_max[live], axis=1)
-        t_cur[live] = t_max[live, axis]
-        idx[live, axis] += step[live, axis]
-        face[live] = axis
-        t_max[live, axis] += t_delta[live, axis]
-        out = (
-            (idx[live, axis] < 0)
-            | (idx[live, axis] >= dims[axis])
-            | (t_cur[live] > far)
-            | (t_cur[live] > t1[live])
-        )
-        alive[live[out]] = False
+        t_max = np.where(d != 0, (next_face - origin) * inv_d[ids], np.inf)
+    t_cur = t_start[ids]
+    t_lim = np.fmin(frame.far, t1[ids])
+    axis = face[ids]
+    codes = maps.codes.ravel()
+    active = np.ones(len(ids), dtype=bool)
+    # Finished rays stay in the arrays, frozen by a zero step, until a
+    # quarter of them have finished; compacting every step costs more.
+    while len(ids):
+        code = codes[flat]
+        done = active & ((code != 0) | (t_cur > t_lim))
+        if done.any():
+            got = np.flatnonzero(done & (code == 1) & (t_cur <= t_lim))
+            r = ids[got]
+            hit[r], t_entry[r], t_exit[r] = True, t_cur[got], t_max[got].min(axis=1)
+            voxel[r] = np.stack(np.unravel_index(flat[got], maps.codes.shape), axis=1) - 1
+            face[ids[done]] = axis[done]
+            active &= ~done
+            step[done], t_delta[done] = 0, 0.0
+            if 4 * np.count_nonzero(~active) >= len(ids):
+                keep = np.flatnonzero(active)
+                ids, flat, step, t_delta, t_max, t_cur, t_lim, active = (
+                    x[keep] for x in (ids, flat, step, t_delta, t_max, t_cur, t_lim, active))
+        axis = np.argmin(t_max, axis=1)
+        k = np.arange(0, 3 * len(ids), 3) + axis
+        t_cur = t_max.ravel()[k]
+        flat += step.ravel()[k]
+        # Sequential += keeps every crossing bit-identical to a scalar loop.
+        t_max.ravel()[k] += t_delta.ravel()[k]
     return RayHits(hit, t_entry, t_exit, voxel, face)
 
 
@@ -284,69 +311,32 @@ class StubConfig:
     logit_magnitude: float = STUB_LOGIT_MAGNITUDE
 
 
-def _surface_extent(labels: np.ndarray, voxels: np.ndarray, axis: int,
-                    voxel_size: float, reach: int,
-                    thin_map: np.ndarray | None = None,
-                    normal_axis: np.ndarray | None = None) -> np.ndarray:
-    """Symmetric same-surface run length around voxels along an axis.
-
-    Returns meters of guaranteed support on the weaker side, up to `reach`
-    voxels. A run ends at the grid edge, at a differently labeled voxel,
-    or (when thin_map is given) at a voxel whose local thin axis differs
-    from the sample's normal axis, which stops splats from widening around
-    plane breaks like wall corners.
-    """
-    dims = np.array(labels.shape)
-    own = labels[voxels[:, 0], voxels[:, 1], voxels[:, 2]]
-    contig = np.full(len(voxels), reach, dtype=np.int64)
-    for sign in (-1, 1):
-        run = np.zeros(len(voxels), dtype=np.int64)
-        still = np.ones(len(voxels), dtype=bool)
-        for step in range(1, reach + 1):
-            probe = voxels.copy()
-            probe[:, axis] += sign * step
-            ok = (probe[:, axis] >= 0) & (probe[:, axis] < dims[axis])
-            hit = np.zeros(len(voxels), dtype=bool)
-            pc = np.clip(probe, 0, dims - 1)
-            hit[ok] = labels[pc[ok, 0], pc[ok, 1], pc[ok, 2]] == own[ok]
-            if thin_map is not None:
-                same_plane = np.zeros(len(voxels), dtype=bool)
-                same_plane[ok] = thin_map[pc[ok, 0], pc[ok, 1], pc[ok, 2]] == normal_axis[ok]
-                hit &= same_plane
-            still &= hit
-            run += still
-        contig = np.minimum(contig, run)
-    return contig * voxel_size
-
-
-def _thin_axis_map(occupied: np.ndarray, reach: int = 2) -> np.ndarray:
-    """Per-voxel axis along which the occupied shell is thinnest."""
-    runs = np.empty(occupied.shape + (3,), dtype=np.int8)
-    for a in range(3):
-        total = np.full(occupied.shape, reach, dtype=np.int8)
-        for sign in (-1, 1):
-            run = np.zeros(occupied.shape, dtype=np.int8)
-            still = np.ones(occupied.shape, dtype=bool)
-            for step in range(1, reach + 1):
-                shifted = np.zeros(occupied.shape, dtype=bool)
-                src = [slice(None)] * 3
-                dst = [slice(None)] * 3
-                if sign > 0:
-                    src[a] = slice(step, None)
-                    dst[a] = slice(None, -step)
-                else:
-                    src[a] = slice(None, -step)
-                    dst[a] = slice(step, None)
-                shifted[tuple(dst)] = occupied[tuple(src)]
-                still &= shifted
-                run += still
-            total = np.minimum(total, run)
-        runs[..., a] = total
-    return np.argmin(runs, axis=-1).astype(np.int8)
+def _surface_extent(voxels: np.ndarray, voxel_size: float, reach: int,
+                    *conditions: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Symmetric same-surface run length around voxels along each axis:
+    (N, 3) meters of support on the weaker side, up to `reach` voxels, from
+    one gather into the flattened maps. A run ends at the grid edge or where
+    a (map, want) condition fails: a differently labeled voxel, or one whose
+    thin axis differs from the sample's normal axis, which stops splats from
+    widening around plane breaks like wall corners."""
+    dims = np.array(conditions[0][0].shape)
+    strides = np.array([dims[1] * dims[2], dims[2], 1])
+    # (sign * step, axis, N): each probe's coordinate along the axis and its
+    # flat index, clipped into the maps where the probe leaves the grid
+    offsets = np.concatenate([-np.arange(1, reach + 1), np.arange(1, reach + 1)])[:, None, None]
+    moved = voxels.T + offsets
+    same = (moved >= 0) & (moved < dims[:, None])
+    flat = strides @ voxels.T + offsets * strides[:, None]
+    for grid_map, want in conditions:
+        same &= np.take(grid_map, flat, mode="clip") == want
+    # a run is the index of the first probe that fails, past a False sentinel
+    ends = np.pad(same.reshape(2, reach, *same.shape[1:]), ((0, 0), (0, 1), (0, 0), (0, 0)))
+    return np.ascontiguousarray(np.argmin(ends, axis=1).min(axis=0).T) * voxel_size
 
 
 def stub_predict(
     gt: VoxelGrid,
+    maps: SceneMaps,
     frame: CameraFrame,
     noise: NoiseParams,
     seed: int,
@@ -365,7 +355,7 @@ def stub_predict(
     cfg = stub_cfg or StubConfig()
     rng = np.random.default_rng(seed)
     pixels = sample_pixels(frame.width, frame.height, cfg.grid_h, cfg.grid_w)
-    hits = trace_rays(gt, frame, pixels)
+    hits = trace_rays(gt, maps, frame, pixels)
     n_all = len(pixels)
     n_cls = gt.num_classes - 1
 
@@ -410,24 +400,15 @@ def stub_predict(
     # In-plane size follows the local sample footprint (ray spacing grows
     # with range and grazing incidence) but is capped by how far the
     # surface actually extends, so splats never spill past panel rims.
-    occupancy = np.where(gt.values != gt.num_classes - 1, 0, 1).astype(np.uint16)
-    geom_ext = np.stack(
-        [_surface_extent(occupancy, hits.voxel[sel], a, gt.voxel_size,
-                         cfg.surface_extent_reach) for a in range(3)],
-        axis=1,
-    )
+    voxels = hits.voxel[sel]
+    reach = cfg.surface_extent_reach
+    geom_ext = _surface_extent(voxels, gt.voxel_size, reach, (maps.occupied, True))
     entry = hits.face_axis[sel]
     normal_axis = np.argmin(geom_ext, axis=1)
     entry_is_min = geom_ext[np.arange(len(sel)), entry] <= geom_ext.min(axis=1)
     normal_axis[entry_is_min] = entry[entry_is_min]
-    thin_map = _thin_axis_map(gt.values != gt.num_classes - 1,
-                              cfg.surface_extent_reach)
-    class_ext = np.stack(
-        [_surface_extent(gt.values, hits.voxel[sel], a, gt.voxel_size,
-                         cfg.surface_extent_reach, thin_map, normal_axis)
-         for a in range(3)],
-        axis=1,
-    )
+    class_ext = _surface_extent(voxels, gt.voxel_size, reach, (gt.values, hit_label),
+                                (maps.thin_axis, normal_axis))
 
     pix_angle = max(1.0 / frame.intrinsics[0, 0] * frame.width / cfg.grid_w,
                     1.0 / frame.intrinsics[1, 1] * frame.height / cfg.grid_h)

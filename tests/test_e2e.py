@@ -246,6 +246,14 @@ class TestCliExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not dst.exists()
 
+    def test_scene_with_no_boxes_exits_3(self, tmp_path, capsys):
+        scene = tmp_path / "empty.scene"
+        scene.write_text("extent 1.6 1.6 0.96\n")
+        code = cli.main(["run-embodied", "--scene", str(scene), "--frames", "2",
+                         "--output-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert "first frame produced no primitives" in capsys.readouterr().err
+
     def test_unknown_mode_exits_1(self, tmp_path):
         assert cli.main(["run-embodied", "--mode", "nope",
                          "--output-dir", str(tmp_path)]) == 1

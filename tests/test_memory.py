@@ -5,7 +5,7 @@ import splatmem.memory as memory_mod
 from splatmem.attn import init_weights
 from splatmem.cavf import FusionConfig
 from splatmem.core import CameraFrame, PrimitiveBatch, concat_batches
-from splatmem.errors import FormatError, InvalidInputError
+from splatmem.errors import FormatError, InvalidInputError, InvariantError
 from splatmem.memory import (
     _fuse_at_origin,
     _merge_collisions,
@@ -343,6 +343,19 @@ class TestGmemRoundtrip:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
             load_gmem(path)
+
+    @pytest.mark.parametrize("column,value", [
+        ("scales", 1e39), ("means", np.nan), ("logits", -np.inf), ("features", 4e38),
+    ])
+    def test_value_float32_cannot_store_is_refused_before_writing(self, tmp_path,
+                                                                  column, value):
+        # The cast would warn and write inf, which load_gmem refuses.
+        mem = init_memory(make_batch(3, seed=26))
+        getattr(mem.batch, column)[1, 0] = value
+        path = tmp_path / "m.gmem"
+        with pytest.raises(InvariantError, match=column):
+            save_gmem(path, mem)
+        assert not path.exists()
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "m.gmem"

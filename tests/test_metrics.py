@@ -1,0 +1,64 @@
+"""Frustum masks against the projection of every voxel center."""
+
+import numpy as np
+import pytest
+
+from splatmem.core import CameraFrame
+from splatmem.errors import InvalidInputError
+from splatmem.metrics import local_mask, observed_mask
+from splatmem.synth import (DEFAULT_INTRINSICS, _look_at_pose, default_scene,
+                            generate_scene, generate_trajectory)
+
+GT = generate_scene(default_scene())
+EXTENT = default_scene().extent
+
+
+def all_centers_mask(grid, frame):
+    """Reference: every voxel center through `CameraFrame.contains`."""
+    return frame.contains(grid.centers().reshape(-1, 3)).reshape(grid.dims)
+
+
+def random_frames(n, seed):
+    """Cameras in and around the scene, looking anywhere, with random image
+    sizes and depth ranges; many frusta miss the grid or clip its faces."""
+    rng = np.random.default_rng(seed)
+    frames = []
+    for _ in range(n):
+        pos = rng.uniform(-1.0, 1.0, 3) * EXTENT + EXTENT / 2
+        near = rng.uniform(0.05, 2.0)
+        frames.append(CameraFrame(
+            DEFAULT_INTRINSICS * [[rng.uniform(0.3, 2.0)], [rng.uniform(0.3, 2.0)], [1.0]],
+            _look_at_pose(pos, rng.normal(size=3)),
+            int(rng.integers(16, 800)), int(rng.integers(16, 600)),
+            near, near + rng.uniform(0.1, 12.0)))
+    return frames
+
+
+class TestLocalMask:
+    def test_random_frames_match_all_centers(self):
+        frames = random_frames(240, seed=3)
+        sizes = []
+        for frame in frames:
+            ref = all_centers_mask(GT, frame)
+            assert np.array_equal(local_mask(GT, frame), ref)
+            sizes.append(ref.sum())
+        sizes = np.array(sizes)
+        assert (sizes == 0).sum() >= 20 and (sizes > 1000).sum() >= 20
+
+    def test_trajectory_frames_match_all_centers(self):
+        for frame in generate_trajectory(default_scene(), 10, 2):
+            assert np.array_equal(local_mask(GT, frame), all_centers_mask(GT, frame))
+
+
+class TestObservedMask:
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_union_matches_all_centers(self, seed):
+        frames = random_frames(30, seed)
+        ref = np.zeros(GT.dims, dtype=bool)
+        for frame in frames:
+            ref |= all_centers_mask(GT, frame)
+        assert np.array_equal(observed_mask(GT, frames), ref)
+
+    def test_needs_a_frame(self):
+        with pytest.raises(InvalidInputError):
+            observed_mask(GT, [])

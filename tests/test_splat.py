@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -134,10 +135,76 @@ def loop_splat_fields(grid, b, truncation_radius_sigmas=3.0):
     return alpha, sem_out, undefined
 
 
+def full_grid_splat_fields(grid, b, truncation_radius_sigmas=3.0):
+    """Reference: the batched walk over the whole grid, with every voxel
+    finalised, as splatting was before it was bounded to the union box."""
+    n = len(b)
+    nx, ny, nz = grid.dims
+    c_occ = b.n_logits if n else grid.num_classes - 1
+    keep = np.ones((nx, ny, nz))
+    acc = np.zeros((nx, ny, nz, c_occ + 1))
+    axes = grid.axis_centers()
+    if n:
+        R = quats_to_rotations(b.rotations)
+        s2 = b.scales**2
+        inv_cov = np.einsum("nab,nb,ncb->nac", R, 1.0 / s2, R)
+        pdf_norm = (2.0 * np.pi) ** 1.5 * np.prod(b.scales, axis=1)
+        e = np.exp(b.logits - b.logits.max(axis=1, keepdims=True))
+        class_probs = e / e.sum(axis=1, keepdims=True)
+        channel_weights = np.concatenate([np.ones((n, 1)), class_probs], axis=1)
+        if np.isfinite(truncation_radius_sigmas):
+            half = truncation_radius_sigmas * np.sqrt(np.einsum("nab,nb->na", R**2, s2))
+            lo, hi = splat_mod._voxel_span(b.means, half, grid.origin, grid.voxel_size,
+                                           grid.voxel_size * CELL_FACTOR, grid.dims)
+        else:
+            lo = np.zeros((n, 3), dtype=np.int64)
+            hi = np.broadcast_to(np.asarray(grid.dims) - 1, (n, 3))
+        ext = hi - lo + 1
+        live = np.flatnonzero(np.all(ext > 0, axis=1))
+        pairs = np.prod(ext[live], axis=1)
+        for start, stop in splat_mod._chunks(pairs, splat_mod._CHUNK_PAIRS):
+            idx = live[start:stop]
+            shapes, group = np.unique(ext[idx], axis=0, return_inverse=True)
+            blocks = [None] * len(idx)
+            for g, shape in enumerate(shapes.tolist()):
+                members = np.flatnonzero(group == g)
+                rows = idx[members]
+                factors, pdfs = splat_mod._kernel_blocks(
+                    axes, b.means[rows], inv_cov[rows], b.opacities[rows],
+                    pdf_norm[rows], lo[rows], shape)
+                for j, m in enumerate(members.tolist()):
+                    blocks[m] = (factors[j], pdfs[j])
+            for i, l, h, (factor, p) in zip(idx.tolist(), lo[idx].tolist(),
+                                            hi[idx].tolist(), blocks):
+                sl = tuple(slice(l[a], h[a] + 1) for a in range(3))
+                keep[sl] *= factor
+                acc[sl] += np.einsum("xyz,c->xyzc", p, channel_weights[i])
+    dens = acc[..., 0]
+    alpha = 1.0 - keep
+    undefined = dens == 0.0
+    safe = np.where(undefined, 1.0, dens)
+    sem_out = np.divide(acc[..., 1:], safe[..., None])
+    sem_out[undefined] = 1.0 / c_occ
+    return alpha, sem_out, undefined
+
+
+def full_grid_render(grid, b, truncation_radius_sigmas=3.0):
+    """Reference: the channels of every voxel built from the full-grid fields."""
+    alpha, sem, _ = full_grid_splat_fields(grid, b, truncation_radius_sigmas)
+    c_occ = sem.shape[-1]
+    values = np.empty(grid.dims + (c_occ + 1,))
+    np.multiply(alpha[..., None], sem, out=values[..., :c_occ])
+    np.subtract(1.0, alpha, out=values[..., c_occ])
+    return values
+
+
 def reference_batches():
     """Seeded batches for the bit-identity tests, on a 0.8 m cube of voxels."""
     far = random_primitives(20, lo=2.0, hi=3.0, seed=35)
     far[5:10] = random_primitives(5, lo=-3.0, hi=-2.0, seed=36)
+    # one primitive centred on each face of the cube, among inner ones
+    faces = [dataclasses.replace(g, mean=np.where(np.arange(3) == a // 2, 0.8 * (a % 2), 0.4))
+             for a, g in enumerate(random_primitives(6, seed=39))]
     repeated = random_primitives(40, scale_range=(0.05, 0.1), seed=37)
     # equal blocks at far-apart indices, with other primitives in between
     repeated[30], repeated[39] = repeated[0], repeated[7]
@@ -148,6 +215,8 @@ def reference_batches():
         "dense_overlap": random_primitives(80, scale_range=(0.1, 0.3), seed=33),
         "outside_grid": far + random_primitives(20, seed=34),
         "repeated_shapes": repeated,
+        "all_outside": far,
+        "every_face": faces + random_primitives(10, lo=0.2, hi=0.6, seed=40),
     }
 
 
@@ -186,6 +255,12 @@ class TestBatchedMatchesLoop:
         assert np.any(lo > hi, axis=1).sum() >= 10 and np.all(lo <= hi, axis=1).any()
         pairs = np.prod(np.maximum(hi - lo + 1, 0), axis=1).sum()
         assert pairs > 700  # several chunks at the small budget
+        lo, hi = spans["all_outside"]
+        assert np.any(lo > hi, axis=1).all()
+        lo, hi = spans["every_face"]
+        assert (lo == 0).any(axis=0).all() and (hi == 7).any(axis=0).all()
+        lo, hi = spans["single"]
+        assert np.all(lo <= hi) and np.prod(hi - lo + 1) < 8**3
 
     @pytest.mark.parametrize("budget", [1, 3, 10, 100])
     def test_chunks_respect_the_budget(self, budget):
@@ -213,6 +288,30 @@ class TestBatchedMatchesLoop:
             tracemalloc.stop()
         outputs = f.alpha.nbytes + f.semantics.nbytes + f.undefined.nbytes
         assert peak - outputs < 32 * 2**20
+
+
+class TestBoxMatchesFullGrid:
+    """Accumulating and finalising only the union box of the blocks gives
+    the full-grid fields and channels bit for bit."""
+
+    @pytest.mark.parametrize("truncation", [3.0, np.inf])
+    @pytest.mark.parametrize("name", sorted(reference_batches()))
+    def test_fields_and_render_bit_identical(self, name, truncation):
+        grid = make_grid()
+        b = batch(reference_batches()[name])
+        f = splat_fields(grid, b, truncation_radius_sigmas=truncation)
+        alpha, sem, undefined = full_grid_splat_fields(grid, b, truncation)
+        assert np.array_equal(f.alpha, alpha)
+        assert np.array_equal(f.semantics, sem)
+        assert np.array_equal(f.undefined, undefined)
+        out = render(grid, b, truncation_radius_sigmas=truncation)
+        assert np.array_equal(out.values, full_grid_render(grid, b, truncation))
+
+    @pytest.mark.parametrize("name,box_shape", [
+        ("empty", (0, 0, 0)), ("all_outside", (0, 0, 0)), ("every_face", (8, 8, 8))])
+    def test_box_is_the_union_of_the_blocks(self, name, box_shape):
+        f = splat_fields(make_grid(), batch(reference_batches()[name]))
+        assert f.keep.shape == box_shape
 
 
 class TestSplatOpacity:

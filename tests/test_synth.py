@@ -1,0 +1,383 @@
+"""The stub predictor against its loop references.
+
+The references below are the per-frame forms of the stub path: the ray
+march that tests bounds on the unpadded grid and `far` per step, the
+per-axis surface extent that walks each sign and step with its own
+gathers, the thin-axis map built from 24 shifted copies of the
+occupancy, and the stub predictor built on them, which rebuilds the
+uint16 occupancy and the thin-axis map every frame. `trace_rays`, `scene_maps`,
+`_surface_extent` and `stub_predict` must match them bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from splatmem.conf import confidence_values
+from splatmem.core import CameraFrame, PrimitiveBatch, cell_of
+from splatmem.grid import VoxelGrid
+from splatmem.synth import (DEFAULT_FAR, DEFAULT_HEIGHT, DEFAULT_INTRINSICS,
+                            DEFAULT_NEAR, DEFAULT_WIDTH, STUB_MOVED_OPACITY, NoiseParams,
+                            RayHits, StubConfig, _look_at_pose, _surface_extent,
+                            default_scene, generate_scene,
+                            generate_trajectory, sample_pixels, scene_maps, stub_predict,
+                            trace_rays)
+
+GT = generate_scene(default_scene())
+EXTENT = default_scene().extent
+LIFT_GRIDS = [(21, 28), (30, 40)]
+FIELDS = ("means", "scales", "rotations", "opacities", "logits", "features",
+          "confidences")
+
+
+def loop_trace_rays(gt, frame, pixels, far=None):
+    """Reference: the DDA over the unpadded grid, one live set per step."""
+    far = frame.far if far is None else far
+    origin, dirs = frame.pixel_rays(pixels)
+    n = len(dirs)
+    occupied = gt.values != gt.num_classes - 1
+    dims = np.array(gt.dims)
+    vs = gt.voxel_size
+    hit = np.zeros(n, dtype=bool)
+    t_entry = np.full(n, np.inf)
+    t_exit = np.full(n, np.inf)
+    voxel = np.zeros((n, 3), dtype=np.int64)
+    face = np.argmax(np.abs(dirs), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_d = np.where(dirs != 0, 1.0 / dirs, np.inf)
+    lo_t = (gt.origin - origin) * inv_d
+    hi_t = (gt.origin + dims * vs - origin) * inv_d
+    t0 = np.nanmax(np.minimum(lo_t, hi_t), axis=1)
+    t1 = np.nanmin(np.maximum(lo_t, hi_t), axis=1)
+    for a in range(3):
+        z = dirs[:, a] == 0
+        inside = (origin[a] >= gt.origin[a]) & (origin[a] <= gt.origin[a] + dims[a] * vs)
+        t1[z & ~inside] = -np.inf
+    t_start = np.maximum(t0, 0.0)
+    alive = (t_start <= t1) & (t_start <= far)
+    pos = origin + t_start[:, None] * dirs
+    idx = np.clip(cell_of(pos, gt.origin, vs), 0, dims - 1)
+    step = np.where(dirs > 0, 1, -1)
+    with np.errstate(divide="ignore"):
+        t_delta = np.where(dirs != 0, vs / np.abs(dirs), np.inf)
+    next_face = gt.origin + (idx + (dirs > 0)) * vs
+    with np.errstate(invalid="ignore"):
+        t_max = np.where(dirs != 0, (next_face - origin) * inv_d, np.inf)
+    t_cur = t_start.copy()
+    while np.any(alive):
+        live = np.nonzero(alive)[0]
+        occ = occupied[idx[live, 0], idx[live, 1], idx[live, 2]]
+        newly = live[occ]
+        if len(newly):
+            hit[newly] = True
+            t_entry[newly] = t_cur[newly]
+            t_exit[newly] = np.min(t_max[newly], axis=1)
+            voxel[newly] = idx[newly]
+            alive[newly] = False
+            live = live[~occ]
+            if len(live) == 0:
+                continue
+        axis = np.argmin(t_max[live], axis=1)
+        t_cur[live] = t_max[live, axis]
+        idx[live, axis] += step[live, axis]
+        face[live] = axis
+        t_max[live, axis] += t_delta[live, axis]
+        out = (
+            (idx[live, axis] < 0)
+            | (idx[live, axis] >= dims[axis])
+            | (t_cur[live] > far)
+            | (t_cur[live] > t1[live])
+        )
+        alive[live[out]] = False
+    return RayHits(hit, t_entry, t_exit, voxel, face)
+
+
+def axis_surface_extent(labels, voxels, axis, voxel_size, reach, thin_map=None,
+                        normal_axis=None):
+    """Reference: the run length along one axis, two signs times `reach`
+    steps, each with its own gathers."""
+    dims = np.array(labels.shape)
+    own = labels[voxels[:, 0], voxels[:, 1], voxels[:, 2]]
+    contig = np.full(len(voxels), reach, dtype=np.int64)
+    for sign in (-1, 1):
+        run = np.zeros(len(voxels), dtype=np.int64)
+        still = np.ones(len(voxels), dtype=bool)
+        for step in range(1, reach + 1):
+            probe = voxels.copy()
+            probe[:, axis] += sign * step
+            ok = (probe[:, axis] >= 0) & (probe[:, axis] < dims[axis])
+            hit = np.zeros(len(voxels), dtype=bool)
+            pc = np.clip(probe, 0, dims - 1)
+            hit[ok] = labels[pc[ok, 0], pc[ok, 1], pc[ok, 2]] == own[ok]
+            if thin_map is not None:
+                same_plane = np.zeros(len(voxels), dtype=bool)
+                same_plane[ok] = thin_map[pc[ok, 0], pc[ok, 1], pc[ok, 2]] == normal_axis[ok]
+                hit &= same_plane
+            still &= hit
+            run += still
+        contig = np.minimum(contig, run)
+    return contig * voxel_size
+
+
+def loop_thin_axis_map(occupied, reach):
+    """Reference: per-voxel axis along which the occupied shell is
+    thinnest, from shifted copies of the whole occupancy."""
+    runs = np.empty(occupied.shape + (3,), dtype=np.int8)
+    for a in range(3):
+        total = np.full(occupied.shape, reach, dtype=np.int8)
+        for sign in (-1, 1):
+            run = np.zeros(occupied.shape, dtype=np.int8)
+            still = np.ones(occupied.shape, dtype=bool)
+            for step in range(1, reach + 1):
+                shifted = np.zeros(occupied.shape, dtype=bool)
+                src = [slice(None)] * 3
+                dst = [slice(None)] * 3
+                if sign > 0:
+                    src[a] = slice(step, None)
+                    dst[a] = slice(None, -step)
+                else:
+                    src[a] = slice(None, -step)
+                    dst[a] = slice(step, None)
+                shifted[tuple(dst)] = occupied[tuple(src)]
+                still &= shifted
+                run += still
+            total = np.minimum(total, run)
+        runs[..., a] = total
+    return np.argmin(runs, axis=-1).astype(np.int8)
+
+
+def reference_stub_predict(gt, frame, noise, seed, cfg):
+    """Reference: the stub predictor on the loop references, rebuilding the
+    scene's uint16 occupancy and thin-axis map every frame."""
+    rng = np.random.default_rng(seed)
+    pixels = sample_pixels(frame.width, frame.height, cfg.grid_h, cfg.grid_w)
+    hits = loop_trace_rays(gt, frame, pixels)
+    n_all = len(pixels)
+    n_cls = gt.num_classes - 1
+    depth_noise = rng.normal(0.0, 1.0, n_all) * noise.depth_sigma
+    flip_roll = rng.random(n_all)
+    flip_target = rng.integers(0, max(n_cls - 1, 1), n_all)
+    logit_noise = rng.normal(0.0, 1.0, (n_all, n_cls)) * noise.logit_noise
+    sel = np.nonzero(hits.hit)[0]
+    if len(sel) == 0:
+        return PrimitiveBatch.empty(cfg.feature_dim, gt.num_classes)
+    t_mid = 0.5 * (hits.t_entry[sel] + hits.t_exit[sel])
+    origin, dirs = frame.pixel_rays(pixels[sel])
+    clean = origin + t_mid[:, None] * dirs
+    centers = gt.origin + (hits.voxel[sel] + 0.5) * gt.voxel_size
+    clean = clean + cfg.mean_centering * (centers - clean)
+    means = clean + depth_noise[sel, None] * dirs
+    cell = gt.voxel_of(means)
+    in_b = gt.in_bounds(cell)
+    cell_cl = np.clip(cell, 0, np.array(gt.dims) - 1)
+    land_label = gt.values[cell_cl[:, 0], cell_cl[:, 1], cell_cl[:, 2]]
+    hit_label = gt.values[hits.voxel[sel, 0], hits.voxel[sel, 1], hits.voxel[sel, 2]]
+    use_land = in_b & (land_label != gt.num_classes - 1)
+    cls = np.where(use_land, land_label, hit_label).astype(np.int64)
+    flips = flip_roll[sel] < noise.flip_prob
+    wrong = (cls + 1 + flip_target[sel]) % n_cls
+    cls = np.where(flips, wrong, cls)
+    consistent = np.all(cell == hits.voxel[sel], axis=1)
+    opac = np.where(consistent, 1.0, STUB_MOVED_OPACITY)
+    logits = np.zeros((len(sel), n_cls))
+    logits[np.arange(len(sel)), cls] = cfg.logit_magnitude
+    logits += logit_noise[sel]
+    occupancy = np.where(gt.values != gt.num_classes - 1, 0, 1).astype(np.uint16)
+    geom_ext = np.stack(
+        [axis_surface_extent(occupancy, hits.voxel[sel], a, gt.voxel_size,
+                             cfg.surface_extent_reach) for a in range(3)],
+        axis=1,
+    )
+    entry = hits.face_axis[sel]
+    normal_axis = np.argmin(geom_ext, axis=1)
+    entry_is_min = geom_ext[np.arange(len(sel)), entry] <= geom_ext.min(axis=1)
+    normal_axis[entry_is_min] = entry[entry_is_min]
+    thin_map = loop_thin_axis_map(gt.values != gt.num_classes - 1, cfg.surface_extent_reach)
+    class_ext = np.stack(
+        [axis_surface_extent(gt.values, hits.voxel[sel], a, gt.voxel_size,
+                             cfg.surface_extent_reach, thin_map, normal_axis)
+         for a in range(3)],
+        axis=1,
+    )
+    pix_angle = max(1.0 / frame.intrinsics[0, 0] * frame.width / cfg.grid_w,
+                    1.0 / frame.intrinsics[1, 1] * frame.height / cfg.grid_h)
+    d_norm = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    incidence = np.abs(d_norm[np.arange(len(sel)), normal_axis])
+    footprint = cfg.footprint_gain * t_mid * pix_angle / np.maximum(incidence, 0.2)
+    allowed = (class_ext + 0.5 * gt.voxel_size) / cfg.spill_margin
+    scales = np.clip(np.minimum(footprint[:, None], allowed),
+                     cfg.tangent_scale_min, cfg.tangent_scale_max)
+    scales[np.arange(len(sel)), normal_axis] = cfg.normal_scale
+    quats = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (len(sel), 1))
+    feats = np.zeros((len(sel), cfg.feature_dim))
+    confs = confidence_values(logits, opac)
+    return PrimitiveBatch(means, scales, quats, opac, logits, feats, confs)
+
+
+def camera(position, forward, far=DEFAULT_FAR):
+    return CameraFrame(DEFAULT_INTRINSICS.copy(),
+                       _look_at_pose(np.asarray(position, dtype=float),
+                                     np.asarray(forward, dtype=float)),
+                       DEFAULT_WIDTH, DEFAULT_HEIGHT, DEFAULT_NEAR, far)
+
+
+def random_cameras(n, seed):
+    """Cameras inside and around the scene, looking anywhere, with far
+    planes from shorter than one voxel row to past the whole grid."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        pos = rng.uniform(-0.8, 0.8, 3) * EXTENT + EXTENT / 2
+        out.append(camera(pos, rng.normal(size=3), far=rng.uniform(0.2, 12.0)))
+    return out
+
+
+# Pixels of the default sampling grid plus the principal point and pixels
+# on its row and column, whose rays have zero camera x or y components.
+PIXELS = np.concatenate([
+    sample_pixels(DEFAULT_WIDTH, DEFAULT_HEIGHT, 21, 28),
+    [[320.0, 240.0], [320.0, 10.5], [320.0, 470.5], [5.5, 240.0], [630.5, 240.0]],
+])
+
+
+def assert_hits_equal(got, ref):
+    for name in ("hit", "t_entry", "t_exit", "voxel", "face_axis"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
+class TestSceneMaps:
+    def test_padded_codes_and_maps(self):
+        cfg = StubConfig()
+        maps = scene_maps(GT, cfg)
+        occupied = GT.values != GT.num_classes - 1
+        assert maps.codes.dtype == np.int8
+        assert maps.codes.shape == tuple(d + 2 for d in GT.dims)
+        assert np.array_equal(maps.codes[1:-1, 1:-1, 1:-1], occupied.astype(np.int8))
+        inner = np.zeros(maps.codes.shape, dtype=bool)
+        inner[1:-1, 1:-1, 1:-1] = True
+        assert np.all(maps.codes[~inner] == 2)
+        assert np.array_equal(maps.occupied, occupied)
+
+    @pytest.mark.parametrize("reach", [1, 2, 4])
+    def test_thin_axis_matches_shifted_copies_on_the_shell(self, reach):
+        rng = np.random.default_rng(reach)
+        for occupied in (GT.values != GT.num_classes - 1, rng.random((20, 17, 9)) < 0.6):
+            labels = np.where(occupied, 0, 11).astype(np.uint16)
+            grid = VoxelGrid.empty_labels((0, 0, 0), 0.1, occupied.shape)
+            grid.values[:] = labels
+            thin = scene_maps(grid, StubConfig(surface_extent_reach=reach)).thin_axis
+            ref = loop_thin_axis_map(occupied, reach)
+            assert np.array_equal(thin[occupied], ref[occupied])
+            assert not thin[~occupied].any()
+
+
+class TestTraceRays:
+    @pytest.mark.parametrize("grid_hw", LIFT_GRIDS)
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_trajectory_matches_loop(self, seed, grid_hw):
+        maps = scene_maps(GT, StubConfig())
+        pixels = sample_pixels(DEFAULT_WIDTH, DEFAULT_HEIGHT, *grid_hw)
+        for frame in generate_trajectory(default_scene(), 12, seed):
+            assert_hits_equal(trace_rays(GT, maps, frame, pixels),
+                              loop_trace_rays(GT, frame, pixels))
+
+    def test_random_cameras_match_loop(self):
+        maps = scene_maps(GT, StubConfig())
+        cams = random_cameras(120, seed=5)
+        inside = [np.all((c.position >= 0) & (c.position <= EXTENT)) for c in cams]
+        assert 10 < sum(inside) < 110
+        n_hit = n_miss = 0
+        for frame in cams:
+            ref = loop_trace_rays(GT, frame, PIXELS)
+            assert_hits_equal(trace_rays(GT, maps, frame, PIXELS), ref)
+            n_hit += ref.hit.sum()
+            n_miss += (~ref.hit).sum()
+        assert n_hit > 1000 and n_miss > 1000
+
+    @pytest.mark.parametrize("position,forward", [
+        ((2.4, 2.4, 1.44), (1, 0, 0)),
+        ((2.4, 2.4, 1.44), (0, -1, 0)),
+        ((2.4, 2.4, 1.44), (0, 0, 1)),
+        ((2.4, 2.4, 1.44), (0, 0, -1)),
+        ((-1.0, 2.4, 1.44), (1, 0, 0)),      # enters through the x = 0 face
+        ((2.0, 2.0, 0.64), (1, 0, 0)),       # origin on voxel faces
+        ((-1.0, 6.0, 1.44), (1, 0, 0)),      # outside the y slab: misses
+        ((2.4, 2.4, 6.0), (0, 0, 1)),        # above the grid, looking up
+    ])
+    def test_axis_aligned_views_match_loop(self, position, forward):
+        frame = camera(position, forward)
+        origin, dirs = frame.pixel_rays(PIXELS)
+        assert np.sum(dirs == 0) >= 5
+        assert_hits_equal(trace_rays(GT, scene_maps(GT, StubConfig()), frame, PIXELS),
+                          loop_trace_rays(GT, frame, PIXELS))
+
+    @pytest.mark.parametrize("position,forward,far", [
+        ((-3.0, -3.0, 1.0), (-1, -1, 0), DEFAULT_FAR),   # looks away
+        ((2.4, 2.4, 9.0), (0.1, 0.2, 1), DEFAULT_FAR),   # above, looks up
+        ((-3.0, 2.4, 1.44), (1, 0, 0), 2.5),             # far plane short of the grid
+    ])
+    def test_rays_that_miss_the_grid(self, position, forward, far):
+        frame = camera(position, forward, far)
+        hits = trace_rays(GT, scene_maps(GT, StubConfig()), frame, PIXELS)
+        assert not hits.hit.any()
+        assert_hits_equal(hits, loop_trace_rays(GT, frame, PIXELS))
+
+
+def hit_voxels(seed, frames=6):
+    maps = scene_maps(GT, StubConfig())
+    pixels = sample_pixels(DEFAULT_WIDTH, DEFAULT_HEIGHT, 30, 40)
+    out = []
+    for frame in generate_trajectory(default_scene(), frames, seed):
+        hits = trace_rays(GT, maps, frame, pixels)
+        out.append((hits.voxel[hits.hit], hits.face_axis[hits.hit]))
+    return out
+
+
+class TestSurfaceExtent:
+    @pytest.mark.parametrize("reach", [1, 4])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_one_gather_matches_per_axis_runs(self, seed, reach):
+        occupied = GT.values != GT.num_classes - 1
+        occupancy = np.where(occupied, 0, 1).astype(np.uint16)
+        thin = loop_thin_axis_map(occupied, reach)
+        vs = GT.voxel_size
+        # occupied voxels on every face of the grid as well as the hit voxels
+        edge = np.array([[0, 5, 5], [59, 5, 5], [5, 0, 5], [5, 59, 5], [5, 5, 0],
+                         [0, 5, 35], [0, 0, 0], [59, 59, 35]])
+        assert occupied[tuple(edge.T)].all()
+        for voxels, entry in hit_voxels(seed) + [(edge, np.array([0, 0, 1, 1, 2, 2, 0, 1]))]:
+            geom = _surface_extent(voxels, vs, reach, (occupied, True))
+            ref = np.stack([axis_surface_extent(occupancy, voxels, a, vs, reach)
+                            for a in range(3)], axis=1)
+            assert np.array_equal(geom, ref)
+            normal = np.where(geom[np.arange(len(voxels)), entry] <= geom.min(axis=1),
+                              entry, np.argmin(geom, axis=1))
+            labels = GT.values[voxels[:, 0], voxels[:, 1], voxels[:, 2]]
+            cls = _surface_extent(voxels, vs, reach, (GT.values, labels), (thin, normal))
+            ref = np.stack([axis_surface_extent(GT.values, voxels, a, vs, reach, thin,
+                                                normal) for a in range(3)], axis=1)
+            assert np.array_equal(cls, ref)
+
+
+class TestStubPredict:
+    @pytest.mark.parametrize("noise", [
+        NoiseParams(),
+        NoiseParams(depth_sigma=0.05, logit_noise=0.5, flip_prob=0.2),
+    ], ids=["clean", "noisy"])
+    @pytest.mark.parametrize("grid_hw", LIFT_GRIDS)
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_batches_match_reference(self, seed, grid_hw, noise):
+        cfg = StubConfig(grid_h=grid_hw[0], grid_w=grid_hw[1])
+        maps = scene_maps(GT, cfg)
+        for i, frame in enumerate(generate_trajectory(default_scene(), 8, seed)):
+            got = stub_predict(GT, maps, frame, noise, seed + i, cfg)
+            ref = reference_stub_predict(GT, frame, noise, seed + i, cfg)
+            assert len(got) == len(ref) > 0
+            for name in FIELDS:
+                assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+    def test_frames_that_see_nothing_give_empty_batches(self):
+        cfg = StubConfig(grid_h=12, grid_w=16)
+        frame = camera((-3.0, -3.0, 1.0), (-1, -1, 0))
+        got = stub_predict(GT, scene_maps(GT, cfg), frame, NoiseParams(), 0, cfg)
+        assert len(got) == 0
+        assert len(reference_stub_predict(GT, frame, NoiseParams(), 0, cfg)) == 0

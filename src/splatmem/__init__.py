@@ -1,10 +1,9 @@
 """Gaussian-to-voxel semantic splatting with a persistent fused memory."""
 
-from .core import (CameraFrame, Covariance, GaussianPrimitive, PrimitiveBatch, cell_of,
-                   concat_batches, covariance, density, kernel, quat_to_rotation)
+from .core import CameraFrame, PrimitiveBatch, cell_of, concat_batches
 from .grid import VoxelGrid, load_vgrid, save_vgrid
 from .splat import argmax_labels, render, splat_fields
-from .conf import ConfidenceConfig, confidence, entropy
+from .conf import ConfidenceConfig
 from .cavf import FusionConfig, fuse, fusion_weights
 from .attn import EncoderWeights, cca, dte_step, init_weights, mha, temporal_encoder_block
 from .memory import GaussianMemory, init_memory, load_gmem, query_fov, save_gmem, update

@@ -55,9 +55,6 @@ class EncoderWeights:
     refine_w: np.ndarray = field(repr=False, default=None)
     refine_b: np.ndarray = field(repr=False, default=None)
 
-    MATRIX_FIELDS = ("w_q", "w_k", "w_v", "w_o", "ffn_w1", "ffn_b1", "ffn_w2",
-                     "ffn_b2", "refine_w", "refine_b")
-
     def with_zero_refinement(self) -> "EncoderWeights":
         """Copy with the refinement head zeroed (features still update)."""
         return replace(

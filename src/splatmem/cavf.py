@@ -1,7 +1,8 @@
 """Confidence-aware voxel fusion.
 
-Primitives are grouped by the voxel cell containing their mean, weighted
-by a per-cell softmax over their confidences, and merged into one
+Primitives are grouped by the fusion cell containing their mean (the
+caller computes the cells with `core.cell_of` from the memory's origin),
+weighted by a per-cell softmax over their confidences, and merged into one
 primitive per occupied cell by convex combination of every attribute and
 feature. Quaternions are sign-aligned to the highest-weight group member
 before summation since q and -q encode the same rotation.
@@ -26,9 +27,6 @@ from .conf import ConfidenceConfig, confidence_values
 from .core import MIN_SCALE, PrimitiveBatch
 from .errors import InvalidInputError
 
-WORLD_ZERO = "world_zero"
-SCENE_MIN = "scene_min"
-
 _QUAT_SUM_EPS = 1e-8
 
 
@@ -36,23 +34,12 @@ _QUAT_SUM_EPS = 1e-8
 class FusionConfig:
     voxel_size: float = 0.12
     temperature: float = 1.0
-    grid_origin_policy: str = WORLD_ZERO
 
     def __post_init__(self):
         if not self.voxel_size > 0:  # also rejects NaN
             raise InvalidInputError("voxel_size must be positive")
         if not self.temperature > 0:
             raise InvalidInputError("temperature must be positive")
-        if self.grid_origin_policy not in (WORLD_ZERO, SCENE_MIN):
-            raise InvalidInputError(
-                f"unknown grid_origin_policy {self.grid_origin_policy!r}"
-            )
-
-
-def fusion_origin(means: np.ndarray, cfg: FusionConfig) -> np.ndarray:
-    if cfg.grid_origin_policy == WORLD_ZERO or len(means) == 0:
-        return np.zeros(3)
-    return means.min(axis=0)
 
 
 def _group_buckets(cells: np.ndarray) -> tuple[int, list]:

@@ -51,6 +51,16 @@ class EncoderConfig:
     # keep the feature/attention path live.
     zero_refinement: bool = True
 
+    def __post_init__(self):
+        dims = (self.d_model, self.n_heads, self.d_ff, self.n_blocks)
+        if not all(v > 0 for v in dims):  # also rejects NaN
+            raise InvalidInputError("d_model, n_heads, d_ff and n_blocks must be positive")
+        if self.d_model % self.n_heads:
+            raise InvalidInputError(
+                f"d_model {self.d_model} is not divisible by n_heads {self.n_heads}")
+        if not self.seed >= 0:
+            raise InvalidInputError("seed must be >= 0")
+
 
 @dataclass
 class RunConfig:
@@ -132,6 +142,8 @@ def _validate_run_config(cfg: RunConfig) -> None:
         raise ConfigError(f"unknown mode {cfg.mode!r}")
     if cfg.n_frames < 1:
         raise ConfigError("n_frames must be >= 1")
+    if not (cfg.trajectory_seed >= 0 and cfg.stub_seed >= 0):
+        raise ConfigError("trajectory_seed and stub_seed must be >= 0")
     if cfg.scene != "default" and not Path(cfg.scene).exists():
         raise ConfigError(f"scene file {cfg.scene} does not exist")
 
@@ -172,7 +184,7 @@ def run_local(cfg: RunConfig) -> MetricReport:
     ious, mious = [], []
     for i, frame in enumerate(frames):
         batch = stub_predict(gt, maps, frame, cfg.noise, cfg.stub_seed + i,
-                             cfg.stub, cfg.confidence)
+                             cfg.encoder.d_model, cfg.stub, cfg.confidence)
         if len(batch) and cfg.use_dte:
             batch, _ = dte_step(batch, empty_hist, weights,
                                 cfg.encoder.n_blocks, cfg.confidence)
@@ -225,27 +237,25 @@ def run_embodied(cfg: RunConfig) -> MetricReport:
     for i, frame in enumerate(frames):
         t0 = time.perf_counter()
         batch = stub_predict(gt, maps, frame, cfg.noise, cfg.stub_seed + i,
-                             cfg.stub, cfg.confidence)
+                             cfg.encoder.d_model, cfg.stub, cfg.confidence)
+        inside = len(batch)
         if concat_mode:
             if concat_batch is None:
                 concat_batch = batch
             elif len(batch):
                 concat_batch = concat_batches(concat_batch, batch)
-            count, inside = len(concat_batch), len(batch)
-            bytes_est = gmem_nbytes(count, concat_batch.n_logits + 1,
-                                    concat_batch.d_model)
+            held = concat_batch
         else:
             if memory is None:
                 if len(batch) == 0:
                     raise InvariantError("first frame produced no primitives")
                 memory = init_memory(batch, cfg.fusion, cfg.confidence)
             else:
-                update(memory, batch, frame, weights if cfg.use_dte else None,
-                       cfg.encoder.n_blocks, cfg.confidence)
-            count = len(memory)
-            inside = memory.stats[-1].inside_count
-            bytes_est = memory.bytes_estimate()
-        stat_rows.append(f"{i},{count},{inside},{bytes_est}")
+                inside = update(memory, batch, frame, weights if cfg.use_dte else None,
+                                cfg.encoder.n_blocks, cfg.confidence)
+            held = memory.batch
+        nbytes = gmem_nbytes(len(held), held.n_logits + 1, held.d_model)
+        stat_rows.append(f"{i},{len(held)},{inside},{nbytes}")
         time_rows.append(f"{i},{time.perf_counter() - t0:.4f}")
 
     final = concat_batch if concat_mode else memory.batch
@@ -283,7 +293,7 @@ def run_embodied(cfg: RunConfig) -> MetricReport:
 def cmd_stats(path: str) -> str:
     mem = load_gmem(path)
     b = mem.batch
-    lines = [f"count {len(b)}", f"bytes {mem.bytes_estimate()}"]
+    lines = [f"count {len(b)}", f"bytes {gmem_nbytes(len(b), b.n_logits + 1, b.d_model)}"]
     if len(b):
         lo, hi = b.means.min(axis=0), b.means.max(axis=0)
         lines.append("bbox_min " + " ".join(_fmt(v) for v in lo))

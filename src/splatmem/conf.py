@@ -1,9 +1,8 @@
 """Per-primitive confidence from semantic entropy and opacity.
 
-The default mapping is the power transform
+Confidence is the power transform
     C = (1 - min(H / h_max, 1))^p * opacity
-with H the Shannon entropy (natural log) of the softmaxed logits. A sharp
-sigmoid variant sigma(-beta (H - gamma)) * opacity is the alternative.
+with H the Shannon entropy (natural log) of the softmaxed logits.
 Confidences are raw per-primitive scores in [0, 1]; the fusion softmax
 over each cell is their only normalization.
 """
@@ -16,28 +15,15 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-POWER = "power"
-SHARP_SIGMOID = "sharp_sigmoid"
-
 
 @dataclass(frozen=True)
 class ConfidenceConfig:
     h_max: float = 3.0
     sharpness: float = 3.0
-    transform: str = POWER
-    sigmoid_beta: float = 10.0
-    sigmoid_gamma: float = 1.5
 
     def __post_init__(self):
-        if self.h_max <= 0 or self.sharpness <= 0:
+        if not (self.h_max > 0 and self.sharpness > 0):  # also rejects NaN
             raise InvalidInputError("h_max and sharpness must be positive")
-        if self.transform not in (POWER, SHARP_SIGMOID):
-            raise InvalidInputError(f"unknown transform {self.transform!r}")
-
-
-def entropy(logits) -> float:
-    """Shannon entropy of softmax(logits), natural log."""
-    return float(entropy_batch(np.atleast_2d(np.asarray(logits, dtype=np.float64)))[0])
 
 
 def entropy_batch(logits: np.ndarray) -> np.ndarray:
@@ -54,22 +40,11 @@ def entropy_batch(logits: np.ndarray) -> np.ndarray:
     return lse - (p * l).sum(axis=-1)
 
 
-def _semantic_factor(h: np.ndarray, cfg: ConfidenceConfig) -> np.ndarray:
-    if cfg.transform == POWER:
-        return (1.0 - np.minimum(h / cfg.h_max, 1.0)) ** cfg.sharpness
-    # sharp sigmoid
-    return 1.0 / (1.0 + np.exp(cfg.sigmoid_beta * (h - cfg.sigmoid_gamma)))
-
-
 def confidence_values(
     logits: np.ndarray, opacities: np.ndarray, cfg: ConfidenceConfig | None = None
 ) -> np.ndarray:
     """Confidences for rows of logits and opacities."""
     cfg = cfg or ConfidenceConfig()
     h = entropy_batch(np.atleast_2d(logits))
-    return _semantic_factor(h, cfg) * np.asarray(opacities, dtype=np.float64)
-
-
-def confidence(g, cfg: ConfidenceConfig | None = None) -> float:
-    """Confidence of a single primitive, in [0, 1]."""
-    return float(confidence_values(g.logits[None, :], np.array([g.opacity]), cfg)[0])
+    semantic = (1.0 - np.minimum(h / cfg.h_max, 1.0)) ** cfg.sharpness
+    return semantic * np.asarray(opacities, dtype=np.float64)

@@ -1,19 +1,16 @@
-"""Primitive types, the fusion-cell key and closed-form Gaussian math.
+"""Primitive types, the fusion-cell key and the pinhole camera.
 
 `PrimitiveBatch` is the one struct-of-arrays primitive set that every
-layer takes and returns. `GaussianPrimitive` and the scalar functions
-(`quat_to_rotation`, `covariance`, `kernel`, `density`) describe one
-primitive; the tests use them as the dense oracle for the batched code.
-Quaternions are stored (w, x, y, z) everywhere, including file formats.
+layer takes and returns. Quaternions are stored (w, x, y, z) everywhere,
+including file formats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .conf import confidence_values
 from .errors import InvalidInputError
 
 # Class count: occupied classes 0..NUM_CLASSES-2 plus one empty class.
@@ -21,45 +18,17 @@ from .errors import InvalidInputError
 # probability is derived from opacity at render time.
 NUM_CLASSES = 12
 
-# Scale components below this are clamped at construction to keep the
-# covariance invertible.
+# The DTE and fusion clamp the scale components they compute to at least
+# this, which keeps the covariance invertible.
 MIN_SCALE = 1e-4
 
 _QUAT_NORM_EPS = 1e-8
-
-
-def _vec3(v, name: str) -> np.ndarray:
-    a = np.asarray(v, dtype=np.float64)
-    if a.shape != (3,):
-        raise InvalidInputError(f"{name} must be a 3-vector, got shape {a.shape}")
-    return a
 
 
 def cell_of(points, origin, size: float) -> np.ndarray:
     """Integer cell floor((p - origin) / size) of each (N, 3) point."""
     p = np.asarray(points, dtype=np.float64)
     return np.floor((p - origin) / size).astype(np.int64)
-
-
-def quat_to_rotation(q) -> np.ndarray:
-    """Convert a (w, x, y, z) quaternion to a 3x3 rotation matrix.
-
-    The input is renormalized; a near-zero-norm quaternion is rejected.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (4,):
-        raise InvalidInputError(f"quaternion must be a 4-vector, got shape {q.shape}")
-    n = np.linalg.norm(q)
-    if n < _QUAT_NORM_EPS:
-        raise InvalidInputError("quaternion has (near-)zero norm")
-    w, x, y, z = q / n
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
 
 
 def quats_to_rotations(quats: np.ndarray) -> np.ndarray:
@@ -80,99 +49,6 @@ def quats_to_rotations(quats: np.ndarray) -> np.ndarray:
     R[:, 2, 1] = 2 * (y * z + w * x)
     R[:, 2, 2] = 1 - 2 * (x * x + y * y)
     return R
-
-
-@dataclass(frozen=True)
-class Covariance:
-    """Symmetric positive-definite 3x3 covariance of one primitive."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.shape != (3, 3):
-            raise InvalidInputError(f"covariance must be 3x3, got {m.shape}")
-        if np.max(np.abs(m - m.T)) > 1e-9:
-            raise InvalidInputError("covariance is not symmetric")
-        if np.any(np.linalg.eigvalsh(m) <= 0):
-            raise InvalidInputError("covariance is not positive definite")
-        object.__setattr__(self, "matrix", m)
-
-
-def covariance(scale, q) -> Covariance:
-    """Build the covariance R diag(s)^2 R^T from scale and rotation.
-
-    Eigenvalues of the result are exactly the squared scale components.
-    """
-    s = _vec3(scale, "scale")
-    if np.any(s <= 0):
-        raise InvalidInputError("scale components must be strictly positive")
-    R = quat_to_rotation(q)
-    return Covariance(R @ np.diag(s * s) @ R.T)
-
-
-@dataclass(frozen=True)
-class GaussianPrimitive:
-    """One anisotropic semantic Gaussian.
-
-    Fields:
-        mean: world position, meters (3,)
-        scale: per-axis standard deviations, meters (3,), clamped >= MIN_SCALE
-        rotation: unit quaternion (w, x, y, z)
-        opacity: geometric certainty in [0, 1]
-        logits: occupied-class scores, length NUM_CLASSES - 1 by default
-        feature: embedding vector of arbitrary dimension
-    """
-
-    mean: np.ndarray
-    scale: np.ndarray
-    rotation: np.ndarray
-    opacity: float
-    logits: np.ndarray
-    feature: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def __post_init__(self):
-        mean = _vec3(self.mean, "mean")
-        scale = np.maximum(_vec3(self.scale, "scale"), MIN_SCALE)
-        rot = np.asarray(self.rotation, dtype=np.float64)
-        if rot.shape != (4,):
-            raise InvalidInputError("rotation must be a quaternion 4-vector")
-        n = np.linalg.norm(rot)
-        if n < _QUAT_NORM_EPS:
-            raise InvalidInputError("rotation quaternion has (near-)zero norm")
-        rot = rot / n
-        if not (0.0 <= self.opacity <= 1.0):
-            raise InvalidInputError(f"opacity {self.opacity} outside [0, 1]")
-        logits = np.asarray(self.logits, dtype=np.float64)
-        if logits.ndim != 1 or logits.size < 1:
-            raise InvalidInputError("logits must be a nonempty 1-d vector")
-        feature = np.asarray(self.feature, dtype=np.float64)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "rotation", rot)
-        object.__setattr__(self, "opacity", float(self.opacity))
-        object.__setattr__(self, "logits", logits)
-        object.__setattr__(self, "feature", feature)
-
-    def covariance(self) -> Covariance:
-        return covariance(self.scale, self.rotation)
-
-    def inv_covariance(self) -> np.ndarray:
-        """Closed-form inverse R diag(s)^-2 R^T; exact, no linear solve."""
-        R = quat_to_rotation(self.rotation)
-        return R @ np.diag(1.0 / (self.scale * self.scale)) @ R.T
-
-
-def kernel(x, g: GaussianPrimitive) -> float:
-    """Un-normalized Gaussian kernel exp(-0.5 d^T Sigma^-1 d), in (0, 1]."""
-    d = _vec3(x, "x") - g.mean
-    return float(np.exp(-0.5 * d @ g.inv_covariance() @ d))
-
-
-def density(x, g: GaussianPrimitive) -> float:
-    """Normalized Gaussian pdf value at x."""
-    norm = (2.0 * np.pi) ** 1.5 * float(np.prod(g.scale))
-    return kernel(x, g) / norm
 
 
 _BATCH_FIELDS = ("means", "scales", "rotations", "opacities", "logits",
@@ -221,24 +97,6 @@ class PrimitiveBatch:
         z = np.zeros
         return cls(z((0, 3)), z((0, 3)), z((0, 4)), z(0), z((0, n_classes - 1)),
                    z((0, d_model)), z(0))
-
-    @classmethod
-    def from_primitives(cls, primitives: list[GaussianPrimitive]) -> "PrimitiveBatch":
-        """Stack GaussianPrimitive rows; confidences use the default config."""
-        prims = list(primitives)
-        if not prims:
-            raise InvalidInputError("cannot build a batch from zero primitives")
-        logits = np.stack([g.logits for g in prims])
-        opac = np.array([g.opacity for g in prims])
-        return cls(
-            np.stack([g.mean for g in prims]),
-            np.stack([g.scale for g in prims]),
-            np.stack([g.rotation for g in prims]),
-            opac,
-            logits,
-            np.stack([g.feature for g in prims]),
-            confidence_values(logits, opac),
-        )
 
     def copy(self) -> "PrimitiveBatch":
         return PrimitiveBatch(*(np.array(getattr(self, f)) for f in _BATCH_FIELDS))

@@ -71,10 +71,6 @@ class VoxelGrid:
         vals = np.full(tuple(dims), num_classes - 1, dtype=np.uint16)
         return cls(origin, voxel_size, tuple(dims), vals, LABEL_MODE, num_classes)
 
-    def centers(self) -> np.ndarray:
-        """World coordinates of all voxel centers, shape dims + (3,)."""
-        return np.stack(np.meshgrid(*self.axis_centers(), indexing="ij"), axis=-1)
-
     def axis_centers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return tuple(
             self.origin[a] + (np.arange(self.dims[a]) + 0.5) * self.voxel_size

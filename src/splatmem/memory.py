@@ -4,18 +4,20 @@ Each update retrieves the in-view slice of the memory, cross-refines it
 against the frame's local prediction with the dual temporal encoder,
 merges the union through confidence-aware voxel fusion, and writes the
 result back next to the untouched out-of-view primitives. After every
-update there is at most one primitive per fusion cell.
+update there is at most one primitive per fusion cell. Fusion cells are
+anchored at the memory's origin: the world origin for a new memory, the
+stored origin for one loaded from a `.gmem` checkpoint.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .attn import EncoderWeights, dte_step
-from .cavf import FusionConfig, fuse, fusion_origin, fusion_weights
+from .cavf import FusionConfig, fuse, fusion_weights
 from .conf import ConfidenceConfig, confidence_values
 from .core import CameraFrame, PrimitiveBatch, cell_of, concat_batches
 from .errors import FormatError, InvalidInputError, InvariantError
@@ -39,35 +41,16 @@ def gmem_nbytes(count: int, n_classes: int, d_model: int) -> int:
 
 
 @dataclass
-class FrameStats:
-    frame: int
-    count: int
-    bytes_estimate: int
-    inside_count: int
-
-
-@dataclass
 class GaussianMemory:
     """Accumulated primitive set plus its fusion-cell bookkeeping."""
 
     batch: PrimitiveBatch
     fusion: FusionConfig
     origin: np.ndarray
-    cells: np.ndarray                       # (N, 3) fusion cell per primitive
-    frame_counter: int = 0                  # number of update() calls applied
-    stats: list[FrameStats] = field(default_factory=list)
+    cells: np.ndarray  # (N, 3) fusion cell per primitive
 
     def __len__(self) -> int:
         return len(self.batch)
-
-    def bytes_estimate(self) -> int:
-        """Size in bytes of this memory's `.gmem` checkpoint."""
-        return gmem_nbytes(len(self), self.batch.n_logits + 1, self.batch.d_model)
-
-    def _log(self, inside_count: int) -> None:
-        self.stats.append(
-            FrameStats(self.frame_counter, len(self), self.bytes_estimate(), inside_count)
-        )
 
     def check_unique_cells(self) -> None:
         if len(self.cells) != len(np.unique(self.cells, axis=0)):
@@ -102,11 +85,9 @@ def init_memory(
     if len(prediction) == 0:
         raise InvalidInputError("cannot initialize memory from an empty prediction")
     cfg = cfg or FusionConfig()
-    origin = fusion_origin(prediction.means, cfg)
+    origin = np.zeros(3)
     batch, cells = _fuse_at_origin(prediction, origin, cfg, conf_cfg)
-    mem = GaussianMemory(batch, cfg, origin, cells)
-    mem._log(inside_count=len(prediction))
-    return mem
+    return GaussianMemory(batch, cfg, origin, cells)
 
 
 def query_fov(memory: GaussianMemory, frame: CameraFrame) -> tuple[PrimitiveBatch, np.ndarray]:
@@ -128,16 +109,16 @@ def update(
     weights: EncoderWeights | None,
     n_blocks: int = 2,
     conf_cfg: ConfidenceConfig | None = None,
-) -> GaussianMemory:
-    """Absorb one frame into the memory (mutates and returns it).
+) -> int:
+    """Absorb one frame into the memory, in place; returns the number of
+    memory rows that were in view.
 
     With weights None the temporal encoder is skipped: the raw local batch
-    is fused with the in-view slice as it is.
+    is fused with the in-view slice as it is. An empty local prediction
+    leaves the memory as it is and counts no row in view.
     """
-    memory.frame_counter += 1
     if len(local_prediction) == 0:
-        memory._log(inside_count=0)
-        return memory
+        return 0
 
     inside, idx_out = query_fov(memory, frame)
     if weights is None:
@@ -155,8 +136,7 @@ def update(
 
     memory.batch = concat_batches(kept, new_batch)
     memory.cells = np.concatenate([kept_cells, new_cells])
-    memory._log(inside_count=len(inside))
-    return memory
+    return len(inside)
 
 
 def _merge_collisions(
@@ -203,9 +183,9 @@ def save_gmem(path, memory: GaussianMemory) -> None:
     Header {magic "GMEM", version u32, count u32, d_model u32, C u32,
     fusion voxel_size f64, origin 3 x f64} followed by one packed f32
     record per primitive: mean 3, scale 3, quat 4, opacity 1, logits C-1,
-    feature d_model. Confidences are derived data and are recomputed on
-    load; counters and stats are not persisted. Raises InvariantError, and
-    writes nothing, when a record value is not finite in float32.
+    feature d_model. Confidences and cells are derived data and are
+    recomputed on load. Raises InvariantError, and writes nothing, when a
+    record value is not finite in float32.
     """
     b = memory.batch
     d_model = b.d_model
@@ -216,8 +196,9 @@ def save_gmem(path, memory: GaussianMemory) -> None:
     )
     columns = dict(means=b.means, scales=b.scales, rotations=b.rotations,
                    opacities=b.opacities[:, None], logits=b.logits, features=b.features)
-    for name, col in columns.items():  # NaN fails the comparison too
-        if not np.all(np.abs(col) <= np.finfo(np.float32).max):
+    f32_max = float(np.finfo(np.float32).max)
+    for name, col in columns.items():  # NaN fails the comparisons too
+        if not (col.min(initial=0.0) >= -f32_max and col.max(initial=0.0) <= f32_max):
             raise InvariantError(f"gmem column {name} holds a value float32 cannot store")
     rec = np.empty((len(b), _record_floats(n_classes, d_model)), dtype="<f4")
     np.concatenate(list(columns.values()), axis=1, out=rec, casting="same_kind")

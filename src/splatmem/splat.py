@@ -45,7 +45,7 @@ _CHUNK_PAIRS = 1 << 17
 class SplatFields:
     """Fields of one splatting pass, accumulated over `box`, the union of
     the primitives' blocks; a voxel outside it has alpha 0, uniform
-    semantics and is undefined. Full-grid fields are built on access."""
+    semantics and zero density."""
 
     dims: tuple[int, int, int]
     box: tuple[slice, slice, slice]
@@ -58,25 +58,6 @@ class SplatFields:
         undefined = self.acc[..., 0] == 0.0
         np.divide(self.acc[..., 1:], self.acc[..., :1], out=out, where=~undefined[..., None])
         out[undefined] = 1.0 / out.shape[-1]
-
-    def _full(self, outside, inside: np.ndarray) -> np.ndarray:
-        out = np.full(self.dims + inside.shape[3:], outside, dtype=inside.dtype)
-        out[self.box] = inside
-        return out
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return self._full(0.0, 1.0 - self.keep)
-
-    @property
-    def semantics(self) -> np.ndarray:
-        sem = np.empty(self.acc.shape[:-1] + (self.acc.shape[-1] - 1,))
-        self.box_semantics(sem)
-        return self._full(1.0 / sem.shape[-1], sem)
-
-    @property
-    def undefined(self) -> np.ndarray:  # zero total density
-        return self._full(True, self.acc[..., 0] == 0.0)
 
 
 def _voxel_span(means, half, origin, voxel_size, cell_size, dims):

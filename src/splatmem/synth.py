@@ -280,6 +280,13 @@ class NoiseParams:
     logit_noise: float = 0.0
     flip_prob: float = 0.0
 
+    def __post_init__(self):
+        # written so that NaN fails every check
+        if not (0 <= self.depth_sigma < np.inf and 0 <= self.logit_noise < np.inf):
+            raise InvalidInputError("depth_sigma and logit_noise must be finite and >= 0")
+        if not 0 <= self.flip_prob <= 1:
+            raise InvalidInputError("flip_prob must lie in [0, 1]")
+
 
 @dataclass(frozen=True)
 class StubConfig:
@@ -295,7 +302,6 @@ class StubConfig:
 
     grid_h: int = LIFT_GRID_H
     grid_w: int = LIFT_GRID_W
-    feature_dim: int = 32
     normal_scale: float = 0.02
     footprint_gain: float = 1.2
     tangent_scale_min: float = 0.03
@@ -309,6 +315,10 @@ class StubConfig:
     # sample means off cell boundaries
     mean_centering: float = 0.5
     logit_magnitude: float = STUB_LOGIT_MAGNITUDE
+
+    def __post_init__(self):
+        if not (self.grid_h > 0 and self.grid_w > 0):  # also rejects NaN
+            raise InvalidInputError("grid_h and grid_w must be positive")
 
 
 def _surface_extent(voxels: np.ndarray, voxel_size: float, reach: int,
@@ -340,6 +350,7 @@ def stub_predict(
     frame: CameraFrame,
     noise: NoiseParams,
     seed: int,
+    d_model: int,
     stub_cfg: StubConfig | None = None,
     conf_cfg: ConfidenceConfig | None = None,
 ) -> PrimitiveBatch:
@@ -351,6 +362,7 @@ def stub_predict(
     logit. Classes flip to a random wrong class with probability
     flip_prob; additive logit noise follows. Opacity is 1 for consistent
     hits and drops when the perturbed depth leaves the struck voxel.
+    Features are d_model zeros, the width of the encoder that refines them.
     """
     cfg = stub_cfg or StubConfig()
     rng = np.random.default_rng(seed)
@@ -367,7 +379,7 @@ def stub_predict(
 
     sel = np.nonzero(hits.hit)[0]
     if len(sel) == 0:
-        return PrimitiveBatch.empty(cfg.feature_dim, gt.num_classes)
+        return PrimitiveBatch.empty(d_model, gt.num_classes)
     t_mid = 0.5 * (hits.t_entry[sel] + hits.t_exit[sel])
     origin, dirs = frame.pixel_rays(pixels[sel])
     clean = origin + t_mid[:, None] * dirs
@@ -421,7 +433,7 @@ def stub_predict(
     scales[np.arange(len(sel)), normal_axis] = cfg.normal_scale
 
     quats = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (len(sel), 1))
-    feats = np.zeros((len(sel), cfg.feature_dim))
+    feats = np.zeros((len(sel), d_model))
     confs = confidence_values(logits, opac, conf_cfg)
     return PrimitiveBatch(means, scales, quats, opac, logits, feats, confs)
 

@@ -4,12 +4,15 @@ import struct
 import numpy as np
 import pytest
 
-from splatmem.attn import EncoderWeights, cca, dte_step, init_weights, mha, temporal_encoder_block
+from splatmem.attn import cca, dte_step, init_weights, mha, temporal_encoder_block
 from splatmem.core import PrimitiveBatch
 from splatmem.errors import InvalidInputError
 
 RNG = np.random.default_rng(23)
 D = 32
+# The weight arrays of an EncoderWeights, in the order init_weights draws them.
+WEIGHT_FIELDS = ("w_q", "w_k", "w_v", "w_o", "ffn_w1", "ffn_b1", "ffn_w2",
+                 "ffn_b2", "refine_w", "refine_b")
 
 # Frozen regression fixtures, generated once from the implementation.
 # WTS_SHA256_SEED42 is the digest of the seed-42 bundle in the former `.wts`
@@ -93,7 +96,7 @@ class TestInitWeights:
     def test_deterministic(self):
         a = init_weights(seed=5)
         b = init_weights(seed=5)
-        for name in EncoderWeights.MATRIX_FIELDS:
+        for name in WEIGHT_FIELDS:
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_seed_changes_weights(self):
@@ -105,7 +108,7 @@ class TestInitWeights:
         w = init_weights(32, 4, 64, 12, seed=42)
         raw = struct.pack("<4sI4IQ", b"TGSW", 1, w.d_model, w.n_heads, w.d_ff,
                           w.n_classes, w.seed)
-        for name in EncoderWeights.MATRIX_FIELDS:
+        for name in WEIGHT_FIELDS:
             raw += np.ascontiguousarray(getattr(w, name), dtype="<f4").tobytes()
         assert hashlib.sha256(raw).hexdigest() == WTS_SHA256_SEED42
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from splatmem.cavf import FusionConfig, fuse, fusion_origin, fusion_weights
+from oracle import GaussianPrimitive, from_primitives
+from splatmem.cavf import FusionConfig, fuse, fusion_weights
 from splatmem.conf import ConfidenceConfig, confidence_values
-from splatmem.core import MIN_SCALE, GaussianPrimitive, PrimitiveBatch, cell_of
+from splatmem.core import MIN_SCALE, PrimitiveBatch, cell_of
 from splatmem.errors import InvalidInputError
 
 RNG = np.random.default_rng(17)
@@ -26,8 +27,8 @@ def make_batch(n, spread=0.6, seed=None):
 
 
 def assign_voxels(b, cfg):
-    """The fusion cell of each row: floor((mean - origin) / voxel_size)."""
-    return cell_of(b.means, fusion_origin(b.means, cfg), cfg.voxel_size)
+    """The fusion cell of each row of a new memory: floor(mean / voxel_size)."""
+    return cell_of(b.means, np.zeros(3), cfg.voxel_size)
 
 
 def fuse_with_config(b, cfg):
@@ -55,7 +56,7 @@ def grouped_average_oracle(batch, weights, cells):
 
 
 class TestAssignVoxels:
-    """The fusion cell key: cell_of(mean, fusion_origin(...), voxel_size)."""
+    """The fusion cell key: cell_of(mean, origin, voxel_size)."""
 
     def test_interior_point(self):
         b = make_batch(1)
@@ -75,16 +76,10 @@ class TestAssignVoxels:
         cells = assign_voxels(b, FusionConfig(voxel_size=0.12))
         assert tuple(cells[0]) == (-1, 0, 0)
 
-    def test_scene_min_origin(self):
-        b = make_batch(4, seed=1)
-        cfg = FusionConfig(voxel_size=0.12, grid_origin_policy="scene_min")
-        cells = assign_voxels(b, cfg)
-        assert cells.min() >= 0
-
     def test_accepts_primitive_list(self):
         prims = [GaussianPrimitive((0.05, 0.05, 0.05), (0.1,) * 3, (1, 0, 0, 0),
                                    1.0, np.zeros(C - 1))]
-        cells = assign_voxels(PrimitiveBatch.from_primitives(prims), FusionConfig())
+        cells = assign_voxels(from_primitives(prims), FusionConfig())
         assert tuple(cells[0]) == (0, 0, 0)
 
 
@@ -267,7 +262,7 @@ class TestFuse:
         b = make_batch(40, seed=11)
         cells = assign_voxels(b, FusionConfig())
         w = fusion_weights(b.confidences, cells, 1.0)
-        cfg = ConfidenceConfig(transform="sharp_sigmoid")
+        cfg = ConfidenceConfig(h_max=1.5, sharpness=2.0)
         out = fuse(b, w, cells, cfg).batch
         assert np.array_equal(out.confidences,
                               confidence_values(out.logits, out.opacities, cfg))
@@ -279,8 +274,9 @@ class TestFuse:
             FusionConfig(voxel_size=0.0)
         with pytest.raises(InvalidInputError):
             FusionConfig(temperature=0.0)
-        with pytest.raises(InvalidInputError):
-            FusionConfig(grid_origin_policy="corner")
+        # cells are anchored at the memory's origin, not chosen by a policy
+        with pytest.raises(TypeError):
+            FusionConfig(grid_origin_policy="scene_min")
 
 
 # Reference implementations: the per-group loops that fusion_weights and

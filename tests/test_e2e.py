@@ -49,6 +49,19 @@ LOCAL_SHA256 = {
     "pred_frame_005.vgrid": "ddd366db88952e0db653d27e29973498a07090e2b7d8c1f8e75957455761cbaf",
 }
 
+# encoder.zero_refinement=false, the one path where the DTE moves geometry.
+# The seeded refinement head stands in for trained weights, so its deltas
+# scatter the primitives: the case pins the path, not a quality.
+REFINED_IOU = 0.0709769872713479
+REFINED_MIOU = 0.044035503281368404
+REFINED_SHA256 = {
+    "final.gmem": "cdc8f3b794ab96f1ca58f3634ce5e469960306528ccac338aca93be6f05a00d4",
+    "final_pred.vgrid": "b878c76ddb81d0388c0efcab48e625ecc111010e6af25c5249bc6ae898864216",
+    "final_labels.vgrid": "a2b3696c590d67c3ae388a641b02c4f506af28322e4aecf0400649f76891705b",
+    "metrics.csv": "a84d3df811770d45cc3b0dd1ad8af263cf216d466a60bc1131931fd0a9b1b8a5",
+    "stats.csv": "f4f429496cb6e060ca42ee8289916311ac4ec8173dd3f610eb331bc0ab41a054",
+}
+
 CONCAT_IOU = 0.8027100732912903
 CONCAT_MIOU = 0.8484178054006746
 CONCAT_SHA256 = {
@@ -166,6 +179,16 @@ class TestEmbodied:
         load_gmem(tmp_path / "final.gmem")
 
 
+class TestRefinementHead:
+    def test_scores_and_digests_pinned(self, tmp_path):
+        cfg = small_config(tmp_path, encoder=cli.EncoderConfig(zero_refinement=False))
+        report = cli.run_embodied(cfg)
+        assert report.iou == pytest.approx(REFINED_IOU, abs=1e-12)
+        assert report.miou == pytest.approx(REFINED_MIOU, abs=1e-12)
+        for name, digest in REFINED_SHA256.items():
+            assert sha256(tmp_path / name) == digest, name
+
+
 class TestLongRun:
     def test_70_frames_keep_a_loadable_checkpoint(self, tmp_path):
         # Without the encoder's post-norms the features grow about 4x per
@@ -257,6 +280,49 @@ class TestCliExitCodes:
     def test_unknown_mode_exits_1(self, tmp_path):
         assert cli.main(["run-embodied", "--mode", "nope",
                          "--output-dir", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("config,flags", [
+        ({"encoder": {"n_heads": 5}}, []),
+        ({"encoder": {"n_blocks": 0}}, []),
+        ({}, ["--n-blocks", "0"]),
+        ({"encoder": {"d_ff": 0}}, []),
+        ({"encoder": {"seed": -1}}, []),
+        ({"trajectory_seed": -1}, []),
+        ({"confidence": {"h_max": float("nan")}}, []),
+        ({"noise": {"depth_sigma": float("nan")}}, []),
+        ({"noise": {"logit_noise": -1.0}}, []),
+        ({"noise": {"flip_prob": -1.0}}, []),
+        ({}, ["--flip-prob", "nan"]),
+        ({"stub": {"grid_h": 0}}, []),
+        # keys of settings that no longer exist
+        ({"confidence": {"transform": "power"}}, []),
+        ({"confidence": {"sigmoid_beta": 10.0}}, []),
+        ({"confidence": {"sigmoid_gamma": 1.5}}, []),
+        ({"fusion": {"grid_origin_policy": "world_zero"}}, []),
+        ({"stub": {"feature_dim": 32}}, []),
+    ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else " ".join(v))
+    def test_bad_config_value_exits_1_before_the_run(self, tmp_path, capsys, config,
+                                                      flags):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert cli.main(["run-embodied", "--config", str(path), "--frames", "3",
+                         "--output-dir", str(out), *flags]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_encoder_width_sets_the_feature_width(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"encoder": {"d_model": 16},
+                                    "stub": {"grid_h": 12, "grid_w": 16}}))
+        out = tmp_path / "out"
+        assert cli.main(["run-embodied", "--config", str(path), "--frames", "3",
+                         "--output-dir", str(out)]) == 0
+        raw = (out / "final.gmem").read_bytes()
+        _, _, count, d_model, n_classes, *_ = _GMEM_HEADER.unpack_from(raw)
+        assert d_model == 16
+        assert len(raw) == _GMEM_HEADER.size + count * _record_floats(n_classes, 16) * 4
+        assert load_gmem(out / "final.gmem").batch.features.shape == (count, 16)
 
     def test_confidence_normalize_is_rejected(self, tmp_path):
         config = tmp_path / "run.json"

@@ -4,11 +4,13 @@ import pytest
 import splatmem.memory as memory_mod
 from splatmem.attn import init_weights
 from splatmem.cavf import FusionConfig
-from splatmem.core import CameraFrame, PrimitiveBatch, concat_batches
+from splatmem.core import CameraFrame, PrimitiveBatch, cell_of, concat_batches
 from splatmem.errors import FormatError, InvalidInputError, InvariantError
 from splatmem.memory import (
+    GaussianMemory,
     _fuse_at_origin,
     _merge_collisions,
+    gmem_nbytes,
     init_memory,
     load_gmem,
     query_fov,
@@ -55,7 +57,7 @@ class TestInitMemory:
     def test_single_primitive(self):
         mem = init_memory(make_batch(1, seed=1))
         assert len(mem) == 1
-        assert mem.frame_counter == 0
+        assert np.array_equal(mem.origin, np.zeros(3))
 
     def test_two_in_one_cell_fuse(self):
         b = make_batch(2, seed=2)
@@ -142,9 +144,8 @@ class TestUpdate:
         frame = make_frame(position=(0.5, 0.5, 5.0), look=(0.0, 0.0, 1.0))
         locals_ = make_batch(10, seed=10)
         locals_.means[:] = RNG.uniform(0, 1, (10, 3)) + np.array([0.0, 0.0, 7.0])
-        update(mem, locals_, frame, w)
+        assert update(mem, locals_, frame, w) == 0
         assert len(mem) >= n0
-        assert mem.frame_counter == 1
         mem.check_unique_cells()
 
     def test_outside_primitives_bit_identical(self):
@@ -169,10 +170,8 @@ class TestUpdate:
         w = init_weights(d_model=D, seed=4)
         mem = init_memory(make_batch(10, seed=13))
         means_before = mem.batch.means.copy()
-        update(mem, PrimitiveBatch.empty(D), make_frame(), w)
-        assert mem.frame_counter == 1
+        assert update(mem, PrimitiveBatch.empty(D), make_frame(), w) == 0
         assert np.array_equal(mem.batch.means, means_before)
-        assert len(mem.stats) == 2
 
     def test_repeated_same_frame_does_not_grow(self):
         w = init_weights(d_model=D, seed=5).with_zero_refinement()
@@ -186,15 +185,17 @@ class TestUpdate:
         mem.check_unique_cells()
 
     def test_stats_recorded(self):
+        # what a stats.csv row records: the in-view count that update
+        # returns, and the checkpoint bytes of the updated memory
         w = init_weights(d_model=D, seed=6)
         mem = init_memory(make_batch(10, seed=15))
-        update(mem, make_batch(5, seed=16), make_frame(position=(0.5, 0.5, -2.0)), w)
-        assert len(mem.stats) == 2
-        s = mem.stats[-1]
-        assert s.count == len(mem)
+        frame = make_frame(position=(0.5, 0.5, -2.0))
+        in_view = len(query_fov(mem, frame)[0])
+        assert in_view > 0
+        assert update(mem, make_batch(5, seed=16), frame, w) == in_view
         # 52-byte header, then mean 3, scale 3, quat 4, opacity 1, logits
         # C-1 and feature D floats per primitive
-        assert s.bytes_estimate == 52 + len(mem) * (11 + (C - 1) + D) * 4
+        assert gmem_nbytes(len(mem), C, D) == 52 + len(mem) * (11 + (C - 1) + D) * 4
 
 
     def test_without_weights_skips_the_encoder(self, monkeypatch):
@@ -202,16 +203,16 @@ class TestUpdate:
         b, locals_ = make_batch(40, seed=21), make_batch(20, seed=22)
         # an encoder that returns its inputs unchanged ...
         monkeypatch.setattr(memory_mod, "dte_step", lambda cur, hist, *a: (cur, hist))
-        expect = update(init_memory(b, FusionConfig(voxel_size=0.12)), locals_,
-                        frame, init_weights(d_model=D))
+        expect = init_memory(b, FusionConfig(voxel_size=0.12))
+        update(expect, locals_, frame, init_weights(d_model=D))
 
         def no_dte(*args):
             raise AssertionError("dte_step called")
 
         # ... gives the memory that weights None gives without calling it
         monkeypatch.setattr(memory_mod, "dte_step", no_dte)
-        got = update(init_memory(b, FusionConfig(voxel_size=0.12)), locals_,
-                     frame, None)
+        got = init_memory(b, FusionConfig(voxel_size=0.12))
+        update(got, locals_, frame, None)
         for name in FIELDS:
             assert np.array_equal(getattr(got.batch, name), getattr(expect.batch, name))
         assert np.array_equal(got.cells, expect.cells)
@@ -312,7 +313,20 @@ class TestGmemRoundtrip:
         mem = init_memory(make_batch(25, seed=23))
         path = tmp_path / "m.gmem"
         save_gmem(path, mem)
-        assert mem.bytes_estimate() == path.stat().st_size
+        assert gmem_nbytes(len(mem), C, D) == path.stat().st_size
+
+    def test_stored_origin_is_honoured(self, tmp_path):
+        # a new memory is anchored at the world origin, but a checkpoint
+        # keeps the origin it was written with
+        b = init_memory(make_batch(25, seed=27)).batch
+        origin = np.array([0.05, -0.03, 0.07])
+        cfg = FusionConfig(voxel_size=0.12)
+        path = tmp_path / "m.gmem"
+        save_gmem(path, GaussianMemory(b, cfg, origin, cell_of(b.means, origin, 0.12)))
+        loaded = load_gmem(path)
+        assert np.array_equal(loaded.origin, origin)
+        assert np.array_equal(loaded.cells, cell_of(loaded.batch.means, origin, 0.12))
+        assert not np.array_equal(loaded.cells, cell_of(loaded.batch.means, np.zeros(3), 0.12))
 
     @pytest.mark.parametrize("field,value", [
         ("n_classes", 0), ("n_classes", 1), ("d_model", 0),

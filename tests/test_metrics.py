@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracle import centers
 from splatmem.core import CameraFrame
 from splatmem.errors import InvalidInputError
 from splatmem.metrics import local_mask, observed_mask
@@ -15,7 +16,7 @@ EXTENT = default_scene().extent
 
 def all_centers_mask(grid, frame):
     """Reference: every voxel center through `CameraFrame.contains`."""
-    return frame.contains(grid.centers().reshape(-1, 3)).reshape(grid.dims)
+    return frame.contains(centers(grid).reshape(-1, 3)).reshape(grid.dims)
 
 
 def random_frames(n, seed):

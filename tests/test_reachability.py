@@ -1,43 +1,46 @@
-"""Every public top-level function and class in `splatmem` is reached,
-and every defaulted parameter is passed by some call.
+"""Every public name of `splatmem` is reached, and every defaulted
+parameter is passed by some call.
 
-The package is parsed with `ast`. A public name passes when some module
-other than `__init__.py` names it, as a variable, an attribute or an
-import, outside the name's own definition. The re-exports of
-`__init__.py` do not count: they would keep any name alive.
+The package is parsed with `ast`. The callers are the modules of the
+package other than `__init__.py`, and the benchmark's modules in
+`perfbench/`. A public top-level function or class passes when a caller
+names it, as a variable, an attribute or an import, outside the name's
+own definition. A public method, property or class constant of a public
+class passes when a caller names it as an attribute outside its own
+definition. The re-exports of `__init__.py` do not count: they would keep
+any name alive. Neither do the tests: code that only they reach belongs
+in `tests/oracle.py`.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "splatmem"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "splatmem"
 
-# Kept although nothing in src/ reaches them: the tests use them as the
-# scalar oracle for the batched code.
-ORACLES = {
-    # the entropy of one logit vector; checks entropy_batch against
-    # direct summation
-    "conf.entropy",
-    # the normalized pdf of one primitive; checks the 1/pdf_norm that
-    # splatting divides each kernel by
-    "core.density",
-}
+
+def package_modules() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))
+            if p.name != "__init__.py"}
+
+
+def caller_nodes() -> list[ast.AST]:
+    trees = list(package_modules().values())
+    trees += [ast.parse(p.read_text()) for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    return [node for tree in trees for node in ast.walk(tree)]
 
 
 def unreached_names() -> list[str]:
-    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))
-             if p.name != "__init__.py"}
     uses: list[tuple[str, ast.AST]] = []
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                uses.append((node.id, node))
-            elif isinstance(node, ast.Attribute):
-                uses.append((node.attr, node))
-            elif isinstance(node, ast.ImportFrom):
-                uses.extend((alias.name, node) for alias in node.names)
+    for node in caller_nodes():
+        if isinstance(node, ast.Name):
+            uses.append((node.id, node))
+        elif isinstance(node, ast.Attribute):
+            uses.append((node.attr, node))
+        elif isinstance(node, ast.ImportFrom):
+            uses.extend((alias.name, node) for alias in node.names)
     out = []
-    for mod, tree in trees.items():
+    for mod, tree in package_modules().items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
@@ -49,13 +52,37 @@ def unreached_names() -> list[str]:
     return out
 
 
+def unreached_members() -> list[str]:
+    """Public methods, properties and class constants of public classes
+    that no caller names as an attribute."""
+    attrs = [(node.attr, node) for node in caller_nodes() if isinstance(node, ast.Attribute)]
+    out = []
+    for mod, tree in package_modules().items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    names = [node.name]
+                elif isinstance(node, ast.Assign):
+                    names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                else:  # dataclass fields and docstrings
+                    continue
+                own = {id(n) for n in ast.walk(node)}
+                for name in names:
+                    if name.startswith("_"):
+                        continue
+                    if not any(a == name and id(use) not in own for a, use in attrs):
+                        out.append(f"{mod}.{cls.name}.{name}")
+    return out
+
+
 def test_every_public_name_is_reached():
-    assert sorted(set(unreached_names()) - ORACLES) == []
+    assert unreached_names() == []
 
 
-def test_oracles_are_still_defined_and_unreached():
-    # an oracle that src/ starts to use, or that is deleted, leaves the list
-    assert set(unreached_names()) & ORACLES == ORACLES
+def test_every_public_member_is_reached():
+    assert unreached_members() == []
 
 
 # Defaulted parameters that no call in src/ passes, kept on purpose.
@@ -70,8 +97,6 @@ UNPASSED_KEPT = {
     # no caller builds such a scene yet
     "synth.generate_trajectory(radius_frac)",
     "synth.generate_trajectory(height_frac)",
-    # the scalar confidence oracle takes the same config as the batched code
-    "conf.confidence(cfg)",
 }
 
 
@@ -93,8 +118,7 @@ def unpassed_parameters() -> list[str]:
     call in the package passes, by keyword or by position. A call is
     matched by the called name alone; one with *args or **kwargs passes
     every parameter."""
-    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))
-             if p.name != "__init__.py"}
+    trees = package_modules()
     calls: dict[str, list[ast.Call]] = {}
     for tree in trees.values():
         for node in ast.walk(tree):

@@ -4,8 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracle
 import splatmem.splat as splat_mod
-from splatmem.core import GaussianPrimitive, PrimitiveBatch, kernel, quats_to_rotations
+from oracle import GaussianPrimitive, from_primitives, kernel
+from splatmem.core import PrimitiveBatch, quats_to_rotations
 from splatmem.errors import InvalidInputError
 from splatmem.grid import LABEL_MODE, PROB_MODE, VoxelGrid
 from splatmem.splat import CELL_FACTOR, argmax_labels, render, splat_fields
@@ -41,7 +43,7 @@ def random_primitives(n, lo=0.0, hi=0.8, scale_range=(0.03, 0.12), seed=None):
 
 
 def batch(prims):
-    return PrimitiveBatch.from_primitives(prims) if prims else PrimitiveBatch.empty(0, C)
+    return from_primitives(prims) if prims else PrimitiveBatch.empty(0, C)
 
 
 def dense_render_oracle(grid, prims):
@@ -233,9 +235,9 @@ class TestBatchedMatchesLoop:
         b = batch(reference_batches()[name])
         f = splat_fields(grid, b, truncation_radius_sigmas=truncation)
         alpha, sem, undefined = loop_splat_fields(grid, b, truncation)
-        assert np.array_equal(f.alpha, alpha)
-        assert np.array_equal(f.semantics, sem)
-        assert np.array_equal(f.undefined, undefined)
+        assert np.array_equal(oracle.alpha(f), alpha)
+        assert np.array_equal(oracle.semantics(f), sem)
+        assert np.array_equal(oracle.undefined(f), undefined)
 
     def test_batches_reach_the_cases_they_name(self):
         grid = make_grid()
@@ -286,7 +288,8 @@ class TestBatchedMatchesLoop:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        outputs = f.alpha.nbytes + f.semantics.nbytes + f.undefined.nbytes
+        outputs = sum(full(f).nbytes for full in
+                      (oracle.alpha, oracle.semantics, oracle.undefined))
         assert peak - outputs < 32 * 2**20
 
 
@@ -301,9 +304,9 @@ class TestBoxMatchesFullGrid:
         b = batch(reference_batches()[name])
         f = splat_fields(grid, b, truncation_radius_sigmas=truncation)
         alpha, sem, undefined = full_grid_splat_fields(grid, b, truncation)
-        assert np.array_equal(f.alpha, alpha)
-        assert np.array_equal(f.semantics, sem)
-        assert np.array_equal(f.undefined, undefined)
+        assert np.array_equal(oracle.alpha(f), alpha)
+        assert np.array_equal(oracle.semantics(f), sem)
+        assert np.array_equal(oracle.undefined(f), undefined)
         out = render(grid, b, truncation_radius_sigmas=truncation)
         assert np.array_equal(out.values, full_grid_render(grid, b, truncation))
 
@@ -320,12 +323,12 @@ class TestSplatOpacity:
         center = grid.origin + (np.array([3, 3, 3]) + 0.5) * grid.voxel_size
         g = GaussianPrimitive(center, (0.05, 0.05, 0.05), (1, 0, 0, 0), 1.0,
                               np.zeros(C - 1))
-        alpha = splat_fields(grid, batch([g])).alpha
+        alpha = oracle.alpha(splat_fields(grid, batch([g])))
         assert alpha[3, 3, 3] == pytest.approx(1.0)
 
     def test_empty_product_is_zero(self):
         grid = make_grid()
-        alpha = splat_fields(grid, batch([])).alpha
+        alpha = oracle.alpha(splat_fields(grid, batch([])))
         assert np.all(alpha == 0.0)
 
     def test_two_half_opacity_primitives(self):
@@ -333,14 +336,14 @@ class TestSplatOpacity:
         center = grid.origin + (np.array([4, 4, 4]) + 0.5) * grid.voxel_size
         g = GaussianPrimitive(center, (0.05, 0.05, 0.05), (1, 0, 0, 0), 0.5,
                               np.zeros(C - 1))
-        alpha = splat_fields(grid, batch([g, g])).alpha
+        alpha = oracle.alpha(splat_fields(grid, batch([g, g])))
         assert alpha[4, 4, 4] == pytest.approx(0.75, abs=1e-12)
 
     def test_monotone_in_primitives(self):
         grid = make_grid()
         prims = random_primitives(12, seed=9)
-        a1 = splat_fields(grid, batch(prims[:6])).alpha
-        a2 = splat_fields(grid, batch(prims)).alpha
+        a1 = oracle.alpha(splat_fields(grid, batch(prims[:6])))
+        a2 = oracle.alpha(splat_fields(grid, batch(prims)))
         assert np.all(a2 >= a1 - 1e-12)
 
 
@@ -349,7 +352,7 @@ class TestSplatSemantics:
         grid = make_grid()
         g = random_primitives(1, seed=2)[0]
         f = splat_fields(grid, batch([g]))
-        field, undef = f.semantics, f.undefined
+        field, undef = oracle.semantics(f), oracle.undefined(f)
         expect = softmax(g.logits)
         defined = ~undef
         assert np.allclose(field[defined], expect, atol=1e-9)
@@ -361,13 +364,13 @@ class TestSplatSemantics:
         la, lb = RNG.normal(size=C - 1), RNG.normal(size=C - 1)
         a = GaussianPrimitive(x - off, (0.05,) * 3, (1, 0, 0, 0), 1.0, la)
         b = GaussianPrimitive(x + off, (0.05,) * 3, (1, 0, 0, 0), 1.0, lb)
-        field = splat_fields(grid, batch([a, b])).semantics
+        field = oracle.semantics(splat_fields(grid, batch([a, b])))
         expect = 0.5 * (softmax(la) + softmax(lb))
         assert np.allclose(field[2, 2, 2], expect, atol=1e-9)
 
     def test_rows_sum_to_one(self):
         grid = make_grid()
-        field = splat_fields(grid, batch(random_primitives(20, seed=13))).semantics
+        field = oracle.semantics(splat_fields(grid, batch(random_primitives(20, seed=13))))
         assert np.allclose(field.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_zero_density_voxels_uniform_and_flagged(self):
@@ -375,7 +378,7 @@ class TestSplatSemantics:
         g = GaussianPrimitive((0.05, 0.05, 0.05), (0.01,) * 3, (1, 0, 0, 0), 1.0,
                               RNG.normal(size=C - 1))
         f = splat_fields(grid, batch([g]))
-        field, undef = f.semantics, f.undefined
+        field, undef = oracle.semantics(f), oracle.undefined(f)
         assert undef.any()
         assert np.allclose(field[undef], 1.0 / (C - 1))
 
@@ -398,12 +401,12 @@ class TestRenderOracle:
     def test_splat_block_covers_support(self):
         # every voxel center within 3 sigma of a primitive gets its density
         grid = make_grid(dims=(10, 10, 10), voxel_size=0.1)
-        centers = grid.centers()
+        centers = oracle.centers(grid)
         for g in random_primitives(40, lo=-0.2, hi=1.2, seed=3):
             d = centers - g.mean
             m2 = np.einsum("...i,ij,...j->...", d, g.inv_covariance(), d)
             f = splat_fields(grid, batch([g]), truncation_radius_sigmas=3.0)
-            assert not f.undefined[m2 <= 3.0**2].any()
+            assert not oracle.undefined(f)[m2 <= 3.0**2].any()
 
     def test_empty_scene(self):
         grid = make_grid(dims=(3, 3, 3))

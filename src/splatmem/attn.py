@@ -4,8 +4,10 @@ Covers the seeded weight bundle (rebuilt from its seed on every run, never
 read from a file), plain multi-head attention, cross-attention
 with dual confidence modulation (values scaled by key-side confidence,
 concatenated heads scaled by query-side confidence before the output
-projection), the FFN + refinement block, and the dual-stream temporal
-encoder step. Each residual is followed by a parameter-free layer norm
+projection), the attention + FFN block, and the dual-stream temporal
+encoder step. The encoder refines features only: means, scales,
+rotations, opacities, logits and confidences pass through it as the same
+arrays. Each residual is followed by a parameter-free layer norm
 (post-norm, Ba et al. 2016), so refined features keep a per-row RMS of
 at most 1 however many frames they pass through; without it they grow
 about 4x per frame and leave float32 range within 70 frames. No masking,
@@ -18,12 +20,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .conf import ConfidenceConfig, confidence_values
-from .core import MIN_SCALE, NUM_CLASSES, PrimitiveBatch
+from .core import PrimitiveBatch
 from .errors import InvalidInputError
 
-_OPACITY_EPS = 1e-6
-_QUAT_EPS = 1e-8
 # Query rows per attention block; the score buffer is _BLOCK_ROWS x M.
 _BLOCK_ROWS = 128
 _NORM_EPS = 1e-5
@@ -31,18 +30,17 @@ _NORM_EPS = 1e-5
 
 @dataclass
 class EncoderWeights:
-    """Seeded parameter bundle for the attention and refinement blocks.
+    """Seeded parameter bundle for the attention and FFN blocks.
 
     All entries are drawn from numpy's default_rng(seed) as standard
     normals scaled by 1/sqrt(d_model), in declaration order (W_q, W_k,
-    W_v, W_o, ffn_w1, ffn_b1, ffn_w2, ffn_b2, refine_w, refine_b), then
-    rounded to float32. The tests pin the float32 bytes of seed 42.
+    W_v, W_o, ffn_w1, ffn_b1, ffn_w2, ffn_b2), then rounded to float32.
+    The tests pin the float32 bytes of seed 42.
     """
 
     d_model: int
     n_heads: int
     d_ff: int
-    n_classes: int
     seed: int
     w_q: np.ndarray = field(repr=False, default=None)
     w_k: np.ndarray = field(repr=False, default=None)
@@ -52,28 +50,17 @@ class EncoderWeights:
     ffn_b1: np.ndarray = field(repr=False, default=None)
     ffn_w2: np.ndarray = field(repr=False, default=None)
     ffn_b2: np.ndarray = field(repr=False, default=None)
-    refine_w: np.ndarray = field(repr=False, default=None)
-    refine_b: np.ndarray = field(repr=False, default=None)
-
-    def with_zero_refinement(self) -> "EncoderWeights":
-        """Copy with the refinement head zeroed (features still update)."""
-        return replace(
-            self,
-            refine_w=np.zeros_like(self.refine_w),
-            refine_b=np.zeros_like(self.refine_b),
-        )
 
 
 def init_weights(
     d_model: int = 32,
     n_heads: int = 4,
     d_ff: int = 64,
-    n_classes: int = NUM_CLASSES,
     seed: int = 0,
 ) -> EncoderWeights:
     """Deterministic weight bundle; same arguments always give same bytes."""
-    if d_model <= 0 or n_heads <= 0 or d_ff <= 0 or n_classes < 2:
-        raise InvalidInputError("dimensions must be positive (and n_classes >= 2)")
+    if d_model <= 0 or n_heads <= 0 or d_ff <= 0:
+        raise InvalidInputError("dimensions must be positive")
     if d_model % n_heads != 0:
         raise InvalidInputError(f"d_model {d_model} not divisible by n_heads {n_heads}")
     rng = np.random.default_rng(seed)
@@ -82,10 +69,8 @@ def init_weights(
     def draw(*shape):
         return (rng.standard_normal(shape) * scale).astype(np.float32).astype(np.float64)
 
-    # mean 3 + log-scale 3 + quat 4 + opacity logit 1 + class logits
-    refine_dim = 11 + (n_classes - 1)
     return EncoderWeights(
-        d_model, n_heads, d_ff, n_classes, seed,
+        d_model, n_heads, d_ff, seed,
         w_q=draw(d_model, d_model),
         w_k=draw(d_model, d_model),
         w_v=draw(d_model, d_model),
@@ -94,8 +79,6 @@ def init_weights(
         ffn_b1=draw(d_ff),
         ffn_w2=draw(d_ff, d_model),
         ffn_b2=draw(d_model),
-        refine_w=draw(d_model, refine_dim),
-        refine_b=draw(refine_dim),
     )
 
 
@@ -171,44 +154,15 @@ def _ffn(x: np.ndarray, w: EncoderWeights) -> np.ndarray:
     return np.maximum(x @ w.ffn_w1 + w.ffn_b1, 0.0) @ w.ffn_w2 + w.ffn_b2
 
 
-def _logit(p: np.ndarray) -> np.ndarray:
-    p = np.clip(p, _OPACITY_EPS, 1.0 - _OPACITY_EPS)
-    return np.log(p / (1.0 - p))
-
-
-def temporal_encoder_block(
-    query: PrimitiveBatch,
-    keyval: PrimitiveBatch,
-    w: EncoderWeights,
-    conf_cfg: ConfidenceConfig | None = None,
-) -> PrimitiveBatch:
-    """One attention + FFN + refinement block.
+def temporal_encoder_block(query: PrimitiveBatch, keyval: PrimitiveBatch,
+                           w: EncoderWeights) -> np.ndarray:
+    """One attention + FFN block; returns the refined feature rows.
 
     Post-norm residual chain on features (norm(x + cca), then
-    norm(f1 + FFN(f1))), so every output row has RMS at most 1. The
-    refinement head maps features to additive attribute deltas: mean
-    shift, log-scale shift, quaternion delta (renormalized), opacity delta
-    in logit space, and class-logit deltas. Confidences are recomputed from the refined
-    logits and opacities so later blocks see current values.
+    norm(f1 + FFN(f1))), so every output row has RMS at most 1.
     """
     f1 = _norm(query.features + cca(query, keyval, w))
-    f2 = _norm(f1 + _ffn(f1, w))
-    delta = f2 @ w.refine_w + w.refine_b
-    d_mean, d_logs, d_quat = delta[:, 0:3], delta[:, 3:6], delta[:, 6:10]
-    d_opa, d_logits = delta[:, 10], delta[:, 11:]
-
-    means = query.means + d_mean
-    scales = np.maximum(query.scales * np.exp(d_logs), MIN_SCALE)
-    quats = query.rotations + d_quat
-    norms = np.linalg.norm(quats, axis=1)
-    degenerate = norms < _QUAT_EPS
-    quats[degenerate] = query.rotations[degenerate]
-    norms[degenerate] = np.linalg.norm(quats[degenerate], axis=1)
-    quats /= norms[:, None]
-    opac = 1.0 / (1.0 + np.exp(-(_logit(query.opacities) + d_opa)))
-    logits = query.logits + d_logits
-    confs = confidence_values(logits, opac, conf_cfg)
-    return PrimitiveBatch(means, scales, quats, opac, logits, f2, confs)
+    return _norm(f1 + _ffn(f1, w))
 
 
 def dte_step(
@@ -216,13 +170,13 @@ def dte_step(
     history: PrimitiveBatch,
     w: EncoderWeights,
     n_blocks: int = 2,
-    conf_cfg: ConfidenceConfig | None = None,
 ) -> tuple[PrimitiveBatch, PrimitiveBatch]:
-    """Dual-stream temporal refinement with shared weights.
+    """Dual-stream temporal refinement of features with shared weights.
 
     Stream A queries history with the current batch, stream B the reverse;
     both streams update synchronously per block, so swapping the inputs
-    swaps the outputs exactly. An empty history degenerates to n_blocks of
+    swaps the outputs exactly. Each output is its input batch with only
+    the features replaced. An empty history degenerates to n_blocks of
     self-attention on the current batch.
     """
     if len(current) == 0:
@@ -232,12 +186,12 @@ def dte_step(
     if len(history) == 0:
         a = current
         for _ in range(n_blocks):
-            a = temporal_encoder_block(a, a, w, conf_cfg)
-        return a, PrimitiveBatch.empty(current.d_model, current.n_logits + 1)
+            a = replace(a, features=temporal_encoder_block(a, a, w))
+        return a, history
     a, b = current, history
     for _ in range(n_blocks):
         a, b = (
-            temporal_encoder_block(a, b, w, conf_cfg),
-            temporal_encoder_block(b, a, w, conf_cfg),
+            replace(a, features=temporal_encoder_block(a, b, w)),
+            replace(b, features=temporal_encoder_block(b, a, w)),
         )
     return a, b

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attn import EncoderWeights, dte_step, init_weights
+from .attn import dte_step, init_weights
 from .cavf import FusionConfig
 from .conf import ConfidenceConfig
 from .core import PrimitiveBatch, concat_batches
@@ -41,15 +41,14 @@ MODE_CONCAT = "embodied-concat-baseline"
 
 @dataclass
 class EncoderConfig:
+    """Shape and seed of the temporal encoder. Its weights are drawn from
+    the seed on every run; it refines features and no other attribute."""
+
     d_model: int = 32
     n_heads: int = 4
     d_ff: int = 64
     seed: int = 42
     n_blocks: int = 2
-    # The seeded refinement head stands in for trained parameters; its
-    # random deltas would corrupt geometry, so runs zero it by default and
-    # keep the feature/attention path live.
-    zero_refinement: bool = True
 
     def __post_init__(self):
         dims = (self.d_model, self.n_heads, self.d_ff, self.n_blocks)
@@ -78,11 +77,24 @@ class RunConfig:
     stub: StubConfig = field(default_factory=StubConfig)
 
 
+# JSON values each declared field type accepts; bool is an int to Python.
+_ACCEPTS = {
+    "bool": lambda v: isinstance(v, bool),
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+}
+
+
 def _build_section(cls, data: dict, where: str):
-    known = {f.name for f in fields(cls)}
-    bad = set(data) - known
+    types = {f.name: getattr(f.type, "__name__", f.type) for f in fields(cls)}
+    bad = set(data) - set(types)
     if bad:
         raise ConfigError(f"{where}: unknown keys {sorted(bad)}")
+    for name, value in data.items():
+        accepts = _ACCEPTS.get(types[name])
+        if accepts and not accepts(value):
+            raise ConfigError(f"{where}: {name} must be {types[name]}, got {value!r}")
     try:
         return cls(**data)
     except (TypeError, InvalidInputError) as e:
@@ -157,12 +169,6 @@ def _load_scene(cfg: RunConfig):
         raise ConfigError(f"scene file {cfg.scene}: {e}") from e
 
 
-def _make_weights(cfg: RunConfig, n_classes: int) -> EncoderWeights:
-    w = init_weights(cfg.encoder.d_model, cfg.encoder.n_heads, cfg.encoder.d_ff,
-                     n_classes, cfg.encoder.seed)
-    return w.with_zero_refinement() if cfg.encoder.zero_refinement else w
-
-
 def _fmt(v: float) -> str:
     return f"{v:.6f}"
 
@@ -177,7 +183,8 @@ def run_local(cfg: RunConfig) -> MetricReport:
     gt = generate_scene(spec)
     maps = scene_maps(gt, cfg.stub)
     frames = generate_trajectory(spec, cfg.n_frames, cfg.trajectory_seed)
-    weights = _make_weights(cfg, gt.num_classes)
+    weights = init_weights(cfg.encoder.d_model, cfg.encoder.n_heads, cfg.encoder.d_ff,
+                           cfg.encoder.seed)
     empty_hist = PrimitiveBatch.empty(cfg.encoder.d_model, gt.num_classes)
 
     rows = ["frame,count,iou,miou,observed_fraction"]
@@ -186,8 +193,7 @@ def run_local(cfg: RunConfig) -> MetricReport:
         batch = stub_predict(gt, maps, frame, cfg.noise, cfg.stub_seed + i,
                              cfg.encoder.d_model, cfg.stub, cfg.confidence)
         if len(batch) and cfg.use_dte:
-            batch, _ = dte_step(batch, empty_hist, weights,
-                                cfg.encoder.n_blocks, cfg.confidence)
+            batch, _ = dte_step(batch, empty_hist, weights, cfg.encoder.n_blocks)
         if len(batch):
             mem = init_memory(batch, cfg.fusion, cfg.confidence)
             fused = mem.batch
@@ -228,7 +234,8 @@ def run_embodied(cfg: RunConfig) -> MetricReport:
     gt = generate_scene(spec)
     maps = scene_maps(gt, cfg.stub)
     frames = generate_trajectory(spec, cfg.n_frames, cfg.trajectory_seed)
-    weights = _make_weights(cfg, gt.num_classes)
+    weights = init_weights(cfg.encoder.d_model, cfg.encoder.n_heads, cfg.encoder.d_ff,
+                           cfg.encoder.seed)
 
     memory: GaussianMemory | None = None
     concat_batch: PrimitiveBatch | None = None

@@ -1,12 +1,13 @@
 """Persistent world-frame primitive memory with bounded growth.
 
-Each update retrieves the in-view slice of the memory, cross-refines it
-against the frame's local prediction with the dual temporal encoder,
-merges the union through confidence-aware voxel fusion, and writes the
-result back next to the untouched out-of-view primitives. After every
-update there is at most one primitive per fusion cell. Fusion cells are
-anchored at the memory's origin: the world origin for a new memory, the
-stored origin for one loaded from a `.gmem` checkpoint.
+Each update retrieves the in-view slice of the memory, refines its
+features and those of the frame's local prediction against each other
+with the dual temporal encoder, merges the union through
+confidence-aware voxel fusion, and writes the result back next to the
+untouched out-of-view primitives. After every update there is at most
+one primitive per fusion cell. Fusion cells are anchored at the memory's
+origin: the world origin for a new memory, the stored origin for one
+loaded from a `.gmem` checkpoint.
 """
 
 from __future__ import annotations
@@ -113,8 +114,9 @@ def update(
     """Absorb one frame into the memory, in place; returns the number of
     memory rows that were in view.
 
-    With weights None the temporal encoder is skipped: the raw local batch
-    is fused with the in-view slice as it is. An empty local prediction
+    The temporal encoder changes only features, which no fusion weight
+    reads; with weights None it is skipped and the raw local batch is
+    fused with the in-view slice as it is. An empty local prediction
     leaves the memory as it is and counts no row in view.
     """
     if len(local_prediction) == 0:
@@ -125,7 +127,7 @@ def update(
         union = concat_batches(local_prediction, inside)
     else:
         refined_local, refined_hist = dte_step(local_prediction, inside, weights,
-                                               n_blocks, conf_cfg)
+                                               n_blocks)
         union = concat_batches(refined_local, refined_hist)
     new_batch, new_cells = _fuse_at_origin(union, memory.origin, memory.fusion,
                                            conf_cfg)

@@ -86,9 +86,9 @@ def _frustum_box(grid: VoxelGrid, frame: CameraFrame) -> tuple[tuple[slice, ...]
     w, h = frame.width, frame.height
     origin, dirs = frame.pixel_rays(np.array([[0, 0], [w, 0], [0, h], [w, h]]))
     corners = origin + np.concatenate([frame.near * dirs, frame.far * dirs])
-    ijk = np.floor((corners - grid.origin) / grid.voxel_size)
-    lo = np.clip(ijk.min(axis=0) - 1, 0, grid.dims).astype(np.int64)
-    hi = np.clip(ijk.max(axis=0) + 2, 0, grid.dims).astype(np.int64)
+    ijk = grid.voxel_of(corners)
+    lo = np.clip(ijk.min(axis=0) - 1, 0, grid.dims)
+    hi = np.clip(ijk.max(axis=0) + 2, 0, grid.dims)
     box = tuple(slice(a, max(a, b)) for a, b in zip(lo.tolist(), hi.tolist()))
     axes = [ax[sl] for ax, sl in zip(grid.axis_centers(), box)]
     centers = np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1)

@@ -317,8 +317,17 @@ class StubConfig:
     logit_magnitude: float = STUB_LOGIT_MAGNITUDE
 
     def __post_init__(self):
-        if not (self.grid_h > 0 and self.grid_w > 0):  # also rejects NaN
-            raise InvalidInputError("grid_h and grid_w must be positive")
+        # written so that NaN fails every check
+        if not (self.grid_h > 0 and self.grid_w > 0 and self.surface_extent_reach > 0):
+            raise InvalidInputError("grid_h, grid_w and surface_extent_reach must be positive")
+        positive = (self.normal_scale, self.footprint_gain, self.tangent_scale_min,
+                    self.tangent_scale_max, self.spill_margin, self.logit_magnitude)
+        if not all(0 < v < np.inf for v in positive):
+            raise InvalidInputError("stub scales, gains and margins must be positive and finite")
+        if not self.tangent_scale_min <= self.tangent_scale_max:
+            raise InvalidInputError("tangent_scale_min must not exceed tangent_scale_max")
+        if not 0 <= self.mean_centering <= 1:
+            raise InvalidInputError("mean_centering must lie in [0, 1]")
 
 
 def _surface_extent(voxels: np.ndarray, voxel_size: float, reach: int,

@@ -118,8 +118,8 @@ class TestQueryFov:
 
 
 class TestUpdate:
-    def test_duplicate_locals_with_zero_refinement_stable(self):
-        w = init_weights(d_model=D, seed=1).with_zero_refinement()
+    def test_duplicate_locals_stable(self):
+        w = init_weights(d_model=D, seed=1)
         frame = make_frame(position=(0.5, 0.5, -2.0))
         b = make_batch(40, lo=0.0, hi=1.0, seed=8)
         mem = init_memory(b, FusionConfig(voxel_size=0.12))
@@ -136,7 +136,7 @@ class TestUpdate:
         mem.check_unique_cells()
 
     def test_disjoint_fov_appends(self):
-        w = init_weights(d_model=D, seed=2).with_zero_refinement()
+        w = init_weights(d_model=D, seed=2)
         mem = init_memory(make_batch(20, lo=0.0, hi=1.0, seed=9),
                           FusionConfig(voxel_size=0.12))
         n0 = len(mem)
@@ -174,7 +174,7 @@ class TestUpdate:
         assert np.array_equal(mem.batch.means, means_before)
 
     def test_repeated_same_frame_does_not_grow(self):
-        w = init_weights(d_model=D, seed=5).with_zero_refinement()
+        w = init_weights(d_model=D, seed=5)
         frame = make_frame(position=(0.5, 0.5, -2.0))
         b = make_batch(30, seed=14)
         mem = init_memory(b, FusionConfig(voxel_size=0.12))

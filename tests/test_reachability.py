@@ -5,9 +5,9 @@ The package is parsed with `ast`. The callers are the modules of the
 package other than `__init__.py`, and the benchmark's modules in
 `perfbench/`. A public top-level function or class passes when a caller
 names it, as a variable, an attribute or an import, outside the name's
-own definition. A public method, property or class constant of a public
-class passes when a caller names it as an attribute outside its own
-definition. The re-exports of `__init__.py` do not count: they would keep
+own definition. A public method, property, class constant or annotated
+(dataclass) field of a public class passes when a caller names it as an
+attribute outside its own definition. The re-exports of `__init__.py` do not count: they would keep
 any name alive. Neither do the tests: code that only they reach belongs
 in `tests/oracle.py`.
 """
@@ -53,8 +53,8 @@ def unreached_names() -> list[str]:
 
 
 def unreached_members() -> list[str]:
-    """Public methods, properties and class constants of public classes
-    that no caller names as an attribute."""
+    """Public methods, properties, class constants and annotated fields of
+    public classes that no caller names as an attribute."""
     attrs = [(node.attr, node) for node in caller_nodes() if isinstance(node, ast.Attribute)]
     out = []
     for mod, tree in package_modules().items():
@@ -66,7 +66,9 @@ def unreached_members() -> list[str]:
                     names = [node.name]
                 elif isinstance(node, ast.Assign):
                     names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-                else:  # dataclass fields and docstrings
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    names = [node.target.id]
+                else:  # docstrings
                     continue
                 own = {id(n) for n in ast.walk(node)}
                 for name in names:

@@ -3,7 +3,6 @@
 from .core import CameraFrame, PrimitiveBatch, cell_of, concat_batches
 from .grid import VoxelGrid, load_vgrid, save_vgrid
 from .splat import argmax_labels, render, splat_fields
-from .conf import ConfidenceConfig
 from .cavf import FusionConfig, fuse, fusion_weights
 from .attn import EncoderWeights, cca, dte_step, init_weights, mha, temporal_encoder_block
 from .memory import GaussianMemory, init_memory, load_gmem, query_fov, save_gmem, update

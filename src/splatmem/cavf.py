@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conf import ConfidenceConfig, confidence_values
+from .conf import confidence_values
 from .core import MIN_SCALE, PrimitiveBatch
 from .errors import InvalidInputError
 
@@ -92,16 +92,14 @@ class FusedSet:
         return len(self.batch)
 
 
-def fuse(
-    primitives: PrimitiveBatch, weights, cells,
-    conf_cfg: ConfidenceConfig | None = None,
-) -> FusedSet:
+def fuse(primitives: PrimitiveBatch, weights, cells) -> FusedSet:
     """Merge co-cell primitives by confidence-weighted summation.
 
     `weights` must come from fusion_weights over the same `cells`. Output
     order is canonical (cell-sorted), so the result is independent of the
     input ordering. The merged rows get confidences recomputed from their
-    merged logits and opacities.
+    merged logits and opacities by `conf.confidence_values`, the same
+    function that scored the inputs.
     """
     b = primitives
     w = np.asarray(weights, dtype=np.float64)
@@ -135,6 +133,6 @@ def fuse(
         rotations[g] = np.where(fallback[:, None], ref,
                                 qs[:, 0] / np.where(fallback, 1.0, norm)[:, None])
         quat_fallback[g] = fallback
-    confs = confidence_values(logits, opacities, conf_cfg)
+    confs = confidence_values(logits, opacities)
     batch = PrimitiveBatch(means, scales, rotations, opacities, logits, features, confs)
     return FusedSet(batch, out_cells, quat_fallback)

@@ -16,14 +16,13 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .attn import dte_step, init_weights
 from .cavf import FusionConfig
-from .conf import ConfidenceConfig
 from .core import PrimitiveBatch, concat_batches
 from .errors import ConfigError, FormatError, InvalidInputError, InvariantError
 from .grid import VoxelGrid, load_vgrid, save_vgrid
@@ -71,7 +70,6 @@ class RunConfig:
     stub_seed: int = 0
     use_dte: bool = True
     noise: NoiseParams = field(default_factory=NoiseParams)
-    confidence: ConfidenceConfig = field(default_factory=ConfidenceConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     stub: StubConfig = field(default_factory=StubConfig)
@@ -101,7 +99,33 @@ def _build_section(cls, data: dict, where: str):
         raise ConfigError(f"{where}: {e}") from e
 
 
+_SECTIONS = {
+    "noise": NoiseParams,
+    "fusion": FusionConfig,
+    "encoder": EncoderConfig,
+    "stub": StubConfig,
+}
+
+
+def _build_run_config(data: dict) -> RunConfig:
+    """The run config of a JSON object; ConfigError on a bad key or value."""
+    kwargs: dict = {}
+    for key, value in data.items():
+        if key in _SECTIONS:
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section {key!r} must be an object")
+            kwargs[key] = _build_section(_SECTIONS[key], value, f"section {key!r}")
+        elif key in {f.name for f in fields(RunConfig)}:
+            kwargs[key] = value
+        else:
+            raise ConfigError(f"unknown config key {key!r}")
+    return _build_section(RunConfig, kwargs, "run config")
+
+
 def load_run_config(path: str | None, overrides: dict) -> RunConfig:
+    """The run config of a JSON file, with each dotted key of `overrides`
+    (a set flag) beating the file's value. The file alone and the merged
+    values pass the same checks."""
     data: dict = {}
     if path is not None:
         p = Path(path)
@@ -113,38 +137,11 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
             raise ConfigError(f"config file {path}: invalid JSON ({e})") from e
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path}: top level must be an object")
-    sections = {
-        "noise": NoiseParams,
-        "confidence": ConfidenceConfig,
-        "fusion": FusionConfig,
-        "encoder": EncoderConfig,
-        "stub": StubConfig,
-    }
-    kwargs: dict = {}
-    for key, value in data.items():
-        if key in sections:
-            if not isinstance(value, dict):
-                raise ConfigError(f"config section {key!r} must be an object")
-            kwargs[key] = _build_section(sections[key], value, f"section {key!r}")
-        elif key in {f.name for f in fields(RunConfig)}:
-            kwargs[key] = value
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
-    cfg = _build_section(RunConfig, kwargs, "run config")
-
-    # Explicit flags beat config file values.
+    _build_run_config(data)
     for dotted, value in overrides.items():
-        if value is None:
-            continue
-        if "." in dotted:
-            section, name = dotted.split(".", 1)
-            sub = getattr(cfg, section)
-            try:
-                setattr(cfg, section, replace(sub, **{name: value}))
-            except (TypeError, InvalidInputError) as e:
-                raise ConfigError(f"flag {dotted}: {e}") from e
-        else:
-            setattr(cfg, dotted, value)
+        section, _, name = dotted.rpartition(".")
+        (data.setdefault(section, {}) if section else data)[name] = value
+    cfg = _build_run_config(data)
     _validate_run_config(cfg)
     return cfg
 
@@ -181,7 +178,7 @@ def run_local(cfg: RunConfig) -> MetricReport:
     out.mkdir(parents=True, exist_ok=True)
     spec = _load_scene(cfg)
     gt = generate_scene(spec)
-    maps = scene_maps(gt, cfg.stub)
+    maps = scene_maps(gt)
     frames = generate_trajectory(spec, cfg.n_frames, cfg.trajectory_seed)
     weights = init_weights(cfg.encoder.d_model, cfg.encoder.n_heads, cfg.encoder.d_ff,
                            cfg.encoder.seed)
@@ -191,11 +188,11 @@ def run_local(cfg: RunConfig) -> MetricReport:
     ious, mious = [], []
     for i, frame in enumerate(frames):
         batch = stub_predict(gt, maps, frame, cfg.noise, cfg.stub_seed + i,
-                             cfg.encoder.d_model, cfg.stub, cfg.confidence)
+                             cfg.encoder.d_model, cfg.stub)
         if len(batch) and cfg.use_dte:
             batch, _ = dte_step(batch, empty_hist, weights, cfg.encoder.n_blocks)
         if len(batch):
-            mem = init_memory(batch, cfg.fusion, cfg.confidence)
+            mem = init_memory(batch, cfg.fusion)
             fused = mem.batch
         else:
             fused = batch
@@ -232,7 +229,7 @@ def run_embodied(cfg: RunConfig) -> MetricReport:
     out.mkdir(parents=True, exist_ok=True)
     spec = _load_scene(cfg)
     gt = generate_scene(spec)
-    maps = scene_maps(gt, cfg.stub)
+    maps = scene_maps(gt)
     frames = generate_trajectory(spec, cfg.n_frames, cfg.trajectory_seed)
     weights = init_weights(cfg.encoder.d_model, cfg.encoder.n_heads, cfg.encoder.d_ff,
                            cfg.encoder.seed)
@@ -244,7 +241,7 @@ def run_embodied(cfg: RunConfig) -> MetricReport:
     for i, frame in enumerate(frames):
         t0 = time.perf_counter()
         batch = stub_predict(gt, maps, frame, cfg.noise, cfg.stub_seed + i,
-                             cfg.encoder.d_model, cfg.stub, cfg.confidence)
+                             cfg.encoder.d_model, cfg.stub)
         inside = len(batch)
         if concat_mode:
             if concat_batch is None:
@@ -256,10 +253,10 @@ def run_embodied(cfg: RunConfig) -> MetricReport:
             if memory is None:
                 if len(batch) == 0:
                     raise InvariantError("first frame produced no primitives")
-                memory = init_memory(batch, cfg.fusion, cfg.confidence)
+                memory = init_memory(batch, cfg.fusion)
             else:
                 inside = update(memory, batch, frame, weights if cfg.use_dte else None,
-                                cfg.encoder.n_blocks, cfg.confidence)
+                                cfg.encoder.n_blocks)
             held = memory.batch
         nbytes = gmem_nbytes(len(held), held.n_logits + 1, held.d_model)
         stat_rows.append(f"{i},{len(held)},{inside},{nbytes}")
@@ -278,7 +275,7 @@ def run_embodied(cfg: RunConfig) -> MetricReport:
     save_gmem(gmem_path, memory_to_save)
     # Render from the reloaded checkpoint so the emitted grid matches a
     # later `render` of the same file bit for bit.
-    reloaded = load_gmem(gmem_path, cfg.confidence)
+    reloaded = load_gmem(gmem_path)
     pred = render(gt, reloaded.batch)
     save_vgrid(out / "final_pred.vgrid", pred)
     labels = argmax_labels(pred)
@@ -365,39 +362,35 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# (flag, dotted config key, type) of every run flag. The key is also the
+# flag's argparse dest, so a set flag lands on the key it overrides.
+_RUN_FLAGS = (
+    ("--scene", "scene", str),
+    ("--output-dir", "output_dir", str),
+    ("--mode", "mode", str),
+    ("--frames", "n_frames", int),
+    ("--trajectory-seed", "trajectory_seed", int),
+    ("--stub-seed", "stub_seed", int),
+    ("--depth-sigma", "noise.depth_sigma", float),
+    ("--logit-noise", "noise.logit_noise", float),
+    ("--flip-prob", "noise.flip_prob", float),
+    ("--fusion-voxel-size", "fusion.voxel_size", float),
+    ("--fusion-temperature", "fusion.temperature", float),
+    ("--encoder-seed", "encoder.seed", int),
+    ("--n-blocks", "encoder.n_blocks", int),
+)
+
+
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON run config; flags override it")
-    p.add_argument("--scene", help="scene spec path or 'default'")
-    p.add_argument("--output-dir")
-    p.add_argument("--mode")
-    p.add_argument("--frames", type=int, dest="n_frames")
-    p.add_argument("--trajectory-seed", type=int)
-    p.add_argument("--stub-seed", type=int)
-    p.add_argument("--depth-sigma", type=float)
-    p.add_argument("--logit-noise", type=float)
-    p.add_argument("--flip-prob", type=float)
-    p.add_argument("--fusion-voxel-size", type=float)
-    p.add_argument("--fusion-temperature", type=float)
-    p.add_argument("--encoder-seed", type=int)
-    p.add_argument("--n-blocks", type=int)
+    for flag, key, type_ in _RUN_FLAGS:
+        p.add_argument(flag, dest=key, type=type_)
 
 
 def _overrides(args) -> dict:
-    return {
-        "scene": args.scene,
-        "output_dir": args.output_dir,
-        "mode": args.mode,
-        "n_frames": args.n_frames,
-        "trajectory_seed": args.trajectory_seed,
-        "stub_seed": args.stub_seed,
-        "noise.depth_sigma": args.depth_sigma,
-        "noise.logit_noise": args.logit_noise,
-        "noise.flip_prob": args.flip_prob,
-        "fusion.voxel_size": args.fusion_voxel_size,
-        "fusion.temperature": args.fusion_temperature,
-        "encoder.seed": args.encoder_seed,
-        "encoder.n_blocks": args.n_blocks,
-    }
+    """The dotted config keys of the run flags that were set."""
+    given = vars(args)
+    return {key: given[key] for _, key, _ in _RUN_FLAGS if given[key] is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -435,14 +428,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command in ("run-local", "run-embodied"):
             cfg = load_run_config(args.config, _overrides(args))
-            if args.command == "run-local":
-                if cfg.mode != MODE_LOCAL:
-                    raise ConfigError(
-                        f"run-local requires mode '{MODE_LOCAL}', got {cfg.mode!r}"
-                    )
-                report = run_local(cfg)
-            else:
-                report = run_embodied(cfg)
+            run = run_local if args.command == "run-local" else run_embodied
+            report = run(cfg)
             print(f"iou {report.iou:.6f} miou {report.miou:.6f}")
         elif args.command == "stats":
             sys.stdout.write(cmd_stats(args.gmem))

@@ -1,29 +1,20 @@
 """Per-primitive confidence from semantic entropy and opacity.
 
 Confidence is the power transform
-    C = (1 - min(H / h_max, 1))^p * opacity
-with H the Shannon entropy (natural log) of the softmaxed logits.
-Confidences are raw per-primitive scores in [0, 1]; the fusion softmax
-over each cell is their only normalization.
+    C = (1 - min(H / H_MAX, 1))^SHARPNESS * opacity
+with H the Shannon entropy (natural log) of the softmaxed logits. The two
+constants are fixed, so a `.gmem` reload recomputes exactly the
+confidences of the run that wrote it. Confidences are raw per-primitive
+scores in [0, 1]; the fusion softmax over each cell is their only
+normalization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import InvalidInputError
-
-
-@dataclass(frozen=True)
-class ConfidenceConfig:
-    h_max: float = 3.0
-    sharpness: float = 3.0
-
-    def __post_init__(self):
-        if not (self.h_max > 0 and self.sharpness > 0):  # also rejects NaN
-            raise InvalidInputError("h_max and sharpness must be positive")
+H_MAX = 3.0
+SHARPNESS = 3.0
 
 
 def entropy_batch(logits: np.ndarray) -> np.ndarray:
@@ -40,11 +31,8 @@ def entropy_batch(logits: np.ndarray) -> np.ndarray:
     return lse - (p * l).sum(axis=-1)
 
 
-def confidence_values(
-    logits: np.ndarray, opacities: np.ndarray, cfg: ConfidenceConfig | None = None
-) -> np.ndarray:
+def confidence_values(logits: np.ndarray, opacities: np.ndarray) -> np.ndarray:
     """Confidences for rows of logits and opacities."""
-    cfg = cfg or ConfidenceConfig()
     h = entropy_batch(np.atleast_2d(logits))
-    semantic = (1.0 - np.minimum(h / cfg.h_max, 1.0)) ** cfg.sharpness
+    semantic = (1.0 - np.minimum(h / H_MAX, 1.0)) ** SHARPNESS
     return semantic * np.asarray(opacities, dtype=np.float64)

@@ -13,13 +13,13 @@ loaded from a `.gmem` checkpoint.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .attn import EncoderWeights, dte_step
 from .cavf import FusionConfig, fuse, fusion_weights
-from .conf import ConfidenceConfig, confidence_values
+from .conf import confidence_values
 from .core import CameraFrame, PrimitiveBatch, cell_of, concat_batches
 from .errors import FormatError, InvalidInputError, InvariantError
 
@@ -58,36 +58,28 @@ class GaussianMemory:
             raise InvalidInputError("memory holds more than one primitive per cell")
 
 
-def _fuse_at_origin(
-    batch: PrimitiveBatch, origin: np.ndarray, cfg: FusionConfig,
-    conf_cfg: ConfidenceConfig | None,
-) -> tuple[PrimitiveBatch, np.ndarray]:
+def _fuse_at_origin(batch: PrimitiveBatch, origin: np.ndarray,
+                    cfg: FusionConfig) -> tuple[PrimitiveBatch, np.ndarray]:
     """Fuse a batch against a fixed grouping origin; returns (batch, cells)."""
-    return _fuse_cells(batch, cell_of(batch.means, origin, cfg.voxel_size),
-                       cfg, conf_cfg)
+    return _fuse_cells(batch, cell_of(batch.means, origin, cfg.voxel_size), cfg)
 
 
-def _fuse_cells(
-    batch: PrimitiveBatch, cells: np.ndarray, cfg: FusionConfig,
-    conf_cfg: ConfidenceConfig | None,
-) -> tuple[PrimitiveBatch, np.ndarray]:
+def _fuse_cells(batch: PrimitiveBatch, cells: np.ndarray,
+                cfg: FusionConfig) -> tuple[PrimitiveBatch, np.ndarray]:
     """Fuse a batch grouped by the given cells; returns (batch, cells)."""
     w = fusion_weights(batch.confidences, cells, cfg.temperature)
-    fused = fuse(batch, w, cells, conf_cfg)
+    fused = fuse(batch, w, cells)
     return fused.batch, fused.cells
 
 
-def init_memory(
-    prediction: PrimitiveBatch,
-    cfg: FusionConfig | None = None,
-    conf_cfg: ConfidenceConfig | None = None,
-) -> GaussianMemory:
+def init_memory(prediction: PrimitiveBatch,
+                cfg: FusionConfig | None = None) -> GaussianMemory:
     """Start a memory from the first frame's prediction, self-fused."""
     if len(prediction) == 0:
         raise InvalidInputError("cannot initialize memory from an empty prediction")
     cfg = cfg or FusionConfig()
     origin = np.zeros(3)
-    batch, cells = _fuse_at_origin(prediction, origin, cfg, conf_cfg)
+    batch, cells = _fuse_at_origin(prediction, origin, cfg)
     return GaussianMemory(batch, cfg, origin, cells)
 
 
@@ -109,7 +101,6 @@ def update(
     frame: CameraFrame,
     weights: EncoderWeights | None,
     n_blocks: int = 2,
-    conf_cfg: ConfidenceConfig | None = None,
 ) -> int:
     """Absorb one frame into the memory, in place; returns the number of
     memory rows that were in view.
@@ -129,12 +120,10 @@ def update(
         refined_local, refined_hist = dte_step(local_prediction, inside, weights,
                                                n_blocks)
         union = concat_batches(refined_local, refined_hist)
-    new_batch, new_cells = _fuse_at_origin(union, memory.origin, memory.fusion,
-                                           conf_cfg)
+    new_batch, new_cells = _fuse_at_origin(union, memory.origin, memory.fusion)
     kept_cells = memory.cells[idx_out]
     kept, new_batch, new_cells = _merge_collisions(
-        memory.batch.select(idx_out), kept_cells, new_batch, new_cells,
-        memory.fusion, conf_cfg)
+        memory.batch.select(idx_out), kept_cells, new_batch, new_cells, memory.fusion)
 
     memory.batch = concat_batches(kept, new_batch)
     memory.cells = np.concatenate([kept_cells, new_cells])
@@ -143,8 +132,7 @@ def update(
 
 def _merge_collisions(
     kept: PrimitiveBatch, kept_cells: np.ndarray,
-    new: PrimitiveBatch, new_cells: np.ndarray,
-    cfg: FusionConfig, conf_cfg: ConfidenceConfig | None,
+    new: PrimitiveBatch, new_cells: np.ndarray, cfg: FusionConfig,
 ) -> tuple[PrimitiveBatch, PrimitiveBatch, np.ndarray]:
     """Merge new rows into the kept rows that own the same cell.
 
@@ -169,13 +157,11 @@ def _merge_collisions(
         return kept, new, new_cells
     ki, nj = owner[hit], np.nonzero(hit)[0]
     pairs = concat_batches(kept.select(ki), new.select(nj))
-    merged, _ = _fuse_cells(pairs, np.concatenate([kept_cells[ki], new_cells[nj]]),
-                            cfg, conf_cfg)
+    merged, _ = _fuse_cells(pairs, np.concatenate([kept_cells[ki], new_cells[nj]]), cfg)
     # fuse returns one row per pair, in lexicographic cell order
     ki = ki[np.lexsort(kept_cells[ki].T[::-1])]
-    for name in ("means", "scales", "rotations", "opacities", "logits",
-                 "features", "confidences"):
-        getattr(kept, name)[ki] = getattr(merged, name)
+    for f in fields(kept):
+        getattr(kept, f.name)[ki] = getattr(merged, f.name)
     return kept, new.select(~hit), new_cells[~hit]
 
 
@@ -209,7 +195,7 @@ def save_gmem(path, memory: GaussianMemory) -> None:
         f.write(rec.tobytes())
 
 
-def load_gmem(path, conf_cfg: ConfidenceConfig | None = None) -> GaussianMemory:
+def load_gmem(path) -> GaussianMemory:
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < _GMEM_HEADER.size:
@@ -247,7 +233,7 @@ def load_gmem(path, conf_cfg: ConfidenceConfig | None = None) -> GaussianMemory:
         raise FormatError("gmem records hold a quaternion that is not unit norm")
     logits = rec[:, 11 : 11 + n_classes - 1]
     feats = rec[:, 11 + n_classes - 1 :]
-    confs = confidence_values(logits, opac, conf_cfg) if count else np.zeros(0)
+    confs = confidence_values(logits, opac) if count else np.zeros(0)
     batch = PrimitiveBatch(means, scales, quats, opac, logits, feats, confs)
     cfg = FusionConfig(voxel_size=vs)
     return GaussianMemory(batch, cfg, origin, cell_of(means, origin, vs))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conf import ConfidenceConfig, confidence_values
+from .conf import confidence_values
 from .core import NUM_CLASSES, CameraFrame, PrimitiveBatch, cell_of
 from .errors import InvalidInputError
 from .grid import LABEL_MODE, VoxelGrid
@@ -26,8 +26,25 @@ DEFAULT_WIDTH, DEFAULT_HEIGHT = 640, 480
 DEFAULT_NEAR, DEFAULT_FAR = 0.1, 10.0
 
 LIFT_GRID_H, LIFT_GRID_W = 30, 40
+# Shape and strength of the stub's splats. Splats are surface aligned:
+# thin along the struck voxel face's normal and sized in-plane to the local
+# sample footprint (ray spacing grows with distance and grazing incidence).
+# The in-plane size is further capped by how far the struck surface extends
+# in each tangent direction, up to SURFACE_EXTENT_REACH voxels, so splats
+# widen over large surfaces without bleeding past panel edges.
 STUB_LOGIT_MAGNITUDE = 10.0
 STUB_MOVED_OPACITY = 0.5
+STUB_NORMAL_SCALE = 0.02
+STUB_FOOTPRINT_GAIN = 1.2
+STUB_TANGENT_SCALE_MIN, STUB_TANGENT_SCALE_MAX = 0.03, 0.25
+# sigma may reach at most (guaranteed support) / STUB_SPILL_MARGIN, keeping
+# the kernel at the first voxel past the surface edge subthreshold
+STUB_SPILL_MARGIN = 1.7
+SURFACE_EXTENT_REACH = 4
+# 0 keeps the ray chord midpoint, 1 snaps to the struck voxel center;
+# grazing chords hug voxel faces, so blending toward the center keeps
+# sample means off cell boundaries
+STUB_MEAN_CENTERING = 0.5
 
 
 @dataclass(frozen=True)
@@ -176,12 +193,12 @@ class SceneMaps:
     thin_axis: np.ndarray
 
 
-def scene_maps(gt: VoxelGrid, stub_cfg: StubConfig) -> SceneMaps:
+def scene_maps(gt: VoxelGrid) -> SceneMaps:
     """Build the maps of one scene, once per run."""
     occupied = gt.values != gt.num_classes - 1
     codes = np.pad(occupied.astype(np.int8), 1, constant_values=2)
     shell = np.argwhere(occupied)
-    runs = _surface_extent(shell, 1.0, stub_cfg.surface_extent_reach, (occupied, True))
+    runs = _surface_extent(shell, 1.0, SURFACE_EXTENT_REACH, (occupied, True))
     thin_axis = np.zeros(gt.dims, dtype=np.int8)
     thin_axis[tuple(shell.T)] = np.argmin(runs, axis=1)
     return SceneMaps(codes, occupied, thin_axis)
@@ -290,44 +307,15 @@ class NoiseParams:
 
 @dataclass(frozen=True)
 class StubConfig:
-    """Controls the shape and strength of stubbed local predictions.
-
-    Splats are surface aligned: thin along the struck voxel face's normal
-    and sized in-plane to the local sample footprint (ray spacing grows
-    with distance and grazing incidence). The in-plane size is further
-    capped by how far the struck surface extends in each tangent
-    direction, so splats widen over large surfaces without bleeding past
-    panel edges.
-    """
+    """The stub's lift sampling grid: grid_h x grid_w pixel rays per frame.
+    The shape of the splats is fixed by the `STUB_*` module constants."""
 
     grid_h: int = LIFT_GRID_H
     grid_w: int = LIFT_GRID_W
-    normal_scale: float = 0.02
-    footprint_gain: float = 1.2
-    tangent_scale_min: float = 0.03
-    tangent_scale_max: float = 0.25
-    # sigma may reach at most (guaranteed support) / spill_margin, keeping
-    # the kernel at the first voxel past the surface edge subthreshold
-    spill_margin: float = 1.7
-    surface_extent_reach: int = 4
-    # 0 keeps the ray chord midpoint, 1 snaps to the struck voxel center;
-    # grazing chords hug voxel faces, so blending toward the center keeps
-    # sample means off cell boundaries
-    mean_centering: float = 0.5
-    logit_magnitude: float = STUB_LOGIT_MAGNITUDE
 
     def __post_init__(self):
-        # written so that NaN fails every check
-        if not (self.grid_h > 0 and self.grid_w > 0 and self.surface_extent_reach > 0):
-            raise InvalidInputError("grid_h, grid_w and surface_extent_reach must be positive")
-        positive = (self.normal_scale, self.footprint_gain, self.tangent_scale_min,
-                    self.tangent_scale_max, self.spill_margin, self.logit_magnitude)
-        if not all(0 < v < np.inf for v in positive):
-            raise InvalidInputError("stub scales, gains and margins must be positive and finite")
-        if not self.tangent_scale_min <= self.tangent_scale_max:
-            raise InvalidInputError("tangent_scale_min must not exceed tangent_scale_max")
-        if not 0 <= self.mean_centering <= 1:
-            raise InvalidInputError("mean_centering must lie in [0, 1]")
+        if not (self.grid_h > 0 and self.grid_w > 0):
+            raise InvalidInputError("grid_h and grid_w must be positive")
 
 
 def _surface_extent(voxels: np.ndarray, voxel_size: float, reach: int,
@@ -361,7 +349,6 @@ def stub_predict(
     seed: int,
     d_model: int,
     stub_cfg: StubConfig | None = None,
-    conf_cfg: ConfidenceConfig | None = None,
 ) -> PrimitiveBatch:
     """Ground-truth-guided local prediction with controllable corruption.
 
@@ -393,7 +380,7 @@ def stub_predict(
     origin, dirs = frame.pixel_rays(pixels[sel])
     clean = origin + t_mid[:, None] * dirs
     centers = gt.origin + (hits.voxel[sel] + 0.5) * gt.voxel_size
-    clean = clean + cfg.mean_centering * (centers - clean)
+    clean = clean + STUB_MEAN_CENTERING * (centers - clean)
     means = clean + depth_noise[sel, None] * dirs
 
     cell = gt.voxel_of(means)
@@ -412,7 +399,7 @@ def stub_predict(
     opac = np.where(consistent, 1.0, STUB_MOVED_OPACITY)
 
     logits = np.zeros((len(sel), n_cls))
-    logits[np.arange(len(sel)), cls] = cfg.logit_magnitude
+    logits[np.arange(len(sel)), cls] = STUB_LOGIT_MAGNITUDE
     logits += logit_noise[sel]
 
     # Surface-aligned anisotropy. The splat normal is the thinnest axis of
@@ -422,7 +409,7 @@ def stub_predict(
     # with range and grazing incidence) but is capped by how far the
     # surface actually extends, so splats never spill past panel rims.
     voxels = hits.voxel[sel]
-    reach = cfg.surface_extent_reach
+    reach = SURFACE_EXTENT_REACH
     geom_ext = _surface_extent(voxels, gt.voxel_size, reach, (maps.occupied, True))
     entry = hits.face_axis[sel]
     normal_axis = np.argmin(geom_ext, axis=1)
@@ -435,15 +422,15 @@ def stub_predict(
                     1.0 / frame.intrinsics[1, 1] * frame.height / cfg.grid_h)
     d_norm = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
     incidence = np.abs(d_norm[np.arange(len(sel)), normal_axis])
-    footprint = cfg.footprint_gain * t_mid * pix_angle / np.maximum(incidence, 0.2)
-    allowed = (class_ext + 0.5 * gt.voxel_size) / cfg.spill_margin
+    footprint = STUB_FOOTPRINT_GAIN * t_mid * pix_angle / np.maximum(incidence, 0.2)
+    allowed = (class_ext + 0.5 * gt.voxel_size) / STUB_SPILL_MARGIN
     scales = np.clip(np.minimum(footprint[:, None], allowed),
-                     cfg.tangent_scale_min, cfg.tangent_scale_max)
-    scales[np.arange(len(sel)), normal_axis] = cfg.normal_scale
+                     STUB_TANGENT_SCALE_MIN, STUB_TANGENT_SCALE_MAX)
+    scales[np.arange(len(sel)), normal_axis] = STUB_NORMAL_SCALE
 
     quats = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (len(sel), 1))
     feats = np.zeros((len(sel), d_model))
-    confs = confidence_values(logits, opac, conf_cfg)
+    confs = confidence_values(logits, opac)
     return PrimitiveBatch(means, scales, quats, opac, logits, feats, confs)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from splatmem.conf import ConfidenceConfig, confidence_values, entropy_batch
+from splatmem.conf import confidence_values, entropy_batch
 from splatmem.core import _QUAT_NORM_EPS, MIN_SCALE, PrimitiveBatch
 from splatmem.errors import InvalidInputError
 from splatmem.grid import VoxelGrid
@@ -164,9 +164,9 @@ def entropy(logits) -> float:
     return float(entropy_batch(np.atleast_2d(np.asarray(logits, dtype=np.float64)))[0])
 
 
-def confidence(g: GaussianPrimitive, cfg: ConfidenceConfig | None = None) -> float:
+def confidence(g: GaussianPrimitive) -> float:
     """Confidence of a single primitive, in [0, 1]."""
-    return float(confidence_values(g.logits[None, :], np.array([g.opacity]), cfg)[0])
+    return float(confidence_values(g.logits[None, :], np.array([g.opacity]))[0])
 
 
 def centers(grid: VoxelGrid) -> np.ndarray:

@@ -3,7 +3,7 @@ import pytest
 
 from oracle import GaussianPrimitive, from_primitives
 from splatmem.cavf import FusionConfig, fuse, fusion_weights
-from splatmem.conf import ConfidenceConfig, confidence_values
+from splatmem.conf import confidence_values
 from splatmem.core import MIN_SCALE, PrimitiveBatch, cell_of
 from splatmem.errors import InvalidInputError
 
@@ -258,16 +258,14 @@ class TestFuse:
         assert out.quat_fallback[0]
         assert np.array_equal(out.batch.rotations[0], b.rotations[np.argmax(w)])
 
-    def test_confidences_follow_the_config(self):
+    def test_confidences_follow_the_merged_rows(self):
         b = make_batch(40, seed=11)
         cells = assign_voxels(b, FusionConfig())
         w = fusion_weights(b.confidences, cells, 1.0)
-        cfg = ConfidenceConfig(h_max=1.5, sharpness=2.0)
-        out = fuse(b, w, cells, cfg).batch
+        out = fuse(b, w, cells).batch
+        assert len(out) < len(b)
         assert np.array_equal(out.confidences,
-                              confidence_values(out.logits, out.opacities, cfg))
-        assert not np.array_equal(out.confidences,
-                                  confidence_values(out.logits, out.opacities))
+                              confidence_values(out.logits, out.opacities))
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):

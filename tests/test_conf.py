@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from oracle import GaussianPrimitive, confidence, entropy
-from splatmem.conf import ConfidenceConfig, confidence_values
-from splatmem.errors import InvalidInputError
+from splatmem import conf
+from splatmem.conf import confidence_values
 
 RNG = np.random.default_rng(3)
 
@@ -68,18 +68,18 @@ class TestConfidence:
         assert got == pytest.approx(0.004042, abs=1e-5)
 
     def test_entropy_above_hmax_gives_zero(self):
-        cfg = ConfidenceConfig(h_max=1.0)
-        assert confidence(prim(np.zeros(11), 1.0), cfg) == 0.0
+        # 25 uniform logits have entropy ln 25 > 3, which the clip caps at H_MAX
+        assert entropy(np.zeros(25)) > conf.H_MAX
+        assert confidence(prim(np.zeros(25), 1.0)) == 0.0
 
     def test_monotone_in_entropy(self):
-        cfg = ConfidenceConfig()
         peaks = np.linspace(6, 0, 10)
         hs, values = [], []
         for p in peaks:
             logits = np.zeros(11)
             logits[0] = p
             hs.append(entropy(logits))
-            values.append(confidence(prim(logits), cfg))
+            values.append(confidence(prim(logits)))
         # a lower peak has strictly higher entropy, and no higher confidence
         assert all(h1 < h2 for h1, h2 in zip(hs, hs[1:]))
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
@@ -91,9 +91,8 @@ class TestConfidence:
             assert 0.0 <= c <= 1.0
 
     def test_defaults_pinned(self):
-        cfg = ConfidenceConfig()
-        assert cfg.h_max == 3.0
-        assert cfg.sharpness == 3.0
+        assert conf.H_MAX == 3.0
+        assert conf.SHARPNESS == 3.0
 
 
 class TestConfidenceBatch:
@@ -103,15 +102,3 @@ class TestConfidenceBatch:
                                 np.array([g.opacity for g in prims]))
         for g, c in zip(prims, got):
             assert c == pytest.approx(confidence(g), abs=1e-12)
-
-    def test_invalid_config_rejected(self):
-        for bad in (dict(h_max=0.0), dict(h_max=np.nan), dict(sharpness=-1.0),
-                    dict(sharpness=np.nan)):
-            with pytest.raises(InvalidInputError):
-                ConfidenceConfig(**bad)
-        # the power transform is the only one
-        with pytest.raises(TypeError):
-            ConfidenceConfig(transform="sharp_sigmoid")
-        # confidences are never normalized across a batch
-        with pytest.raises(TypeError):
-            ConfidenceConfig(normalize="softmax")

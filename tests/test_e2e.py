@@ -92,9 +92,9 @@ def embodied_run(tmp_path_factory):
     saved, merges = [], []
     real_save, real_merge = cli.save_gmem, memory_mod._merge_collisions
 
-    def merge(kept, kept_cells, new, new_cells, cfg, conf_cfg):
-        result = real_merge(kept, kept_cells, new, new_cells, cfg, conf_cfg)
-        merges.append(len(new) - len(result[1]))
+    def merge(*args):
+        result = real_merge(*args)
+        merges.append(len(args[2]) - len(result[1]))  # new rows in, new rows kept
         return result
 
     with pytest.MonkeyPatch.context() as mp:
@@ -197,6 +197,28 @@ class TestLocal:
         for name, digest in LOCAL_SHA256.items():
             assert sha256(tmp_path / name) == digest
 
+    @pytest.mark.parametrize("config,flags", [
+        ({"stub": {"grid_h": 12, "grid_w": 16}}, []),
+        # flags beat the file's values, at the top level and in a section
+        ({"stub": {"grid_h": 12, "grid_w": 16}, "mode": "embodied", "n_frames": 2,
+          "noise": {"flip_prob": 0.3}}, ["--flip-prob", "0"]),
+    ], ids=["config", "flags-beat-config"])
+    def test_subcommand_reproduces_the_digests(self, tmp_path, capsys, config, flags):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert cli.main(["run-local", "--mode", "local", "--frames", "6",
+                         "--config", str(path), "--output-dir", str(out), *flags]) == 0
+        for name, digest in LOCAL_SHA256.items():
+            assert sha256(out / name) == digest, name
+        assert capsys.readouterr().out == f"iou {LOCAL_IOU:.6f} miou {LOCAL_MIOU:.6f}\n"
+
+    def test_subcommand_without_local_mode_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["run-local", "--frames", "2", "--output-dir", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConcatBaseline:
     """The append-only baseline: its final render has the most overlapping
@@ -276,13 +298,23 @@ class TestCliExitCodes:
         ({"encoder": {"d_ff": 0}}, []),
         ({"encoder": {"seed": -1}}, []),
         ({"trajectory_seed": -1}, []),
-        ({"confidence": {"h_max": float("nan")}}, []),
         ({"noise": {"depth_sigma": float("nan")}}, []),
         ({"noise": {"logit_noise": -1.0}}, []),
         ({"noise": {"flip_prob": -1.0}}, []),
         ({}, ["--flip-prob", "nan"]),
+        ({"noise": 5}, ["--flip-prob", "0.1"]),
         ({"stub": {"grid_h": 0}}, []),
         # keys of settings that no longer exist
+        ({"confidence": {"h_max": float("nan")}}, []),
+        ({"confidence": {"sharpness": 3.0}}, []),
+        ({"stub": {"spill_margin": 0.0}}, []),
+        ({"stub": {"tangent_scale_max": float("nan")}}, []),
+        ({"stub": {"normal_scale": -1.0}}, []),
+        ({"stub": {"tangent_scale_min": 0.3}}, []),
+        ({"stub": {"mean_centering": float("nan")}}, []),
+        ({"stub": {"surface_extent_reach": 0}}, []),
+        ({"stub": {"footprint_gain": 1.2}}, []),
+        ({"stub": {"logit_magnitude": 1e39}}, []),
         ({"confidence": {"transform": "power"}}, []),
         ({"confidence": {"sigmoid_beta": 10.0}}, []),
         ({"confidence": {"sigmoid_gamma": 1.5}}, []),
@@ -296,13 +328,6 @@ class TestCliExitCodes:
         ({"n_frames": 3.0}, []),
         ({"noise": {"depth_sigma": True}}, []),
         ({"scene": 1}, []),
-        # stub shape constants out of range
-        ({"stub": {"spill_margin": 0.0}}, []),
-        ({"stub": {"tangent_scale_max": float("nan")}}, []),
-        ({"stub": {"normal_scale": -1.0}}, []),
-        ({"stub": {"tangent_scale_min": 0.3}}, []),
-        ({"stub": {"mean_centering": float("nan")}}, []),
-        ({"stub": {"surface_extent_reach": 0}}, []),
     ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else " ".join(v))
     def test_bad_config_value_exits_1_before_the_run(self, tmp_path, capsys, config,
                                                       flags):

@@ -219,7 +219,7 @@ class TestUpdate:
         got.check_unique_cells()
 
 
-def merge_collisions_reference(kept, kept_cells, new, new_cells, cfg, conf_cfg):
+def merge_collisions_reference(kept, kept_cells, new, new_cells, cfg):
     """The per-pair collision merge that _merge_collisions replaced."""
     kept = kept.copy()
     kept_lookup = {tuple(c): i for i, c in enumerate(kept_cells)}
@@ -228,7 +228,7 @@ def merge_collisions_reference(kept, kept_cells, new, new_cells, cfg, conf_cfg):
         i = kept_lookup.get(tuple(c))
         if i is not None:
             pair = concat_batches(kept.select([i]), new.select([j]))
-            merged, _ = _fuse_at_origin(pair, np.zeros(3), cfg, conf_cfg)
+            merged, _ = _fuse_at_origin(pair, np.zeros(3), cfg)
             for name in FIELDS:
                 getattr(kept, name)[i] = getattr(merged, name)[0]
             collide_new.append(j)
@@ -260,8 +260,8 @@ class TestMergeCollisions:
         new.rotations[j[-5:]] *= 1e-9
         kept.rotations[i[-5:]] *= 1e-9
         cfg = FusionConfig(voxel_size=0.12)
-        got = _merge_collisions(kept.copy(), kept_cells, new, new_cells, cfg, None)
-        ref = merge_collisions_reference(kept, kept_cells, new, new_cells, cfg, None)
+        got = _merge_collisions(kept.copy(), kept_cells, new, new_cells, cfg)
+        ref = merge_collisions_reference(kept, kept_cells, new, new_cells, cfg)
         for g, r in zip(got[:2], ref[:2]):
             for name in FIELDS:
                 assert np.array_equal(getattr(g, name), getattr(r, name)), name
@@ -276,7 +276,7 @@ class TestMergeCollisions:
         pool = np.stack(np.meshgrid(*[np.arange(4)] * 3), -1).reshape(-1, 3)
         kept = one_per_cell(40, pool[:40], 1)
         new = one_per_cell(20, pool[30:50], 2)
-        _merge_collisions(kept, pool[:40], new, pool[30:50], FusionConfig(), None)
+        _merge_collisions(kept, pool[:40], new, pool[30:50], FusionConfig())
         assert len(calls) == 1
 
 

@@ -1,5 +1,6 @@
-"""Every public name of `splatmem` is reached, and every defaulted
-parameter is passed by some call.
+"""Every public name of `splatmem` is reached, every defaulted
+parameter is passed by some call, and every run config value is set by
+a flag or a caller.
 
 The package is parsed with `ast`. The callers are the modules of the
 package other than `__init__.py`, and the benchmark's modules in
@@ -13,7 +14,10 @@ in `tests/oracle.py`.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
+
+import splatmem.cli as cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "splatmem"
@@ -152,3 +156,48 @@ def test_every_defaulted_parameter_is_passed():
 def test_kept_parameters_are_still_unpassed():
     # a kept parameter that src/ starts to pass, or that is deleted, leaves the list
     assert set(unpassed_parameters()) & UNPASSED_KEPT == UNPASSED_KEPT
+
+
+# Run config values that no flag sets and no caller passes, kept on purpose.
+UNSET_KEPT = {
+    # its False twin is the reference of test_dte_changes_only_the_features
+    "use_dte",
+    # the feature width, which the `.gmem` header stores
+    "encoder.d_model",
+    # removing these reaches init_weights, EncoderWeights and the pinned weight digest
+    "encoder.n_heads",
+    "encoder.d_ff",
+}
+
+
+def unset_config_values() -> list[str]:
+    """Dotted keys of the fields of `cli.RunConfig` and of its sections
+    that no run flag sets and that no module of the package or of
+    `perfbench/` passes by keyword to the field's dataclass."""
+    flagged = {key for _, key, _ in cli._RUN_FLAGS}
+    passed = set()
+    for node in caller_nodes():
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            passed.update((name, k.arg) for k in node.keywords)
+    out = []
+    for f in dataclasses.fields(cli.RunConfig):
+        section = f.default_factory
+        if dataclasses.is_dataclass(section):
+            out += [f"{f.name}.{g.name}" for g in dataclasses.fields(section)
+                    if f"{f.name}.{g.name}" not in flagged
+                    and (section.__name__, g.name) not in passed]
+        elif f.name not in flagged and ("RunConfig", f.name) not in passed:
+            out.append(f.name)
+    return out
+
+
+def test_every_config_value_is_set():
+    assert sorted(set(unset_config_values()) - UNSET_KEPT) == []
+
+
+def test_kept_config_values_are_still_unset():
+    # a kept value that a flag or a caller starts to set, or that is deleted,
+    # leaves the list
+    assert set(unset_config_values()) & UNSET_KEPT == UNSET_KEPT

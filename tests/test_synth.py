@@ -12,11 +12,15 @@ uint16 occupancy and the thin-axis map every frame. `trace_rays`, `scene_maps`,
 import numpy as np
 import pytest
 
+import splatmem.synth as synth
 from splatmem.conf import confidence_values
 from splatmem.core import CameraFrame, PrimitiveBatch, cell_of
 from splatmem.grid import VoxelGrid
 from splatmem.synth import (DEFAULT_FAR, DEFAULT_HEIGHT, DEFAULT_INTRINSICS,
-                            DEFAULT_NEAR, DEFAULT_WIDTH, STUB_MOVED_OPACITY, NoiseParams,
+                            DEFAULT_NEAR, DEFAULT_WIDTH, STUB_FOOTPRINT_GAIN,
+                            STUB_LOGIT_MAGNITUDE, STUB_MEAN_CENTERING, STUB_MOVED_OPACITY,
+                            STUB_NORMAL_SCALE, STUB_SPILL_MARGIN, STUB_TANGENT_SCALE_MAX,
+                            STUB_TANGENT_SCALE_MIN, SURFACE_EXTENT_REACH, NoiseParams,
                             RayHits, StubConfig, _look_at_pose, _surface_extent,
                             default_scene, generate_scene,
                             generate_trajectory, sample_pixels, scene_maps, stub_predict,
@@ -165,7 +169,7 @@ def reference_stub_predict(gt, frame, noise, seed, d_model, cfg):
     origin, dirs = frame.pixel_rays(pixels[sel])
     clean = origin + t_mid[:, None] * dirs
     centers = gt.origin + (hits.voxel[sel] + 0.5) * gt.voxel_size
-    clean = clean + cfg.mean_centering * (centers - clean)
+    clean = clean + STUB_MEAN_CENTERING * (centers - clean)
     means = clean + depth_noise[sel, None] * dirs
     cell = gt.voxel_of(means)
     in_b = gt.in_bounds(cell)
@@ -180,22 +184,22 @@ def reference_stub_predict(gt, frame, noise, seed, d_model, cfg):
     consistent = np.all(cell == hits.voxel[sel], axis=1)
     opac = np.where(consistent, 1.0, STUB_MOVED_OPACITY)
     logits = np.zeros((len(sel), n_cls))
-    logits[np.arange(len(sel)), cls] = cfg.logit_magnitude
+    logits[np.arange(len(sel)), cls] = STUB_LOGIT_MAGNITUDE
     logits += logit_noise[sel]
     occupancy = np.where(gt.values != gt.num_classes - 1, 0, 1).astype(np.uint16)
     geom_ext = np.stack(
         [axis_surface_extent(occupancy, hits.voxel[sel], a, gt.voxel_size,
-                             cfg.surface_extent_reach) for a in range(3)],
+                             SURFACE_EXTENT_REACH) for a in range(3)],
         axis=1,
     )
     entry = hits.face_axis[sel]
     normal_axis = np.argmin(geom_ext, axis=1)
     entry_is_min = geom_ext[np.arange(len(sel)), entry] <= geom_ext.min(axis=1)
     normal_axis[entry_is_min] = entry[entry_is_min]
-    thin_map = loop_thin_axis_map(gt.values != gt.num_classes - 1, cfg.surface_extent_reach)
+    thin_map = loop_thin_axis_map(gt.values != gt.num_classes - 1, SURFACE_EXTENT_REACH)
     class_ext = np.stack(
         [axis_surface_extent(gt.values, hits.voxel[sel], a, gt.voxel_size,
-                             cfg.surface_extent_reach, thin_map, normal_axis)
+                             SURFACE_EXTENT_REACH, thin_map, normal_axis)
          for a in range(3)],
         axis=1,
     )
@@ -203,11 +207,11 @@ def reference_stub_predict(gt, frame, noise, seed, d_model, cfg):
                     1.0 / frame.intrinsics[1, 1] * frame.height / cfg.grid_h)
     d_norm = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
     incidence = np.abs(d_norm[np.arange(len(sel)), normal_axis])
-    footprint = cfg.footprint_gain * t_mid * pix_angle / np.maximum(incidence, 0.2)
-    allowed = (class_ext + 0.5 * gt.voxel_size) / cfg.spill_margin
+    footprint = STUB_FOOTPRINT_GAIN * t_mid * pix_angle / np.maximum(incidence, 0.2)
+    allowed = (class_ext + 0.5 * gt.voxel_size) / STUB_SPILL_MARGIN
     scales = np.clip(np.minimum(footprint[:, None], allowed),
-                     cfg.tangent_scale_min, cfg.tangent_scale_max)
-    scales[np.arange(len(sel)), normal_axis] = cfg.normal_scale
+                     STUB_TANGENT_SCALE_MIN, STUB_TANGENT_SCALE_MAX)
+    scales[np.arange(len(sel)), normal_axis] = STUB_NORMAL_SCALE
     quats = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (len(sel), 1))
     feats = np.zeros((len(sel), d_model))
     confs = confidence_values(logits, opac)
@@ -247,8 +251,7 @@ def assert_hits_equal(got, ref):
 
 class TestSceneMaps:
     def test_padded_codes_and_maps(self):
-        cfg = StubConfig()
-        maps = scene_maps(GT, cfg)
+        maps = scene_maps(GT)
         occupied = GT.values != GT.num_classes - 1
         assert maps.codes.dtype == np.int8
         assert maps.codes.shape == tuple(d + 2 for d in GT.dims)
@@ -259,13 +262,14 @@ class TestSceneMaps:
         assert np.array_equal(maps.occupied, occupied)
 
     @pytest.mark.parametrize("reach", [1, 2, 4])
-    def test_thin_axis_matches_shifted_copies_on_the_shell(self, reach):
+    def test_thin_axis_matches_shifted_copies_on_the_shell(self, reach, monkeypatch):
+        monkeypatch.setattr(synth, "SURFACE_EXTENT_REACH", reach)
         rng = np.random.default_rng(reach)
         for occupied in (GT.values != GT.num_classes - 1, rng.random((20, 17, 9)) < 0.6):
             labels = np.where(occupied, 0, 11).astype(np.uint16)
             grid = VoxelGrid.empty_labels((0, 0, 0), 0.1, occupied.shape)
             grid.values[:] = labels
-            thin = scene_maps(grid, StubConfig(surface_extent_reach=reach)).thin_axis
+            thin = scene_maps(grid).thin_axis
             ref = loop_thin_axis_map(occupied, reach)
             assert np.array_equal(thin[occupied], ref[occupied])
             assert not thin[~occupied].any()
@@ -275,14 +279,14 @@ class TestTraceRays:
     @pytest.mark.parametrize("grid_hw", LIFT_GRIDS)
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_trajectory_matches_loop(self, seed, grid_hw):
-        maps = scene_maps(GT, StubConfig())
+        maps = scene_maps(GT)
         pixels = sample_pixels(DEFAULT_WIDTH, DEFAULT_HEIGHT, *grid_hw)
         for frame in generate_trajectory(default_scene(), 12, seed):
             assert_hits_equal(trace_rays(GT, maps, frame, pixels),
                               loop_trace_rays(GT, frame, pixels))
 
     def test_random_cameras_match_loop(self):
-        maps = scene_maps(GT, StubConfig())
+        maps = scene_maps(GT)
         cams = random_cameras(120, seed=5)
         inside = [np.all((c.position >= 0) & (c.position <= EXTENT)) for c in cams]
         assert 10 < sum(inside) < 110
@@ -308,7 +312,7 @@ class TestTraceRays:
         frame = camera(position, forward)
         origin, dirs = frame.pixel_rays(PIXELS)
         assert np.sum(dirs == 0) >= 5
-        assert_hits_equal(trace_rays(GT, scene_maps(GT, StubConfig()), frame, PIXELS),
+        assert_hits_equal(trace_rays(GT, scene_maps(GT), frame, PIXELS),
                           loop_trace_rays(GT, frame, PIXELS))
 
     @pytest.mark.parametrize("position,forward,far", [
@@ -318,13 +322,13 @@ class TestTraceRays:
     ])
     def test_rays_that_miss_the_grid(self, position, forward, far):
         frame = camera(position, forward, far)
-        hits = trace_rays(GT, scene_maps(GT, StubConfig()), frame, PIXELS)
+        hits = trace_rays(GT, scene_maps(GT), frame, PIXELS)
         assert not hits.hit.any()
         assert_hits_equal(hits, loop_trace_rays(GT, frame, PIXELS))
 
 
 def hit_voxels(seed, frames=6):
-    maps = scene_maps(GT, StubConfig())
+    maps = scene_maps(GT)
     pixels = sample_pixels(DEFAULT_WIDTH, DEFAULT_HEIGHT, 30, 40)
     out = []
     for frame in generate_trajectory(default_scene(), frames, seed):
@@ -368,7 +372,7 @@ class TestStubPredict:
     @pytest.mark.parametrize("seed", [0, 4])
     def test_batches_match_reference(self, seed, grid_hw, noise):
         cfg = StubConfig(grid_h=grid_hw[0], grid_w=grid_hw[1])
-        maps = scene_maps(GT, cfg)
+        maps = scene_maps(GT)
         for i, frame in enumerate(generate_trajectory(default_scene(), 8, seed)):
             got = stub_predict(GT, maps, frame, noise, seed + i, D_MODEL, cfg)
             ref = reference_stub_predict(GT, frame, noise, seed + i, D_MODEL, cfg)
@@ -379,6 +383,6 @@ class TestStubPredict:
     def test_frames_that_see_nothing_give_empty_batches(self):
         cfg = StubConfig(grid_h=12, grid_w=16)
         frame = camera((-3.0, -3.0, 1.0), (-1, -1, 0))
-        got = stub_predict(GT, scene_maps(GT, cfg), frame, NoiseParams(), 0, D_MODEL, cfg)
+        got = stub_predict(GT, scene_maps(GT), frame, NoiseParams(), 0, D_MODEL, cfg)
         assert len(got) == 0
         assert len(reference_stub_predict(GT, frame, NoiseParams(), 0, D_MODEL, cfg)) == 0

@@ -23,6 +23,9 @@ import numpy as np
 from .core import PrimitiveBatch
 from .errors import InvalidInputError
 
+# Attention heads and FFN width of the encoder.
+N_HEADS = 4
+D_FF = 64
 # Query rows per attention block; the score buffer is _BLOCK_ROWS x M.
 _BLOCK_ROWS = 128
 _NORM_EPS = 1e-5
@@ -39,8 +42,6 @@ class EncoderWeights:
     """
 
     d_model: int
-    n_heads: int
-    d_ff: int
     seed: int
     w_q: np.ndarray = field(repr=False, default=None)
     w_k: np.ndarray = field(repr=False, default=None)
@@ -52,17 +53,12 @@ class EncoderWeights:
     ffn_b2: np.ndarray = field(repr=False, default=None)
 
 
-def init_weights(
-    d_model: int = 32,
-    n_heads: int = 4,
-    d_ff: int = 64,
-    seed: int = 0,
-) -> EncoderWeights:
+def init_weights(d_model: int = 32, seed: int = 0) -> EncoderWeights:
     """Deterministic weight bundle; same arguments always give same bytes."""
-    if d_model <= 0 or n_heads <= 0 or d_ff <= 0:
-        raise InvalidInputError("dimensions must be positive")
-    if d_model % n_heads != 0:
-        raise InvalidInputError(f"d_model {d_model} not divisible by n_heads {n_heads}")
+    if d_model <= 0:
+        raise InvalidInputError("d_model must be positive")
+    if d_model % N_HEADS != 0:
+        raise InvalidInputError(f"d_model {d_model} not divisible by {N_HEADS} heads")
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(d_model)
 
@@ -70,14 +66,14 @@ def init_weights(
         return (rng.standard_normal(shape) * scale).astype(np.float32).astype(np.float64)
 
     return EncoderWeights(
-        d_model, n_heads, d_ff, seed,
+        d_model, seed,
         w_q=draw(d_model, d_model),
         w_k=draw(d_model, d_model),
         w_v=draw(d_model, d_model),
         w_o=draw(d_model, d_model),
-        ffn_w1=draw(d_model, d_ff),
-        ffn_b1=draw(d_ff),
-        ffn_w2=draw(d_ff, d_model),
+        ffn_w1=draw(d_model, D_FF),
+        ffn_b1=draw(D_FF),
+        ffn_w2=draw(D_FF, d_model),
         ffn_b2=draw(d_model),
     )
 
@@ -140,7 +136,7 @@ def cca(query: PrimitiveBatch, keyval: PrimitiveBatch, w: EncoderWeights) -> np.
     Q = query.features @ w.w_q
     K = keyval.features @ w.w_k
     V = (keyval.features @ w.w_v) * keyval.confidences[:, None]
-    out = mha(Q, K, V, w.n_heads)
+    out = mha(Q, K, V, N_HEADS)
     return (out * query.confidences[:, None]) @ w.w_o
 
 

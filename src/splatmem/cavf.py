@@ -1,20 +1,20 @@
 """Confidence-aware voxel fusion.
 
 Primitives are grouped by the fusion cell containing their mean (the
-caller computes the cells with `core.cell_of` from the memory's origin),
-weighted by a per-cell softmax over their confidences, and merged into one
-primitive per occupied cell by convex combination of every attribute and
-feature. Quaternions are sign-aligned to the highest-weight group member
-before summation since q and -q encode the same rotation.
+caller computes the cell keys with `core.cell_key` from the memory's
+origin), weighted by a per-cell softmax over their confidences, and merged
+into one primitive per occupied cell by convex combination of every
+attribute and feature. Quaternions are sign-aligned to the highest-weight
+group member before summation since q and -q encode the same rotation.
 
-Both steps run without a Python loop over cells: one lexsort groups the
-rows, the groups are bucketed by their number of rows k, and each bucket
-is reduced at once, the softmax by row-wise sums over a (G, k) array and
-the merge by one (G, 1, k) @ (G, k, D) batched matmul per attribute. These
-reductions add in the same order as a per-group `e.sum()` and `gw @ X`, so
-results are bit-identical to a loop over cells. `np.add.reduceat` is not:
-it adds the rows of a segment in another order and changes the last bit
-of some sums of three or more rows.
+Both steps run without a Python loop over cells: a stable argsort of the
+keys groups the rows, the groups are bucketed by their number of rows k,
+and each bucket is reduced at once, the softmax by row-wise sums over a
+(G, k) array and the merge by one (G, 1, k) @ (G, k, D) batched matmul per
+attribute. These reductions add in the same order as a per-group
+`e.sum()` and `gw @ X`, so results are bit-identical to a loop over cells.
+`np.add.reduceat` is not: it adds the rows of a segment in another order
+and changes the last bit of some sums of three or more rows.
 """
 
 from __future__ import annotations
@@ -42,25 +42,20 @@ class FusionConfig:
             raise InvalidInputError("temperature must be positive")
 
 
-def _group_buckets(cells: np.ndarray) -> tuple[int, list]:
-    """Group rows by cell, and the groups by their number of rows.
+def _group_buckets(cells: np.ndarray) -> tuple[np.ndarray, list]:
+    """Group rows by cell key, and the groups by their number of rows.
 
-    Returns the number of groups and, for each group size k, a pair
-    (g, rows): the ids g of the groups of k rows, numbered in lexicographic
-    cell order, and their (len(g), k) row indices in stable sorted order.
+    Returns the sorted distinct keys and, for each group size k, a pair
+    (g, rows): the ids g of the groups of k rows, numbered in key order,
+    and their (len(g), k) row indices in stable sorted order.
     """
-    if len(cells) == 0:
-        return 0, []
-    order = np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0]))
-    sc = cells[order]
-    change = np.any(sc[1:] != sc[:-1], axis=1)
-    starts = np.concatenate([[0], np.nonzero(change)[0] + 1])
-    sizes = np.diff(np.append(starts, len(cells)))
+    order = np.argsort(cells, kind="stable")
+    keys, starts, sizes = np.unique(cells[order], return_index=True, return_counts=True)
     buckets = []
     for k in np.unique(sizes):
         g = np.nonzero(sizes == k)[0]
         buckets.append((g, order[starts[g][:, None] + np.arange(k)]))
-    return len(starts), buckets
+    return keys, buckets
 
 
 def fusion_weights(confidences, cells, temperature: float) -> np.ndarray:
@@ -85,7 +80,7 @@ class FusedSet:
     """One merged primitive per occupied cell, in cell-sorted order."""
 
     batch: PrimitiveBatch
-    cells: np.ndarray               # (M, 3) grouping cell of each output
+    cells: np.ndarray               # (M,) cell key of each output
     quat_fallback: np.ndarray       # (M,) True where the quaternion sum degenerated
 
     def __len__(self) -> int:
@@ -107,17 +102,16 @@ def fuse(primitives: PrimitiveBatch, weights, cells) -> FusedSet:
     if not (len(w) == len(cells) == len(b)):
         raise InvalidInputError("primitives, weights, cells length mismatch")
 
-    m, buckets = _group_buckets(cells)
+    out_cells, buckets = _group_buckets(cells)
+    m = len(out_cells)
     means, scales = np.empty((m, 3)), np.empty((m, 3))
     rotations, opacities = np.empty((m, 4)), np.empty(m)
     logits = np.empty((m, b.n_logits))
     features = np.empty((m, b.d_model))
-    out_cells = np.empty((m, 3), dtype=np.int64)
     quat_fallback = np.zeros(m, dtype=bool)
     # Each (1, k) @ (k, D) product of a batched matmul is the same BLAS call
     # as a per-group gw @ X; summing gw[:, :, None] * X would round differently.
     for g, rows in buckets:
-        out_cells[g] = cells[rows[:, 0]]
         gw = w[rows][:, None, :]                              # (G, 1, k)
         means[g] = np.matmul(gw, b.means[rows])[:, 0]
         scales[g] = np.maximum(np.matmul(gw, b.scales[rows])[:, 0], MIN_SCALE)

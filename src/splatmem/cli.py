@@ -5,6 +5,11 @@ file seeds the run configuration; explicit command-line flags win over
 config file values. Exit codes: 0 success, 1 config error, 2 format
 error, 3 internal invariant violation.
 
+A fusion cell key (`core.cell_key`) holds cells within 2^20 fusion voxels
+of the memory's origin on each axis: about 125 km at the default 0.12 m.
+A run or `fuse` whose primitives leave that range exits 3, naming the
+voxel size and the limit; a checkpoint whose means leave it exits 2.
+
 All artifacts are byte-deterministic given (config, seeds), except
 timing.csv, which records wall-clock measurements and is therefore
 excluded from the determinism contract.
@@ -21,9 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .attn import dte_step, init_weights
+from .attn import N_HEADS, dte_step, init_weights
 from .cavf import FusionConfig
-from .core import PrimitiveBatch, concat_batches
+from .core import PrimitiveBatch, cell_key, concat_batches
 from .errors import ConfigError, FormatError, InvalidInputError, InvariantError
 from .grid import VoxelGrid, load_vgrid, save_vgrid
 from .memory import (GaussianMemory, gmem_nbytes, init_memory, load_gmem, save_gmem,
@@ -44,18 +49,15 @@ class EncoderConfig:
     the seed on every run; it refines features and no other attribute."""
 
     d_model: int = 32
-    n_heads: int = 4
-    d_ff: int = 64
     seed: int = 42
     n_blocks: int = 2
 
     def __post_init__(self):
-        dims = (self.d_model, self.n_heads, self.d_ff, self.n_blocks)
-        if not all(v > 0 for v in dims):  # also rejects NaN
-            raise InvalidInputError("d_model, n_heads, d_ff and n_blocks must be positive")
-        if self.d_model % self.n_heads:
+        if not (self.d_model > 0 and self.n_blocks > 0):  # also rejects NaN
+            raise InvalidInputError("d_model and n_blocks must be positive")
+        if self.d_model % N_HEADS:
             raise InvalidInputError(
-                f"d_model {self.d_model} is not divisible by n_heads {self.n_heads}")
+                f"d_model {self.d_model} is not divisible by {N_HEADS} heads")
         if not self.seed >= 0:
             raise InvalidInputError("seed must be >= 0")
 
@@ -180,8 +182,7 @@ def run_local(cfg: RunConfig) -> MetricReport:
     gt = generate_scene(spec)
     maps = scene_maps(gt)
     frames = generate_trajectory(spec, cfg.n_frames, cfg.trajectory_seed)
-    weights = init_weights(cfg.encoder.d_model, cfg.encoder.n_heads, cfg.encoder.d_ff,
-                           cfg.encoder.seed)
+    weights = init_weights(cfg.encoder.d_model, cfg.encoder.seed)
     empty_hist = PrimitiveBatch.empty(cfg.encoder.d_model, gt.num_classes)
 
     rows = ["frame,count,iou,miou,observed_fraction"]
@@ -231,8 +232,7 @@ def run_embodied(cfg: RunConfig) -> MetricReport:
     gt = generate_scene(spec)
     maps = scene_maps(gt)
     frames = generate_trajectory(spec, cfg.n_frames, cfg.trajectory_seed)
-    weights = init_weights(cfg.encoder.d_model, cfg.encoder.n_heads, cfg.encoder.d_ff,
-                           cfg.encoder.seed)
+    weights = init_weights(cfg.encoder.d_model, cfg.encoder.seed)
 
     memory: GaussianMemory | None = None
     concat_batch: PrimitiveBatch | None = None
@@ -266,9 +266,7 @@ def run_embodied(cfg: RunConfig) -> MetricReport:
     if concat_mode:
         origin = np.zeros(3)
         memory_to_save = GaussianMemory(
-            final, cfg.fusion, origin,
-            np.zeros((len(final), 3), dtype=np.int64),
-        )
+            final, cfg.fusion, origin, cell_key(final.means, origin, cfg.fusion.voxel_size))
     else:
         memory_to_save = memory
     gmem_path = out / "final.gmem"

@@ -3,6 +3,11 @@
 `PrimitiveBatch` is the one struct-of-arrays primitive set that every
 layer takes and returns. Quaternions are stored (w, x, y, z) everywhere,
 including file formats.
+
+A fusion cell is one int64 key, the spatial-hash cell id of voxel hashing
+(Teschner et al. 2003; Niessner et al. 2013). Only `cell_key` knows the
+packing. Key order is the lexicographic order of the cells' index
+triples, and every other module treats keys as opaque sortable ints.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, InvariantError
 
 # Class count: occupied classes 0..NUM_CLASSES-2 plus one empty class.
 # Logit vectors cover only the NUM_CLASSES-1 occupied classes; the empty
@@ -24,11 +29,31 @@ MIN_SCALE = 1e-4
 
 _QUAT_NORM_EPS = 1e-8
 
+# A key holds cell indices in [-_KEY_REACH, _KEY_REACH) on each axis.
+_KEY_REACH = 1 << 20
+_KEY_WEIGHTS = np.array([1 << 42, 1 << 21, 1], dtype=np.int64)
+
 
 def cell_of(points, origin, size: float) -> np.ndarray:
     """Integer cell floor((p - origin) / size) of each (N, 3) point."""
     p = np.asarray(points, dtype=np.float64)
     return np.floor((p - origin) / size).astype(np.int64)
+
+
+def cell_key(points, origin, size: float) -> np.ndarray:
+    """Fusion-cell key, (N,), of each (N, 3) point: each `cell_of` index
+    offset by 2^20 into 21 bits, x highest. Raises InvariantError for an
+    index outside [-2^20, 2^20), which would wrap: at the default 0.12 m
+    cell, a point about 125 km from the origin on any axis.
+    """
+    # checked before the int cast, which is undefined for NaN and past int64
+    c = np.floor((np.asarray(points, dtype=np.float64) - origin) / size)
+    if c.size and not (c.min() >= -_KEY_REACH and c.max() < _KEY_REACH):
+        raise InvariantError(
+            f"a point lies outside the fusion-cell key range at cell size {size:g} m: "
+            f"a key reaches 2^20 cells ({_KEY_REACH * size:g} m) from the origin "
+            f"on each axis")
+    return (c.astype(np.int64) + _KEY_REACH) @ _KEY_WEIGHTS
 
 
 def quats_to_rotations(quats: np.ndarray) -> np.ndarray:

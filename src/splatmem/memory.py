@@ -7,7 +7,8 @@ confidence-aware voxel fusion, and writes the result back next to the
 untouched out-of-view primitives. After every update there is at most
 one primitive per fusion cell. Fusion cells are anchored at the memory's
 origin: the world origin for a new memory, the stored origin for one
-loaded from a `.gmem` checkpoint.
+loaded from a `.gmem` checkpoint. Each row's cell is a `core.cell_key`,
+so the cells two sets share are one intersection of int64 keys.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .attn import EncoderWeights, dte_step
 from .cavf import FusionConfig, fuse, fusion_weights
 from .conf import confidence_values
-from .core import CameraFrame, PrimitiveBatch, cell_of, concat_batches
+from .core import CameraFrame, PrimitiveBatch, cell_key, concat_batches
 from .errors import FormatError, InvalidInputError, InvariantError
 
 GMEM_MAGIC = b"GMEM"
@@ -48,25 +49,19 @@ class GaussianMemory:
     batch: PrimitiveBatch
     fusion: FusionConfig
     origin: np.ndarray
-    cells: np.ndarray  # (N, 3) fusion cell per primitive
+    cells: np.ndarray  # (N,) fusion-cell key per primitive
 
     def __len__(self) -> int:
         return len(self.batch)
 
     def check_unique_cells(self) -> None:
-        if len(self.cells) != len(np.unique(self.cells, axis=0)):
+        if len(self.cells) != len(np.unique(self.cells)):
             raise InvalidInputError("memory holds more than one primitive per cell")
-
-
-def _fuse_at_origin(batch: PrimitiveBatch, origin: np.ndarray,
-                    cfg: FusionConfig) -> tuple[PrimitiveBatch, np.ndarray]:
-    """Fuse a batch against a fixed grouping origin; returns (batch, cells)."""
-    return _fuse_cells(batch, cell_of(batch.means, origin, cfg.voxel_size), cfg)
 
 
 def _fuse_cells(batch: PrimitiveBatch, cells: np.ndarray,
                 cfg: FusionConfig) -> tuple[PrimitiveBatch, np.ndarray]:
-    """Fuse a batch grouped by the given cells; returns (batch, cells)."""
+    """Fuse a batch grouped by the given cell keys; returns (batch, keys)."""
     w = fusion_weights(batch.confidences, cells, cfg.temperature)
     fused = fuse(batch, w, cells)
     return fused.batch, fused.cells
@@ -79,7 +74,8 @@ def init_memory(prediction: PrimitiveBatch,
         raise InvalidInputError("cannot initialize memory from an empty prediction")
     cfg = cfg or FusionConfig()
     origin = np.zeros(3)
-    batch, cells = _fuse_at_origin(prediction, origin, cfg)
+    batch, cells = _fuse_cells(prediction,
+                               cell_key(prediction.means, origin, cfg.voxel_size), cfg)
     return GaussianMemory(batch, cfg, origin, cells)
 
 
@@ -120,7 +116,8 @@ def update(
         refined_local, refined_hist = dte_step(local_prediction, inside, weights,
                                                n_blocks)
         union = concat_batches(refined_local, refined_hist)
-    new_batch, new_cells = _fuse_at_origin(union, memory.origin, memory.fusion)
+    cells = cell_key(union.means, memory.origin, memory.fusion.voxel_size)
+    new_batch, new_cells = _fuse_cells(union, cells, memory.fusion)
     kept_cells = memory.cells[idx_out]
     kept, new_batch, new_cells = _merge_collisions(
         memory.batch.select(idx_out), kept_cells, new_batch, new_cells, memory.fusion)
@@ -137,32 +134,25 @@ def _merge_collisions(
     """Merge new rows into the kept rows that own the same cell.
 
     A refined mean can drift into a cell still owned by an out-of-view
-    primitive. Both sides hold at most one row per cell, so each shared
-    cell has one kept and one new row; all such pairs go through one fuse
-    call, each group kept row first (lexsort is stable), exactly as a
-    separate fuse of each pair. The merged rows replace their kept rows in
-    place, the new rows are dropped, and every other row stays
-    bit-identical. Returns (kept, new without the merged rows, its cells).
+    primitive. The new rows hold one row per cell; the kept rows may repeat
+    a cell (a reloaded checkpoint can), and then the first of them is its
+    owner. Each shared cell pairs its owner with its new row; all such
+    pairs go through one fuse call, each group kept row first (the
+    grouping sort is stable), exactly as a separate fuse of each pair. The
+    merged rows replace their kept rows in place, the new rows are
+    dropped, and every other row stays bit-identical. Returns (kept, new
+    without the merged rows, its cells).
     """
-    if len(kept) == 0 or len(new) == 0:
+    # ki and nj are first occurrences in key order, fuse's output order.
+    _, ki, nj = np.intersect1d(kept_cells, new_cells, return_indices=True)
+    if len(ki) == 0:
         return kept, new, new_cells
-    uniq, ids = np.unique(np.concatenate([kept_cells, new_cells]), axis=0,
-                          return_inverse=True)
-    ids = ids.reshape(-1)
-    kept_of_id = np.full(len(uniq), -1)
-    kept_of_id[ids[: len(kept)]] = np.arange(len(kept))
-    owner = kept_of_id[ids[len(kept):]]
-    hit = owner >= 0
-    if not hit.any():
-        return kept, new, new_cells
-    ki, nj = owner[hit], np.nonzero(hit)[0]
     pairs = concat_batches(kept.select(ki), new.select(nj))
     merged, _ = _fuse_cells(pairs, np.concatenate([kept_cells[ki], new_cells[nj]]), cfg)
-    # fuse returns one row per pair, in lexicographic cell order
-    ki = ki[np.lexsort(kept_cells[ki].T[::-1])]
     for f in fields(kept):
         getattr(kept, f.name)[ki] = getattr(merged, f.name)
-    return kept, new.select(~hit), new_cells[~hit]
+    rest = np.delete(np.arange(len(new)), nj)
+    return kept, new.select(rest), new_cells[rest]
 
 
 def save_gmem(path, memory: GaussianMemory) -> None:
@@ -171,7 +161,7 @@ def save_gmem(path, memory: GaussianMemory) -> None:
     Header {magic "GMEM", version u32, count u32, d_model u32, C u32,
     fusion voxel_size f64, origin 3 x f64} followed by one packed f32
     record per primitive: mean 3, scale 3, quat 4, opacity 1, logits C-1,
-    feature d_model. Confidences and cells are derived data and are
+    feature d_model. Confidences and cell keys are derived data and are
     recomputed on load. Raises InvariantError, and writes nothing, when a
     record value is not finite in float32.
     """
@@ -235,5 +225,8 @@ def load_gmem(path) -> GaussianMemory:
     feats = rec[:, 11 + n_classes - 1 :]
     confs = confidence_values(logits, opac) if count else np.zeros(0)
     batch = PrimitiveBatch(means, scales, quats, opac, logits, feats, confs)
-    cfg = FusionConfig(voxel_size=vs)
-    return GaussianMemory(batch, cfg, origin, cell_of(means, origin, vs))
+    try:
+        cells = cell_key(means, origin, vs)
+    except InvariantError as e:
+        raise FormatError(f"gmem records: {e}") from e
+    return GaussianMemory(batch, FusionConfig(voxel_size=vs), origin, cells)

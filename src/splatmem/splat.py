@@ -1,11 +1,11 @@
 """Decoupled Gaussian-to-voxel splatting.
 
 A primitive contributes to every voxel of the block covered by the
-cells its truncated ellipsoid (default 3 sigma) overlaps: the cells are
-cubes of CELL_FACTOR voxels anchored at the world origin, and the
-ellipsoid is bounded by its axis-aligned box. With truncation disabled
-the block is the whole grid and the result coincides with a dense
-all-pairs evaluation.
+cells its ellipsoid, truncated at TRUNCATION_SIGMAS, overlaps: the
+cells are cubes of CELL_FACTOR voxels anchored at the world origin, and
+the ellipsoid is bounded by its axis-aligned box. A truncation wider than
+the grid makes the block the whole grid, and the result coincides with a
+dense all-pairs evaluation.
 
 Rendering computes all blocks in one vectorised pass, then walks the
 primitives with a non-empty block in index order, in chunks of at most
@@ -32,7 +32,7 @@ from .core import PrimitiveBatch, quats_to_rotations
 from .errors import InvalidInputError
 from .grid import LABEL_MODE, PROB_MODE, VoxelGrid
 
-DEFAULT_TRUNCATION_SIGMAS = 3.0
+TRUNCATION_SIGMAS = 3.0
 # Support cells are 4 voxels per side.
 CELL_FACTOR = 4.0
 # (primitive, voxel) pairs evaluated at once; bounds the per-chunk arrays
@@ -113,11 +113,7 @@ def _kernel_blocks(axes, means, inv_cov, opacities, pdf_norm, lo, shape):
             k / pdf_norm[:, None, None, None])
 
 
-def splat_fields(
-    grid: VoxelGrid,
-    primitives: PrimitiveBatch,
-    truncation_radius_sigmas: float = DEFAULT_TRUNCATION_SIGMAS,
-) -> SplatFields:
+def splat_fields(grid: VoxelGrid, primitives: PrimitiveBatch) -> SplatFields:
     """Accumulate the opacity and semantic fields at voxel centers over the
     union box of the primitives' blocks."""
     b = primitives
@@ -125,15 +121,10 @@ def splat_fields(
     c_occ = b.n_logits if n else grid.num_classes - 1
     R = quats_to_rotations(b.rotations)
     s2 = b.scales**2
-    if np.isfinite(truncation_radius_sigmas):
-        # half extents of each truncated ellipsoid's world AABB
-        half = truncation_radius_sigmas * np.sqrt(
-            np.einsum("nab,nb->na", R**2, s2))
-        lo, hi = _voxel_span(b.means, half, grid.origin, grid.voxel_size,
-                             grid.voxel_size * CELL_FACTOR, grid.dims)
-    else:
-        lo = np.zeros((n, 3), dtype=np.int64)
-        hi = np.broadcast_to(np.asarray(grid.dims) - 1, (n, 3))
+    # half extents of each truncated ellipsoid's world AABB
+    half = TRUNCATION_SIGMAS * np.sqrt(np.einsum("nab,nb->na", R**2, s2))
+    lo, hi = _voxel_span(b.means, half, grid.origin, grid.voxel_size,
+                         grid.voxel_size * CELL_FACTOR, grid.dims)
     ext = hi - lo + 1
     live = np.flatnonzero(np.all(ext > 0, axis=1))
     box_lo = lo[live].min(axis=0) if len(live) else np.zeros(3, dtype=np.int64)
@@ -179,16 +170,12 @@ def splat_fields(
     return SplatFields(grid.dims, box, keep, acc)
 
 
-def render(
-    grid: VoxelGrid,
-    primitives: PrimitiveBatch,
-    truncation_radius_sigmas: float = DEFAULT_TRUNCATION_SIGMAS,
-) -> VoxelGrid:
+def render(grid: VoxelGrid, primitives: PrimitiveBatch) -> VoxelGrid:
     """Render primitives into a probability grid.
 
     Per-voxel channels are (alpha * e_1, ..., alpha * e_{C-1}, 1 - alpha).
     """
-    f = splat_fields(grid, primitives, truncation_radius_sigmas)
+    f = splat_fields(grid, primitives)
     c_occ = f.acc.shape[-1] - 1
     values = np.zeros(grid.dims + (c_occ + 1,))
     values[..., c_occ] = 1.0

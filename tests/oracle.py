@@ -4,7 +4,8 @@ Nothing in `splatmem` calls these. The tests compare the batched code
 against them: one primitive at a time (`GaussianPrimitive`, `kernel`,
 `density`, `quat_to_rotation`, `entropy`, `confidence`), and the fields of
 a splatting pass spread over the whole grid (`alpha`, `semantics`,
-`undefined`).
+`undefined`). `pack_cells` gives the fusion-cell keys of the (N, 3) cell
+triples that the grouping references work on.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from splatmem.conf import confidence_values, entropy_batch
-from splatmem.core import _QUAT_NORM_EPS, MIN_SCALE, PrimitiveBatch
+from splatmem.core import _QUAT_NORM_EPS, MIN_SCALE, PrimitiveBatch, cell_key
 from splatmem.errors import InvalidInputError
 from splatmem.grid import VoxelGrid
 from splatmem.splat import SplatFields
@@ -195,3 +196,9 @@ def semantics(f: SplatFields) -> np.ndarray:
 def undefined(f: SplatFields) -> np.ndarray:
     """True at every voxel of zero total density."""
     return _full(f, True, f.acc[..., 0] == 0.0)
+
+
+def pack_cells(cells) -> np.ndarray:
+    """The fusion-cell keys of (N, 3) cell index triples, through the cell
+    centres at cell size 1/8, where the point-to-cell mapping is exact."""
+    return cell_key((np.asarray(cells) + 0.5) * 0.125, np.zeros(3), 0.125)

@@ -5,7 +5,8 @@ import struct
 import numpy as np
 import pytest
 
-from splatmem.attn import cca, dte_step, init_weights, mha, temporal_encoder_block
+from splatmem.attn import (D_FF, N_HEADS, cca, dte_step, init_weights, mha,
+                           temporal_encoder_block)
 from splatmem.core import PrimitiveBatch
 from splatmem.errors import InvalidInputError
 
@@ -19,7 +20,7 @@ ATTRIBUTE_FIELDS = ("means", "scales", "rotations", "opacities", "logits",
 
 # Frozen regression fixtures, generated once from the implementation.
 # WTS_SHA256_SEED42 is the digest of the seed-42 bundle: a "<4sI3IQ" header
-# (magic, version 2, d_model, n_heads, d_ff, seed), then each array as
+# (magic, version 2, d_model, N_HEADS, D_FF, seed), then each array as
 # row-major little-endian float32. It was computed from the bundle that
 # also drew a refinement head after these eight arrays, so their bytes are
 # the ones that bundle had.
@@ -107,15 +108,15 @@ class TestInitWeights:
         assert not np.array_equal(a.w_q, b.w_q)
 
     def test_golden_checksum_seed42(self):
-        w = init_weights(32, 4, 64, seed=42)
-        raw = struct.pack("<4sI3IQ", b"TGSW", 2, w.d_model, w.n_heads, w.d_ff, w.seed)
+        w = init_weights(32, seed=42)
+        raw = struct.pack("<4sI3IQ", b"TGSW", 2, w.d_model, N_HEADS, D_FF, w.seed)
         for name in WEIGHT_FIELDS:
             raw += np.ascontiguousarray(getattr(w, name), dtype="<f4").tobytes()
         assert hashlib.sha256(raw).hexdigest() == WTS_SHA256_SEED42
 
     def test_divisibility_enforced(self):
         with pytest.raises(InvalidInputError):
-            init_weights(d_model=30, n_heads=4)
+            init_weights(d_model=30)
 
     def test_bad_dims(self):
         with pytest.raises(InvalidInputError):
@@ -204,7 +205,7 @@ class TestCca:
         kv.confidences[:] = 1.0
         got = cca(q, kv, w)
         plain = mha(q.features @ w.w_q, kv.features @ w.w_k,
-                    kv.features @ w.w_v, w.n_heads) @ w.w_o
+                    kv.features @ w.w_v, N_HEADS) @ w.w_o
         assert np.max(np.abs(got - plain)) <= 1e-9
 
     def test_zero_key_confidence_zeroes_output(self):
@@ -227,7 +228,7 @@ class TestCca:
         # the formula: V' row 2 is exactly zero
         V = (kv.features @ w.w_v) * kv.confidences[:, None]
         assert np.max(np.abs(V[2])) == 0.0
-        got = mha(q.features @ w.w_q, kv.features @ w.w_k, V, w.n_heads)
+        got = mha(q.features @ w.w_q, kv.features @ w.w_k, V, N_HEADS)
         got = (got * q.confidences[:, None]) @ w.w_o
         assert np.allclose(base, got, atol=1e-12)
 
@@ -283,7 +284,7 @@ class TestTemporalEncoderBlock:
         assert np.allclose(out, x, atol=1e-12)
 
     def test_golden_fixture(self):
-        w = init_weights(32, 4, 64, seed=42)
+        w = init_weights(32, seed=42)
         out = temporal_encoder_block(fixed_batch(100), fixed_batch(200), w)
         assert np.allclose(out[0, :4], BLOCK_FEAT0, atol=1e-7)
 
@@ -337,7 +338,7 @@ class TestDteStep:
         assert not np.array_equal(a.features, cur.features)
 
     def test_golden_fixture(self):
-        w = init_weights(32, 4, 64, seed=42)
+        w = init_weights(32, seed=42)
         cur, hist = fixed_batch(100), fixed_batch(200)
         a, b = dte_step(cur, hist, w, n_blocks=2)
         assert np.allclose(a.features[1, :4], DTE_A_FEAT1, atol=1e-7)

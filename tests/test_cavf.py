@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from oracle import GaussianPrimitive, from_primitives
+from oracle import GaussianPrimitive, from_primitives, pack_cells
 from splatmem.cavf import FusionConfig, fuse, fusion_weights
 from splatmem.conf import confidence_values
-from splatmem.core import MIN_SCALE, PrimitiveBatch, cell_of
+from splatmem.core import MIN_SCALE, PrimitiveBatch, cell_key, cell_of
 from splatmem.errors import InvalidInputError
 
 RNG = np.random.default_rng(17)
@@ -27,6 +27,11 @@ def make_batch(n, spread=0.6, seed=None):
 
 
 def assign_voxels(b, cfg):
+    """The fusion-cell key of each row of a new memory."""
+    return cell_key(b.means, np.zeros(3), cfg.voxel_size)
+
+
+def triples(b, cfg):
     """The fusion cell of each row of a new memory: floor(mean / voxel_size)."""
     return cell_of(b.means, np.zeros(3), cfg.voxel_size)
 
@@ -38,7 +43,7 @@ def fuse_with_config(b, cfg):
 
 def grouped_average_oracle(batch, weights, cells):
     """Independent group-by weighted-average for scalar attributes."""
-    keys = [tuple(c) for c in cells]
+    keys = cells.tolist()
     groups = {}
     for i, k in enumerate(keys):
         groups.setdefault(k, []).append(i)
@@ -56,46 +61,46 @@ def grouped_average_oracle(batch, weights, cells):
 
 
 class TestAssignVoxels:
-    """The fusion cell key: cell_of(mean, origin, voxel_size)."""
+    """The fusion cell key: the key of cell_of(mean, origin, voxel_size)."""
 
     def test_interior_point(self):
         b = make_batch(1)
         b.means[0] = [0.06, 0.06, 0.06]
         cells = assign_voxels(b, FusionConfig(voxel_size=0.12))
-        assert tuple(cells[0]) == (0, 0, 0)
+        assert cells[0] == pack_cells([0, 0, 0])
 
     def test_boundary_goes_up(self):
         b = make_batch(1)
         b.means[0] = [0.12, 0.0, 0.0]
         cells = assign_voxels(b, FusionConfig(voxel_size=0.12))
-        assert tuple(cells[0]) == (1, 0, 0)
+        assert cells[0] == pack_cells([1, 0, 0])
 
     def test_negative_floor(self):
         b = make_batch(1)
         b.means[0] = [-0.01, 0.0, 0.0]
         cells = assign_voxels(b, FusionConfig(voxel_size=0.12))
-        assert tuple(cells[0]) == (-1, 0, 0)
+        assert cells[0] == pack_cells([-1, 0, 0])
 
     def test_accepts_primitive_list(self):
         prims = [GaussianPrimitive((0.05, 0.05, 0.05), (0.1,) * 3, (1, 0, 0, 0),
                                    1.0, np.zeros(C - 1))]
         cells = assign_voxels(from_primitives(prims), FusionConfig())
-        assert tuple(cells[0]) == (0, 0, 0)
+        assert cells[0] == pack_cells([0, 0, 0])
 
 
 class TestFusionWeights:
     def test_equal_confidences_split_evenly(self):
-        cells = np.zeros((2, 3), dtype=int)
+        cells = np.zeros(2, dtype=np.int64)
         w = fusion_weights([0.37, 0.37], cells, 1.0)
         assert np.allclose(w, [0.5, 0.5])
 
     def test_singleton_cell(self):
-        w = fusion_weights([0.2], np.array([[1, 2, 3]]), 1.0)
+        w = fusion_weights([0.2], pack_cells([[1, 2, 3]]), 1.0)
         assert w[0] == pytest.approx(1.0)
 
     def test_scalar_softmax_oracle(self):
         # (1.0, 0.0) at T = 0.5 -> (e^2, 1) normalized
-        w = fusion_weights([1.0, 0.0], np.zeros((2, 3), dtype=int), 0.5)
+        w = fusion_weights([1.0, 0.0], np.zeros(2, dtype=np.int64), 0.5)
         e2 = np.exp(2.0)
         assert np.allclose(w, [e2 / (e2 + 1), 1 / (e2 + 1)], atol=1e-12)
         assert w[0] == pytest.approx(0.88080, abs=1e-5)
@@ -105,7 +110,7 @@ class TestFusionWeights:
         b = make_batch(60, seed=2)
         cells = assign_voxels(b, FusionConfig(voxel_size=0.12))
         w = fusion_weights(b.confidences, cells, 1.0)
-        keys = [tuple(c) for c in cells]
+        keys = cells.tolist()
         for key in set(keys):
             idx = [i for i, k in enumerate(keys) if k == key]
             assert w[idx].sum() == pytest.approx(1.0, abs=1e-9)
@@ -113,7 +118,7 @@ class TestFusionWeights:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
-            fusion_weights([1.0], np.zeros((2, 3), dtype=int), 1.0)
+            fusion_weights([1.0], np.zeros(2, dtype=np.int64), 1.0)
 
 
 class TestFuse:
@@ -122,7 +127,7 @@ class TestFuse:
         pair = PrimitiveBatch(*(np.repeat(getattr(b, f), 2, axis=0) for f in (
             "means", "scales", "rotations", "opacities", "logits", "features",
             "confidences")))
-        cells = np.zeros((2, 3), dtype=int)
+        cells = np.zeros(2, dtype=np.int64)
         w = fusion_weights(pair.confidences, cells, 1.0)
         out = fuse(pair, w, cells).batch
         assert len(out) == 1
@@ -139,7 +144,7 @@ class TestFuse:
         b.means[0] = [0.0, 0.0, 0.0]
         b.means[1] = [0.06, 0.0, 0.0]
         b.confidences[:] = 0.5
-        cells = np.zeros((2, 3), dtype=int)
+        cells = np.zeros(2, dtype=np.int64)
         w = fusion_weights(b.confidences, cells, 1.0)
         out = fuse(b, w, cells).batch
         assert np.allclose(out.means[0], [0.03, 0.0, 0.0], atol=1e-12)
@@ -154,7 +159,7 @@ class TestFuse:
         oracle = grouped_average_oracle(b, w, cells)
         assert len(out) == len(oracle)
         for gi in range(len(out)):
-            exp = oracle[tuple(fused.cells[gi])]
+            exp = oracle[fused.cells[gi]]
             assert np.allclose(out.means[gi], exp["mean"], atol=1e-9)
             assert np.allclose(out.scales[gi], exp["scale"], atol=1e-9)
             assert out.opacities[gi] == pytest.approx(exp["opacity"], abs=1e-9)
@@ -176,9 +181,9 @@ class TestFuse:
         w = fusion_weights(b.confidences, cells, cfg.temperature)
         fused = fuse(b, w, cells)
         out = fused.batch
-        keys = [tuple(c) for c in cells]
+        keys = cells.tolist()
         for gi in range(len(out)):
-            idx = [i for i, k in enumerate(keys) if k == tuple(fused.cells[gi])]
+            idx = [i for i, k in enumerate(keys) if k == fused.cells[gi]]
             assert b.opacities[idx].min() - 1e-12 <= out.opacities[gi]
             assert out.opacities[gi] <= b.opacities[idx].max() + 1e-12
             assert 0.0 <= out.opacities[gi] <= 1.0
@@ -193,9 +198,9 @@ class TestFuse:
         w = fusion_weights(b.confidences, cells, cfg.temperature)
         fused = fuse(b, w, cells)
         out = fused.batch
-        keys = [tuple(c) for c in cells]
+        keys = cells.tolist()
         for gi in range(len(out)):
-            idx = np.array([i for i, k in enumerate(keys) if k == tuple(fused.cells[gi])])
+            idx = np.array([i for i, k in enumerate(keys) if k == fused.cells[gi]])
             best = idx[np.argmax(b.confidences[idx])]
             # exclude effective ties
             others = np.delete(b.confidences[idx], np.argmax(b.confidences[idx]))
@@ -252,7 +257,7 @@ class TestFuse:
             features=np.zeros((2, 4)),
             confidences=np.array([0.2, 0.9]),
         )
-        cells = np.zeros((2, 3), dtype=int)
+        cells = np.zeros(2, dtype=np.int64)
         w = fusion_weights(b.confidences, cells, 1.0)
         out = fuse(b, w, cells)
         assert out.quat_fallback[0]
@@ -278,7 +283,8 @@ class TestFuse:
 
 
 # Reference implementations: the per-group loops that fusion_weights and
-# fuse replaced. The loop-free versions must reproduce them bit for bit.
+# fuse replaced, grouping (N, 3) cell triples. The loop-free versions,
+# given the keys of the same cells, must reproduce them bit for bit.
 def _reference_groups(cells):
     order = np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0]))
     sc = cells[order]
@@ -348,20 +354,22 @@ class TestLoopFreeMatchesReference:
     @pytest.mark.parametrize("seed", range(4))
     def test_fusion_weights_bitwise(self, seed):
         b = clustered_batch(seed)
-        cells = assign_voxels(b, FusionConfig(voxel_size=0.12))
+        cfg = FusionConfig(voxel_size=0.12)
+        keys, cells = assign_voxels(b, cfg), triples(b, cfg)
         for t in (1.0, 0.3):
-            assert np.array_equal(fusion_weights(b.confidences, cells, t),
+            assert np.array_equal(fusion_weights(b.confidences, keys, t),
                                   fusion_weights_reference(b.confidences, cells, t))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_fuse_bitwise(self, seed):
         b = clustered_batch(seed)
-        cells = assign_voxels(b, FusionConfig(voxel_size=0.12))
-        w = fusion_weights(b.confidences, cells, 1.0)
-        got = fuse(b, w, cells)
-        ref = fuse_reference(b, w, cells)
+        cfg = FusionConfig(voxel_size=0.12)
+        keys = assign_voxels(b, cfg)
+        w = fusion_weights(b.confidences, keys, 1.0)
+        got = fuse(b, w, keys)
+        ref = fuse_reference(b, w, triples(b, cfg))
         assert len(got) == len(ref["means"])
-        assert np.array_equal(got.cells, ref.pop("cells"))
+        assert np.array_equal(got.cells, pack_cells(ref.pop("cells")))
         assert np.array_equal(got.quat_fallback, ref.pop("quat_fallback"))
         for name, expect in ref.items():
             assert np.array_equal(getattr(got.batch, name), expect), name
@@ -376,7 +384,7 @@ class TestLoopFreeMatchesReference:
 
     def test_empty_input(self):
         b = make_batch(0)
-        cells = np.zeros((0, 3), dtype=np.int64)
+        cells = np.zeros(0, dtype=np.int64)
         assert len(fusion_weights(b.confidences, cells, 1.0)) == 0
         out = fuse(b, np.zeros(0), cells)
         assert len(out) == 0 and out.batch.features.shape == (0, 16)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracle import Covariance, GaussianPrimitive, covariance, density, kernel, quat_to_rotation
-from splatmem.core import CameraFrame, quats_to_rotations
-from splatmem.errors import InvalidInputError
+from oracle import (Covariance, GaussianPrimitive, covariance, density, kernel, pack_cells,
+                    quat_to_rotation)
+from splatmem.core import CameraFrame, cell_key, quats_to_rotations
+from splatmem.errors import InvalidInputError, InvariantError
 
 RNG = np.random.default_rng(7)
 
@@ -236,3 +239,43 @@ class TestCameraFrame:
         uv, z = f.project(pts)
         assert np.allclose(uv, pix, atol=1e-9)
         assert np.allclose(z, 3.0)
+
+
+# A key holds cell indices in [LO, HI). AXIS draws the range edges, and
+# values that repeat across draws, often.
+LO, HI = -(1 << 20), 1 << 20
+AXIS = st.one_of(st.sampled_from([LO, LO + 1, -1, 0, HI - 1]), st.integers(LO, HI - 1))
+TRIPLE = st.tuples(AXIS, AXIS, AXIS)
+
+
+class TestCellKey:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(TRIPLE, min_size=1, max_size=40))
+    def test_key_order_is_lexicographic_triple_order(self, triples):
+        cells = np.array(triples, dtype=np.int64)
+        keys = pack_cells(cells)
+        assert keys.shape == (len(cells),) and keys.dtype == np.int64
+        assert np.array_equal(np.argsort(keys, kind="stable"), np.lexsort(cells.T[::-1]))
+        _, key_inverse = np.unique(keys, return_inverse=True)
+        _, cell_inverse = np.unique(cells, axis=0, return_inverse=True)
+        assert np.array_equal(key_inverse, cell_inverse.reshape(-1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(TRIPLE, st.integers(0, 2), st.sampled_from([LO - 1, HI]))
+    def test_index_past_either_edge_raises(self, triple, axis, past):
+        cells = np.array([triple, triple])
+        cells[1, axis] = past
+        with pytest.raises(InvariantError, match="cell size 0.125 m"):
+            pack_cells(cells)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e30])
+    def test_point_past_int64_or_not_finite_raises(self, value):
+        with pytest.raises(InvariantError):
+            cell_key([[0.0, value, 0.0]], np.zeros(3), 0.12)
+
+    def test_reach_at_the_default_cell(self):
+        # about 125 km from the origin at the 0.12 m fusion cell
+        assert len(cell_key([[125829.0, -125829.0, 0.0]], np.zeros(3), 0.12)) == 1
+        for x in (125830.0, -125830.0):
+            with pytest.raises(InvariantError, match=r"cell size 0.12 m.*\(125829 m\)"):
+                cell_key([[x, 0.0, 0.0]], np.zeros(3), 0.12)

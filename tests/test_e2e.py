@@ -247,6 +247,9 @@ class TestCliExitCodes:
         (92, "<f", 7.0),              # first opacity
         (92, "<f", -0.5),
         (76, "<f", 3.0),              # first quaternion component
+        (52, "<f", 125830.0),         # a mean 2^20 cells out at the 0.12 m cell
+        (56, "<f", -125830.0),
+        (52, "<f", 1e30),             # past int64 in cells
     ])
     def test_malformed_checkpoint_exits_2(self, embodied_run, tmp_path, offset,
                                           fmt, value):
@@ -279,6 +282,27 @@ class TestCliExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not dst.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["run-embodied"],
+        ["run-embodied", "--mode", "embodied-concat-baseline"],
+        ["run-local", "--mode", "local"],
+    ], ids=" ".join)
+    def test_voxel_size_past_the_key_range_exits_3(self, tmp_path, capsys, argv):
+        # at 1e-7 m a key reaches 0.1 m, and the scene spans metres
+        assert cli.main([*argv, "--fusion-voxel-size", "1e-7", "--frames", "1",
+                         "--output-dir", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "cell size 1e-07 m" in err and "2^20 cells (0.104858 m)" in err
+        assert not (tmp_path / "out" / "final.gmem").exists()
+
+    def test_fuse_past_the_key_range_exits_3(self, embodied_run, tmp_path, capsys):
+        out, _, _, _ = embodied_run
+        dst = tmp_path / "f.gmem"
+        assert cli.main(["fuse", str(out / "final.gmem"), str(dst),
+                         "--voxel-size", "1e-7"]) == 3
+        assert "cell size 1e-07 m" in capsys.readouterr().err
+        assert not dst.exists()
+
     def test_scene_with_no_boxes_exits_3(self, tmp_path, capsys):
         scene = tmp_path / "empty.scene"
         scene.write_text("extent 1.6 1.6 0.96\n")
@@ -292,10 +316,9 @@ class TestCliExitCodes:
                          "--output-dir", str(tmp_path)]) == 1
 
     @pytest.mark.parametrize("config,flags", [
-        ({"encoder": {"n_heads": 5}}, []),
+        ({"encoder": {"d_model": 30}}, []),
         ({"encoder": {"n_blocks": 0}}, []),
         ({}, ["--n-blocks", "0"]),
-        ({"encoder": {"d_ff": 0}}, []),
         ({"encoder": {"seed": -1}}, []),
         ({"trajectory_seed": -1}, []),
         ({"noise": {"depth_sigma": float("nan")}}, []),
@@ -305,6 +328,8 @@ class TestCliExitCodes:
         ({"noise": 5}, ["--flip-prob", "0.1"]),
         ({"stub": {"grid_h": 0}}, []),
         # keys of settings that no longer exist
+        ({"encoder": {"n_heads": 5}}, []),
+        ({"encoder": {"d_ff": 0}}, []),
         ({"confidence": {"h_max": float("nan")}}, []),
         ({"confidence": {"sharpness": 3.0}}, []),
         ({"stub": {"spill_margin": 0.0}}, []),

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 import splatmem.memory as memory_mod
+from oracle import pack_cells
 from splatmem.attn import init_weights
-from splatmem.cavf import FusionConfig
-from splatmem.core import CameraFrame, PrimitiveBatch, cell_of, concat_batches
+from splatmem.cavf import FusionConfig, fuse, fusion_weights
+from splatmem.core import CameraFrame, PrimitiveBatch, cell_key, concat_batches
 from splatmem.errors import FormatError, InvalidInputError, InvariantError
 from splatmem.memory import (
     GaussianMemory,
-    _fuse_at_origin,
     _merge_collisions,
     gmem_nbytes,
     init_memory,
@@ -83,7 +83,7 @@ class TestQueryFov:
     def test_point_on_axis_inside(self):
         mem = init_memory(make_batch(1, seed=4))
         mem.batch.means[0] = [0.0, 0.0, 1.0]
-        mem.cells[0] = [0, 0, 8]
+        mem.cells[0] = cell_key([[0.0, 0.0, 1.0]], np.zeros(3), 0.12)[0]
         inside, outside = query_fov(mem, make_frame())
         assert len(inside) == 1 and len(outside) == 0
 
@@ -154,10 +154,10 @@ class TestUpdate:
                           FusionConfig(voxel_size=0.12))
         frame = make_frame(position=(0.0, 0.0, -1.5))
         _, outside_ids = query_fov(mem, frame)
-        before = {tuple(mem.cells[i]): mem.batch.means[i].copy() for i in outside_ids}
+        before = {mem.cells[i]: mem.batch.means[i].copy() for i in outside_ids}
         locals_ = make_batch(15, seed=12)
         update(mem, locals_, frame, w)
-        after = {tuple(c): m for c, m in zip(mem.cells, mem.batch.means)}
+        after = dict(zip(mem.cells, mem.batch.means))
         moved = 0
         for cell, mean in before.items():
             if cell in after and np.array_equal(after[cell], mean):
@@ -220,15 +220,18 @@ class TestUpdate:
 
 
 def merge_collisions_reference(kept, kept_cells, new, new_cells, cfg):
-    """The per-pair collision merge that _merge_collisions replaced."""
+    """The per-pair collision merge that _merge_collisions replaced, over
+    (N, 3) cell triples."""
     kept = kept.copy()
     kept_lookup = {tuple(c): i for i, c in enumerate(kept_cells)}
     collide_new = []
+    one_cell = np.zeros(2, dtype=np.int64)
     for j, c in enumerate(new_cells):
         i = kept_lookup.get(tuple(c))
         if i is not None:
             pair = concat_batches(kept.select([i]), new.select([j]))
-            merged, _ = _fuse_at_origin(pair, np.zeros(3), cfg)
+            w = fusion_weights(pair.confidences, one_cell, cfg.temperature)
+            merged = fuse(pair, w, one_cell).batch
             for name in FIELDS:
                 getattr(kept, name)[i] = getattr(merged, name)[0]
             collide_new.append(j)
@@ -260,12 +263,12 @@ class TestMergeCollisions:
         new.rotations[j[-5:]] *= 1e-9
         kept.rotations[i[-5:]] *= 1e-9
         cfg = FusionConfig(voxel_size=0.12)
-        got = _merge_collisions(kept.copy(), kept_cells, new, new_cells, cfg)
+        got = _merge_collisions(kept.copy(), pack_cells(kept_cells), new, pack_cells(new_cells), cfg)
         ref = merge_collisions_reference(kept, kept_cells, new, new_cells, cfg)
         for g, r in zip(got[:2], ref[:2]):
             for name in FIELDS:
                 assert np.array_equal(getattr(g, name), getattr(r, name)), name
-        assert np.array_equal(got[2], ref[2])
+        assert np.array_equal(got[2], pack_cells(ref[2]))
         assert len(got[1]) == 100
 
     def test_all_pairs_in_one_fuse_call(self, monkeypatch):
@@ -276,8 +279,40 @@ class TestMergeCollisions:
         pool = np.stack(np.meshgrid(*[np.arange(4)] * 3), -1).reshape(-1, 3)
         kept = one_per_cell(40, pool[:40], 1)
         new = one_per_cell(20, pool[30:50], 2)
-        _merge_collisions(kept, pool[:40], new, pool[30:50], FusionConfig())
+        _merge_collisions(kept, pack_cells(pool[:40]), new, pack_cells(pool[30:50]), FusionConfig())
         assert len(calls) == 1
+
+    def test_repeated_kept_key_merges_into_its_first_row_only(self, tmp_path):
+        """A reloaded checkpoint can hold two rows in one cell. A new row in
+        that cell merges into the first of them; no other row is merged or
+        dropped."""
+        pool = np.stack(np.meshgrid(*[np.arange(3)] * 3), -1).reshape(-1, 3)
+        cfg = FusionConfig(voxel_size=0.12)
+        mem = init_memory(one_per_cell(10, pool[:10], 3), cfg)
+        mem.batch.means[4] = mem.batch.means[2]
+        path = tmp_path / "m.gmem"
+        save_gmem(path, mem)
+        loaded = load_gmem(path)
+        assert loaded.cells[2] == loaded.cells[4] and len(np.unique(loaded.cells)) == 9
+        new = one_per_cell(3, pool[20:23], 4)
+        new.means[1] = loaded.batch.means[2]
+        new_cells = cell_key(new.means, loaded.origin, cfg.voxel_size)
+        before, new_before = loaded.batch.copy(), new.copy()
+
+        kept, rest, rest_cells = _merge_collisions(loaded.batch, loaded.cells,
+                                                   new, new_cells, cfg)
+        one_cell = np.zeros(2, dtype=np.int64)
+        pair = concat_batches(before.select([2]), new_before.select([1]))
+        merged = fuse(pair, fusion_weights(pair.confidences, one_cell, cfg.temperature),
+                      one_cell).batch
+        others = [i for i in range(len(before)) if i != 2]
+        for name in FIELDS:
+            assert np.array_equal(getattr(kept, name)[2], getattr(merged, name)[0]), name
+            assert np.array_equal(getattr(kept, name)[others],
+                                  getattr(before, name)[others]), name
+            assert np.array_equal(getattr(rest, name),
+                                  getattr(new_before, name)[[0, 2]]), name
+        assert np.array_equal(rest_cells, new_cells[[0, 2]])
 
 
 class TestGmemRoundtrip:
@@ -322,11 +357,12 @@ class TestGmemRoundtrip:
         origin = np.array([0.05, -0.03, 0.07])
         cfg = FusionConfig(voxel_size=0.12)
         path = tmp_path / "m.gmem"
-        save_gmem(path, GaussianMemory(b, cfg, origin, cell_of(b.means, origin, 0.12)))
+        save_gmem(path, GaussianMemory(b, cfg, origin, cell_key(b.means, origin, 0.12)))
         loaded = load_gmem(path)
         assert np.array_equal(loaded.origin, origin)
-        assert np.array_equal(loaded.cells, cell_of(loaded.batch.means, origin, 0.12))
-        assert not np.array_equal(loaded.cells, cell_of(loaded.batch.means, np.zeros(3), 0.12))
+        assert np.array_equal(loaded.cells, cell_key(loaded.batch.means, origin, 0.12))
+        assert not np.array_equal(loaded.cells,
+                                  cell_key(loaded.batch.means, np.zeros(3), 0.12))
 
     @pytest.mark.parametrize("field,value", [
         ("n_classes", 0), ("n_classes", 1), ("d_model", 0),

@@ -200,6 +200,12 @@ def full_grid_render(grid, b, truncation_radius_sigmas=3.0):
     return values
 
 
+def truncate_at(monkeypatch, sigmas):
+    """Truncate the render at `sigmas`. inf becomes 1e9 sigmas, at which
+    every block is the whole test grid, as at the references' inf."""
+    monkeypatch.setattr(splat_mod, "TRUNCATION_SIGMAS", min(sigmas, 1e9))
+
+
 def reference_batches():
     """Seeded batches for the bit-identity tests, on a 0.8 m cube of voxels."""
     far = random_primitives(20, lo=2.0, hi=3.0, seed=35)
@@ -231,9 +237,10 @@ class TestBatchedMatchesLoop:
     @pytest.mark.parametrize("name", sorted(reference_batches()))
     def test_fields_bit_identical(self, monkeypatch, name, truncation, budget):
         monkeypatch.setattr(splat_mod, "_CHUNK_PAIRS", budget)
+        truncate_at(monkeypatch, truncation)
         grid = make_grid()
         b = batch(reference_batches()[name])
-        f = splat_fields(grid, b, truncation_radius_sigmas=truncation)
+        f = splat_fields(grid, b)
         alpha, sem, undefined = loop_splat_fields(grid, b, truncation)
         assert np.array_equal(oracle.alpha(f), alpha)
         assert np.array_equal(oracle.semantics(f), sem)
@@ -275,16 +282,17 @@ class TestBatchedMatchesLoop:
             assert b > a
             assert b - a == 1 or pairs[a:b].sum() <= budget
 
-    def test_chunk_memory_is_bounded(self):
+    def test_chunk_memory_is_bounded(self, monkeypatch):
         # A flat list of this batch's (primitive, voxel) pairs with one
         # float per channel would take 40 * 40^3 * 12 * 8 B = 234 MiB.
         grid = make_grid(dims=(40, 40, 40), voxel_size=0.02)
         b = batch(random_primitives(40, seed=38))
         pairs = len(b) * 40**3
         assert pairs * C * 8 > 200 * 2**20
+        truncate_at(monkeypatch, np.inf)
         tracemalloc.start()
         try:
-            f = splat_fields(grid, b, truncation_radius_sigmas=np.inf)
+            f = splat_fields(grid, b)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -299,15 +307,16 @@ class TestBoxMatchesFullGrid:
 
     @pytest.mark.parametrize("truncation", [3.0, np.inf])
     @pytest.mark.parametrize("name", sorted(reference_batches()))
-    def test_fields_and_render_bit_identical(self, name, truncation):
+    def test_fields_and_render_bit_identical(self, monkeypatch, name, truncation):
+        truncate_at(monkeypatch, truncation)
         grid = make_grid()
         b = batch(reference_batches()[name])
-        f = splat_fields(grid, b, truncation_radius_sigmas=truncation)
+        f = splat_fields(grid, b)
         alpha, sem, undefined = full_grid_splat_fields(grid, b, truncation)
         assert np.array_equal(oracle.alpha(f), alpha)
         assert np.array_equal(oracle.semantics(f), sem)
         assert np.array_equal(oracle.undefined(f), undefined)
-        out = render(grid, b, truncation_radius_sigmas=truncation)
+        out = render(grid, b)
         assert np.array_equal(out.values, full_grid_render(grid, b, truncation))
 
     @pytest.mark.parametrize("name,box_shape", [
@@ -384,17 +393,18 @@ class TestSplatSemantics:
 
 
 class TestRenderOracle:
-    def test_dense_oracle_match_with_truncation_disabled(self):
+    def test_dense_oracle_match_with_truncation_disabled(self, monkeypatch):
+        truncate_at(monkeypatch, np.inf)
         grid = make_grid(dims=(6, 6, 6), voxel_size=0.12)
         prims = random_primitives(20, seed=21)
-        out = render(grid, batch(prims), truncation_radius_sigmas=np.inf)
+        out = render(grid, batch(prims))
         oracle = dense_render_oracle(grid, prims)
         assert np.max(np.abs(out.values - oracle)) <= 1e-9
 
     def test_truncated_within_tolerance_of_dense(self):
         grid = make_grid(dims=(8, 8, 8), voxel_size=0.1)
         prims = random_primitives(30, seed=22)
-        out = render(grid, batch(prims), truncation_radius_sigmas=3.0)
+        out = render(grid, batch(prims))
         oracle = dense_render_oracle(grid, prims)
         assert np.max(np.abs(out.values - oracle)) <= 1e-2
 
@@ -405,7 +415,7 @@ class TestRenderOracle:
         for g in random_primitives(40, lo=-0.2, hi=1.2, seed=3):
             d = centers - g.mean
             m2 = np.einsum("...i,ij,...j->...", d, g.inv_covariance(), d)
-            f = splat_fields(grid, batch([g]), truncation_radius_sigmas=3.0)
+            f = splat_fields(grid, batch([g]))
             assert not oracle.undefined(f)[m2 <= 3.0**2].any()
 
     def test_empty_scene(self):

@@ -85,7 +85,11 @@ def _frustum_box(grid: VoxelGrid, frame: CameraFrame) -> tuple[tuple[slice, ...]
     center outside the box lies in the frustum."""
     w, h = frame.width, frame.height
     origin, dirs = frame.pixel_rays(np.array([[0, 0], [w, 0], [0, h], [w, h]]))
-    corners = origin + np.concatenate([frame.near * dirs, frame.far * dirs])
+    # no center lies deeper than the grid's deepest corner
+    view, extent = frame.pose[:3, 2], np.asarray(grid.dims) * grid.voxel_size
+    far = min(frame.far, (grid.origin - frame.position) @ view
+              + np.maximum(extent * view, 0.0).sum())
+    corners = origin + np.concatenate([frame.near * dirs, far * dirs])
     ijk = grid.voxel_of(corners)
     lo = np.clip(ijk.min(axis=0) - 1, 0, grid.dims)
     hi = np.clip(ijk.max(axis=0) + 2, 0, grid.dims)

@@ -7,19 +7,18 @@ the ellipsoid is bounded by its axis-aligned box. A truncation wider than
 the grid makes the block the whole grid, and the result coincides with a
 dense all-pairs evaluation.
 
-Rendering computes all blocks in one vectorised pass, then walks the
-primitives with a non-empty block in index order, in chunks of at most
-_CHUNK_PAIRS (primitive, voxel) pairs. Within a chunk the primitives are
-grouped by block shape, and each group's kernel values are evaluated as
-one (G, ex, ey, ez) array with the operation order of a per-primitive
-loop. The blocks are then scattered in ascending primitive index onto the
-union box of the blocks, so every voxel multiplies its opacity terms and
-adds its density and class terms in the same order as that loop, and the
-fields are bit-identical to it. A flat pair list reduced by `np.multiply.at` and
-`np.add.at` is also bit-identical, but slower than the per-primitive loop
-itself; a log-domain opacity product changes the last bits of the result.
-`render` finalises only that box, in place in its output; every other
-voxel takes the channels (0, ..., 0, 1) a full-grid pass gives it.
+Rendering splats by tiles, cubes of CELL_FACTOR voxels placed where the
+cells' blocks start: a block is whole tiles bar the voxel layer it shares
+with the next block when voxel centres lie on cell faces, and a (primitive,
+tile) pair leaves the voxels off its block as they are. The pairs, stably
+sorted by tile, take their rank within it; round r applies each tile's r-th
+primitive to a prefix of the tiles by descending depth. So each voxel takes
+its terms in ascending primitive index, with the operations of a
+per-primitive loop in its order, and the fields are bit-identical to it.
+Memory: C + 1 numbers per tile voxel, up to six integers per pair while
+ranking and one after, and about _CHUNK_PAIRS floats per kernel or product
+array. `render` finalises the tiles in place and scatters them into its
+output, where every other voxel takes the (0, ..., 0, 1) of a full-grid pass.
 """
 
 from __future__ import annotations
@@ -33,45 +32,32 @@ from .errors import InvalidInputError
 from .grid import LABEL_MODE, PROB_MODE, VoxelGrid
 
 TRUNCATION_SIGMAS = 3.0
-# Support cells are 4 voxels per side.
-CELL_FACTOR = 4.0
-# (primitive, voxel) pairs evaluated at once; bounds the per-chunk arrays
-# to a few MiB whatever the batch size (a chunk still holds at least one
-# primitive).
+# Support cells are 4 voxels per side; so are the render's tiles.
+CELL_FACTOR = 4
+# (primitive, voxel) pairs evaluated at once: per-chunk arrays stay at a
+# few MiB whatever the batch size (a chunk still holds at least one round).
 _CHUNK_PAIRS = 1 << 17
 
 
 @dataclass
 class SplatFields:
-    """Fields of one splatting pass, accumulated over `box`, the union of
-    the primitives' blocks; a voxel outside it has alpha 0, uniform
-    semantics and zero density."""
+    """Fields of one splatting pass over its occupied tiles; a voxel in no
+    tile has alpha 0, uniform semantics and zero density."""
 
     dims: tuple[int, int, int]
-    box: tuple[slice, slice, slice]
-    keep: np.ndarray  # over the box: running product of (1 - a_i k_i)
-    acc: np.ndarray   # over the box: density, then density-weighted class probs
-
-    def box_semantics(self, out: np.ndarray) -> None:
-        """Write the box's class distributions, uniform where the density
-        is zero, into `out` (box shape, C-1 channels)."""
-        undefined = self.acc[..., 0] == 0.0
-        np.divide(self.acc[..., 1:], self.acc[..., :1], out=out, where=~undefined[..., None])
-        out[undefined] = 1.0 / out.shape[-1]
+    idx: list           # per axis, (CELL_FACTOR, T) voxel indices of the tiles
+    keep: np.ndarray    # (T, V) running product of (1 - a_i k_i)
+    acc: np.ndarray     # (T, C, V) density-weighted class probs, then density
 
 
 def _voxel_span(means, half, origin, voxel_size, cell_size, dims):
     """Voxel index ranges, (N, 3) each, covered by the cells each support
     AABB overlaps; lo > hi on an axis where the block misses the grid."""
-    lo_cell = np.floor((means - half) / cell_size)
-    hi_cell = np.floor((means + half) / cell_size)
-    lo_world = lo_cell * cell_size
-    hi_world = (hi_cell + 1.0) * cell_size
+    lo_world = np.floor((means - half) / cell_size) * cell_size
+    hi_world = (np.floor((means + half) / cell_size) + 1.0) * cell_size
     lo_i = np.ceil((lo_world - origin) / voxel_size - 0.5).astype(np.int64)
     hi_i = np.floor((hi_world - origin) / voxel_size - 0.5).astype(np.int64)
-    lo_i = np.maximum(lo_i, 0)
-    hi_i = np.minimum(hi_i, np.asarray(dims) - 1)
-    return lo_i, hi_i
+    return np.maximum(lo_i, 0), np.minimum(hi_i, np.asarray(dims) - 1)
 
 
 def _chunks(pairs: np.ndarray, budget: int):
@@ -87,87 +73,119 @@ def _chunks(pairs: np.ndarray, budget: int):
         start = stop
 
 
-def _kernel_blocks(axes, means, inv_cov, opacities, pdf_norm, lo, shape):
-    """Opacity factors 1 - a k and densities k / pdf_norm of G primitives
-    that share one block shape, as (G, ex, ey, ez) arrays.
+def _rounds(first, extent, shape):
+    """Rank the (primitive, tile) pairs within their tiles; primitive i
+    covers tiles first[i] + [0, extent[i]) of a `shape` array. Returns the
+    occupied tile ids by descending depth, the number m_r of tiles round r
+    touches, and each pair's primitive by (rank, tile position). Per-pair
+    arrays, the bulk of the memory, are dropped once used."""
+    count = np.prod(extent, axis=1)
+    prim = np.repeat(np.arange(len(count)), count)
+    rest = np.arange(len(prim)) - np.repeat(np.cumsum(count) - count, count)
+    tiles, stride = np.zeros_like(prim), 1
+    for a in (2, 1, 0):
+        e = extent[prim, a]
+        tiles += (first[prim, a] + rest % e) * stride
+        rest //= e
+        stride *= shape[a]
+    del rest, e
+    by_tile = np.argsort(tiles, kind="stable")
+    tiles, prim = tiles[by_tile], prim[by_tile]
+    first = np.flatnonzero(np.diff(tiles, prepend=-1))
+    tiles, depth = tiles[first], np.diff(first, append=len(prim))
+    by_depth = np.argsort(-depth, kind="stable")
+    touched = len(depth) - np.cumsum(np.bincount(depth))[:-1]
+    # a pair goes to its rank's round, at its tile's position by depth
+    dest = np.concatenate([[0], np.cumsum(touched)])[np.arange(len(prim))
+                                                     - np.repeat(first, depth)]
+    dest += np.repeat(np.argsort(by_depth), depth)
+    order = np.empty_like(prim)
+    order[dest] = prim
+    return tiles[by_depth], touched, order
 
-    Each element is computed with the operations, in the order, of the
-    per-primitive quadratic form, e.g. ((2 A01) dx) dy.
-    """
-    dx, dy, dz = (axes[a][lo[:, a, None] + np.arange(w)] - means[:, a, None]
-                  for a, w in enumerate(shape))
-    X = dx[:, :, None, None]
-    Y = dy[:, None, :, None]
-    Z = dz[:, None, None, :]
-    A = inv_cov[:, :, :, None, None, None]
-    q = (
-        A[:, 0, 0] * X**2
-        + A[:, 1, 1] * Y**2
-        + A[:, 2, 2] * Z**2
-        + 2.0 * A[:, 0, 1] * X * Y
-        + 2.0 * A[:, 0, 2] * X * Z
-        + 2.0 * A[:, 1, 2] * Y * Z
-    )
-    k = np.exp(-0.5 * q)
-    return (1.0 - opacities[:, None, None, None] * k,
-            k / pdf_norm[:, None, None, None])
+
+def _flat_voxels(idx, dims):
+    """Flat grid index of each tile voxel, (T, V), from `idx` as in
+    SplatFields; -1 past the grid's edges, where `off` makes it < 0."""
+    off = -np.prod(dims)
+    x, y, z = (np.where((i >= 0) & (i < d), i * s, off).T
+               for i, d, s in zip(idx, dims, (dims[1] * dims[2], dims[2], 1)))
+    flat = x[:, :, None, None] + y[:, None, :, None] + z[:, None, None, :]
+    return np.maximum(flat, -1).reshape(len(flat), CELL_FACTOR**3)
+
+
+def _kernel(coords, inside, means, A, opacities, pdf_norm):
+    """Opacity factors 1 - a k and densities k / pdf_norm, both (n, V), of n
+    (primitive, tile) pairs from their tiles' voxel centres, (CELL_FACTOR, n)
+    per axis, over (x, y, z, pair) with the operations, in the order, of the
+    per-primitive form, e.g. ((2 A01) dx) dy. Where `inside` is False, off
+    the block, q = inf gives the no-op k = 0; adding 0 keeps every other q."""
+    dx, dy, dz = (c - means[:, a] for a, c in enumerate(coords))
+    px, py, pz = (np.where(m, 0.0, np.inf) for m in inside)
+    q = (A[:, 0, 0] * dx**2 + px)[:, None] + (A[:, 1, 1] * dy**2 + py)
+    q = q[:, :, None] + (A[:, 2, 2] * dz**2 + pz)
+    q += (2.0 * A[:, 0, 1] * dx[:, None] * dy)[:, :, None]
+    q += (2.0 * A[:, 0, 2] * dx[:, None] * dz)[:, None]
+    q += 2.0 * A[:, 1, 2] * dy[:, None] * dz
+    k = np.exp(np.multiply(q, -0.5, out=q), out=q).reshape(CELL_FACTOR**3, -1)
+    # the densities, which every channel reads, go pair-major
+    den = np.divide(k.T, pdf_norm[:, None], out=np.empty(k.T.shape))
+    return np.subtract(1.0, np.multiply(k, opacities, out=k), out=k).T, den
 
 
 def splat_fields(grid: VoxelGrid, primitives: PrimitiveBatch) -> SplatFields:
     """Accumulate the opacity and semantic fields at voxel centers over the
-    union box of the primitives' blocks."""
+    tiles that the primitives' blocks cover."""
     b = primitives
-    n = len(b)
-    c_occ = b.n_logits if n else grid.num_classes - 1
+    c_occ = b.n_logits if len(b) else grid.num_classes - 1
     R = quats_to_rotations(b.rotations)
     s2 = b.scales**2
+    cell = grid.voxel_size * CELL_FACTOR
     # half extents of each truncated ellipsoid's world AABB
     half = TRUNCATION_SIGMAS * np.sqrt(np.einsum("nab,nb->na", R**2, s2))
-    lo, hi = _voxel_span(b.means, half, grid.origin, grid.voxel_size,
-                         grid.voxel_size * CELL_FACTOR, grid.dims)
-    ext = hi - lo + 1
-    live = np.flatnonzero(np.all(ext > 0, axis=1))
-    box_lo = lo[live].min(axis=0) if len(live) else np.zeros(3, dtype=np.int64)
-    box_hi = hi[live].max(axis=0) + 1 if len(live) else box_lo
-    box = tuple(slice(a, b) for a, b in zip(box_lo.tolist(), box_hi.tolist()))
-    keep = np.ones(tuple(box_hi - box_lo))
-    # channel 0: sum of pdf values; then density-weighted class probs
-    acc = np.zeros(keep.shape + (c_occ + 1,))
-    axes = grid.axis_centers()
+    lo, hi = _voxel_span(b.means, half, grid.origin, grid.voxel_size, cell, grid.dims)
+    live = np.flatnonzero(np.all(lo <= hi, axis=1))
+    # tiles every CELL_FACTOR voxels from the unclipped lo of the origin's cell
+    start = np.ceil((np.floor(grid.origin / cell) * cell - grid.origin) / grid.voxel_size
+                    - 0.5).astype(np.int64)
+    shape = tuple((np.asarray(grid.dims) - 1 - start) // CELL_FACTOR + 1)
+    first, last = ((x[live] - start) // CELL_FACTOR for x in (lo, hi))
+    tile_ids, touched, prim = _rounds(first, last - first + 1, shape)
+    idx = [s + CELL_FACTOR * t + np.arange(CELL_FACTOR)[:, None]
+           for s, t in zip(start, np.unravel_index(tile_ids, shape))]
     inv_cov = np.einsum("nab,nb,ncb->nac", R, 1.0 / s2, R)
     pdf_norm = (2.0 * np.pi) ** 1.5 * np.prod(b.scales, axis=1)
-    e = np.exp(b.logits - b.logits.max(axis=1, keepdims=True))
-    class_probs = e / e.sum(axis=1, keepdims=True)
-    # 1.0 * p == p, so channel 0 accumulates the density itself
-    channel_weights = np.concatenate([np.ones((n, 1)), class_probs], axis=1)
-    pairs = np.prod(ext[live], axis=1)
-    # one reused buffer for each block's channel products
-    scratch = np.empty(int(pairs.max(initial=0)) * (c_occ + 1))
-    for start, stop in _chunks(pairs, _CHUNK_PAIRS):
-        idx = live[start:stop]
-        shapes, group = np.unique(ext[idx], axis=0, return_inverse=True)
-        blocks = [None] * len(idx)
-        for g, shape in enumerate(shapes.tolist()):
-            members = np.flatnonzero(group == g)
-            rows = idx[members]
-            factors, pdfs = _kernel_blocks(
-                axes, b.means[rows], inv_cov[rows], b.opacities[rows],
-                pdf_norm[rows], lo[rows], shape,
-            )
-            for j, m in enumerate(members.tolist()):
-                blocks[m] = (factors[j], pdfs[j])
-        # Ascending primitive index: the order of the per-primitive loop.
-        for i, l, h, (factor, p) in zip(idx.tolist(), (lo[idx] - box_lo).tolist(),
-                                        (hi[idx] - box_lo + 1).tolist(), blocks):
-            sl = tuple(map(slice, l, h))
-            keep[sl] *= factor
-            # With no summed index, einsum rounds each p * w_c once, like
-            # a broadcast product, but its inner loop does not run over
-            # the few channels.
-            w = channel_weights[i]
-            prod = scratch[:p.size * w.size].reshape(p.shape + w.shape)
-            acc[sl] += np.einsum("xyz,c->xyzc", p, w, out=prod)
-    return SplatFields(grid.dims, box, keep, acc)
+    # class probabilities, then 1.0: 1.0 * p == p, so acc's last channel is the density
+    channel_weights = np.ones((len(b), b.n_logits + 1))
+    e = np.exp(b.logits - b.logits.max(axis=1, keepdims=True), out=channel_weights[:, :-1])
+    e /= e.sum(axis=1, keepdims=True)
+    keep = np.ones((len(tile_ids), CELL_FACTOR**3))
+    acc = np.zeros((len(tile_ids), c_occ + 1, CELL_FACTOR**3))
+    # one reused buffer for the channel products of `step` tiles at a time;
+    # with no summed index, einsum rounds each p * w_c once, like a product
+    step = max(1, _CHUNK_PAIRS // np.prod(acc.shape[1:]))
+    buf = np.empty((min(step, len(acc)),) + acc.shape[1:])
+    round_start = np.concatenate([[0], np.cumsum(touched)])
+    axes = grid.axis_centers()
+    for r0, r1 in _chunks(touched * CELL_FACTOR**3, _CHUNK_PAIRS):
+        rows = live[prim[round_start[r0]:round_start[r1]]]
+        pos = np.concatenate([np.arange(m) for m in touched[r0:r1].tolist()])
+        # np.take keeps the pair axis innermost, unlike i[:, pos]
+        ix = [np.take(i, pos, axis=1) for i in idx]
+        # a voxel past the grid's edge, never inside a block, takes its nearest centre
+        fac, den = _kernel([ax[np.clip(i, 0, d - 1)] for ax, i, d in zip(axes, ix, grid.dims)],
+                           [(i >= lo[rows, a]) & (i <= hi[rows, a]) for a, i in enumerate(ix)],
+                           b.means[rows], inv_cov[rows], b.opacities[rows], pdf_norm[rows])
+        for r in range(r0, r1):
+            j, m = round_start[r] - round_start[r0], int(touched[r])
+            keep[:m] *= fac[j:j + m]
+            for t in range(0, m, step):
+                u = min(t + step, m)
+                acc[t:u] += np.einsum("nv,nc->ncv", den[j + t:j + u],
+                                      channel_weights[rows[j + t:j + u]],
+                                      out=buf[:u - t])
+        del fac, den  # before the next chunk's kernel
+    return SplatFields(grid.dims, idx, keep, acc)
 
 
 def render(grid: VoxelGrid, primitives: PrimitiveBatch) -> VoxelGrid:
@@ -176,18 +194,24 @@ def render(grid: VoxelGrid, primitives: PrimitiveBatch) -> VoxelGrid:
     Per-voxel channels are (alpha * e_1, ..., alpha * e_{C-1}, 1 - alpha).
     """
     f = splat_fields(grid, primitives)
-    c_occ = f.acc.shape[-1] - 1
+    c_occ = f.acc.shape[1] - 1
+    # finalise the tiles in place: the density channel becomes 1 - alpha
+    sem, dens = f.acc[:, :c_occ], f.acc[:, c_occ]
+    undefined = dens == 0.0
+    np.divide(sem, dens[:, None], out=sem, where=~undefined[:, None])
+    sem.transpose(0, 2, 1)[undefined] = 1.0 / c_occ
+    alpha = np.subtract(1.0, f.keep, out=f.keep)
+    sem *= alpha[:, None]
+    np.subtract(1.0, alpha, out=dens)
     values = np.zeros(grid.dims + (c_occ + 1,))
     values[..., c_occ] = 1.0
-    out = values[f.box]
-    f.box_semantics(out[..., :c_occ])
-    alpha = np.subtract(1.0, f.keep, out=f.keep)  # keep is not read again
-    out[..., :c_occ] *= alpha[..., None]
-    np.subtract(1.0, alpha, out=out[..., c_occ])
-    return VoxelGrid(
-        grid.origin.copy(), grid.voxel_size, grid.dims, values,
-        PROB_MODE, c_occ + 1,
-    )
+    step = max(1, _CHUNK_PAIRS // np.prod(f.acc.shape[1:]))
+    for t in range(0, len(f.acc), step):
+        vox = _flat_voxels([i[:, t:t + step] for i in f.idx], grid.dims)
+        values.reshape(-1, c_occ + 1)[vox[vox >= 0]] = \
+            f.acc[t:t + step].transpose(0, 2, 1)[vox >= 0]
+    return VoxelGrid(grid.origin.copy(), grid.voxel_size, grid.dims, values,
+                     PROB_MODE, c_occ + 1)
 
 
 def argmax_labels(grid: VoxelGrid) -> VoxelGrid:

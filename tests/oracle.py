@@ -18,7 +18,7 @@ from splatmem.conf import confidence_values, entropy_batch
 from splatmem.core import _QUAT_NORM_EPS, MIN_SCALE, PrimitiveBatch, cell_key
 from splatmem.errors import InvalidInputError
 from splatmem.grid import VoxelGrid
-from splatmem.splat import SplatFields
+from splatmem.splat import SplatFields, _flat_voxels
 
 
 def _vec3(v, name: str) -> np.ndarray:
@@ -176,9 +176,15 @@ def centers(grid: VoxelGrid) -> np.ndarray:
 
 
 def _full(f: SplatFields, outside, inside: np.ndarray) -> np.ndarray:
-    out = np.full(f.dims + inside.shape[3:], outside, dtype=inside.dtype)
-    out[f.box] = inside
-    return out
+    """Spread per-tile values, (T, V) or (T, C, V), over the grid, with
+    `outside` at every voxel of no tile."""
+    if inside.ndim == 3:
+        inside = inside.transpose(0, 2, 1)
+    out = np.full((int(np.prod(f.dims)),) + inside.shape[2:], outside, dtype=inside.dtype)
+    voxels = _flat_voxels(f.idx, f.dims)
+    live = voxels >= 0
+    out[voxels[live]] = inside[live]
+    return out.reshape(f.dims + inside.shape[2:])
 
 
 def alpha(f: SplatFields) -> np.ndarray:
@@ -188,14 +194,15 @@ def alpha(f: SplatFields) -> np.ndarray:
 
 def semantics(f: SplatFields) -> np.ndarray:
     """Class distribution of every voxel, uniform where the density is zero."""
-    sem = np.empty(f.acc.shape[:-1] + (f.acc.shape[-1] - 1,))
-    f.box_semantics(sem)
-    return _full(f, 1.0 / sem.shape[-1], sem)
+    dens = f.acc[:, -1:]
+    sem = np.divide(f.acc[:, :-1], np.where(dens == 0.0, 1.0, dens))
+    sem.transpose(0, 2, 1)[dens[:, 0] == 0.0] = 1.0 / sem.shape[1]
+    return _full(f, 1.0 / sem.shape[1], sem)
 
 
 def undefined(f: SplatFields) -> np.ndarray:
     """True at every voxel of zero total density."""
-    return _full(f, True, f.acc[..., 0] == 0.0)
+    return _full(f, True, f.acc[:, -1] == 0.0)
 
 
 def pack_cells(cells) -> np.ndarray:

@@ -23,9 +23,11 @@ import pytest
 import splatmem.attn as attn_mod
 import splatmem.cli as cli
 import splatmem.memory as memory_mod
+from splatmem.grid import load_vgrid
 from splatmem.memory import _GMEM_HEADER, _record_floats, load_gmem
 from splatmem.synth import StubConfig
 from test_attn import mha_materialised
+from test_splat import full_grid_render
 
 EMBODIED_IOU = 0.8003755227447299
 EMBODIED_MIOU = 0.8522706540419506
@@ -431,6 +433,16 @@ class TestCliContract:
         assert cli.main(["render", str(out / "final.gmem"), str(got),
                          "--like", str(out / "final_pred.vgrid"), *flags]) == 0
         assert got.read_bytes() == (out / artifact).read_bytes()
+
+    def test_render_at_a_half_voxel_origin(self, embodied_run, tmp_path):
+        # voxel centres on cell faces, where neighbouring blocks share a voxel
+        out, _, _, _ = embodied_run
+        got = tmp_path / "o.vgrid"
+        assert cli.main(["render", str(out / "final.gmem"), str(got), "--dims", "30", "30",
+                         "18", "--voxel-size", "0.08", "--origin", "0.04", "0.04", "0.04"]) == 0
+        grid = load_vgrid(got)
+        want = full_grid_render(grid, load_gmem(out / "final.gmem").batch)
+        assert np.array_equal(grid.values, want.astype(np.float32))
 
     def test_fuse_leaves_one_row_per_cell(self, embodied_run, tmp_path):
         out, _, _, _ = embodied_run

@@ -6,7 +6,7 @@ import pytest
 from oracle import centers
 from splatmem.core import CameraFrame
 from splatmem.errors import InvalidInputError
-from splatmem.metrics import local_mask, observed_mask
+from splatmem.metrics import _frustum_box, local_mask, observed_mask
 from splatmem.synth import (DEFAULT_INTRINSICS, _look_at_pose, default_scene,
                             generate_scene, generate_trajectory)
 
@@ -35,6 +35,20 @@ def random_frames(n, seed):
     return frames
 
 
+def unclipped_box_mask(grid, frame):
+    """Reference: the frustum test over the box around the frame's 8
+    frustum corners at its own far plane, padded by one voxel."""
+    w, h = frame.width, frame.height
+    origin, dirs = frame.pixel_rays(np.array([[0, 0], [w, 0], [0, h], [w, h]]))
+    ijk = grid.voxel_of(origin + np.concatenate([frame.near * dirs, frame.far * dirs]))
+    lo = np.clip(ijk.min(axis=0) - 1, 0, grid.dims)
+    hi = np.clip(ijk.max(axis=0) + 2, 0, grid.dims)
+    box = tuple(slice(a, max(a, b)) for a, b in zip(lo.tolist(), hi.tolist()))
+    out = np.zeros(grid.dims, dtype=bool)
+    out[box] = all_centers_mask(grid, frame)[box]
+    return out, box
+
+
 class TestLocalMask:
     def test_random_frames_match_all_centers(self):
         frames = random_frames(240, seed=3)
@@ -45,6 +59,23 @@ class TestLocalMask:
             sizes.append(ref.sum())
         sizes = np.array(sizes)
         assert (sizes == 0).sum() >= 20 and (sizes > 1000).sum() >= 20
+
+    def test_clipped_box_keeps_the_masks(self):
+        # the default trajectory, whose far planes lie beyond the room, and
+        # a frame whose far plane ends inside the grid
+        frames = generate_trajectory(default_scene(), 30, 0)
+        pose = _look_at_pose(EXTENT / 2, np.array([1.0, 0.2, 0.1]))
+        inner = CameraFrame(DEFAULT_INTRINSICS, pose, 320, 240, 0.1, 1.0)
+        clipped = unclipped = 0
+        for frame in frames + [inner]:
+            want, box = unclipped_box_mask(GT, frame)
+            assert np.array_equal(local_mask(GT, frame), want)
+            got = _frustum_box(GT, frame)[0]
+            assert all(g.start >= b.start and g.stop <= b.stop for g, b in zip(got, box))
+            clipped += np.prod([g.stop - g.start for g in got])
+            unclipped += np.prod([b.stop - b.start for b in box])
+        assert _frustum_box(GT, inner)[0] == unclipped_box_mask(GT, inner)[1]
+        assert clipped < 0.95 * unclipped
 
     def test_trajectory_frames_match_all_centers(self):
         for frame in generate_trajectory(default_scene(), 10, 2):

@@ -137,9 +137,33 @@ def loop_splat_fields(grid, b, truncation_radius_sigmas=3.0):
     return alpha, sem_out, undefined
 
 
+def kernel_blocks(axes, means, inv_cov, opacities, pdf_norm, lo, shape):
+    """Opacity factors 1 - a k and densities k / pdf_norm of G primitives
+    that share one block shape, as (G, ex, ey, ez) arrays, with the
+    operations, in the order, of the per-primitive quadratic form."""
+    dx, dy, dz = (axes[a][lo[:, a, None] + np.arange(w)] - means[:, a, None]
+                  for a, w in enumerate(shape))
+    X = dx[:, :, None, None]
+    Y = dy[:, None, :, None]
+    Z = dz[:, None, None, :]
+    A = inv_cov[:, :, :, None, None, None]
+    q = (
+        A[:, 0, 0] * X**2
+        + A[:, 1, 1] * Y**2
+        + A[:, 2, 2] * Z**2
+        + 2.0 * A[:, 0, 1] * X * Y
+        + 2.0 * A[:, 0, 2] * X * Z
+        + 2.0 * A[:, 1, 2] * Y * Z
+    )
+    k = np.exp(-0.5 * q)
+    return (1.0 - opacities[:, None, None, None] * k,
+            k / pdf_norm[:, None, None, None])
+
+
 def full_grid_splat_fields(grid, b, truncation_radius_sigmas=3.0):
-    """Reference: the batched walk over the whole grid, with every voxel
-    finalised, as splatting was before it was bounded to the union box."""
+    """Reference: the batched walk over the whole grid, primitive by
+    primitive with blocks grouped by shape, and every voxel finalised, as
+    splatting was before it was bounded to the occupied voxels."""
     n = len(b)
     nx, ny, nz = grid.dims
     c_occ = b.n_logits if n else grid.num_classes - 1
@@ -171,7 +195,7 @@ def full_grid_splat_fields(grid, b, truncation_radius_sigmas=3.0):
             for g, shape in enumerate(shapes.tolist()):
                 members = np.flatnonzero(group == g)
                 rows = idx[members]
-                factors, pdfs = splat_mod._kernel_blocks(
+                factors, pdfs = kernel_blocks(
                     axes, b.means[rows], inv_cov[rows], b.opacities[rows],
                     pdf_norm[rows], lo[rows], shape)
                 for j, m in enumerate(members.tolist()):
@@ -206,8 +230,33 @@ def truncate_at(monkeypatch, sigmas):
     monkeypatch.setattr(splat_mod, "TRUNCATION_SIGMAS", min(sigmas, 1e9))
 
 
+def block_spans(grid, b):
+    """Each primitive's block at 3 sigma, as (lo, hi) voxel indices."""
+    R = quats_to_rotations(b.rotations)
+    half = 3.0 * np.sqrt(np.einsum("nab,nb->na", R**2, b.scales**2))
+    return splat_mod._voxel_span(b.means, half, grid.origin, grid.voxel_size,
+                                 grid.voxel_size * CELL_FACTOR, grid.dims)
+
+
+# Grids other than make_grid()'s 0.8 m cube, by reference batch. At the
+# half-voxel origin (exact in binary) voxel centres 0 and 4 lie on cell
+# faces, so the blocks on either side of a face share that voxel; 7, 9 and
+# 5 voxels end each axis in a partial tile. The offset origin puts the
+# cells' first voxels off those of the grid's origin on every axis.
+REFERENCE_GRIDS = {
+    "half_voxel_origin": dict(voxel_size=0.125, origin=(-0.0625,) * 3),
+    "odd_dims": dict(dims=(7, 9, 5)),
+    "offset_origin": dict(dims=(16, 16, 16), origin=(0.07, -0.18, 0.31)),
+}
+
+
+def reference_grid(name):
+    return make_grid(**REFERENCE_GRIDS.get(name, {}))
+
+
 def reference_batches():
-    """Seeded batches for the bit-identity tests, on a 0.8 m cube of voxels."""
+    """Seeded batches for the bit-identity tests, on a 0.8 m cube of voxels
+    unless REFERENCE_GRIDS names another grid."""
     far = random_primitives(20, lo=2.0, hi=3.0, seed=35)
     far[5:10] = random_primitives(5, lo=-3.0, hi=-2.0, seed=36)
     # one primitive centred on each face of the cube, among inner ones
@@ -216,6 +265,9 @@ def reference_batches():
     repeated = random_primitives(40, scale_range=(0.05, 0.1), seed=37)
     # equal blocks at far-apart indices, with other primitives in between
     repeated[30], repeated[39] = repeated[0], repeated[7]
+    # one block that spans the grid, among small ones
+    whole = random_primitives(30, scale_range=(0.02, 0.05), seed=43)
+    whole[12] = dataclasses.replace(whole[12], scale=np.full(3, 0.5))
     return {
         "empty": [],
         "single": random_primitives(1, seed=31),
@@ -225,6 +277,11 @@ def reference_batches():
         "repeated_shapes": repeated,
         "all_outside": far,
         "every_face": faces + random_primitives(10, lo=0.2, hi=0.6, seed=40),
+        "half_voxel_origin": random_primitives(40, seed=41),
+        "odd_dims": random_primitives(40, lo=-0.1, hi=1.0, seed=42),
+        "offset_origin": random_primitives(40, lo=-0.1, hi=1.7, scale_range=(0.02, 0.06),
+                                           seed=45),
+        "whole_grid_block": whole,
     }
 
 
@@ -238,7 +295,7 @@ class TestBatchedMatchesLoop:
     def test_fields_bit_identical(self, monkeypatch, name, truncation, budget):
         monkeypatch.setattr(splat_mod, "_CHUNK_PAIRS", budget)
         truncate_at(monkeypatch, truncation)
-        grid = make_grid()
+        grid = reference_grid(name)
         b = batch(reference_batches()[name])
         f = splat_fields(grid, b)
         alpha, sem, undefined = loop_splat_fields(grid, b, truncation)
@@ -247,17 +304,8 @@ class TestBatchedMatchesLoop:
         assert np.array_equal(oracle.undefined(f), undefined)
 
     def test_batches_reach_the_cases_they_name(self):
-        grid = make_grid()
-        spans = {}
-        for name, prims in reference_batches().items():
-            if not prims:
-                continue
-            b = batch(prims)
-            R = quats_to_rotations(b.rotations)
-            half = 3.0 * np.sqrt(np.einsum("nab,nb->na", R**2, b.scales**2))
-            spans[name] = splat_mod._voxel_span(
-                b.means, half, grid.origin, grid.voxel_size,
-                grid.voxel_size * CELL_FACTOR, grid.dims)
+        spans = {name: block_spans(reference_grid(name), batch(prims))
+                 for name, prims in reference_batches().items() if prims}
         lo, hi = spans["clipped_at_faces"]
         assert (lo == 0).any() and (hi == 7).any()
         lo, hi = spans["outside_grid"]
@@ -270,6 +318,17 @@ class TestBatchedMatchesLoop:
         assert (lo == 0).any(axis=0).all() and (hi == 7).any(axis=0).all()
         lo, hi = spans["single"]
         assert np.all(lo <= hi) and np.prod(hi - lo + 1) < 8**3
+        lo, hi = spans["half_voxel_origin"]
+        for a in range(3):  # a block ends on the voxel where another starts
+            assert np.intersect1d(lo[:, a], hi[:, a]).size
+        lo, hi = spans["odd_dims"]
+        assert (hi == np.array([6, 8, 4])).any(axis=0).all()
+        lo, hi = spans["offset_origin"]  # blocks start 3, 2 and 1 voxels past the lattice
+        assert [np.unique(lo[lo[:, a] > 0, a] % 4).tolist() for a in range(3)] == [[3], [2], [1]]
+        assert (lo == 0).any(axis=0).all() and (hi == 15).any(axis=0).all()
+        lo, hi = spans["whole_grid_block"]
+        whole = np.all(lo == 0, axis=1) & np.all(hi == 7, axis=1)
+        assert whole.sum() == 1 and (np.prod(hi - lo + 1, axis=1) <= 8**3 // 4).sum() > 20
 
     @pytest.mark.parametrize("budget", [1, 3, 10, 100])
     def test_chunks_respect_the_budget(self, budget):
@@ -300,16 +359,39 @@ class TestBatchedMatchesLoop:
                       (oracle.alpha, oracle.semantics, oracle.undefined))
         assert peak - outputs < 32 * 2**20
 
+    # aligned to the cells, offset from them (as a CLI render's default
+    # origin is), and with voxel centres on cell faces
+    @pytest.mark.parametrize("origin", [0.0, 0.1, 0.04], ids=["aligned", "offset", "half_voxel"])
+    def test_render_memory_is_bounded(self, origin):
+        # 12,000 primitives over the benchmark's 60 x 60 x 36 grid, about
+        # as many as the final render of the concat baseline
+        rng = np.random.default_rng(44)
+        n = 12000
+        grid = make_grid(dims=(60, 60, 36), voxel_size=0.08, origin=(origin,) * 3)
+        q = rng.normal(size=(n, 4))
+        b = PrimitiveBatch(
+            rng.uniform(0.0, 1.0, (n, 3)) * np.array([4.8, 4.8, 2.88]),
+            rng.uniform(0.02, 0.15, (n, 3)), q / np.linalg.norm(q, axis=1, keepdims=True),
+            rng.uniform(0.1, 1.0, n), rng.normal(size=(n, C - 1)), np.zeros((n, 0)),
+            np.full(n, 0.5))
+        tracemalloc.start()
+        try:
+            out = render(grid, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.values.nbytes < 20 * 2**20
+
 
 class TestBoxMatchesFullGrid:
-    """Accumulating and finalising only the union box of the blocks gives
+    """Accumulating and finalising only the tiles the blocks cover gives
     the full-grid fields and channels bit for bit."""
 
     @pytest.mark.parametrize("truncation", [3.0, np.inf])
     @pytest.mark.parametrize("name", sorted(reference_batches()))
     def test_fields_and_render_bit_identical(self, monkeypatch, name, truncation):
         truncate_at(monkeypatch, truncation)
-        grid = make_grid()
+        grid = reference_grid(name)
         b = batch(reference_batches()[name])
         f = splat_fields(grid, b)
         alpha, sem, undefined = full_grid_splat_fields(grid, b, truncation)
@@ -320,10 +402,24 @@ class TestBoxMatchesFullGrid:
         assert np.array_equal(out.values, full_grid_render(grid, b, truncation))
 
     @pytest.mark.parametrize("name,box_shape", [
-        ("empty", (0, 0, 0)), ("all_outside", (0, 0, 0)), ("every_face", (8, 8, 8))])
+        ("empty", (0, 0, 0)), ("all_outside", (0, 0, 0)), ("every_face", (8, 8, 8)),
+        ("offset_origin", (16, 16, 16))])
     def test_box_is_the_union_of_the_blocks(self, name, box_shape):
-        f = splat_fields(make_grid(), batch(reference_batches()[name]))
-        assert f.keep.shape == box_shape
+        # the tiles hold each voxel of the blocks once, and no other voxel,
+        # also where the cells start off voxel 0's lattice; box_shape is the
+        # shape of the blocks' bounding box
+        grid = reference_grid(name)
+        b = batch(reference_batches()[name])
+        f = splat_fields(grid, b)
+        union = np.zeros(grid.dims, dtype=bool)
+        for lo, hi in zip(*block_spans(grid, b)) if len(b) else ():
+            union[tuple(map(slice, lo, hi + 1))] = True
+        voxels = splat_mod._flat_voxels(f.idx, f.dims)
+        touched = np.sort(voxels[voxels >= 0])
+        assert np.array_equal(touched, np.flatnonzero(union))
+        ijk = np.argwhere(union)
+        shape = tuple(np.ptp(ijk, axis=0) + 1) if len(ijk) else (0, 0, 0)
+        assert shape == box_shape
 
 
 class TestSplatOpacity:

@@ -16,11 +16,11 @@ no gradients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PrimitiveBatch
+from .core import D_MODEL, PrimitiveBatch
 from .errors import InvalidInputError
 
 # Attention heads and FFN width of the encoder.
@@ -31,50 +31,43 @@ _BLOCK_ROWS = 128
 _NORM_EPS = 1e-5
 
 
-@dataclass
+@dataclass(repr=False)
 class EncoderWeights:
     """Seeded parameter bundle for the attention and FFN blocks.
 
     All entries are drawn from numpy's default_rng(seed) as standard
-    normals scaled by 1/sqrt(d_model), in declaration order (W_q, W_k,
+    normals scaled by 1/sqrt(D_MODEL), in declaration order (W_q, W_k,
     W_v, W_o, ffn_w1, ffn_b1, ffn_w2, ffn_b2), then rounded to float32.
     The tests pin the float32 bytes of seed 42.
     """
 
-    d_model: int
-    seed: int
-    w_q: np.ndarray = field(repr=False, default=None)
-    w_k: np.ndarray = field(repr=False, default=None)
-    w_v: np.ndarray = field(repr=False, default=None)
-    w_o: np.ndarray = field(repr=False, default=None)
-    ffn_w1: np.ndarray = field(repr=False, default=None)
-    ffn_b1: np.ndarray = field(repr=False, default=None)
-    ffn_w2: np.ndarray = field(repr=False, default=None)
-    ffn_b2: np.ndarray = field(repr=False, default=None)
+    w_q: np.ndarray
+    w_k: np.ndarray
+    w_v: np.ndarray
+    w_o: np.ndarray
+    ffn_w1: np.ndarray
+    ffn_b1: np.ndarray
+    ffn_w2: np.ndarray
+    ffn_b2: np.ndarray
 
 
-def init_weights(d_model: int = 32, seed: int = 0) -> EncoderWeights:
-    """Deterministic weight bundle; same arguments always give same bytes."""
-    if d_model <= 0:
-        raise InvalidInputError("d_model must be positive")
-    if d_model % N_HEADS != 0:
-        raise InvalidInputError(f"d_model {d_model} not divisible by {N_HEADS} heads")
+def init_weights(seed: int) -> EncoderWeights:
+    """Deterministic weight bundle; the same seed always gives the same bytes."""
     rng = np.random.default_rng(seed)
-    scale = 1.0 / np.sqrt(d_model)
+    scale = 1.0 / np.sqrt(D_MODEL)
 
     def draw(*shape):
         return (rng.standard_normal(shape) * scale).astype(np.float32).astype(np.float64)
 
     return EncoderWeights(
-        d_model, seed,
-        w_q=draw(d_model, d_model),
-        w_k=draw(d_model, d_model),
-        w_v=draw(d_model, d_model),
-        w_o=draw(d_model, d_model),
-        ffn_w1=draw(d_model, D_FF),
+        w_q=draw(D_MODEL, D_MODEL),
+        w_k=draw(D_MODEL, D_MODEL),
+        w_v=draw(D_MODEL, D_MODEL),
+        w_o=draw(D_MODEL, D_MODEL),
+        ffn_w1=draw(D_MODEL, D_FF),
         ffn_b1=draw(D_FF),
-        ffn_w2=draw(D_FF, d_model),
-        ffn_b2=draw(d_model),
+        ffn_w2=draw(D_FF, D_MODEL),
+        ffn_b2=draw(D_MODEL),
     )
 
 
@@ -131,8 +124,8 @@ def cca(query: PrimitiveBatch, keyval: PrimitiveBatch, w: EncoderWeights) -> np.
     """
     if len(query) == 0 or len(keyval) == 0:
         raise InvalidInputError("cca batches must be nonempty")
-    if query.d_model != w.d_model or keyval.d_model != w.d_model:
-        raise InvalidInputError("feature width does not match the weight bundle")
+    if query.d_model != D_MODEL or keyval.d_model != D_MODEL:
+        raise InvalidInputError(f"cca needs features {D_MODEL} wide, the encoder's width")
     Q = query.features @ w.w_q
     K = keyval.features @ w.w_k
     V = (keyval.features @ w.w_v) * keyval.confidences[:, None]

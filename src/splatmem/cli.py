@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attn import N_HEADS, dte_step, init_weights
+from .attn import dte_step, init_weights
 from .cavf import FusionConfig
 from .core import PrimitiveBatch, cell_key, concat_batches
 from .errors import ConfigError, FormatError, InvalidInputError, InvariantError
@@ -45,19 +45,15 @@ MODE_CONCAT = "embodied-concat-baseline"
 
 @dataclass
 class EncoderConfig:
-    """Shape and seed of the temporal encoder. Its weights are drawn from
+    """Seed and depth of the temporal encoder. Its weights are drawn from
     the seed on every run; it refines features and no other attribute."""
 
-    d_model: int = 32
     seed: int = 42
     n_blocks: int = 2
 
     def __post_init__(self):
-        if not (self.d_model > 0 and self.n_blocks > 0):  # also rejects NaN
-            raise InvalidInputError("d_model and n_blocks must be positive")
-        if self.d_model % N_HEADS:
-            raise InvalidInputError(
-                f"d_model {self.d_model} is not divisible by {N_HEADS} heads")
+        if not self.n_blocks > 0:
+            raise InvalidInputError("n_blocks must be positive")
         if not self.seed >= 0:
             raise InvalidInputError("seed must be >= 0")
 
@@ -70,7 +66,6 @@ class RunConfig:
     n_frames: int = 30
     trajectory_seed: int = 0
     stub_seed: int = 0
-    use_dte: bool = True
     noise: NoiseParams = field(default_factory=NoiseParams)
     fusion: FusionConfig = field(default_factory=FusionConfig)
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
@@ -135,7 +130,7 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
             raise ConfigError(f"config file {path} does not exist")
         try:
             data = json.loads(p.read_text())
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise ConfigError(f"config file {path}: invalid JSON ({e})") from e
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path}: top level must be an object")
@@ -164,7 +159,7 @@ def _load_scene(cfg: RunConfig):
         return default_scene()
     try:
         return load_scene_spec(cfg.scene)
-    except InvalidInputError as e:
+    except (InvalidInputError, UnicodeDecodeError, OSError) as e:
         raise ConfigError(f"scene file {cfg.scene}: {e}") from e
 
 
@@ -176,25 +171,22 @@ def run_local(cfg: RunConfig) -> MetricReport:
     """Per-frame pipeline: stub predict, self-refine, fuse, render, score."""
     if cfg.mode != MODE_LOCAL:
         raise ConfigError(f"run-local invoked with mode {cfg.mode!r}")
+    spec = _load_scene(cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    spec = _load_scene(cfg)
     gt = generate_scene(spec)
     maps = scene_maps(gt)
     frames = generate_trajectory(spec, cfg.n_frames, cfg.trajectory_seed)
-    weights = init_weights(cfg.encoder.d_model, cfg.encoder.seed)
-    empty_hist = PrimitiveBatch.empty(cfg.encoder.d_model, gt.num_classes)
+    weights = init_weights(cfg.encoder.seed)
+    empty_hist = PrimitiveBatch.empty(gt.num_classes)
 
     rows = ["frame,count,iou,miou,observed_fraction"]
     ious, mious = [], []
     for i, frame in enumerate(frames):
-        batch = stub_predict(gt, maps, frame, cfg.noise, cfg.stub_seed + i,
-                             cfg.encoder.d_model, cfg.stub)
-        if len(batch) and cfg.use_dte:
-            batch, _ = dte_step(batch, empty_hist, weights, cfg.encoder.n_blocks)
+        batch = stub_predict(gt, maps, frame, cfg.noise, cfg.stub_seed + i, cfg.stub)
         if len(batch):
-            mem = init_memory(batch, cfg.fusion)
-            fused = mem.batch
+            batch, _ = dte_step(batch, empty_hist, weights, cfg.encoder.n_blocks)
+            fused = init_memory(batch, cfg.fusion).batch
         else:
             fused = batch
         pred = render(gt, fused)
@@ -226,13 +218,13 @@ def run_embodied(cfg: RunConfig) -> MetricReport:
     if cfg.mode not in (MODE_EMBODIED, MODE_CONCAT):
         raise ConfigError(f"run-embodied invoked with mode {cfg.mode!r}")
     concat_mode = cfg.mode == MODE_CONCAT
+    spec = _load_scene(cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    spec = _load_scene(cfg)
     gt = generate_scene(spec)
     maps = scene_maps(gt)
     frames = generate_trajectory(spec, cfg.n_frames, cfg.trajectory_seed)
-    weights = init_weights(cfg.encoder.d_model, cfg.encoder.seed)
+    weights = init_weights(cfg.encoder.seed)
 
     memory: GaussianMemory | None = None
     concat_batch: PrimitiveBatch | None = None
@@ -240,8 +232,7 @@ def run_embodied(cfg: RunConfig) -> MetricReport:
     time_rows = ["frame,seconds"]
     for i, frame in enumerate(frames):
         t0 = time.perf_counter()
-        batch = stub_predict(gt, maps, frame, cfg.noise, cfg.stub_seed + i,
-                             cfg.encoder.d_model, cfg.stub)
+        batch = stub_predict(gt, maps, frame, cfg.noise, cfg.stub_seed + i, cfg.stub)
         inside = len(batch)
         if concat_mode:
             if concat_batch is None:
@@ -255,11 +246,9 @@ def run_embodied(cfg: RunConfig) -> MetricReport:
                     raise InvariantError("first frame produced no primitives")
                 memory = init_memory(batch, cfg.fusion)
             else:
-                inside = update(memory, batch, frame, weights if cfg.use_dte else None,
-                                cfg.encoder.n_blocks)
+                inside = update(memory, batch, frame, weights, cfg.encoder.n_blocks)
             held = memory.batch
-        nbytes = gmem_nbytes(len(held), held.n_logits + 1, held.d_model)
-        stat_rows.append(f"{i},{len(held)},{inside},{nbytes}")
+        stat_rows.append(f"{i},{len(held)},{inside},{gmem_nbytes(held)}")
         time_rows.append(f"{i},{time.perf_counter() - t0:.4f}")
 
     final = concat_batch if concat_mode else memory.batch
@@ -295,7 +284,7 @@ def run_embodied(cfg: RunConfig) -> MetricReport:
 def cmd_stats(path: str) -> str:
     mem = load_gmem(path)
     b = mem.batch
-    lines = [f"count {len(b)}", f"bytes {gmem_nbytes(len(b), b.n_logits + 1, b.d_model)}"]
+    lines = [f"count {len(b)}", f"bytes {gmem_nbytes(b)}"]
     if len(b):
         lo, hi = b.means.min(axis=0), b.means.max(axis=0)
         lines.append("bbox_min " + " ".join(_fmt(v) for v in lo))
@@ -416,7 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuse.add_argument("gmem")
     p_fuse.add_argument("out")
     p_fuse.add_argument("--voxel-size", type=float)
-    p_fuse.add_argument("--temperature", type=float)
+    p_fuse.add_argument("--temperature", type=float,
+                        help="fusion temperature; default 1.0, not the run's "
+                             "temperature, which a .gmem does not store")
     return parser
 
 
@@ -436,10 +427,7 @@ def main(argv=None) -> int:
         elif args.command == "fuse":
             cmd_fuse(args)
         return 0
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as e:
+    except (ConfigError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
     except FormatError as e:

@@ -23,6 +23,11 @@ from .errors import InvalidInputError, InvariantError
 # probability is derived from opacity at render time.
 NUM_CLASSES = 12
 
+# Feature width of every primitive the pipeline makes, and the width the
+# temporal encoder's weights act on. A `.gmem` checkpoint records its own
+# width, so a loaded memory may hold another.
+D_MODEL = 32
+
 # The DTE and fusion clamp the scale components they compute to at least
 # this, which keeps the covariance invertible.
 MIN_SCALE = 1e-4
@@ -118,23 +123,16 @@ class PrimitiveBatch:
         return self.logits.shape[1]
 
     @classmethod
-    def empty(cls, d_model: int, n_classes: int = NUM_CLASSES) -> "PrimitiveBatch":
+    def empty(cls, n_classes: int) -> "PrimitiveBatch":
         z = np.zeros
         return cls(z((0, 3)), z((0, 3)), z((0, 4)), z(0), z((0, n_classes - 1)),
-                   z((0, d_model)), z(0))
-
-    def copy(self) -> "PrimitiveBatch":
-        return PrimitiveBatch(*(np.array(getattr(self, f)) for f in _BATCH_FIELDS))
+                   z((0, D_MODEL)), z(0))
 
     def select(self, idx) -> "PrimitiveBatch":
         return PrimitiveBatch(*(getattr(self, f)[idx] for f in _BATCH_FIELDS))
 
 
 def concat_batches(a: PrimitiveBatch, b: PrimitiveBatch) -> PrimitiveBatch:
-    if len(a) == 0:
-        return b.copy()
-    if len(b) == 0:
-        return a.copy()
     return PrimitiveBatch(*(
         np.concatenate([getattr(a, f), getattr(b, f)]) for f in _BATCH_FIELDS))
 

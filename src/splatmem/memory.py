@@ -31,15 +31,16 @@ _GMEM_HEADER = struct.Struct("<4sI3Id3d")  # magic, version, count, d_model, C, 
 _QUAT_NORM_TOL = 1e-3
 
 
-def _record_floats(n_classes: int, d_model: int) -> int:
+def _record_floats(n_classes: int, width: int) -> int:
     """Width of one `.gmem` record: mean 3, scale 3, quat 4, opacity 1,
-    logits C-1, feature d_model."""
-    return 3 + 3 + 4 + 1 + (n_classes - 1) + d_model
+    logits C-1, feature `width`."""
+    return 3 + 3 + 4 + 1 + (n_classes - 1) + width
 
 
-def gmem_nbytes(count: int, n_classes: int, d_model: int) -> int:
-    """Size in bytes of a `.gmem` checkpoint of `count` primitives."""
-    return _GMEM_HEADER.size + count * _record_floats(n_classes, d_model) * 4
+def gmem_nbytes(batch: PrimitiveBatch) -> int:
+    """Size in bytes of the `.gmem` checkpoint of a batch."""
+    record = _record_floats(batch.n_logits + 1, batch.d_model)
+    return _GMEM_HEADER.size + len(batch) * record * 4
 
 
 @dataclass
@@ -95,27 +96,22 @@ def update(
     memory: GaussianMemory,
     local_prediction: PrimitiveBatch,
     frame: CameraFrame,
-    weights: EncoderWeights | None,
+    weights: EncoderWeights,
     n_blocks: int = 2,
 ) -> int:
     """Absorb one frame into the memory, in place; returns the number of
     memory rows that were in view.
 
     The temporal encoder changes only features, which no fusion weight
-    reads; with weights None it is skipped and the raw local batch is
-    fused with the in-view slice as it is. An empty local prediction
-    leaves the memory as it is and counts no row in view.
+    reads. An empty local prediction leaves the memory as it is and
+    counts no row in view.
     """
     if len(local_prediction) == 0:
         return 0
 
     inside, idx_out = query_fov(memory, frame)
-    if weights is None:
-        union = concat_batches(local_prediction, inside)
-    else:
-        refined_local, refined_hist = dte_step(local_prediction, inside, weights,
-                                               n_blocks)
-        union = concat_batches(refined_local, refined_hist)
+    refined_local, refined_hist = dte_step(local_prediction, inside, weights, n_blocks)
+    union = concat_batches(refined_local, refined_hist)
     cells = cell_key(union.means, memory.origin, memory.fusion.voxel_size)
     new_batch, new_cells = _fuse_cells(union, cells, memory.fusion)
     kept_cells = memory.cells[idx_out]
@@ -186,6 +182,15 @@ def save_gmem(path, memory: GaussianMemory) -> None:
 
 
 def load_gmem(path) -> GaussianMemory:
+    """Read a `.gmem` checkpoint that `save_gmem` wrote; FormatError on a
+    malformed or non-finite header or record.
+
+    A version 1 file does not store the fusion temperature, the
+    confidences or the cell keys. The loaded memory takes
+    `FusionConfig`'s default temperature, whatever the writing run used;
+    confidences and cell keys are recomputed from the records. The
+    feature width is the header's `d_model`, which may be any width >= 1.
+    """
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < _GMEM_HEADER.size:
@@ -223,7 +228,7 @@ def load_gmem(path) -> GaussianMemory:
         raise FormatError("gmem records hold a quaternion that is not unit norm")
     logits = rec[:, 11 : 11 + n_classes - 1]
     feats = rec[:, 11 + n_classes - 1 :]
-    confs = confidence_values(logits, opac) if count else np.zeros(0)
+    confs = confidence_values(logits, opac)
     batch = PrimitiveBatch(means, scales, quats, opac, logits, feats, confs)
     try:
         cells = cell_key(means, origin, vs)

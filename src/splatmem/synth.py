@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conf import confidence_values
-from .core import NUM_CLASSES, CameraFrame, PrimitiveBatch, cell_of
+from .core import D_MODEL, NUM_CLASSES, CameraFrame, PrimitiveBatch, cell_of
 from .errors import InvalidInputError
 from .grid import LABEL_MODE, VoxelGrid
 
@@ -45,6 +45,10 @@ SURFACE_EXTENT_REACH = 4
 # grazing chords hug voxel faces, so blending toward the center keeps
 # sample means off cell boundaries
 STUB_MEAN_CENTERING = 0.5
+# The sweep's circle: radius as a fraction of the smaller horizontal
+# extent, and camera height as a fraction of the vertical extent.
+ORBIT_RADIUS_FRAC = 0.32
+ORBIT_HEIGHT_FRAC = 0.5
 
 
 @dataclass(frozen=True)
@@ -56,7 +60,7 @@ class Box:
     def __post_init__(self):
         object.__setattr__(self, "lo", np.asarray(self.lo, dtype=np.float64))
         object.__setattr__(self, "hi", np.asarray(self.hi, dtype=np.float64))
-        if np.any(self.hi <= self.lo):
+        if not np.all(self.hi > self.lo):  # also rejects NaN
             raise InvalidInputError("box hi must exceed lo on every axis")
 
 
@@ -71,15 +75,15 @@ class SceneSpec:
     extent: np.ndarray
     boxes: list[Box] = field(default_factory=list)
     gt_voxel_size: float = 0.08
-    seed: int = 0
     num_classes: int = NUM_CLASSES
 
     def __post_init__(self):
-        self.extent = np.asarray(self.extent, dtype=np.float64)
-        if np.any(self.extent <= 0):
-            raise InvalidInputError("extent must be positive")
-        if self.gt_voxel_size <= 0:
-            raise InvalidInputError("gt_voxel_size must be positive")
+        e = self.extent = np.asarray(self.extent, dtype=np.float64)
+        if not (e.shape == (3,) and np.all(np.isfinite(e) & (e > 0))):
+            raise InvalidInputError(f"extent must be 3 finite positive values, got {e.tolist()}")
+        if not 0 < self.gt_voxel_size < np.inf:
+            raise InvalidInputError(f"voxel_size must be finite and positive, "
+                                    f"got {self.gt_voxel_size}")
         for b in self.boxes:
             if np.any(b.lo < -1e-9) or np.any(b.hi > self.extent + 1e-9):
                 raise InvalidInputError(f"box {b} exceeds the scene extent")
@@ -94,9 +98,16 @@ def load_scene_spec(path) -> SceneSpec:
 
 
 def parse_scene_spec(text: str) -> SceneSpec:
+    """A scene spec from its text form: one record per line, `#` starts a
+    comment. The records are
+        extent X Y Z                       (required)
+        voxel_size S                       (default 0.08)
+        classes C                          (default NUM_CLASSES)
+        box X0 Y0 Z0 X1 Y1 Z1 CLASS        (any number; CLASS an integer)
+    and any other record raises InvalidInputError, as does a bad value.
+    """
     extent = None
     voxel_size = 0.08
-    seed = 0
     num_classes = NUM_CLASSES
     boxes: list[Box] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -109,22 +120,20 @@ def parse_scene_spec(text: str) -> SceneSpec:
                 extent = [float(v) for v in vals]
             elif key == "voxel_size":
                 voxel_size = float(vals[0])
-            elif key == "seed":
-                seed = int(vals[0])
             elif key == "classes":
                 num_classes = int(vals[0])
             elif key == "box":
-                nums = [float(v) for v in vals]
-                if len(nums) != 7:
+                if len(vals) != 7:
                     raise ValueError("box needs 6 corner values and a class")
-                boxes.append(Box(nums[0:3], nums[3:6], int(nums[6])))
+                nums = [float(v) for v in vals[:6]]
+                boxes.append(Box(nums[0:3], nums[3:6], int(vals[6])))
             else:
                 raise ValueError(f"unknown record {key!r}")
         except (ValueError, IndexError) as e:
             raise InvalidInputError(f"scene spec line {lineno}: {e}") from e
     if extent is None:
         raise InvalidInputError("scene spec is missing the extent record")
-    return SceneSpec(extent, boxes, voxel_size, seed, num_classes)
+    return SceneSpec(extent, boxes, voxel_size, num_classes)
 
 
 def default_scene() -> SceneSpec:
@@ -150,7 +159,7 @@ def default_scene() -> SceneSpec:
         Box((2.0, 0.88, 0.72), (2.8, 0.96, 1.44), 8),        # screen panel
         Box((2.24, 2.24, 0.64), (2.64, 2.64, 0.72), 4),      # floating shelf slab
     ]
-    return SceneSpec(e, boxes, 0.08, seed=0)
+    return SceneSpec(e, boxes, 0.08)
 
 
 def generate_scene(spec: SceneSpec) -> VoxelGrid:
@@ -347,7 +356,6 @@ def stub_predict(
     frame: CameraFrame,
     noise: NoiseParams,
     seed: int,
-    d_model: int,
     stub_cfg: StubConfig | None = None,
 ) -> PrimitiveBatch:
     """Ground-truth-guided local prediction with controllable corruption.
@@ -358,7 +366,7 @@ def stub_predict(
     logit. Classes flip to a random wrong class with probability
     flip_prob; additive logit noise follows. Opacity is 1 for consistent
     hits and drops when the perturbed depth leaves the struck voxel.
-    Features are d_model zeros, the width of the encoder that refines them.
+    Features are D_MODEL zeros, the width of the encoder that refines them.
     """
     cfg = stub_cfg or StubConfig()
     rng = np.random.default_rng(seed)
@@ -375,7 +383,7 @@ def stub_predict(
 
     sel = np.nonzero(hits.hit)[0]
     if len(sel) == 0:
-        return PrimitiveBatch.empty(d_model, gt.num_classes)
+        return PrimitiveBatch.empty(gt.num_classes)
     t_mid = 0.5 * (hits.t_entry[sel] + hits.t_exit[sel])
     origin, dirs = frame.pixel_rays(pixels[sel])
     clean = origin + t_mid[:, None] * dirs
@@ -429,7 +437,7 @@ def stub_predict(
     scales[np.arange(len(sel)), normal_axis] = STUB_NORMAL_SCALE
 
     quats = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (len(sel), 1))
-    feats = np.zeros((len(sel), d_model))
+    feats = np.zeros((len(sel), D_MODEL))
     confs = confidence_values(logits, opac)
     return PrimitiveBatch(means, scales, quats, opac, logits, feats, confs)
 
@@ -455,8 +463,6 @@ def generate_trajectory(
     spec: SceneSpec,
     n_frames: int = 30,
     seed: int = 0,
-    radius_frac: float = 0.32,
-    height_frac: float = 0.5,
 ) -> list[CameraFrame]:
     """Seeded orbital sweep that pans across the scene over n_frames.
 
@@ -475,8 +481,8 @@ def generate_trajectory(
         raise InvalidInputError("scene has no free space for a trajectory")
     rng = np.random.default_rng(seed)
     center = spec.extent / 2.0
-    radius = radius_frac * float(min(spec.extent[0], spec.extent[1]))
-    z = height_frac * float(spec.extent[2])
+    radius = ORBIT_RADIUS_FRAC * float(min(spec.extent[0], spec.extent[1]))
+    z = ORBIT_HEIGHT_FRAC * float(spec.extent[2])
     pitches = np.array([-0.38, -0.06, 0.2])  # rad, cycled per frame
 
     frames = []

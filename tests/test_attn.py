@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import struct
@@ -7,7 +8,7 @@ import pytest
 
 from splatmem.attn import (D_FF, N_HEADS, cca, dte_step, init_weights, mha,
                            temporal_encoder_block)
-from splatmem.core import PrimitiveBatch
+from splatmem.core import D_MODEL, PrimitiveBatch
 from splatmem.errors import InvalidInputError
 
 RNG = np.random.default_rng(23)
@@ -108,19 +109,11 @@ class TestInitWeights:
         assert not np.array_equal(a.w_q, b.w_q)
 
     def test_golden_checksum_seed42(self):
-        w = init_weights(32, seed=42)
-        raw = struct.pack("<4sI3IQ", b"TGSW", 2, w.d_model, N_HEADS, D_FF, w.seed)
+        w = init_weights(seed=42)
+        raw = struct.pack("<4sI3IQ", b"TGSW", 2, D_MODEL, N_HEADS, D_FF, 42)
         for name in WEIGHT_FIELDS:
             raw += np.ascontiguousarray(getattr(w, name), dtype="<f4").tobytes()
         assert hashlib.sha256(raw).hexdigest() == WTS_SHA256_SEED42
-
-    def test_divisibility_enforced(self):
-        with pytest.raises(InvalidInputError):
-            init_weights(d_model=30)
-
-    def test_bad_dims(self):
-        with pytest.raises(InvalidInputError):
-            init_weights(d_model=0)
 
 
 class TestMha:
@@ -223,7 +216,6 @@ class TestCca:
         kv = fixed_batch(6, n=4)
         kv.confidences[2] = 0.0
         base = cca(q, kv, w)
-        kv2 = kv.copy()
         # perturbing the feature row would change K too; instead verify via
         # the formula: V' row 2 is exactly zero
         V = (kv.features @ w.w_v) * kv.confidences[:, None]
@@ -238,7 +230,7 @@ class TestCca:
         kv = fixed_batch(8, n=3)
         q.confidences[:] = 1.0
         full = cca(q, kv, w)
-        q2 = q.copy()
+        q2 = copy.deepcopy(q)
         q2.confidences = np.array([0.5, 1.0, 0.25])
         scaled = cca(q2, kv, w)
         # scaling happens before W_o, so rows scale exactly
@@ -249,7 +241,7 @@ class TestCca:
     def test_empty_batch_rejected(self):
         w = init_weights(seed=15)
         with pytest.raises(InvalidInputError):
-            cca(PrimitiveBatch.empty(D), fixed_batch(1), w)
+            cca(PrimitiveBatch.empty(12), fixed_batch(1), w)
 
     def test_feature_width_mismatch_rejected(self):
         w = init_weights(seed=16)
@@ -284,7 +276,7 @@ class TestTemporalEncoderBlock:
         assert np.allclose(out, x, atol=1e-12)
 
     def test_golden_fixture(self):
-        w = init_weights(32, seed=42)
+        w = init_weights(seed=42)
         out = temporal_encoder_block(fixed_batch(100), fixed_batch(200), w)
         assert np.allclose(out[0, :4], BLOCK_FEAT0, atol=1e-7)
 
@@ -317,7 +309,7 @@ class TestDteStep:
     def test_empty_history_is_self_attention(self):
         w = init_weights(seed=22)
         cur = fixed_batch(18)
-        a, hist_out = dte_step(cur, PrimitiveBatch.empty(D), w, n_blocks=2)
+        a, hist_out = dte_step(cur, PrimitiveBatch.empty(12), w, n_blocks=2)
         manual = cur
         for _ in range(2):
             manual = dataclasses.replace(
@@ -330,7 +322,7 @@ class TestDteStep:
         # every other attribute passes through as the very same array
         w = init_weights(seed=17)
         cur = fixed_batch(9)
-        hist = fixed_batch(10, n=5) if n_hist else PrimitiveBatch.empty(D)
+        hist = fixed_batch(10, n=5) if n_hist else PrimitiveBatch.empty(12)
         a, b = dte_step(cur, hist, w, n_blocks=2)
         for out, given in ((a, cur), (b, hist)):
             for name in ATTRIBUTE_FIELDS:
@@ -338,7 +330,7 @@ class TestDteStep:
         assert not np.array_equal(a.features, cur.features)
 
     def test_golden_fixture(self):
-        w = init_weights(32, seed=42)
+        w = init_weights(seed=42)
         cur, hist = fixed_batch(100), fixed_batch(200)
         a, b = dte_step(cur, hist, w, n_blocks=2)
         assert np.allclose(a.features[1, :4], DTE_A_FEAT1, atol=1e-7)
@@ -368,4 +360,4 @@ class TestDteStep:
     def test_empty_current_rejected(self):
         w = init_weights(seed=25)
         with pytest.raises(InvalidInputError):
-            dte_step(PrimitiveBatch.empty(D), fixed_batch(1), w)
+            dte_step(PrimitiveBatch.empty(12), fixed_batch(1), w)

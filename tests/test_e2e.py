@@ -8,8 +8,8 @@ batched splatting; those rewrites keep every artifact byte for byte.
 The embodied `final.gmem` and `final_pred.vgrid` were re-pinned when the
 encoder stopped refining attributes: it had round-tripped opacities
 through a clipped logit, which moved them by up to 1e-6. Since then the
-embodied run differs from its `use_dte=False` twin only in the feature
-columns of `final.gmem`.
+embodied run differs from its twin with an identity encoder only in the
+feature columns of `final.gmem`.
 """
 
 import dataclasses
@@ -24,7 +24,8 @@ import splatmem.attn as attn_mod
 import splatmem.cli as cli
 import splatmem.memory as memory_mod
 from splatmem.grid import load_vgrid
-from splatmem.memory import _GMEM_HEADER, _record_floats, load_gmem
+from splatmem.core import D_MODEL
+from splatmem.memory import _GMEM_HEADER, _record_floats, load_gmem, save_gmem
 from splatmem.synth import StubConfig
 from test_attn import mha_materialised
 from test_splat import full_grid_render
@@ -44,7 +45,6 @@ EMBODIED_GMEM_NONFEATURE_SHA256 = (
 # Features of a float64-attention run lie 2.4e-7 (one float32 ulp) from the
 # float32 ones after 6 frames; the bound leaves 40x headroom.
 FEATURE_ATOL_F64_ATTENTION = 1e-5
-D_MODEL = 32
 LOCAL_IOU = 0.7448166295202844
 LOCAL_MIOU = 0.7224730345428553
 LOCAL_SHA256 = {
@@ -158,25 +158,23 @@ class TestEmbodied:
         last = (out / "stats.csv").read_text().splitlines()[-1].split(",")
         assert int(last[3]) == (out / "final.gmem").stat().st_size
 
-    def test_without_dte_no_encoder_call(self, tmp_path, monkeypatch):
-        calls = []
-        monkeypatch.setattr(memory_mod, "dte_step",
-                            lambda *a, **k: calls.append(1))
-        report = cli.run_embodied(small_config(tmp_path, use_dte=False))
-        assert calls == []
-        assert 0.0 < report.iou <= 1.0
-        load_gmem(tmp_path / "final.gmem")
-
-    def test_dte_changes_only_the_features(self, embodied_run, tmp_path):
+    def test_dte_changes_only_the_features(self, embodied_run, tmp_path, monkeypatch):
         # The encoder refines features, and no render, metric or fusion
-        # weight reads them, so the run equals its use_dte=False twin
-        # everywhere but in the feature columns of the checkpoint.
+        # weight reads them, so the run equals its twin with an encoder
+        # that returns its inputs everywhere but in the feature columns of
+        # the checkpoint, which keep the stub's zeros there.
         out, _, _, _ = embodied_run
-        cli.run_embodied(small_config(tmp_path, use_dte=False))
+        def identity(current, history, *args):
+            return current, history
+        monkeypatch.setattr(memory_mod, "dte_step", identity)
+        monkeypatch.setattr(cli, "dte_step", identity)
+        cli.run_embodied(small_config(tmp_path))
         for name in ("final_pred.vgrid", "final_labels.vgrid", "metrics.csv",
                      "stats.csv"):
             assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
-        assert gmem_parts(tmp_path / "final.gmem")[0] == gmem_parts(out / "final.gmem")[0]
+        rest, feats = gmem_parts(tmp_path / "final.gmem")
+        assert rest == gmem_parts(out / "final.gmem")[0]
+        assert not feats.any() and gmem_parts(out / "final.gmem")[1].any()
 
 
 class TestLongRun:
@@ -348,6 +346,8 @@ class TestCliExitCodes:
         ({"fusion": {"grid_origin_policy": "world_zero"}}, []),
         ({"stub": {"feature_dim": 32}}, []),
         ({"encoder": {"zero_refinement": True}}, []),
+        ({"encoder": {"d_model": 16}}, []),
+        ({"use_dte": False}, []),
         # values of the wrong JSON type
         ({"encoder": {"d_model": 16.0}}, []),
         ({"encoder": {"n_blocks": True}}, []),
@@ -366,18 +366,53 @@ class TestCliExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_encoder_width_sets_the_feature_width(self, tmp_path):
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps({"encoder": {"d_model": 16},
-                                    "stub": {"grid_h": 12, "grid_w": 16}}))
+    @pytest.mark.parametrize("text", [
+        b"extent 1.6 1.6\n",
+        b"extent nan nan nan\n",
+        b"extent 1.6 1.6 inf\n",
+        b"extent 1.6 1.6 0.96\nvoxel_size nan\n",
+        b"extent 1.6 1.6 0.96\nvoxel_size inf\n",
+        b"extent 1.6 1.6 0.96\nbox 0 0 0 1.6 1.6 0.08 1.7\n",
+        b"extent 1.6 1.6 0.96\nbox nan 0 0 1.6 1.6 0.08 1\n",
+        b"extent 1.6 1.6 0.96\nseed 7\n",
+        b"extent 1.6 1.6 0.96 # \xff\n",
+        None,
+    ], ids=["two_extents", "nan_extent", "inf_extent", "nan_voxel_size", "inf_voxel_size",
+            "fractional_class", "nan_box", "seed", "not_utf8", "directory"])
+    def test_malformed_scene_file_exits_1(self, tmp_path, capsys, text):
+        scene = tmp_path / "s.scene"
+        if text is None:
+            scene.mkdir()
+        else:
+            scene.write_bytes(text)
         out = tmp_path / "out"
-        assert cli.main(["run-embodied", "--config", str(path), "--frames", "3",
-                         "--output-dir", str(out)]) == 0
-        raw = (out / "final.gmem").read_bytes()
-        _, _, count, d_model, n_classes, *_ = _GMEM_HEADER.unpack_from(raw)
-        assert d_model == 16
-        assert len(raw) == _GMEM_HEADER.size + count * _record_floats(n_classes, 16) * 4
-        assert load_gmem(out / "final.gmem").batch.features.shape == (count, 16)
+        assert cli.main(["run-embodied", "--scene", str(scene), "--frames", "2",
+                         "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: scene file {scene}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["stats", "{dir}"],
+        ["run-embodied", "--config", "{dir}"],
+        ["run-embodied", "--frames", "1", "--output-dir", "{file}"],
+    ], ids=["stats_of_a_directory", "config_directory", "output_dir_is_a_file"])
+    def test_os_error_exits_1(self, tmp_path, capsys, argv):
+        (tmp_path / "d").mkdir()
+        (tmp_path / "f").write_text("")
+        argv = [a.format(dir=tmp_path / "d", file=tmp_path / "f") for a in argv]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_config_file_not_utf8_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_bytes(b'{"n_frames": 2} \xff')
+        assert cli.main(["run-embodied", "--config", str(path),
+                         "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: config file {path}")
+        assert not (tmp_path / "out").exists()
 
     def test_confidence_normalize_is_rejected(self, tmp_path):
         config = tmp_path / "run.json"
@@ -443,6 +478,26 @@ class TestCliContract:
         grid = load_vgrid(got)
         want = full_grid_render(grid, load_gmem(out / "final.gmem").batch)
         assert np.array_equal(grid.values, want.astype(np.float32))
+
+    def test_a_16_wide_checkpoint_passes_stats_render_and_fuse(self, embodied_run,
+                                                                tmp_path, capsys):
+        # The header records the feature width, so a checkpoint of another
+        # width than the encoder's is valid input to every file command.
+        out, _, _, _ = embodied_run
+        mem = load_gmem(out / "final.gmem")
+        mem.batch = dataclasses.replace(mem.batch, features=mem.batch.features[:, :16])
+        path = tmp_path / "w16.gmem"
+        save_gmem(path, mem)
+        assert _GMEM_HEADER.unpack_from(path.read_bytes())[3] == 16
+        assert cli.main(["stats", str(path)]) == 0
+        assert f"bytes {path.stat().st_size}\n" in capsys.readouterr().out
+        # the render reads no feature, so it gives the run's grid
+        got = tmp_path / "o.vgrid"
+        assert cli.main(["render", str(path), str(got),
+                         "--like", str(out / "final_pred.vgrid")]) == 0
+        assert got.read_bytes() == (out / "final_pred.vgrid").read_bytes()
+        assert cli.main(["fuse", str(path), str(tmp_path / "f.gmem")]) == 0
+        assert load_gmem(tmp_path / "f.gmem").batch.features.shape == (917, 16)
 
     def test_fuse_leaves_one_row_per_cell(self, embodied_run, tmp_path):
         out, _, _, _ = embodied_run

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -76,7 +78,7 @@ class TestInitMemory:
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
-            init_memory(PrimitiveBatch.empty(D))
+            init_memory(PrimitiveBatch.empty(C))
 
 
 class TestQueryFov:
@@ -119,7 +121,7 @@ class TestQueryFov:
 
 class TestUpdate:
     def test_duplicate_locals_stable(self):
-        w = init_weights(d_model=D, seed=1)
+        w = init_weights(seed=1)
         frame = make_frame(position=(0.5, 0.5, -2.0))
         b = make_batch(40, lo=0.0, hi=1.0, seed=8)
         mem = init_memory(b, FusionConfig(voxel_size=0.12))
@@ -127,7 +129,7 @@ class TestUpdate:
         assert len(inside) > 0
         before_count = len(mem)
         before_means = mem.batch.means.copy()
-        update(mem, inside.copy(), frame, w)
+        update(mem, copy.deepcopy(inside), frame, w)
         assert len(mem) == before_count
         # attributes survive fusing exact duplicates
         got = mem.batch.means[np.lexsort(mem.batch.means.T)]
@@ -136,7 +138,7 @@ class TestUpdate:
         mem.check_unique_cells()
 
     def test_disjoint_fov_appends(self):
-        w = init_weights(d_model=D, seed=2)
+        w = init_weights(seed=2)
         mem = init_memory(make_batch(20, lo=0.0, hi=1.0, seed=9),
                           FusionConfig(voxel_size=0.12))
         n0 = len(mem)
@@ -149,7 +151,7 @@ class TestUpdate:
         mem.check_unique_cells()
 
     def test_outside_primitives_bit_identical(self):
-        w = init_weights(d_model=D, seed=3)
+        w = init_weights(seed=3)
         mem = init_memory(make_batch(60, lo=-1.0, hi=1.0, seed=11),
                           FusionConfig(voxel_size=0.12))
         frame = make_frame(position=(0.0, 0.0, -1.5))
@@ -167,27 +169,27 @@ class TestUpdate:
         assert moved <= 2
 
     def test_empty_local_prediction_only_counts(self):
-        w = init_weights(d_model=D, seed=4)
+        w = init_weights(seed=4)
         mem = init_memory(make_batch(10, seed=13))
         means_before = mem.batch.means.copy()
-        assert update(mem, PrimitiveBatch.empty(D), make_frame(), w) == 0
+        assert update(mem, PrimitiveBatch.empty(C), make_frame(), w) == 0
         assert np.array_equal(mem.batch.means, means_before)
 
     def test_repeated_same_frame_does_not_grow(self):
-        w = init_weights(d_model=D, seed=5)
+        w = init_weights(seed=5)
         frame = make_frame(position=(0.5, 0.5, -2.0))
         b = make_batch(30, seed=14)
         mem = init_memory(b, FusionConfig(voxel_size=0.12))
-        update(mem, b.copy(), frame, w)
+        update(mem, copy.deepcopy(b), frame, w)
         n1 = len(mem)
-        update(mem, b.copy(), frame, w)
+        update(mem, copy.deepcopy(b), frame, w)
         assert len(mem) == n1
         mem.check_unique_cells()
 
     def test_stats_recorded(self):
         # what a stats.csv row records: the in-view count that update
         # returns, and the checkpoint bytes of the updated memory
-        w = init_weights(d_model=D, seed=6)
+        w = init_weights(seed=6)
         mem = init_memory(make_batch(10, seed=15))
         frame = make_frame(position=(0.5, 0.5, -2.0))
         in_view = len(query_fov(mem, frame)[0])
@@ -195,34 +197,13 @@ class TestUpdate:
         assert update(mem, make_batch(5, seed=16), frame, w) == in_view
         # 52-byte header, then mean 3, scale 3, quat 4, opacity 1, logits
         # C-1 and feature D floats per primitive
-        assert gmem_nbytes(len(mem), C, D) == 52 + len(mem) * (11 + (C - 1) + D) * 4
-
-
-    def test_without_weights_skips_the_encoder(self, monkeypatch):
-        frame = make_frame(position=(0.5, 0.5, -2.0))
-        b, locals_ = make_batch(40, seed=21), make_batch(20, seed=22)
-        # an encoder that returns its inputs unchanged ...
-        monkeypatch.setattr(memory_mod, "dte_step", lambda cur, hist, *a: (cur, hist))
-        expect = init_memory(b, FusionConfig(voxel_size=0.12))
-        update(expect, locals_, frame, init_weights(d_model=D))
-
-        def no_dte(*args):
-            raise AssertionError("dte_step called")
-
-        # ... gives the memory that weights None gives without calling it
-        monkeypatch.setattr(memory_mod, "dte_step", no_dte)
-        got = init_memory(b, FusionConfig(voxel_size=0.12))
-        update(got, locals_, frame, None)
-        for name in FIELDS:
-            assert np.array_equal(getattr(got.batch, name), getattr(expect.batch, name))
-        assert np.array_equal(got.cells, expect.cells)
-        got.check_unique_cells()
+        assert gmem_nbytes(mem.batch) == 52 + len(mem) * (11 + (C - 1) + D) * 4
 
 
 def merge_collisions_reference(kept, kept_cells, new, new_cells, cfg):
     """The per-pair collision merge that _merge_collisions replaced, over
     (N, 3) cell triples."""
-    kept = kept.copy()
+    kept = copy.deepcopy(kept)
     kept_lookup = {tuple(c): i for i, c in enumerate(kept_cells)}
     collide_new = []
     one_cell = np.zeros(2, dtype=np.int64)
@@ -263,7 +244,8 @@ class TestMergeCollisions:
         new.rotations[j[-5:]] *= 1e-9
         kept.rotations[i[-5:]] *= 1e-9
         cfg = FusionConfig(voxel_size=0.12)
-        got = _merge_collisions(kept.copy(), pack_cells(kept_cells), new, pack_cells(new_cells), cfg)
+        got = _merge_collisions(copy.deepcopy(kept), pack_cells(kept_cells), new,
+                                pack_cells(new_cells), cfg)
         ref = merge_collisions_reference(kept, kept_cells, new, new_cells, cfg)
         for g, r in zip(got[:2], ref[:2]):
             for name in FIELDS:
@@ -297,7 +279,7 @@ class TestMergeCollisions:
         new = one_per_cell(3, pool[20:23], 4)
         new.means[1] = loaded.batch.means[2]
         new_cells = cell_key(new.means, loaded.origin, cfg.voxel_size)
-        before, new_before = loaded.batch.copy(), new.copy()
+        before, new_before = copy.deepcopy(loaded.batch), copy.deepcopy(new)
 
         kept, rest, rest_cells = _merge_collisions(loaded.batch, loaded.cells,
                                                    new, new_cells, cfg)
@@ -348,7 +330,7 @@ class TestGmemRoundtrip:
         mem = init_memory(make_batch(25, seed=23))
         path = tmp_path / "m.gmem"
         save_gmem(path, mem)
-        assert gmem_nbytes(len(mem), C, D) == path.stat().st_size
+        assert gmem_nbytes(mem.batch) == path.stat().st_size
 
     def test_stored_origin_is_honoured(self, tmp_path):
         # a new memory is anchored at the world origin, but a checkpoint

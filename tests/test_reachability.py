@@ -11,6 +11,12 @@ own definition. A public method, property, class constant or annotated
 attribute outside its own definition. The re-exports of `__init__.py` do not count: they would keep
 any name alive. Neither do the tests: code that only they reach belongs
 in `tests/oracle.py`.
+
+Members are matched by attribute name only, not by the class they
+belong to: a `seed` field of any class passes as long as some caller
+reads `cfg.encoder.seed`, whether or not anything reads that class's
+`seed`. A pass here is therefore necessary, not sufficient, for a member
+to be live.
 """
 
 import ast
@@ -97,10 +103,6 @@ UNPASSED_KEPT = {
     "cli.main(argv)",
     # tests tighten the tolerance on grids they normalise themselves
     "grid.check_normalized(tol)",
-    # the sweep's shape, for the larger procedural scenes of ROADMAP item 6;
-    # no caller builds such a scene yet
-    "synth.generate_trajectory(radius_frac)",
-    "synth.generate_trajectory(height_frac)",
 }
 
 
@@ -156,15 +158,6 @@ def test_kept_parameters_are_still_unpassed():
     assert set(unpassed_parameters()) & UNPASSED_KEPT == UNPASSED_KEPT
 
 
-# Run config values that no flag sets and no caller passes, kept on purpose.
-UNSET_KEPT = {
-    # its False twin is the reference of test_dte_changes_only_the_features
-    "use_dte",
-    # the feature width, which the `.gmem` header stores
-    "encoder.d_model",
-}
-
-
 def unset_config_values() -> list[str]:
     """Dotted keys of the fields of `cli.RunConfig` and of its sections
     that no run flag sets and that no module of the package or of
@@ -189,10 +182,4 @@ def unset_config_values() -> list[str]:
 
 
 def test_every_config_value_is_set():
-    assert sorted(set(unset_config_values()) - UNSET_KEPT) == []
-
-
-def test_kept_config_values_are_still_unset():
-    # a kept value that a flag or a caller starts to set, or that is deleted,
-    # leaves the list
-    assert set(unset_config_values()) & UNSET_KEPT == UNSET_KEPT
+    assert unset_config_values() == []

@@ -43,7 +43,7 @@ def random_primitives(n, lo=0.0, hi=0.8, scale_range=(0.03, 0.12), seed=None):
 
 
 def batch(prims):
-    return from_primitives(prims) if prims else PrimitiveBatch.empty(0, C)
+    return from_primitives(prims) if prims else PrimitiveBatch.empty(C)
 
 
 def dense_render_oracle(grid, prims):

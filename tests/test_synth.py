@@ -14,7 +14,7 @@ import pytest
 
 import splatmem.synth as synth
 from splatmem.conf import confidence_values
-from splatmem.core import CameraFrame, PrimitiveBatch, cell_of
+from splatmem.core import D_MODEL, CameraFrame, PrimitiveBatch, cell_of
 from splatmem.grid import VoxelGrid
 from splatmem.synth import (DEFAULT_FAR, DEFAULT_HEIGHT, DEFAULT_INTRINSICS,
                             DEFAULT_NEAR, DEFAULT_WIDTH, STUB_FOOTPRINT_GAIN,
@@ -29,7 +29,6 @@ from splatmem.synth import (DEFAULT_FAR, DEFAULT_HEIGHT, DEFAULT_INTRINSICS,
 GT = generate_scene(default_scene())
 EXTENT = default_scene().extent
 LIFT_GRIDS = [(21, 28), (30, 40)]
-D_MODEL = 32
 FIELDS = ("means", "scales", "rotations", "opacities", "logits", "features",
           "confidences")
 
@@ -150,7 +149,7 @@ def loop_thin_axis_map(occupied, reach):
     return np.argmin(runs, axis=-1).astype(np.int8)
 
 
-def reference_stub_predict(gt, frame, noise, seed, d_model, cfg):
+def reference_stub_predict(gt, frame, noise, seed, cfg):
     """Reference: the stub predictor on the loop references, rebuilding the
     scene's uint16 occupancy and thin-axis map every frame."""
     rng = np.random.default_rng(seed)
@@ -164,7 +163,7 @@ def reference_stub_predict(gt, frame, noise, seed, d_model, cfg):
     logit_noise = rng.normal(0.0, 1.0, (n_all, n_cls)) * noise.logit_noise
     sel = np.nonzero(hits.hit)[0]
     if len(sel) == 0:
-        return PrimitiveBatch.empty(d_model, gt.num_classes)
+        return PrimitiveBatch.empty(gt.num_classes)
     t_mid = 0.5 * (hits.t_entry[sel] + hits.t_exit[sel])
     origin, dirs = frame.pixel_rays(pixels[sel])
     clean = origin + t_mid[:, None] * dirs
@@ -213,7 +212,7 @@ def reference_stub_predict(gt, frame, noise, seed, d_model, cfg):
                      STUB_TANGENT_SCALE_MIN, STUB_TANGENT_SCALE_MAX)
     scales[np.arange(len(sel)), normal_axis] = STUB_NORMAL_SCALE
     quats = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (len(sel), 1))
-    feats = np.zeros((len(sel), d_model))
+    feats = np.zeros((len(sel), D_MODEL))
     confs = confidence_values(logits, opac)
     return PrimitiveBatch(means, scales, quats, opac, logits, feats, confs)
 
@@ -374,8 +373,8 @@ class TestStubPredict:
         cfg = StubConfig(grid_h=grid_hw[0], grid_w=grid_hw[1])
         maps = scene_maps(GT)
         for i, frame in enumerate(generate_trajectory(default_scene(), 8, seed)):
-            got = stub_predict(GT, maps, frame, noise, seed + i, D_MODEL, cfg)
-            ref = reference_stub_predict(GT, frame, noise, seed + i, D_MODEL, cfg)
+            got = stub_predict(GT, maps, frame, noise, seed + i, cfg)
+            ref = reference_stub_predict(GT, frame, noise, seed + i, cfg)
             assert len(got) == len(ref) > 0
             for name in FIELDS:
                 assert np.array_equal(getattr(got, name), getattr(ref, name)), name
@@ -383,6 +382,6 @@ class TestStubPredict:
     def test_frames_that_see_nothing_give_empty_batches(self):
         cfg = StubConfig(grid_h=12, grid_w=16)
         frame = camera((-3.0, -3.0, 1.0), (-1, -1, 0))
-        got = stub_predict(GT, scene_maps(GT), frame, NoiseParams(), 0, D_MODEL, cfg)
+        got = stub_predict(GT, scene_maps(GT), frame, NoiseParams(), 0, cfg)
         assert len(got) == 0
-        assert len(reference_stub_predict(GT, frame, NoiseParams(), 0, D_MODEL, cfg)) == 0
+        assert len(reference_stub_predict(GT, frame, NoiseParams(), 0, cfg)) == 0

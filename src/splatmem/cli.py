@@ -1,9 +1,12 @@
 """Batch driver for synthetic scene runs.
 
 Subcommands: run-local, run-embodied, stats, render, fuse. A JSON config
-file seeds the run configuration; explicit command-line flags win over
-config file values. Exit codes: 0 success, 1 config error, 2 format
-error, 3 internal invariant violation.
+file seeds the run configuration, and a set command-line flag wins over
+the file's value. The file is checked alone first; then the flags are
+merged in and the result is checked again, so a bad value is rejected
+wherever it stands. A `RunConfig` built in code passes the same checks.
+Exit codes: 0 success, 1 config error, 2 format error, 3 internal
+invariant violation.
 
 A fusion cell key (`core.cell_key`) holds cells within 2^20 fusion voxels
 of the memory's origin on each axis: about 125 km at the default 0.12 m.
@@ -21,7 +24,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +63,9 @@ class EncoderConfig:
 
 @dataclass
 class RunConfig:
+    """The settings of one run. Building one checks its top-level values,
+    as each section checks its own."""
+
     scene: str = "default"
     output_dir: str = "out"
     mode: str = MODE_EMBODIED
@@ -71,6 +77,14 @@ class RunConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     stub: StubConfig = field(default_factory=StubConfig)
 
+    def __post_init__(self):
+        if self.mode not in (MODE_LOCAL, MODE_EMBODIED, MODE_CONCAT):
+            raise InvalidInputError(f"unknown mode {self.mode!r}")
+        if self.n_frames < 1:
+            raise InvalidInputError("n_frames must be >= 1")
+        if not (self.trajectory_seed >= 0 and self.stub_seed >= 0):
+            raise InvalidInputError("trajectory_seed and stub_seed must be >= 0")
+
 
 # JSON values each declared field type accepts; bool is an int to Python.
 _ACCEPTS = {
@@ -81,42 +95,32 @@ _ACCEPTS = {
 }
 
 
-def _build_section(cls, data: dict, where: str):
-    types = {f.name: getattr(f.type, "__name__", f.type) for f in fields(cls)}
-    bad = set(data) - set(types)
+def _build(cls, data, where: str):
+    """The dataclass `cls` built from a JSON object. A field whose default
+    is a dataclass is a section, built from its own object; every other
+    value must have its field's JSON type. ConfigError naming `where` on
+    an unknown key or a bad value."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be an object")
+    known = {f.name: f for f in fields(cls)}
+    bad = set(data) - set(known)
     if bad:
         raise ConfigError(f"{where}: unknown keys {sorted(bad)}")
+    kwargs = {}
     for name, value in data.items():
-        accepts = _ACCEPTS.get(types[name])
-        if accepts and not accepts(value):
-            raise ConfigError(f"{where}: {name} must be {types[name]}, got {value!r}")
+        f = known[name]
+        if is_dataclass(f.default_factory):
+            value = _build(f.default_factory, value, f"{where}, section {name!r}")
+        else:
+            type_ = getattr(f.type, "__name__", f.type)
+            accepts = _ACCEPTS.get(type_)
+            if accepts and not accepts(value):
+                raise ConfigError(f"{where}: {name} must be {type_}, got {value!r}")
+        kwargs[name] = value
     try:
-        return cls(**data)
+        return cls(**kwargs)
     except (TypeError, InvalidInputError) as e:
         raise ConfigError(f"{where}: {e}") from e
-
-
-_SECTIONS = {
-    "noise": NoiseParams,
-    "fusion": FusionConfig,
-    "encoder": EncoderConfig,
-    "stub": StubConfig,
-}
-
-
-def _build_run_config(data: dict) -> RunConfig:
-    """The run config of a JSON object; ConfigError on a bad key or value."""
-    kwargs: dict = {}
-    for key, value in data.items():
-        if key in _SECTIONS:
-            if not isinstance(value, dict):
-                raise ConfigError(f"config section {key!r} must be an object")
-            kwargs[key] = _build_section(_SECTIONS[key], value, f"section {key!r}")
-        elif key in {f.name for f in fields(RunConfig)}:
-            kwargs[key] = value
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
-    return _build_section(RunConfig, kwargs, "run config")
 
 
 def load_run_config(path: str | None, overrides: dict) -> RunConfig:
@@ -132,35 +136,31 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
             data = json.loads(p.read_text())
         except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise ConfigError(f"config file {path}: invalid JSON ({e})") from e
-        if not isinstance(data, dict):
-            raise ConfigError(f"config file {path}: top level must be an object")
-    _build_run_config(data)
+        _build(RunConfig, data, f"config file {path}")
     for dotted, value in overrides.items():
         section, _, name = dotted.rpartition(".")
         (data.setdefault(section, {}) if section else data)[name] = value
-    cfg = _build_run_config(data)
-    _validate_run_config(cfg)
-    return cfg
+    return _build(RunConfig, data, "run config")
 
 
-def _validate_run_config(cfg: RunConfig) -> None:
-    if cfg.mode not in (MODE_LOCAL, MODE_EMBODIED, MODE_CONCAT):
-        raise ConfigError(f"unknown mode {cfg.mode!r}")
-    if cfg.n_frames < 1:
-        raise ConfigError("n_frames must be >= 1")
-    if not (cfg.trajectory_seed >= 0 and cfg.stub_seed >= 0):
-        raise ConfigError("trajectory_seed and stub_seed must be >= 0")
-    if cfg.scene != "default" and not Path(cfg.scene).exists():
-        raise ConfigError(f"scene file {cfg.scene} does not exist")
-
-
-def _load_scene(cfg: RunConfig):
-    if cfg.scene == "default":
-        return default_scene()
+def _episode(cfg: RunConfig, *modes: str):
+    """The set-up of a run in one of `modes`: the output directory, the
+    scene's ground-truth grid and maps, the trajectory and the encoder
+    weights. The scene file is read before the directory is made; the
+    scene is voxelized once."""
+    if cfg.mode not in modes:
+        raise ConfigError(f"this run takes mode {' or '.join(map(repr, modes))}, "
+                          f"not {cfg.mode!r}")
     try:
-        return load_scene_spec(cfg.scene)
+        spec = default_scene() if cfg.scene == "default" else load_scene_spec(cfg.scene)
     except (InvalidInputError, UnicodeDecodeError, OSError) as e:
         raise ConfigError(f"scene file {cfg.scene}: {e}") from e
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    gt = generate_scene(spec)
+    maps = scene_maps(gt)
+    frames = generate_trajectory(spec, gt, cfg.n_frames, cfg.trajectory_seed)
+    return out, gt, maps, frames, init_weights(cfg.encoder.seed)
 
 
 def _fmt(v: float) -> str:
@@ -169,15 +169,7 @@ def _fmt(v: float) -> str:
 
 def run_local(cfg: RunConfig) -> MetricReport:
     """Per-frame pipeline: stub predict, self-refine, fuse, render, score."""
-    if cfg.mode != MODE_LOCAL:
-        raise ConfigError(f"run-local invoked with mode {cfg.mode!r}")
-    spec = _load_scene(cfg)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    gt = generate_scene(spec)
-    maps = scene_maps(gt)
-    frames = generate_trajectory(spec, cfg.n_frames, cfg.trajectory_seed)
-    weights = init_weights(cfg.encoder.seed)
+    out, gt, maps, frames, weights = _episode(cfg, MODE_LOCAL)
     empty_hist = PrimitiveBatch.empty(gt.num_classes)
 
     rows = ["frame,count,iou,miou,observed_fraction"]
@@ -215,19 +207,10 @@ def run_local(cfg: RunConfig) -> MetricReport:
 def run_embodied(cfg: RunConfig) -> MetricReport:
     """Full-episode pipeline with the persistent memory (or the append-only
     concatenation baseline), scored over the observed region."""
-    if cfg.mode not in (MODE_EMBODIED, MODE_CONCAT):
-        raise ConfigError(f"run-embodied invoked with mode {cfg.mode!r}")
+    out, gt, maps, frames, weights = _episode(cfg, MODE_EMBODIED, MODE_CONCAT)
     concat_mode = cfg.mode == MODE_CONCAT
-    spec = _load_scene(cfg)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    gt = generate_scene(spec)
-    maps = scene_maps(gt)
-    frames = generate_trajectory(spec, cfg.n_frames, cfg.trajectory_seed)
-    weights = init_weights(cfg.encoder.seed)
-
     memory: GaussianMemory | None = None
-    concat_batch: PrimitiveBatch | None = None
+    held = PrimitiveBatch.empty(gt.num_classes)
     stat_rows = ["frame,count,inside,bytes"]
     time_rows = ["frame,seconds"]
     for i, frame in enumerate(frames):
@@ -235,11 +218,7 @@ def run_embodied(cfg: RunConfig) -> MetricReport:
         batch = stub_predict(gt, maps, frame, cfg.noise, cfg.stub_seed + i, cfg.stub)
         inside = len(batch)
         if concat_mode:
-            if concat_batch is None:
-                concat_batch = batch
-            elif len(batch):
-                concat_batch = concat_batches(concat_batch, batch)
-            held = concat_batch
+            held = concat_batches(held, batch)
         else:
             if memory is None:
                 if len(batch) == 0:
@@ -251,15 +230,12 @@ def run_embodied(cfg: RunConfig) -> MetricReport:
         stat_rows.append(f"{i},{len(held)},{inside},{gmem_nbytes(held)}")
         time_rows.append(f"{i},{time.perf_counter() - t0:.4f}")
 
-    final = concat_batch if concat_mode else memory.batch
     if concat_mode:
         origin = np.zeros(3)
-        memory_to_save = GaussianMemory(
-            final, cfg.fusion, origin, cell_key(final.means, origin, cfg.fusion.voxel_size))
-    else:
-        memory_to_save = memory
+        memory = GaussianMemory(
+            held, cfg.fusion, origin, cell_key(held.means, origin, cfg.fusion.voxel_size))
     gmem_path = out / "final.gmem"
-    save_gmem(gmem_path, memory_to_save)
+    save_gmem(gmem_path, memory)
     # Render from the reloaded checkpoint so the emitted grid matches a
     # later `render` of the same file bit for bit.
     reloaded = load_gmem(gmem_path)
@@ -297,6 +273,11 @@ def cmd_stats(path: str) -> str:
 
 
 def cmd_render(args) -> None:
+    if args.origin and not args.dims:
+        raise ConfigError("--origin requires --dims")
+    if args.like and (args.dims or args.voxel_size is not None):
+        raise ConfigError("--like takes the grid from its file; it excludes "
+                          "--dims and --voxel-size")
     if args.voxel_size is not None and not 0 < args.voxel_size < np.inf:
         raise ConfigError(f"--voxel-size must be positive, got {args.voxel_size}")
     mem = load_gmem(args.gmem)
@@ -331,15 +312,11 @@ def cmd_fuse(args) -> None:
     mem = load_gmem(args.gmem)
     if len(mem.batch) == 0:
         raise ConfigError("cannot fuse an empty memory")
-    try:
-        fusion = FusionConfig(
-            voxel_size=(mem.fusion.voxel_size if args.voxel_size is None
-                        else args.voxel_size),
-            temperature=(mem.fusion.temperature if args.temperature is None
-                         else args.temperature),
-        )
-    except InvalidInputError as e:
-        raise ConfigError(f"fuse: {e}") from e
+    fusion = _build(FusionConfig, {
+        "voxel_size": mem.fusion.voxel_size if args.voxel_size is None else args.voxel_size,
+        "temperature": (mem.fusion.temperature if args.temperature is None
+                        else args.temperature),
+    }, "fuse")
     fused = init_memory(mem.batch, fusion)
     save_gmem(args.out, fused)
 

@@ -49,6 +49,10 @@ STUB_MEAN_CENTERING = 0.5
 # extent, and camera height as a fraction of the vertical extent.
 ORBIT_RADIUS_FRAC = 0.32
 ORBIT_HEIGHT_FRAC = 0.5
+# Largest voxels x classes of a scene's grid: its float64 render takes
+# 1 GiB. Labels are uint16, so a scene has at most 2^16 classes.
+MAX_GRID_CELLS = 2**27
+MAX_CLASSES = 2**16
 
 
 @dataclass(frozen=True)
@@ -84,11 +88,27 @@ class SceneSpec:
         if not 0 < self.gt_voxel_size < np.inf:
             raise InvalidInputError(f"voxel_size must be finite and positive, "
                                     f"got {self.gt_voxel_size}")
+        if not 2 <= self.num_classes <= MAX_CLASSES:
+            raise InvalidInputError(f"classes must lie in [2, {MAX_CLASSES}], "
+                                    f"got {self.num_classes}")
+        with np.errstate(over="ignore"):  # a count past float range is inf
+            n = np.round(e / self.gt_voxel_size)
+            voxels = n.prod()
+        if not n.min() >= 1:
+            raise InvalidInputError(f"extent {e.tolist()} spans no voxel of "
+                                    f"{self.gt_voxel_size} on some axis")
+        if voxels * self.num_classes > MAX_GRID_CELLS:
+            raise InvalidInputError(f"{voxels:.4g} voxels x {self.num_classes} classes "
+                                    f"exceed {MAX_GRID_CELLS}")
         for b in self.boxes:
             if np.any(b.lo < -1e-9) or np.any(b.hi > self.extent + 1e-9):
                 raise InvalidInputError(f"box {b} exceeds the scene extent")
             if not (0 <= b.cls <= self.num_classes - 2):
                 raise InvalidInputError(f"box class {b.cls} outside occupied range")
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        return tuple(int(n) for n in np.round(self.extent / self.gt_voxel_size))
 
 
 def load_scene_spec(path) -> SceneSpec:
@@ -164,7 +184,7 @@ def default_scene() -> SceneSpec:
 
 def generate_scene(spec: SceneSpec) -> VoxelGrid:
     """Voxelize a scene spec into a label grid (last box wins on overlap)."""
-    dims = tuple(int(round(spec.extent[a] / spec.gt_voxel_size)) for a in range(3))
+    dims = spec.dims
     grid = VoxelGrid.empty_labels((0.0, 0.0, 0.0), spec.gt_voxel_size, dims,
                                   spec.num_classes)
     labels = grid.values
@@ -459,23 +479,20 @@ def _look_at_pose(position: np.ndarray, forward: np.ndarray) -> np.ndarray:
     return pose
 
 
-def generate_trajectory(
-    spec: SceneSpec,
-    n_frames: int = 30,
-    seed: int = 0,
-) -> list[CameraFrame]:
+def generate_trajectory(spec: SceneSpec, gt: VoxelGrid, n_frames: int,
+                        seed: int) -> list[CameraFrame]:
     """Seeded orbital sweep that pans across the scene over n_frames.
 
     Cameras sit on a circle around the scene center inside free space and
     look inward across the room with a cycling pitch, so the sweep
     progressively covers the floor, the opposite walls, and interior
-    structure. Positions falling inside occupied voxels retreat toward
-    the center deterministically; a scene with no free voxel at all is
-    rejected.
+    structure. Free space is read from `gt`, the run's grid of `spec`
+    (`generate_scene(spec)`), so the scene is not voxelized again.
+    Positions falling inside occupied voxels retreat toward the center
+    deterministically; a scene with no free voxel at all is rejected.
     """
     if n_frames < 1:
         raise InvalidInputError("n_frames must be >= 1")
-    gt = generate_scene(spec)
     free = gt.values == gt.num_classes - 1
     if not np.any(free):
         raise InvalidInputError("scene has no free space for a trajectory")

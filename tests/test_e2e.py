@@ -23,10 +23,12 @@ import pytest
 import splatmem.attn as attn_mod
 import splatmem.cli as cli
 import splatmem.memory as memory_mod
+import splatmem.synth as synth_mod
 from splatmem.grid import load_vgrid
 from splatmem.core import D_MODEL
+from splatmem.errors import InvalidInputError
 from splatmem.memory import _GMEM_HEADER, _record_floats, load_gmem, save_gmem
-from splatmem.synth import StubConfig
+from splatmem.synth import StubConfig, generate_scene
 from test_attn import mha_materialised
 from test_splat import full_grid_render
 
@@ -177,6 +179,20 @@ class TestEmbodied:
         assert not feats.any() and gmem_parts(out / "final.gmem")[1].any()
 
 
+@pytest.mark.parametrize("mode", [cli.MODE_EMBODIED, cli.MODE_LOCAL])
+def test_a_run_voxelizes_its_scene_once(tmp_path, monkeypatch, mode):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return generate_scene(spec)
+    monkeypatch.setattr(cli, "generate_scene", counted)
+    monkeypatch.setattr(synth_mod, "generate_scene", counted)
+    cfg = dataclasses.replace(small_config(tmp_path, mode=mode), n_frames=2)
+    (cli.run_local if mode == cli.MODE_LOCAL else cli.run_embodied)(cfg)
+    assert len(calls) == 1
+
+
 class TestLongRun:
     def test_70_frames_keep_a_loadable_checkpoint(self, tmp_path):
         # Without the encoder's post-norms the features grow about 4x per
@@ -272,11 +288,17 @@ class TestCliExitCodes:
         ["render", "--voxel-size", "inf"],
         ["render", "--dims", "4", "4", "4", "--voxel-size", "0"],
         ["render", "--dims", "0", "4", "4", "--voxel-size", "0.1"],
+        # flags that the chosen geometry would not read
+        ["render", "--origin", "0", "0", "0"],
+        ["render", "--origin", "0", "0", "0", "--voxel-size", "0.08"],
+        ["render", "--like", "{out}/final_pred.vgrid", "--dims", "4", "4", "4",
+         "--voxel-size", "0.08"],
+        ["render", "--like", "{out}/final_pred.vgrid", "--voxel-size", "0.08"],
     ], ids=" ".join)
     def test_invalid_knob_exits_1(self, embodied_run, tmp_path, capsys, argv):
         # a flag value is honoured or rejected, never replaced by a default
         out, _, _, _ = embodied_run
-        command, *flags = argv
+        command, *flags = (a.format(out=out) for a in argv)
         dst = tmp_path / "o"
         assert cli.main([command, str(out / "final.gmem"), str(dst), *flags]) == 1
         assert "config error" in capsys.readouterr().err
@@ -311,6 +333,13 @@ class TestCliExitCodes:
         assert code == 3
         assert "first frame produced no primitives" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kwargs", [
+        {"mode": "nope"}, {"n_frames": 0}, {"trajectory_seed": -1}, {"stub_seed": -1},
+    ], ids=lambda k: json.dumps(k))
+    def test_run_config_built_in_code_is_checked(self, kwargs):
+        with pytest.raises(InvalidInputError):
+            cli.RunConfig(**kwargs)
+
     def test_unknown_mode_exits_1(self, tmp_path):
         assert cli.main(["run-embodied", "--mode", "nope",
                          "--output-dir", str(tmp_path)]) == 1
@@ -321,6 +350,9 @@ class TestCliExitCodes:
         ({}, ["--n-blocks", "0"]),
         ({"encoder": {"seed": -1}}, []),
         ({"trajectory_seed": -1}, []),
+        # a bad value in the file, although a flag replaces it
+        ({"n_frames": 0}, []),
+        ({"mode": "nope"}, ["--mode", "embodied"]),
         ({"noise": {"depth_sigma": float("nan")}}, []),
         ({"noise": {"logit_noise": -1.0}}, []),
         ({"noise": {"flip_prob": -1.0}}, []),
@@ -377,8 +409,16 @@ class TestCliExitCodes:
         b"extent 1.6 1.6 0.96\nseed 7\n",
         b"extent 1.6 1.6 0.96 # \xff\n",
         None,
+        b"extent 1.6 1.6 0.96\nclasses 0\n",
+        b"extent 1.6 1.6 0.96\nclasses 70000\n",
+        b"extent 0.01 0.01 0.01\n",
+        b"extent 1.6 1.6 0.96\nvoxel_size 10\n",
+        b"extent 1.6 1.6 0.96\nvoxel_size 1e-9\n",
+        b"extent 1e300 1e300 1e300\nvoxel_size 1e-10\n",
     ], ids=["two_extents", "nan_extent", "inf_extent", "nan_voxel_size", "inf_voxel_size",
-            "fractional_class", "nan_box", "seed", "not_utf8", "directory"])
+            "fractional_class", "nan_box", "seed", "not_utf8", "directory",
+            "no_classes", "classes_past_uint16", "extent_under_a_voxel",
+            "voxel_past_the_extent", "grid_past_the_size_limit", "grid_past_float_range"])
     def test_malformed_scene_file_exits_1(self, tmp_path, capsys, text):
         scene = tmp_path / "s.scene"
         if text is None:

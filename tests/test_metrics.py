@@ -63,7 +63,7 @@ class TestLocalMask:
     def test_clipped_box_keeps_the_masks(self):
         # the default trajectory, whose far planes lie beyond the room, and
         # a frame whose far plane ends inside the grid
-        frames = generate_trajectory(default_scene(), 30, 0)
+        frames = generate_trajectory(default_scene(), GT, 30, 0)
         pose = _look_at_pose(EXTENT / 2, np.array([1.0, 0.2, 0.1]))
         inner = CameraFrame(DEFAULT_INTRINSICS, pose, 320, 240, 0.1, 1.0)
         clipped = unclipped = 0
@@ -78,7 +78,7 @@ class TestLocalMask:
         assert clipped < 0.95 * unclipped
 
     def test_trajectory_frames_match_all_centers(self):
-        for frame in generate_trajectory(default_scene(), 10, 2):
+        for frame in generate_trajectory(default_scene(), GT, 10, 2):
             assert np.array_equal(local_mask(GT, frame), all_centers_mask(GT, frame))
 
 

@@ -280,7 +280,7 @@ class TestTraceRays:
     def test_trajectory_matches_loop(self, seed, grid_hw):
         maps = scene_maps(GT)
         pixels = sample_pixels(DEFAULT_WIDTH, DEFAULT_HEIGHT, *grid_hw)
-        for frame in generate_trajectory(default_scene(), 12, seed):
+        for frame in generate_trajectory(default_scene(), GT, 12, seed):
             assert_hits_equal(trace_rays(GT, maps, frame, pixels),
                               loop_trace_rays(GT, frame, pixels))
 
@@ -330,7 +330,7 @@ def hit_voxels(seed, frames=6):
     maps = scene_maps(GT)
     pixels = sample_pixels(DEFAULT_WIDTH, DEFAULT_HEIGHT, 30, 40)
     out = []
-    for frame in generate_trajectory(default_scene(), frames, seed):
+    for frame in generate_trajectory(default_scene(), GT, frames, seed):
         hits = trace_rays(GT, maps, frame, pixels)
         out.append((hits.voxel[hits.hit], hits.face_axis[hits.hit]))
     return out
@@ -372,7 +372,7 @@ class TestStubPredict:
     def test_batches_match_reference(self, seed, grid_hw, noise):
         cfg = StubConfig(grid_h=grid_hw[0], grid_w=grid_hw[1])
         maps = scene_maps(GT)
-        for i, frame in enumerate(generate_trajectory(default_scene(), 8, seed)):
+        for i, frame in enumerate(generate_trajectory(default_scene(), GT, 8, seed)):
             got = stub_predict(GT, maps, frame, noise, seed + i, cfg)
             ref = reference_stub_predict(GT, frame, noise, seed + i, cfg)
             assert len(got) == len(ref) > 0

@@ -1,7 +1,7 @@
 """Deterministic forward-only attention machinery.
 
-Covers the seeded weight bundle (rebuilt from its seed on every run, never
-read from a file), plain multi-head attention, cross-attention
+Covers the seeded weight bundle (a run rebuilds it from ENCODER_SEED,
+never reads it from a file), plain multi-head attention, cross-attention
 with dual confidence modulation (values scaled by key-side confidence,
 concatenated heads scaled by query-side confidence before the output
 projection), the attention + FFN block, and the dual-stream temporal
@@ -23,9 +23,11 @@ import numpy as np
 from .core import D_MODEL, PrimitiveBatch
 from .errors import InvalidInputError
 
-# Attention heads and FFN width of the encoder.
+# Attention heads, FFN width, depth in blocks and weight seed of the encoder.
 N_HEADS = 4
 D_FF = 64
+N_BLOCKS = 2
+ENCODER_SEED = 42
 # Query rows per attention block; the score buffer is _BLOCK_ROWS x M.
 _BLOCK_ROWS = 128
 _NORM_EPS = 1e-5
@@ -154,31 +156,25 @@ def temporal_encoder_block(query: PrimitiveBatch, keyval: PrimitiveBatch,
     return _norm(f1 + _ffn(f1, w))
 
 
-def dte_step(
-    current: PrimitiveBatch,
-    history: PrimitiveBatch,
-    w: EncoderWeights,
-    n_blocks: int = 2,
-) -> tuple[PrimitiveBatch, PrimitiveBatch]:
+def dte_step(current: PrimitiveBatch, history: PrimitiveBatch,
+             w: EncoderWeights) -> tuple[PrimitiveBatch, PrimitiveBatch]:
     """Dual-stream temporal refinement of features with shared weights.
 
     Stream A queries history with the current batch, stream B the reverse;
-    both streams update synchronously per block, so swapping the inputs
-    swaps the outputs exactly. Each output is its input batch with only
-    the features replaced. An empty history degenerates to n_blocks of
-    self-attention on the current batch.
+    both streams update synchronously per block, N_BLOCKS times, so
+    swapping the inputs swaps the outputs exactly. Each output is its input
+    batch with only the features replaced. An empty history degenerates to
+    N_BLOCKS of self-attention on the current batch.
     """
     if len(current) == 0:
         raise InvalidInputError("dte_step needs a nonempty current batch")
-    if n_blocks < 1:
-        raise InvalidInputError("n_blocks must be >= 1")
     if len(history) == 0:
         a = current
-        for _ in range(n_blocks):
+        for _ in range(N_BLOCKS):
             a = replace(a, features=temporal_encoder_block(a, a, w))
         return a, history
     a, b = current, history
-    for _ in range(n_blocks):
+    for _ in range(N_BLOCKS):
         a, b = (
             replace(a, features=temporal_encoder_block(a, b, w)),
             replace(b, features=temporal_encoder_block(b, a, w)),

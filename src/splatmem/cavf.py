@@ -1,11 +1,12 @@
 """Confidence-aware voxel fusion.
 
 Primitives are grouped by the fusion cell containing their mean (the
-caller computes the cell keys with `core.cell_key` from the memory's
-origin), weighted by a per-cell softmax over their confidences, and merged
-into one primitive per occupied cell by convex combination of every
-attribute and feature. Quaternions are sign-aligned to the highest-weight
-group member before summation since q and -q encode the same rotation.
+caller computes the cell keys with `core.cell_key`, anchored at the world
+origin), weighted by a per-cell softmax over their confidences at
+temperature 1, and merged into one primitive per occupied cell by convex
+combination of every attribute and feature. Quaternions are sign-aligned
+to the highest-weight group member before summation since q and -q encode
+the same rotation.
 
 Both steps run without a Python loop over cells: a stable argsort of the
 keys groups the rows, the groups are bucketed by their number of rows k,
@@ -33,13 +34,10 @@ _QUAT_SUM_EPS = 1e-8
 @dataclass(frozen=True)
 class FusionConfig:
     voxel_size: float = 0.12
-    temperature: float = 1.0
 
     def __post_init__(self):
-        if not self.voxel_size > 0:  # also rejects NaN
-            raise InvalidInputError("voxel_size must be positive")
-        if not self.temperature > 0:
-            raise InvalidInputError("temperature must be positive")
+        if not 0 < self.voxel_size < np.inf:  # also rejects NaN
+            raise InvalidInputError("voxel_size must be positive and finite")
 
 
 def _group_buckets(cells: np.ndarray) -> tuple[np.ndarray, list]:
@@ -58,19 +56,16 @@ def _group_buckets(cells: np.ndarray) -> tuple[np.ndarray, list]:
     return keys, buckets
 
 
-def fusion_weights(confidences, cells, temperature: float) -> np.ndarray:
-    """Per-cell softmax of confidence / temperature; each cell sums to 1."""
+def fusion_weights(confidences, cells) -> np.ndarray:
+    """Per-cell softmax of the confidences; each cell sums to 1."""
     conf = np.asarray(confidences, dtype=np.float64)
     cells = np.asarray(cells)
     if len(conf) != len(cells):
         raise InvalidInputError("confidences and cells must have equal length")
-    if temperature <= 0:
-        raise InvalidInputError("temperature must be positive")
     w = np.empty(len(conf))
     for _, rows in _group_buckets(cells)[1]:
-        z = conf[rows] / temperature
-        z -= z.max(axis=1, keepdims=True)
-        e = np.exp(z)
+        z = conf[rows]
+        e = np.exp(z - z.max(axis=1, keepdims=True))
         w[rows] = e / e.sum(axis=1, keepdims=True)
     return w
 

@@ -9,13 +9,16 @@ Exit codes: 0 success, 1 config error, 2 format error, 3 internal
 invariant violation.
 
 A fusion cell key (`core.cell_key`) holds cells within 2^20 fusion voxels
-of the memory's origin on each axis: about 125 km at the default 0.12 m.
+of the world origin on each axis: about 125 km at the default 0.12 m.
 A run or `fuse` whose primitives leave that range exits 3, naming the
 voxel size and the limit; a checkpoint whose means leave it exits 2.
 
 All artifacts are byte-deterministic given (config, seeds), except
 timing.csv, which records wall-clock measurements and is therefore
-excluded from the determinism contract.
+excluded from the determinism contract. The contract holds for any BLAS
+thread setting: importing `splatmem` pins OpenBLAS, OpenMP and MKL to one
+thread, because a float32 product in the attention rounds differently
+when its reduction is split across threads.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attn import dte_step, init_weights
+from .attn import ENCODER_SEED, dte_step, init_weights
 from .cavf import FusionConfig
 from .core import PrimitiveBatch, cell_key, concat_batches
 from .errors import ConfigError, FormatError, InvalidInputError, InvariantError
@@ -47,21 +50,6 @@ MODE_CONCAT = "embodied-concat-baseline"
 
 
 @dataclass
-class EncoderConfig:
-    """Seed and depth of the temporal encoder. Its weights are drawn from
-    the seed on every run; it refines features and no other attribute."""
-
-    seed: int = 42
-    n_blocks: int = 2
-
-    def __post_init__(self):
-        if not self.n_blocks > 0:
-            raise InvalidInputError("n_blocks must be positive")
-        if not self.seed >= 0:
-            raise InvalidInputError("seed must be >= 0")
-
-
-@dataclass
 class RunConfig:
     """The settings of one run. Building one checks its top-level values,
     as each section checks its own."""
@@ -74,7 +62,6 @@ class RunConfig:
     stub_seed: int = 0
     noise: NoiseParams = field(default_factory=NoiseParams)
     fusion: FusionConfig = field(default_factory=FusionConfig)
-    encoder: EncoderConfig = field(default_factory=EncoderConfig)
     stub: StubConfig = field(default_factory=StubConfig)
 
     def __post_init__(self):
@@ -160,7 +147,7 @@ def _episode(cfg: RunConfig, *modes: str):
     gt = generate_scene(spec)
     maps = scene_maps(gt)
     frames = generate_trajectory(spec, gt, cfg.n_frames, cfg.trajectory_seed)
-    return out, gt, maps, frames, init_weights(cfg.encoder.seed)
+    return out, gt, maps, frames, init_weights(ENCODER_SEED)
 
 
 def _fmt(v: float) -> str:
@@ -177,7 +164,7 @@ def run_local(cfg: RunConfig) -> MetricReport:
     for i, frame in enumerate(frames):
         batch = stub_predict(gt, maps, frame, cfg.noise, cfg.stub_seed + i, cfg.stub)
         if len(batch):
-            batch, _ = dte_step(batch, empty_hist, weights, cfg.encoder.n_blocks)
+            batch, _ = dte_step(batch, empty_hist, weights)
             fused = init_memory(batch, cfg.fusion).batch
         else:
             fused = batch
@@ -225,15 +212,13 @@ def run_embodied(cfg: RunConfig) -> MetricReport:
                     raise InvariantError("first frame produced no primitives")
                 memory = init_memory(batch, cfg.fusion)
             else:
-                inside = update(memory, batch, frame, weights, cfg.encoder.n_blocks)
+                inside = update(memory, batch, frame, weights)
             held = memory.batch
         stat_rows.append(f"{i},{len(held)},{inside},{gmem_nbytes(held)}")
         time_rows.append(f"{i},{time.perf_counter() - t0:.4f}")
 
     if concat_mode:
-        origin = np.zeros(3)
-        memory = GaussianMemory(
-            held, cfg.fusion, origin, cell_key(held.means, origin, cfg.fusion.voxel_size))
+        memory = GaussianMemory(held, cfg.fusion, cell_key(held.means, cfg.fusion.voxel_size))
     gmem_path = out / "final.gmem"
     save_gmem(gmem_path, memory)
     # Render from the reloaded checkpoint so the emitted grid matches a
@@ -312,12 +297,8 @@ def cmd_fuse(args) -> None:
     mem = load_gmem(args.gmem)
     if len(mem.batch) == 0:
         raise ConfigError("cannot fuse an empty memory")
-    fusion = _build(FusionConfig, {
-        "voxel_size": mem.fusion.voxel_size if args.voxel_size is None else args.voxel_size,
-        "temperature": (mem.fusion.temperature if args.temperature is None
-                        else args.temperature),
-    }, "fuse")
-    fused = init_memory(mem.batch, fusion)
+    vs = mem.fusion.voxel_size if args.voxel_size is None else args.voxel_size
+    fused = init_memory(mem.batch, _build(FusionConfig, {"voxel_size": vs}, "fuse"))
     save_gmem(args.out, fused)
 
 
@@ -339,9 +320,6 @@ _RUN_FLAGS = (
     ("--logit-noise", "noise.logit_noise", float),
     ("--flip-prob", "noise.flip_prob", float),
     ("--fusion-voxel-size", "fusion.voxel_size", float),
-    ("--fusion-temperature", "fusion.temperature", float),
-    ("--encoder-seed", "encoder.seed", int),
-    ("--n-blocks", "encoder.n_blocks", int),
 )
 
 
@@ -382,9 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuse.add_argument("gmem")
     p_fuse.add_argument("out")
     p_fuse.add_argument("--voxel-size", type=float)
-    p_fuse.add_argument("--temperature", type=float,
-                        help="fusion temperature; default 1.0, not the run's "
-                             "temperature, which a .gmem does not store")
     return parser
 
 

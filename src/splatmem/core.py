@@ -45,14 +45,15 @@ def cell_of(points, origin, size: float) -> np.ndarray:
     return np.floor((p - origin) / size).astype(np.int64)
 
 
-def cell_key(points, origin, size: float) -> np.ndarray:
-    """Fusion-cell key, (N,), of each (N, 3) point: each `cell_of` index
-    offset by 2^20 into 21 bits, x highest. Raises InvariantError for an
-    index outside [-2^20, 2^20), which would wrap: at the default 0.12 m
-    cell, a point about 125 km from the origin on any axis.
+def cell_key(points, size: float) -> np.ndarray:
+    """Fusion-cell key, (N,), of each (N, 3) point: each index of
+    `cell_of(points, 0, size)`, cells anchored at the world origin, offset
+    by 2^20 into 21 bits, x highest. Raises InvariantError for an index
+    outside [-2^20, 2^20), which would wrap: at the default 0.12 m cell, a
+    point about 125 km from the origin on any axis.
     """
     # checked before the int cast, which is undefined for NaN and past int64
-    c = np.floor((np.asarray(points, dtype=np.float64) - origin) / size)
+    c = np.floor(np.asarray(points, dtype=np.float64) / size)
     if c.size and not (c.min() >= -_KEY_REACH and c.max() < _KEY_REACH):
         raise InvariantError(
             f"a point lies outside the fusion-cell key range at cell size {size:g} m: "

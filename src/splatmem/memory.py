@@ -5,10 +5,10 @@ features and those of the frame's local prediction against each other
 with the dual temporal encoder, merges the union through
 confidence-aware voxel fusion, and writes the result back next to the
 untouched out-of-view primitives. After every update there is at most
-one primitive per fusion cell. Fusion cells are anchored at the memory's
-origin: the world origin for a new memory, the stored origin for one
-loaded from a `.gmem` checkpoint. Each row's cell is a `core.cell_key`,
-so the cells two sets share are one intersection of int64 keys.
+one primitive per fusion cell. Fusion cells are anchored at the world
+origin, in memory and in a `.gmem` checkpoint alike. Each row's cell is a
+`core.cell_key`, so the cells two sets share are one intersection of
+int64 keys.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ class GaussianMemory:
 
     batch: PrimitiveBatch
     fusion: FusionConfig
-    origin: np.ndarray
     cells: np.ndarray  # (N,) fusion-cell key per primitive
 
     def __len__(self) -> int:
@@ -63,7 +62,7 @@ class GaussianMemory:
 def _fuse_cells(batch: PrimitiveBatch, cells: np.ndarray,
                 cfg: FusionConfig) -> tuple[PrimitiveBatch, np.ndarray]:
     """Fuse a batch grouped by the given cell keys; returns (batch, keys)."""
-    w = fusion_weights(batch.confidences, cells, cfg.temperature)
+    w = fusion_weights(batch.confidences, cells)
     fused = fuse(batch, w, cells)
     return fused.batch, fused.cells
 
@@ -74,10 +73,8 @@ def init_memory(prediction: PrimitiveBatch,
     if len(prediction) == 0:
         raise InvalidInputError("cannot initialize memory from an empty prediction")
     cfg = cfg or FusionConfig()
-    origin = np.zeros(3)
-    batch, cells = _fuse_cells(prediction,
-                               cell_key(prediction.means, origin, cfg.voxel_size), cfg)
-    return GaussianMemory(batch, cfg, origin, cells)
+    batch, cells = _fuse_cells(prediction, cell_key(prediction.means, cfg.voxel_size), cfg)
+    return GaussianMemory(batch, cfg, cells)
 
 
 def query_fov(memory: GaussianMemory, frame: CameraFrame) -> tuple[PrimitiveBatch, np.ndarray]:
@@ -92,13 +89,8 @@ def query_fov(memory: GaussianMemory, frame: CameraFrame) -> tuple[PrimitiveBatc
     return memory.batch.select(idx_in), idx_out
 
 
-def update(
-    memory: GaussianMemory,
-    local_prediction: PrimitiveBatch,
-    frame: CameraFrame,
-    weights: EncoderWeights,
-    n_blocks: int = 2,
-) -> int:
+def update(memory: GaussianMemory, local_prediction: PrimitiveBatch, frame: CameraFrame,
+           weights: EncoderWeights) -> int:
     """Absorb one frame into the memory, in place; returns the number of
     memory rows that were in view.
 
@@ -110,9 +102,9 @@ def update(
         return 0
 
     inside, idx_out = query_fov(memory, frame)
-    refined_local, refined_hist = dte_step(local_prediction, inside, weights, n_blocks)
+    refined_local, refined_hist = dte_step(local_prediction, inside, weights)
     union = concat_batches(refined_local, refined_hist)
-    cells = cell_key(union.means, memory.origin, memory.fusion.voxel_size)
+    cells = cell_key(union.means, memory.fusion.voxel_size)
     new_batch, new_cells = _fuse_cells(union, cells, memory.fusion)
     kept_cells = memory.cells[idx_out]
     kept, new_batch, new_cells = _merge_collisions(
@@ -157,16 +149,17 @@ def save_gmem(path, memory: GaussianMemory) -> None:
     Header {magic "GMEM", version u32, count u32, d_model u32, C u32,
     fusion voxel_size f64, origin 3 x f64} followed by one packed f32
     record per primitive: mean 3, scale 3, quat 4, opacity 1, logits C-1,
-    feature d_model. Confidences and cell keys are derived data and are
-    recomputed on load. Raises InvariantError, and writes nothing, when a
-    record value is not finite in float32.
+    feature d_model. The origin is always written as zeros, the world
+    origin that anchors every fusion cell. Confidences and cell keys are
+    derived data and are recomputed on load. Raises InvariantError, and
+    writes nothing, when a record value is not finite in float32.
     """
     b = memory.batch
     d_model = b.d_model
     n_classes = b.n_logits + 1
     header = _GMEM_HEADER.pack(
         GMEM_MAGIC, GMEM_VERSION, len(b), d_model, n_classes,
-        memory.fusion.voxel_size, *memory.origin.tolist(),
+        memory.fusion.voxel_size, 0.0, 0.0, 0.0,
     )
     columns = dict(means=b.means, scales=b.scales, rotations=b.rotations,
                    opacities=b.opacities[:, None], logits=b.logits, features=b.features)
@@ -185,11 +178,11 @@ def load_gmem(path) -> GaussianMemory:
     """Read a `.gmem` checkpoint that `save_gmem` wrote; FormatError on a
     malformed or non-finite header or record.
 
-    A version 1 file does not store the fusion temperature, the
-    confidences or the cell keys. The loaded memory takes
-    `FusionConfig`'s default temperature, whatever the writing run used;
-    confidences and cell keys are recomputed from the records. The
-    feature width is the header's `d_model`, which may be any width >= 1.
+    Fusion cells are anchored at the world origin, so a header whose
+    origin is not (0, 0, 0) is refused. A version 1 file stores neither
+    the confidences nor the cell keys; both are recomputed from the
+    records. The feature width is the header's `d_model`, which may be any
+    width >= 1.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -205,9 +198,9 @@ def load_gmem(path) -> GaussianMemory:
                           "need C >= 2 and d_model >= 1")
     if not (np.isfinite(vs) and vs > 0):
         raise FormatError(f"gmem voxel size {vs} is not a positive number")
-    origin = np.array([ox, oy, oz])
-    if not np.all(np.isfinite(origin)):
-        raise FormatError("gmem origin is not finite")
+    if (ox, oy, oz) != (0.0, 0.0, 0.0):
+        raise FormatError(f"gmem origin is ({ox}, {oy}, {oz}); fusion cells are "
+                          "anchored at the world origin (0, 0, 0)")
     rec_width = _record_floats(n_classes, d_model)
     expect = count * rec_width * 4
     payload = raw[_GMEM_HEADER.size:]
@@ -231,7 +224,7 @@ def load_gmem(path) -> GaussianMemory:
     confs = confidence_values(logits, opac)
     batch = PrimitiveBatch(means, scales, quats, opac, logits, feats, confs)
     try:
-        cells = cell_key(means, origin, vs)
+        cells = cell_key(means, vs)
     except InvariantError as e:
         raise FormatError(f"gmem records: {e}") from e
-    return GaussianMemory(batch, FusionConfig(voxel_size=vs), origin, cells)
+    return GaussianMemory(batch, FusionConfig(voxel_size=vs), cells)

@@ -208,4 +208,4 @@ def undefined(f: SplatFields) -> np.ndarray:
 def pack_cells(cells) -> np.ndarray:
     """The fusion-cell keys of (N, 3) cell index triples, through the cell
     centres at cell size 1/8, where the point-to-cell mapping is exact."""
-    return cell_key((np.asarray(cells) + 0.5) * 0.125, np.zeros(3), 0.125)
+    return cell_key((np.asarray(cells) + 0.5) * 0.125, 0.125)

@@ -28,7 +28,7 @@ def make_batch(n, spread=0.6, seed=None):
 
 def assign_voxels(b, cfg):
     """The fusion-cell key of each row of a new memory."""
-    return cell_key(b.means, np.zeros(3), cfg.voxel_size)
+    return cell_key(b.means, cfg.voxel_size)
 
 
 def triples(b, cfg):
@@ -38,7 +38,7 @@ def triples(b, cfg):
 
 def fuse_with_config(b, cfg):
     cells = assign_voxels(b, cfg)
-    return fuse(b, fusion_weights(b.confidences, cells, cfg.temperature), cells)
+    return fuse(b, fusion_weights(b.confidences, cells), cells)
 
 
 def grouped_average_oracle(batch, weights, cells):
@@ -61,7 +61,7 @@ def grouped_average_oracle(batch, weights, cells):
 
 
 class TestAssignVoxels:
-    """The fusion cell key: the key of cell_of(mean, origin, voxel_size)."""
+    """The fusion cell key: the key of cell_of(mean, 0, voxel_size)."""
 
     def test_interior_point(self):
         b = make_batch(1)
@@ -91,25 +91,25 @@ class TestAssignVoxels:
 class TestFusionWeights:
     def test_equal_confidences_split_evenly(self):
         cells = np.zeros(2, dtype=np.int64)
-        w = fusion_weights([0.37, 0.37], cells, 1.0)
+        w = fusion_weights([0.37, 0.37], cells)
         assert np.allclose(w, [0.5, 0.5])
 
     def test_singleton_cell(self):
-        w = fusion_weights([0.2], pack_cells([[1, 2, 3]]), 1.0)
+        w = fusion_weights([0.2], pack_cells([[1, 2, 3]]))
         assert w[0] == pytest.approx(1.0)
 
     def test_scalar_softmax_oracle(self):
-        # (1.0, 0.0) at T = 0.5 -> (e^2, 1) normalized
-        w = fusion_weights([1.0, 0.0], np.zeros(2, dtype=np.int64), 0.5)
-        e2 = np.exp(2.0)
-        assert np.allclose(w, [e2 / (e2 + 1), 1 / (e2 + 1)], atol=1e-12)
-        assert w[0] == pytest.approx(0.88080, abs=1e-5)
-        assert w[1] == pytest.approx(0.11920, abs=1e-5)
+        # (1.0, 0.0) -> (e, 1) normalized
+        w = fusion_weights([1.0, 0.0], np.zeros(2, dtype=np.int64))
+        e = np.exp(1.0)
+        assert np.allclose(w, [e / (e + 1), 1 / (e + 1)], atol=1e-12)
+        assert w[0] == pytest.approx(0.73106, abs=1e-5)
+        assert w[1] == pytest.approx(0.26894, abs=1e-5)
 
     def test_per_cell_sums_one(self):
         b = make_batch(60, seed=2)
         cells = assign_voxels(b, FusionConfig(voxel_size=0.12))
-        w = fusion_weights(b.confidences, cells, 1.0)
+        w = fusion_weights(b.confidences, cells)
         keys = cells.tolist()
         for key in set(keys):
             idx = [i for i, k in enumerate(keys) if k == key]
@@ -118,7 +118,7 @@ class TestFusionWeights:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
-            fusion_weights([1.0], np.zeros(2, dtype=np.int64), 1.0)
+            fusion_weights([1.0], np.zeros(2, dtype=np.int64))
 
 
 class TestFuse:
@@ -128,7 +128,7 @@ class TestFuse:
             "means", "scales", "rotations", "opacities", "logits", "features",
             "confidences")))
         cells = np.zeros(2, dtype=np.int64)
-        w = fusion_weights(pair.confidences, cells, 1.0)
+        w = fusion_weights(pair.confidences, cells)
         out = fuse(pair, w, cells).batch
         assert len(out) == 1
         assert np.allclose(out.means[0], b.means[0], atol=1e-12)
@@ -145,7 +145,7 @@ class TestFuse:
         b.means[1] = [0.06, 0.0, 0.0]
         b.confidences[:] = 0.5
         cells = np.zeros(2, dtype=np.int64)
-        w = fusion_weights(b.confidences, cells, 1.0)
+        w = fusion_weights(b.confidences, cells)
         out = fuse(b, w, cells).batch
         assert np.allclose(out.means[0], [0.03, 0.0, 0.0], atol=1e-12)
 
@@ -153,7 +153,7 @@ class TestFuse:
         b = make_batch(50, seed=5)
         cfg = FusionConfig(voxel_size=0.12)
         cells = assign_voxels(b, cfg)
-        w = fusion_weights(b.confidences, cells, cfg.temperature)
+        w = fusion_weights(b.confidences, cells)
         fused = fuse(b, w, cells)
         out = fused.batch
         oracle = grouped_average_oracle(b, w, cells)
@@ -178,7 +178,7 @@ class TestFuse:
         b = make_batch(40, seed=7)
         cfg = FusionConfig(voxel_size=0.15)
         cells = assign_voxels(b, cfg)
-        w = fusion_weights(b.confidences, cells, cfg.temperature)
+        w = fusion_weights(b.confidences, cells)
         fused = fuse(b, w, cells)
         out = fused.batch
         keys = cells.tolist()
@@ -190,26 +190,6 @@ class TestFuse:
             for a in range(3):
                 assert b.means[idx, a].min() - 1e-12 <= out.means[gi, a]
                 assert out.means[gi, a] <= b.means[idx, a].max() + 1e-12
-
-    def test_low_temperature_selects_argmax(self):
-        b = make_batch(30, seed=8)
-        cfg = FusionConfig(voxel_size=0.2, temperature=1e-3)
-        cells = assign_voxels(b, cfg)
-        w = fusion_weights(b.confidences, cells, cfg.temperature)
-        fused = fuse(b, w, cells)
-        out = fused.batch
-        keys = cells.tolist()
-        for gi in range(len(out)):
-            idx = np.array([i for i, k in enumerate(keys) if k == fused.cells[gi]])
-            best = idx[np.argmax(b.confidences[idx])]
-            # exclude effective ties
-            others = np.delete(b.confidences[idx], np.argmax(b.confidences[idx]))
-            if len(others) and np.max(b.confidences[best] - others) < 1e-2:
-                continue
-            assert np.allclose(out.means[gi], b.means[best],
-                               rtol=1e-3, atol=1e-6)
-            assert np.allclose(out.logits[gi], b.logits[best],
-                               rtol=1e-3, atol=1e-6)
 
     def test_order_invariance(self):
         b = make_batch(40, seed=9)
@@ -258,7 +238,7 @@ class TestFuse:
             confidences=np.array([0.2, 0.9]),
         )
         cells = np.zeros(2, dtype=np.int64)
-        w = fusion_weights(b.confidences, cells, 1.0)
+        w = fusion_weights(b.confidences, cells)
         out = fuse(b, w, cells)
         assert out.quat_fallback[0]
         assert np.array_equal(out.batch.rotations[0], b.rotations[np.argmax(w)])
@@ -266,20 +246,22 @@ class TestFuse:
     def test_confidences_follow_the_merged_rows(self):
         b = make_batch(40, seed=11)
         cells = assign_voxels(b, FusionConfig())
-        w = fusion_weights(b.confidences, cells, 1.0)
+        w = fusion_weights(b.confidences, cells)
         out = fuse(b, w, cells).batch
         assert len(out) < len(b)
         assert np.array_equal(out.confidences,
                               confidence_values(out.logits, out.opacities))
 
     def test_config_validation(self):
-        with pytest.raises(InvalidInputError):
-            FusionConfig(voxel_size=0.0)
-        with pytest.raises(InvalidInputError):
-            FusionConfig(temperature=0.0)
-        # cells are anchored at the memory's origin, not chosen by a policy
+        for vs in (0.0, -0.1, np.nan, np.inf):
+            with pytest.raises(InvalidInputError):
+                FusionConfig(voxel_size=vs)
+        # cells are anchored at the world origin and fused at temperature 1;
+        # neither is a setting
         with pytest.raises(TypeError):
             FusionConfig(grid_origin_policy="scene_min")
+        with pytest.raises(TypeError):
+            FusionConfig(temperature=1.0)
 
 
 # Reference implementations: the per-group loops that fusion_weights and
@@ -294,11 +276,10 @@ def _reference_groups(cells):
     return [order[a:b] for a, b in zip(starts, stops)]
 
 
-def fusion_weights_reference(conf, cells, temperature):
+def fusion_weights_reference(conf, cells):
     w = np.empty(len(conf))
     for idx in _reference_groups(cells):
-        z = conf[idx] / temperature
-        z -= z.max()
+        z = conf[idx] - conf[idx].max()
         e = np.exp(z)
         w[idx] = e / e.sum()
     return w
@@ -356,16 +337,15 @@ class TestLoopFreeMatchesReference:
         b = clustered_batch(seed)
         cfg = FusionConfig(voxel_size=0.12)
         keys, cells = assign_voxels(b, cfg), triples(b, cfg)
-        for t in (1.0, 0.3):
-            assert np.array_equal(fusion_weights(b.confidences, keys, t),
-                                  fusion_weights_reference(b.confidences, cells, t))
+        assert np.array_equal(fusion_weights(b.confidences, keys),
+                              fusion_weights_reference(b.confidences, cells))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_fuse_bitwise(self, seed):
         b = clustered_batch(seed)
         cfg = FusionConfig(voxel_size=0.12)
         keys = assign_voxels(b, cfg)
-        w = fusion_weights(b.confidences, keys, 1.0)
+        w = fusion_weights(b.confidences, keys)
         got = fuse(b, w, keys)
         ref = fuse_reference(b, w, triples(b, cfg))
         assert len(got) == len(ref["means"])
@@ -379,12 +359,12 @@ class TestLoopFreeMatchesReference:
     def test_fallback_groups_present(self):
         b = clustered_batch(0)
         cells = assign_voxels(b, FusionConfig(voxel_size=0.12))
-        w = fusion_weights(b.confidences, cells, 1.0)
+        w = fusion_weights(b.confidences, cells)
         assert fuse(b, w, cells).quat_fallback.sum() >= 1
 
     def test_empty_input(self):
         b = make_batch(0)
         cells = np.zeros(0, dtype=np.int64)
-        assert len(fusion_weights(b.confidences, cells, 1.0)) == 0
+        assert len(fusion_weights(b.confidences, cells)) == 0
         out = fuse(b, np.zeros(0), cells)
         assert len(out) == 0 and out.batch.features.shape == (0, 16)

@@ -271,11 +271,11 @@ class TestCellKey:
     @pytest.mark.parametrize("value", [np.nan, np.inf, 1e30])
     def test_point_past_int64_or_not_finite_raises(self, value):
         with pytest.raises(InvariantError):
-            cell_key([[0.0, value, 0.0]], np.zeros(3), 0.12)
+            cell_key([[0.0, value, 0.0]], 0.12)
 
     def test_reach_at_the_default_cell(self):
         # about 125 km from the origin at the 0.12 m fusion cell
-        assert len(cell_key([[125829.0, -125829.0, 0.0]], np.zeros(3), 0.12)) == 1
+        assert len(cell_key([[125829.0, -125829.0, 0.0]], 0.12)) == 1
         for x in (125830.0, -125830.0):
             with pytest.raises(InvariantError, match=r"cell size 0.12 m.*\(125829 m\)"):
-                cell_key([[x, 0.0, 0.0]], np.zeros(3), 0.12)
+                cell_key([[x, 0.0, 0.0]], 0.12)

@@ -15,7 +15,11 @@ feature columns of `final.gmem`.
 import dataclasses
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,6 +197,23 @@ def test_a_run_voxelizes_its_scene_once(tmp_path, monkeypatch, mode):
     assert len(calls) == 1
 
 
+def test_checkpoint_is_independent_of_the_blas_thread_count(tmp_path):
+    # On two BLAS threads a float32 product in the attention rounds
+    # differently at the default lift grid. Importing splatmem pins one
+    # thread, so the console entry writes the same checkpoint either way.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        subprocess.run([sys.executable, "-m", "splatmem.cli", "run-embodied", "--frames",
+                        "10", "--output-dir", str(out)], env=env, check=True,
+                       capture_output=True)
+        digests.append(sha256(out / "final.gmem"))
+    assert digests[0] == digests[1]
+
+
 class TestLongRun:
     def test_70_frames_keep_a_loadable_checkpoint(self, tmp_path):
         # Without the encoder's post-norms the features grow about 4x per
@@ -257,6 +278,7 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("offset,fmt,value", [
         (20, "<d", 0.0),              # voxel size
         (16, "<I", 0),                # number of classes
+        (36, "<d", 0.05),             # origin y: cells are anchored at (0, 0, 0)
         (52, "<f", float("nan")),     # first mean coordinate
         (64, "<f", -0.05),            # first scale
         (64, "<f", 0.0),
@@ -281,6 +303,9 @@ class TestCliExitCodes:
         ["fuse", "--voxel-size", "0"],
         ["fuse", "--voxel-size", "-0.1"],
         ["fuse", "--voxel-size", "nan"],
+        ["fuse", "--voxel-size", "inf"],
+        # a flag that no longer exists, whatever its value
+        ["fuse", "--temperature", "1"],
         ["fuse", "--temperature", "0"],
         ["fuse", "--temperature", "-1"],
         ["render", "--voxel-size", "0"],
@@ -345,10 +370,6 @@ class TestCliExitCodes:
                          "--output-dir", str(tmp_path)]) == 1
 
     @pytest.mark.parametrize("config,flags", [
-        ({"encoder": {"d_model": 30}}, []),
-        ({"encoder": {"n_blocks": 0}}, []),
-        ({}, ["--n-blocks", "0"]),
-        ({"encoder": {"seed": -1}}, []),
         ({"trajectory_seed": -1}, []),
         # a bad value in the file, although a flag replaces it
         ({"n_frames": 0}, []),
@@ -359,7 +380,19 @@ class TestCliExitCodes:
         ({}, ["--flip-prob", "nan"]),
         ({"noise": 5}, ["--flip-prob", "0.1"]),
         ({"stub": {"grid_h": 0}}, []),
-        # keys of settings that no longer exist
+        ({"fusion": {"voxel_size": float("inf")}}, []),
+        ({}, ["--fusion-voxel-size", "inf"]),
+        # keys and flags of settings that no longer exist: refused whatever
+        # the value, valid ones included
+        ({"fusion": {"temperature": 0.5}}, []),
+        ({}, ["--fusion-temperature", "0.5"]),
+        ({"encoder": {"seed": 1}}, []),
+        ({}, ["--encoder-seed", "7"]),
+        ({"encoder": {"n_blocks": 2}}, []),
+        ({}, ["--n-blocks", "2"]),
+        ({"encoder": {"d_model": 30}}, []),
+        ({}, ["--n-blocks", "0"]),
+        ({"encoder": {"seed": -1}}, []),
         ({"encoder": {"n_heads": 5}}, []),
         ({"encoder": {"d_ff": 0}}, []),
         ({"confidence": {"h_max": float("nan")}}, []),

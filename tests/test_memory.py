@@ -10,7 +10,6 @@ from splatmem.cavf import FusionConfig, fuse, fusion_weights
 from splatmem.core import CameraFrame, PrimitiveBatch, cell_key, concat_batches
 from splatmem.errors import FormatError, InvalidInputError, InvariantError
 from splatmem.memory import (
-    GaussianMemory,
     _merge_collisions,
     gmem_nbytes,
     init_memory,
@@ -59,7 +58,7 @@ class TestInitMemory:
     def test_single_primitive(self):
         mem = init_memory(make_batch(1, seed=1))
         assert len(mem) == 1
-        assert np.array_equal(mem.origin, np.zeros(3))
+        assert np.array_equal(mem.cells, cell_key(mem.batch.means, 0.12))
 
     def test_two_in_one_cell_fuse(self):
         b = make_batch(2, seed=2)
@@ -85,7 +84,7 @@ class TestQueryFov:
     def test_point_on_axis_inside(self):
         mem = init_memory(make_batch(1, seed=4))
         mem.batch.means[0] = [0.0, 0.0, 1.0]
-        mem.cells[0] = cell_key([[0.0, 0.0, 1.0]], np.zeros(3), 0.12)[0]
+        mem.cells[0] = cell_key([[0.0, 0.0, 1.0]], 0.12)[0]
         inside, outside = query_fov(mem, make_frame())
         assert len(inside) == 1 and len(outside) == 0
 
@@ -211,7 +210,7 @@ def merge_collisions_reference(kept, kept_cells, new, new_cells, cfg):
         i = kept_lookup.get(tuple(c))
         if i is not None:
             pair = concat_batches(kept.select([i]), new.select([j]))
-            w = fusion_weights(pair.confidences, one_cell, cfg.temperature)
+            w = fusion_weights(pair.confidences, one_cell)
             merged = fuse(pair, w, one_cell).batch
             for name in FIELDS:
                 getattr(kept, name)[i] = getattr(merged, name)[0]
@@ -278,15 +277,14 @@ class TestMergeCollisions:
         assert loaded.cells[2] == loaded.cells[4] and len(np.unique(loaded.cells)) == 9
         new = one_per_cell(3, pool[20:23], 4)
         new.means[1] = loaded.batch.means[2]
-        new_cells = cell_key(new.means, loaded.origin, cfg.voxel_size)
+        new_cells = cell_key(new.means, cfg.voxel_size)
         before, new_before = copy.deepcopy(loaded.batch), copy.deepcopy(new)
 
         kept, rest, rest_cells = _merge_collisions(loaded.batch, loaded.cells,
                                                    new, new_cells, cfg)
         one_cell = np.zeros(2, dtype=np.int64)
         pair = concat_batches(before.select([2]), new_before.select([1]))
-        merged = fuse(pair, fusion_weights(pair.confidences, one_cell, cfg.temperature),
-                      one_cell).batch
+        merged = fuse(pair, fusion_weights(pair.confidences, one_cell), one_cell).batch
         others = [i for i in range(len(before)) if i != 2]
         for name in FIELDS:
             assert np.array_equal(getattr(kept, name)[2], getattr(merged, name)[0]), name
@@ -332,19 +330,20 @@ class TestGmemRoundtrip:
         save_gmem(path, mem)
         assert gmem_nbytes(mem.batch) == path.stat().st_size
 
-    def test_stored_origin_is_honoured(self, tmp_path):
-        # a new memory is anchored at the world origin, but a checkpoint
-        # keeps the origin it was written with
-        b = init_memory(make_batch(25, seed=27)).batch
-        origin = np.array([0.05, -0.03, 0.07])
-        cfg = FusionConfig(voxel_size=0.12)
+    def test_nonzero_stored_origin_is_refused(self, tmp_path):
+        # fusion cells are anchored at the world origin: the header's origin
+        # is written as zeros, and a file naming another origin is refused
+        # rather than re-anchored
+        import struct
+
         path = tmp_path / "m.gmem"
-        save_gmem(path, GaussianMemory(b, cfg, origin, cell_key(b.means, origin, 0.12)))
-        loaded = load_gmem(path)
-        assert np.array_equal(loaded.origin, origin)
-        assert np.array_equal(loaded.cells, cell_key(loaded.batch.means, origin, 0.12))
-        assert not np.array_equal(loaded.cells,
-                                  cell_key(loaded.batch.means, np.zeros(3), 0.12))
+        save_gmem(path, init_memory(make_batch(25, seed=27)))
+        raw = bytearray(path.read_bytes())
+        assert struct.unpack_from("<3d", raw, 28) == (0.0, 0.0, 0.0)
+        struct.pack_into("<3d", raw, 28, 0.05, -0.03, 0.07)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="origin"):
+            load_gmem(path)
 
     @pytest.mark.parametrize("field,value", [
         ("n_classes", 0), ("n_classes", 1), ("d_model", 0),

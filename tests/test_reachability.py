@@ -13,10 +13,10 @@ any name alive. Neither do the tests: code that only they reach belongs
 in `tests/oracle.py`.
 
 Members are matched by attribute name only, not by the class they
-belong to: a `seed` field of any class passes as long as some caller
-reads `cfg.encoder.seed`, whether or not anything reads that class's
-`seed`. A pass here is therefore necessary, not sufficient, for a member
-to be live.
+belong to: a `voxel_size` field of any class passes as long as some
+caller reads `mem.fusion.voxel_size`, whether or not anything reads that
+class's `voxel_size`. A pass here is therefore necessary, not
+sufficient, for a member to be live.
 """
 
 import ast
@@ -158,10 +158,24 @@ def test_kept_parameters_are_still_unpassed():
     assert set(unpassed_parameters()) & UNPASSED_KEPT == UNPASSED_KEPT
 
 
+def config_fields() -> list[tuple[str, str, str]]:
+    """(dotted key, dataclass name, field name) of each field of
+    `cli.RunConfig` and of its sections: every settable config value."""
+    out = []
+    for f in dataclasses.fields(cli.RunConfig):
+        section = f.default_factory
+        if dataclasses.is_dataclass(section):
+            out += [(f"{f.name}.{g.name}", section.__name__, g.name)
+                    for g in dataclasses.fields(section)]
+        else:
+            out.append((f.name, "RunConfig", f.name))
+    return out
+
+
 def unset_config_values() -> list[str]:
-    """Dotted keys of the fields of `cli.RunConfig` and of its sections
-    that no run flag sets and that no module of the package or of
-    `perfbench/` passes by keyword to the field's dataclass."""
+    """Dotted keys of the config values that no run flag sets and that no
+    module of the package or of `perfbench/` passes by keyword to the
+    field's dataclass."""
     flagged = {key for _, key, _ in cli._RUN_FLAGS}
     passed = set()
     for node in caller_nodes():
@@ -169,17 +183,22 @@ def unset_config_values() -> list[str]:
             f = node.func
             name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
             passed.update((name, k.arg) for k in node.keywords)
-    out = []
-    for f in dataclasses.fields(cli.RunConfig):
-        section = f.default_factory
-        if dataclasses.is_dataclass(section):
-            out += [f"{f.name}.{g.name}" for g in dataclasses.fields(section)
-                    if f"{f.name}.{g.name}" not in flagged
-                    and (section.__name__, g.name) not in passed]
-        elif f.name not in flagged and ("RunConfig", f.name) not in passed:
-            out.append(f.name)
-    return out
+    return [key for key, cls, name in config_fields()
+            if key not in flagged and (cls, name) not in passed]
 
 
 def test_every_config_value_is_set():
     assert unset_config_values() == []
+
+
+# Every settable config value: the run flags' keys plus the lift grid,
+# which the benchmark sets in code. A knob added or removed edits this list.
+SETTABLE_KEYS = [
+    "fusion.voxel_size", "mode", "n_frames", "noise.depth_sigma", "noise.flip_prob",
+    "noise.logit_noise", "output_dir", "scene", "stub.grid_h", "stub.grid_w",
+    "stub_seed", "trajectory_seed",
+]
+
+
+def test_settable_config_keys_are_pinned():
+    assert sorted(key for key, _, _ in config_fields()) == SETTABLE_KEYS

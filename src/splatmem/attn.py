@@ -164,10 +164,12 @@ def dte_step(current: PrimitiveBatch, history: PrimitiveBatch,
     both streams update synchronously per block, N_BLOCKS times, so
     swapping the inputs swaps the outputs exactly. Each output is its input
     batch with only the features replaced. An empty history degenerates to
-    N_BLOCKS of self-attention on the current batch.
+    N_BLOCKS of self-attention on the current batch. An empty current batch
+    has nothing to refine or to attend from, so both inputs come back
+    unchanged, the same objects.
     """
     if len(current) == 0:
-        raise InvalidInputError("dte_step needs a nonempty current batch")
+        return current, history
     if len(history) == 0:
         a = current
         for _ in range(N_BLOCKS):

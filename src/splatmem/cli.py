@@ -15,10 +15,13 @@ voxel size and the limit; a checkpoint whose means leave it exits 2.
 
 All artifacts are byte-deterministic given (config, seeds), except
 timing.csv, which records wall-clock measurements and is therefore
-excluded from the determinism contract. The contract holds for any BLAS
-thread setting: importing `splatmem` pins OpenBLAS, OpenMP and MKL to one
-thread, because a float32 product in the attention rounds differently
-when its reduction is split across threads.
+excluded from the determinism contract. A float32 product in the
+attention rounds differently when its reduction is split across threads,
+so importing `splatmem` pins OpenBLAS, OpenMP and MKL to one thread. The
+pin takes effect only when `splatmem` is imported before numpy, as
+`python -m splatmem.cli` and the `splatmem` script do; a process that
+loaded numpy first keeps its BLAS thread count, and its checkpoints may
+differ from theirs.
 """
 
 from __future__ import annotations
@@ -133,21 +136,21 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
 def _episode(cfg: RunConfig, *modes: str):
     """The set-up of a run in one of `modes`: the output directory, the
     scene's ground-truth grid and maps, the trajectory and the encoder
-    weights. The scene file is read before the directory is made; the
-    scene is voxelized once."""
+    weights. The scene file is read, voxelized once and given its
+    trajectory before the directory is made, so a scene that fails any of
+    these is a config error that leaves no directory behind."""
     if cfg.mode not in modes:
         raise ConfigError(f"this run takes mode {' or '.join(map(repr, modes))}, "
                           f"not {cfg.mode!r}")
     try:
         spec = default_scene() if cfg.scene == "default" else load_scene_spec(cfg.scene)
+        gt = generate_scene(spec)
+        frames = generate_trajectory(spec, gt, cfg.n_frames, cfg.trajectory_seed)
     except (InvalidInputError, UnicodeDecodeError, OSError) as e:
         raise ConfigError(f"scene file {cfg.scene}: {e}") from e
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    gt = generate_scene(spec)
-    maps = scene_maps(gt)
-    frames = generate_trajectory(spec, gt, cfg.n_frames, cfg.trajectory_seed)
-    return out, gt, maps, frames, init_weights(ENCODER_SEED)
+    return out, gt, scene_maps(gt), frames, init_weights(ENCODER_SEED)
 
 
 def _fmt(v: float) -> str:
@@ -163,11 +166,8 @@ def run_local(cfg: RunConfig) -> MetricReport:
     ious, mious = [], []
     for i, frame in enumerate(frames):
         batch = stub_predict(gt, maps, frame, cfg.noise, cfg.stub_seed + i, cfg.stub)
-        if len(batch):
-            batch, _ = dte_step(batch, empty_hist, weights)
-            fused = init_memory(batch, cfg.fusion).batch
-        else:
-            fused = batch
+        batch, _ = dte_step(batch, empty_hist, weights)
+        fused = init_memory(batch, cfg.fusion).batch
         pred = render(gt, fused)
         labels = argmax_labels(pred)
         report = iou(labels, gt, local_mask(gt, frame))
@@ -180,7 +180,8 @@ def run_local(cfg: RunConfig) -> MetricReport:
         mious.append(report.miou)
     summary = MetricReport(
         float(np.mean(ious)), np.full(gt.num_classes - 1, np.nan),
-        float(np.nanmean(mious)), float("nan"),
+        float(np.nanmean(mious)) if not np.all(np.isnan(mious)) else float("nan"),
+        float("nan"),
     )
     rows.append(f"mean,,{_fmt(summary.iou)},{_fmt(summary.miou)},")
     (out / "metrics.csv").write_text("\n".join(rows) + "\n")
@@ -208,8 +209,6 @@ def run_embodied(cfg: RunConfig) -> MetricReport:
             held = concat_batches(held, batch)
         else:
             if memory is None:
-                if len(batch) == 0:
-                    raise InvariantError("first frame produced no primitives")
                 memory = init_memory(batch, cfg.fusion)
             else:
                 inside = update(memory, batch, frame, weights)
@@ -295,8 +294,6 @@ def cmd_render(args) -> None:
 
 def cmd_fuse(args) -> None:
     mem = load_gmem(args.gmem)
-    if len(mem.batch) == 0:
-        raise ConfigError("cannot fuse an empty memory")
     vs = mem.fusion.voxel_size if args.voxel_size is None else args.voxel_size
     fused = init_memory(mem.batch, _build(FusionConfig, {"voxel_size": vs}, "fuse"))
     save_gmem(args.out, fused)

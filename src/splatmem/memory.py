@@ -59,8 +59,7 @@ class GaussianMemory:
             raise InvalidInputError("memory holds more than one primitive per cell")
 
 
-def _fuse_cells(batch: PrimitiveBatch, cells: np.ndarray,
-                cfg: FusionConfig) -> tuple[PrimitiveBatch, np.ndarray]:
+def _fuse_cells(batch: PrimitiveBatch, cells: np.ndarray) -> tuple[PrimitiveBatch, np.ndarray]:
     """Fuse a batch grouped by the given cell keys; returns (batch, keys)."""
     w = fusion_weights(batch.confidences, cells)
     fused = fuse(batch, w, cells)
@@ -69,11 +68,10 @@ def _fuse_cells(batch: PrimitiveBatch, cells: np.ndarray,
 
 def init_memory(prediction: PrimitiveBatch,
                 cfg: FusionConfig | None = None) -> GaussianMemory:
-    """Start a memory from the first frame's prediction, self-fused."""
-    if len(prediction) == 0:
-        raise InvalidInputError("cannot initialize memory from an empty prediction")
+    """Start a memory from the first frame's prediction, self-fused. An
+    empty prediction gives an empty memory, which later updates fill."""
     cfg = cfg or FusionConfig()
-    batch, cells = _fuse_cells(prediction, cell_key(prediction.means, cfg.voxel_size), cfg)
+    batch, cells = _fuse_cells(prediction, cell_key(prediction.means, cfg.voxel_size))
     return GaussianMemory(batch, cfg, cells)
 
 
@@ -105,10 +103,10 @@ def update(memory: GaussianMemory, local_prediction: PrimitiveBatch, frame: Came
     refined_local, refined_hist = dte_step(local_prediction, inside, weights)
     union = concat_batches(refined_local, refined_hist)
     cells = cell_key(union.means, memory.fusion.voxel_size)
-    new_batch, new_cells = _fuse_cells(union, cells, memory.fusion)
+    new_batch, new_cells = _fuse_cells(union, cells)
     kept_cells = memory.cells[idx_out]
     kept, new_batch, new_cells = _merge_collisions(
-        memory.batch.select(idx_out), kept_cells, new_batch, new_cells, memory.fusion)
+        memory.batch.select(idx_out), kept_cells, new_batch, new_cells)
 
     memory.batch = concat_batches(kept, new_batch)
     memory.cells = np.concatenate([kept_cells, new_cells])
@@ -117,7 +115,7 @@ def update(memory: GaussianMemory, local_prediction: PrimitiveBatch, frame: Came
 
 def _merge_collisions(
     kept: PrimitiveBatch, kept_cells: np.ndarray,
-    new: PrimitiveBatch, new_cells: np.ndarray, cfg: FusionConfig,
+    new: PrimitiveBatch, new_cells: np.ndarray,
 ) -> tuple[PrimitiveBatch, PrimitiveBatch, np.ndarray]:
     """Merge new rows into the kept rows that own the same cell.
 
@@ -136,7 +134,7 @@ def _merge_collisions(
     if len(ki) == 0:
         return kept, new, new_cells
     pairs = concat_batches(kept.select(ki), new.select(nj))
-    merged, _ = _fuse_cells(pairs, np.concatenate([kept_cells[ki], new_cells[nj]]), cfg)
+    merged, _ = _fuse_cells(pairs, np.concatenate([kept_cells[ki], new_cells[nj]]))
     for f in fields(kept):
         getattr(kept, f.name)[ki] = getattr(merged, f.name)
     rest = np.delete(np.arange(len(new)), nj)
@@ -206,9 +204,11 @@ def load_gmem(path) -> GaussianMemory:
     payload = raw[_GMEM_HEADER.size:]
     if len(payload) != expect:
         raise FormatError(f"gmem payload is {len(payload)} bytes, expected {expect}")
-    rec = np.frombuffer(payload, dtype="<f4").reshape(count, rec_width).astype(np.float64)
+    rec = np.frombuffer(payload, dtype="<f4").reshape(count, rec_width)
+    # before widening: casting a signalling NaN raises the invalid flag
     if not np.all(np.isfinite(rec)):
         raise FormatError("gmem records hold non-finite values")
+    rec = rec.astype(np.float64)
     means = rec[:, 0:3]
     scales = rec[:, 3:6]
     quats = rec[:, 6:10]

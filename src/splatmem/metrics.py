@@ -56,24 +56,21 @@ def iou(pred: VoxelGrid, gt: VoxelGrid, mask: np.ndarray) -> MetricReport:
     covers only classes with ground-truth support.
     """
     mask = _check_labels(pred, gt, mask)
-    p = pred.values[mask].astype(np.int64)
-    g = gt.values[mask].astype(np.int64)
-    empty = gt.num_classes - 1
+    C = gt.num_classes
+    n_occ = C - 1  # the empty class is the last
+    # confusion[g, p]: masked voxels of ground-truth label g predicted as p
+    confusion = np.bincount(gt.values[mask].astype(np.int64) * C
+                            + pred.values[mask], minlength=C * C).reshape(C, C)
 
-    po, go = p != empty, g != empty
-    union = np.count_nonzero(po | go)
-    inter = np.count_nonzero(po & go)
+    union = confusion.sum() - confusion[n_occ, n_occ]
+    inter = confusion[:n_occ, :n_occ].sum()
     occ_iou = inter / union if union else 1.0  # both all-empty: no disagreement
 
-    n_occ = gt.num_classes - 1
+    diag = np.diag(confusion)[:n_occ]
+    u = (confusion.sum(axis=0) + confusion.sum(axis=1))[:n_occ] - diag
     per_class = np.full(n_occ, np.nan)
-    supported = np.zeros(n_occ, dtype=bool)
-    for c in range(n_occ):
-        pc, gc = p == c, g == c
-        u = np.count_nonzero(pc | gc)
-        if u:
-            per_class[c] = np.count_nonzero(pc & gc) / u
-        supported[c] = bool(np.any(gc))
+    np.divide(diag, u, out=per_class, where=u > 0)
+    supported = confusion.sum(axis=1)[:n_occ] > 0
     miou = float(np.mean(per_class[supported])) if np.any(supported) else float("nan")
     return MetricReport(float(occ_iou), per_class, miou,
                         float(mask.sum() / mask.size))

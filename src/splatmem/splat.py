@@ -137,7 +137,6 @@ def splat_fields(grid: VoxelGrid, primitives: PrimitiveBatch) -> SplatFields:
     """Accumulate the opacity and semantic fields at voxel centers over the
     tiles that the primitives' blocks cover."""
     b = primitives
-    c_occ = b.n_logits if len(b) else grid.num_classes - 1
     R = quats_to_rotations(b.rotations)
     s2 = b.scales**2
     cell = grid.voxel_size * CELL_FACTOR
@@ -160,7 +159,7 @@ def splat_fields(grid: VoxelGrid, primitives: PrimitiveBatch) -> SplatFields:
     e = np.exp(b.logits - b.logits.max(axis=1, keepdims=True), out=channel_weights[:, :-1])
     e /= e.sum(axis=1, keepdims=True)
     keep = np.ones((len(tile_ids), CELL_FACTOR**3))
-    acc = np.zeros((len(tile_ids), c_occ + 1, CELL_FACTOR**3))
+    acc = np.zeros((len(tile_ids), b.n_logits + 1, CELL_FACTOR**3))
     # one reused buffer for the channel products of `step` tiles at a time;
     # with no summed index, einsum rounds each p * w_c once, like a product
     step = max(1, _CHUNK_PAIRS // np.prod(acc.shape[1:]))

@@ -358,7 +358,9 @@ class TestDteStep:
         assert np.array_equal(r1[0].features, r2[0].features)
         assert np.array_equal(r1[1].features, r2[1].features)
 
-    def test_empty_current_rejected(self):
+    def test_empty_current_returns_both_inputs(self):
         w = init_weights(seed=25)
-        with pytest.raises(InvalidInputError):
-            dte_step(PrimitiveBatch.empty(12), fixed_batch(1), w)
+        current = PrimitiveBatch.empty(12)
+        for history in (fixed_batch(1), PrimitiveBatch.empty(12)):
+            a, b = dte_step(current, history, w)
+            assert a is current and b is history

@@ -9,20 +9,27 @@ The embodied `final.gmem` and `final_pred.vgrid` were re-pinned when the
 encoder stopped refining attributes: it had round-tripped opacities
 through a clipped logit, which moved them by up to 1e-6. Since then the
 embodied run differs from its twin with an identity encoder only in the
-feature columns of `final.gmem`.
+feature columns of `final.gmem`. The exit-code tests also run valid scene
+files whose frames see nothing, and generated ones, through all three
+modes.
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import splatmem.attn as attn_mod
 import splatmem.cli as cli
@@ -67,6 +74,23 @@ CONCAT_SHA256 = {
     "metrics.csv": "cd01dd1e214f1ec906ac8757fb3b2e5569b631e7c9cdd3976b7ee69f0dcf0ceb",
     "stats.csv": "60ce208d3c925d240a62e13696ccff4347a3778bc2f76df1441f2eafda5bf70b",
 }
+
+# a valid scene whose first frames of an 8-frame orbit see nothing
+LATE_BOX = "box 4.4 2.0 0.8 4.48 2.8 1.6 2\n"
+
+
+@st.composite
+def scene_files(draw):
+    """A valid scene file: a 0.8-3.2 m extent and up to five boxes inside it."""
+    extent = [draw(st.floats(0.8, 3.2)) for _ in range(3)]
+    lines = ["extent " + " ".join(map(repr, extent))]
+    for _ in range(draw(st.integers(0, 5))):
+        lo = [draw(st.floats(0.0, 0.9)) for _ in range(3)]
+        hi = [a + draw(st.floats(0.05, 1.0 - a)) for a in lo]
+        corners = [e * x for part in (lo, hi) for e, x in zip(extent, part)]
+        lines.append("box " + " ".join(map(repr, corners))
+                     + f" {draw(st.integers(0, 10))}")
+    return "\n".join(lines) + "\n"
 
 
 def small_config(out, mode=cli.MODE_EMBODIED, **kwargs):
@@ -288,6 +312,7 @@ class TestCliExitCodes:
         (52, "<f", 125830.0),         # a mean 2^20 cells out at the 0.12 m cell
         (56, "<f", -125830.0),
         (52, "<f", 1e30),             # past int64 in cells
+        (52, "<I", 0x7fa00000),       # a signalling NaN
     ])
     def test_malformed_checkpoint_exits_2(self, embodied_run, tmp_path, offset,
                                           fmt, value):
@@ -350,13 +375,58 @@ class TestCliExitCodes:
         assert "cell size 1e-07 m" in capsys.readouterr().err
         assert not dst.exists()
 
-    def test_scene_with_no_boxes_exits_3(self, tmp_path, capsys):
+    def test_scene_with_no_boxes_exits_0(self, tmp_path, capsys):
+        # no frame sees a primitive, so the memory stays empty: a header alone
         scene = tmp_path / "empty.scene"
         scene.write_text("extent 1.6 1.6 0.96\n")
-        code = cli.main(["run-embodied", "--scene", str(scene), "--frames", "2",
-                         "--output-dir", str(tmp_path / "out")])
-        assert code == 3
-        assert "first frame produced no primitives" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert cli.main(["run-embodied", "--scene", str(scene), "--frames", "2",
+                         "--output-dir", str(out)]) == 0
+        assert capsys.readouterr().out == "iou 1.000000 miou nan\n"
+        assert (out / "final.gmem").stat().st_size == _GMEM_HEADER.size == 52
+        assert cli.main(["stats", str(out / "final.gmem")]) == 0
+        assert capsys.readouterr().out == "count 0\nbytes 52\n"
+        assert cli.main(["fuse", str(out / "final.gmem"), str(tmp_path / "f.gmem")]) == 0
+        assert (tmp_path / "f.gmem").read_bytes() == (out / "final.gmem").read_bytes()
+
+    @pytest.mark.parametrize("scene,argv,printed", [
+        ("", ["run-embodied"], "iou 1.000000 miou nan"),
+        ("", ["run-embodied", "--mode", cli.MODE_CONCAT], "iou 1.000000 miou nan"),
+        # no frame has a class to score: the mean mIoU is NaN, without a warning
+        ("", ["run-local", "--mode", cli.MODE_LOCAL], "iou 1.000000 miou nan"),
+        # a box that only the later frames see
+        (LATE_BOX, ["run-embodied"], "iou 0.793651 miou 0.793651"),
+        (LATE_BOX, ["run-embodied", "--mode", cli.MODE_CONCAT],
+         "iou 0.714286 miou 0.714286"),
+        (LATE_BOX, ["run-local", "--mode", cli.MODE_LOCAL], "iou 0.972477 miou 0.926606"),
+    ], ids=["empty-embodied", "empty-concat", "empty-local",
+            "late_box-embodied", "late_box-concat", "late_box-local"])
+    def test_frames_that_see_nothing_exit_0(self, tmp_path, capsys, scene, argv,
+                                            printed):
+        path = tmp_path / "s.scene"
+        path.write_text("extent 4.8 4.8 2.88\n" + scene)
+        assert cli.main([*argv, "--scene", str(path), "--frames", "8",
+                         "--output-dir", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out == printed + "\n"
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(scene_files(), st.integers(1, 3))
+    def test_generated_scene_files_run_or_exit_1(self, text, frames):
+        # an empty view or a blocked orbit is valid input, never an internal error
+        with tempfile.TemporaryDirectory() as tmp:
+            scene, config = Path(tmp, "s.scene"), Path(tmp, "run.json")
+            scene.write_text(text)
+            config.write_text(json.dumps({"stub": {"grid_h": 6, "grid_w": 8}}))
+            for argv in (["run-embodied"], ["run-embodied", "--mode", cli.MODE_CONCAT],
+                         ["run-local", "--mode", cli.MODE_LOCAL]):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), \
+                        contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main([*argv, "--scene", str(scene), "--config", str(config),
+                                     "--frames", str(frames),
+                                     "--output-dir", str(Path(tmp, "out"))])
+                assert code == 0 or (code == 1 and err.getvalue().startswith(
+                    f"config error: scene file {scene}: ")), (argv, err.getvalue())
 
     @pytest.mark.parametrize("kwargs", [
         {"mode": "nope"}, {"n_frames": 0}, {"trajectory_seed": -1}, {"stub_seed": -1},
@@ -448,10 +518,12 @@ class TestCliExitCodes:
         b"extent 1.6 1.6 0.96\nvoxel_size 10\n",
         b"extent 1.6 1.6 0.96\nvoxel_size 1e-9\n",
         b"extent 1e300 1e300 1e300\nvoxel_size 1e-10\n",
+        b"extent 1.6 1.6 0.96\nbox 0 0 0 1.6 1.6 0.8 1\n",
     ], ids=["two_extents", "nan_extent", "inf_extent", "nan_voxel_size", "inf_voxel_size",
             "fractional_class", "nan_box", "seed", "not_utf8", "directory",
             "no_classes", "classes_past_uint16", "extent_under_a_voxel",
-            "voxel_past_the_extent", "grid_past_the_size_limit", "grid_past_float_range"])
+            "voxel_past_the_extent", "grid_past_the_size_limit", "grid_past_float_range",
+            "orbit_blocked"])
     def test_malformed_scene_file_exits_1(self, tmp_path, capsys, text):
         scene = tmp_path / "s.scene"
         if text is None:

@@ -8,7 +8,7 @@ from oracle import pack_cells
 from splatmem.attn import init_weights
 from splatmem.cavf import FusionConfig, fuse, fusion_weights
 from splatmem.core import CameraFrame, PrimitiveBatch, cell_key, concat_batches
-from splatmem.errors import FormatError, InvalidInputError, InvariantError
+from splatmem.errors import FormatError, InvariantError
 from splatmem.memory import (
     _merge_collisions,
     gmem_nbytes,
@@ -75,9 +75,10 @@ class TestInitMemory:
         assert len(mem) == len(cells)
         mem.check_unique_cells()
 
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidInputError):
-            init_memory(PrimitiveBatch.empty(C))
+    def test_empty_prediction_gives_an_empty_memory(self):
+        mem = init_memory(PrimitiveBatch.empty(C))
+        assert len(mem) == 0 and mem.cells.shape == (0,)
+        assert (mem.batch.n_logits, mem.batch.d_model) == (C - 1, D)
 
 
 class TestQueryFov:
@@ -244,7 +245,7 @@ class TestMergeCollisions:
         kept.rotations[i[-5:]] *= 1e-9
         cfg = FusionConfig(voxel_size=0.12)
         got = _merge_collisions(copy.deepcopy(kept), pack_cells(kept_cells), new,
-                                pack_cells(new_cells), cfg)
+                                pack_cells(new_cells))
         ref = merge_collisions_reference(kept, kept_cells, new, new_cells, cfg)
         for g, r in zip(got[:2], ref[:2]):
             for name in FIELDS:
@@ -260,7 +261,7 @@ class TestMergeCollisions:
         pool = np.stack(np.meshgrid(*[np.arange(4)] * 3), -1).reshape(-1, 3)
         kept = one_per_cell(40, pool[:40], 1)
         new = one_per_cell(20, pool[30:50], 2)
-        _merge_collisions(kept, pack_cells(pool[:40]), new, pack_cells(pool[30:50]), FusionConfig())
+        _merge_collisions(kept, pack_cells(pool[:40]), new, pack_cells(pool[30:50]))
         assert len(calls) == 1
 
     def test_repeated_kept_key_merges_into_its_first_row_only(self, tmp_path):
@@ -281,7 +282,7 @@ class TestMergeCollisions:
         before, new_before = copy.deepcopy(loaded.batch), copy.deepcopy(new)
 
         kept, rest, rest_cells = _merge_collisions(loaded.batch, loaded.cells,
-                                                   new, new_cells, cfg)
+                                                   new, new_cells)
         one_cell = np.zeros(2, dtype=np.int64)
         pair = concat_batches(before.select([2]), new_before.select([1]))
         merged = fuse(pair, fusion_weights(pair.confidences, one_cell), one_cell).batch

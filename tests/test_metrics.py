@@ -1,4 +1,5 @@
-"""Frustum masks against the projection of every voxel center."""
+"""Frustum masks against the projection of every voxel center, and IoU
+against a per-class loop."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from oracle import centers
 from splatmem.core import CameraFrame
 from splatmem.errors import InvalidInputError
-from splatmem.metrics import _frustum_box, local_mask, observed_mask
+from splatmem.grid import LABEL_MODE, VoxelGrid
+from splatmem.metrics import _frustum_box, iou, local_mask, observed_mask
 from splatmem.synth import (DEFAULT_INTRINSICS, _look_at_pose, default_scene,
                             generate_scene, generate_trajectory)
 
@@ -94,3 +96,38 @@ class TestObservedMask:
     def test_needs_a_frame(self):
         with pytest.raises(InvalidInputError):
             observed_mask(GT, [])
+
+
+def iou_per_class_loop(p, g, n_classes):
+    """Reference: (occupancy IoU, per-class IoU, mIoU) of masked label
+    arrays, one pass per class."""
+    empty = n_classes - 1
+    union = np.count_nonzero((p != empty) | (g != empty))
+    occ = np.count_nonzero((p != empty) & (g != empty)) / union if union else 1.0
+    per_class = np.full(empty, np.nan)
+    for c in range(empty):
+        u = np.count_nonzero((p == c) | (g == c))
+        if u:
+            per_class[c] = np.count_nonzero((p == c) & (g == c)) / u
+    supported = [np.any(g == c) for c in range(empty)]
+    miou = np.mean(per_class[supported]) if np.any(supported) else np.nan
+    return occ, per_class, miou
+
+
+class TestIou:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_a_per_class_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        C = int(rng.integers(2, 13))
+        dims = tuple(rng.integers(1, 12, 3).tolist())
+        pred, gt = (rng.integers(0, C, dims) for _ in range(2))
+        if seed % 2:  # all-empty ground truth: no class is supported
+            gt[:] = C - 1
+        mask = rng.random(dims) < 0.5
+        mask.flat[0] = True
+        report = iou(*(VoxelGrid((0, 0, 0), 0.1, dims, v, LABEL_MODE, C)
+                       for v in (pred, gt)), mask)
+        occ, per_class, miou = iou_per_class_loop(pred[mask], gt[mask], C)
+        assert report.iou == occ
+        assert np.array_equal(report.per_class_iou, per_class, equal_nan=True)
+        assert np.array_equal(report.miou, miou, equal_nan=True)

@@ -4,10 +4,12 @@ Scenes are box compositions voxelized into ground-truth label grids.
 Exact voxel ray marching (amanatides-woo stepping) finds the surface each
 sampled pixel ray strikes, and a noise controllable stub predictor turns
 those hits into per-frame primitive batches so the temporal pipeline can
-run end to end. What depends only on the scene is built once per run as
-`SceneMaps`: the occupancy, its thin-axis map, and a code grid padded by
-one voxel that the march reads by flat index, so leaving the grid reads
-"outside" with no bounds test.
+run end to end. The march advances all live rays in rounds of
+`_MARCH_ROUND` steps and retires the rays that stopped once per round.
+What depends only on the scene is built once per run as `SceneMaps`: the
+occupancy, its thin-axis map, and a code grid padded by one voxel that the
+march reads by flat index, so leaving the grid reads "outside" with no
+bounds test.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ ORBIT_HEIGHT_FRAC = 0.5
 # 1 GiB. Labels are uint16, so a scene has at most 2^16 classes.
 MAX_GRID_CELLS = 2**27
 MAX_CLASSES = 2**16
+# DDA steps every live ray takes between two stop tests of the march.
+_MARCH_ROUND = 16
 
 
 @dataclass(frozen=True)
@@ -215,7 +219,12 @@ class SceneMaps:
     """Lookups of the stub predictor that depend only on the scene: int8
     `codes` padded by one voxel (0 free, 1 occupied, 2 outside), and per
     occupied voxel the axis along which the shell is thinnest (0 at free
-    voxels, where no run reads it)."""
+    voxels, where no run reads it).
+
+    A ray reaches the padding at the latest one step after its last
+    in-grid voxel, so its march needs no bounds test. Steps that a ray
+    takes past its stop, in the same round, may leave the padded grid;
+    the march reads them with `clip` and discards them."""
 
     codes: np.ndarray
     occupied: np.ndarray
@@ -240,10 +249,21 @@ def trace_rays(gt: VoxelGrid, maps: SceneMaps, frame: CameraFrame,
     The ray parameter equals camera-space depth, so entry/exit values place
     points along the ray directly. Marching stops at the frame's far plane
     or at the grid boundary, where the padded code grid reads "outside".
+
+    Live rays step in rounds of _MARCH_ROUND with no stop test. After each
+    round one bulk pass over the round's recorded steps finds every ray's
+    first stopping state, takes the ray's outputs from it and drops the ray.
+    Each ray performs the same float operations in the same order as a
+    scalar march, so the result is bit-identical to one; what it computes
+    past its stop is discarded.
     """
     if gt.mode != LABEL_MODE:
         raise InvalidInputError("trace_rays expects a label grid")
     origin, dirs = frame.pixel_rays(pixels)
+    # A direction component whose reciprocal overflows, such as a subnormal
+    # one, never reaches a face within float range, so it counts as zero.
+    with np.errstate(divide="ignore", over="ignore"):
+        dirs = np.where(np.isinf(1.0 / dirs), 0.0, dirs)
     n = len(dirs)
     dims = np.array(gt.dims)
     vs = gt.voxel_size
@@ -258,8 +278,12 @@ def trace_rays(gt: VoxelGrid, maps: SceneMaps, frame: CameraFrame,
 
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_d = np.where(dirs != 0, 1.0 / dirs, np.inf)
-    lo_t = (gt.origin - origin) * inv_d
-    hi_t = (gt.origin + dims * vs - origin) * inv_d
+    # Crossings past float range saturate to inf. An origin on a bounding
+    # plane of a parallel axis gives 0 * inf = NaN, which nanmax and nanmin
+    # skip.
+    with np.errstate(invalid="ignore", over="ignore"):
+        lo_t = (gt.origin - origin) * inv_d
+        hi_t = (gt.origin + dims * vs - origin) * inv_d
     t0 = np.nanmax(np.minimum(lo_t, hi_t), axis=1)
     t1 = np.nanmin(np.maximum(lo_t, hi_t), axis=1)
     # Rays with a zero direction component miss unless the origin lies
@@ -276,39 +300,52 @@ def trace_rays(gt: VoxelGrid, maps: SceneMaps, frame: CameraFrame,
     strides = np.array(maps.codes.strides) // maps.codes.itemsize
     flat = (idx + 1) @ strides
     step = np.where(d > 0, strides, -strides)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         t_delta = np.where(d != 0, vs / np.abs(d), np.inf)
     next_face = gt.origin + (idx + (d > 0)) * vs
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         t_max = np.where(d != 0, (next_face - origin) * inv_d[ids], np.inf)
     t_cur = t_start[ids]
     t_lim = np.fmin(frame.far, t1[ids])
     axis = face[ids]
     codes = maps.codes.ravel()
-    active = np.ones(len(ids), dtype=bool)
-    # Finished rays stay in the arrays, frozen by a zero step, until a
-    # quarter of them have finished; compacting every step costs more.
     while len(ids):
-        code = codes[flat]
-        done = active & ((code != 0) | (t_cur > t_lim))
-        if done.any():
-            got = np.flatnonzero(done & (code == 1) & (t_cur <= t_lim))
-            r = ids[got]
-            hit[r], t_entry[r], t_exit[r] = True, t_cur[got], t_max[got].min(axis=1)
-            voxel[r] = np.stack(np.unravel_index(flat[got], maps.codes.shape), axis=1) - 1
-            face[ids[done]] = axis[done]
-            active &= ~done
-            step[done], t_delta[done] = 0, 0.0
-            if 4 * np.count_nonzero(~active) >= len(ids):
-                keep = np.flatnonzero(active)
-                ids, flat, step, t_delta, t_max, t_cur, t_lim, active = (
-                    x[keep] for x in (ids, flat, step, t_delta, t_max, t_cur, t_lim, active))
-        axis = np.argmin(t_max, axis=1)
-        k = np.arange(0, 3 * len(ids), 3) + axis
-        t_cur = t_max.ravel()[k]
-        flat += step.ravel()[k]
-        # Sequential += keeps every crossing bit-identical to a scalar loop.
-        t_max.ravel()[k] += t_delta.ravel()[k]
+        # A round: every live ray takes _MARCH_ROUND steps with no stop
+        # test, recording the flat t_max index it stepped on and the t_cur
+        # it reached. State j of the round is the voxel entered after j steps.
+        m = len(ids)
+        base = np.arange(0, 3 * m, 3)
+        ks = np.empty((_MARCH_ROUND, m), dtype=np.int64)
+        ts = np.empty((_MARCH_ROUND + 1, m))
+        ts[0] = t_cur
+        t_max_flat, t_delta_flat = t_max.ravel(), t_delta.ravel()
+        for i in range(_MARCH_ROUND):
+            k = np.add(base, np.argmin(t_max, axis=1), out=ks[i])
+            t_now = np.take(t_max_flat, k, out=ts[i + 1])
+            # one add per crossing, as in a scalar loop
+            t_max_flat[k] = t_now + t_delta_flat[k]
+        flats = np.cumsum(np.vstack([flat, np.take(step, ks)]), axis=0)
+        # Steps past a ray's stop may leave the padded grid. They are
+        # discarded, and `clip` keeps their gathers in range.
+        code = np.take(codes, flats[:-1], mode="clip")
+        stop = (code != 0) | (ts[:-1] > t_lim)
+        ended = stop.any(axis=0)
+        # Retire each ray that stopped at its first stopping state j. A ray
+        # stopping at state 0 entered through the axis of the previous
+        # round's last step. A hit entered its voxel at ts[j] and leaves it
+        # at ts[j + 1].
+        done = np.flatnonzero(ended)
+        j = stop[:, done].argmax(axis=0)
+        face[ids[done]] = np.where(j > 0, ks[j - 1, done] - 3 * done, axis[done])
+        got = (code[j, done] == 1) & (ts[j, done] <= t_lim[done])
+        j, done = j[got], done[got]
+        r = ids[done]
+        hit[r], t_entry[r], t_exit[r] = True, ts[j, done], ts[j + 1, done]
+        voxel[r] = np.stack(np.unravel_index(flats[j, done], maps.codes.shape), axis=1) - 1
+        keep = np.flatnonzero(~ended)
+        axis = ks[-1, keep] - 3 * keep
+        ids, flat, t_cur = ids[keep], flats[-1, keep], ts[-1, keep]
+        step, t_delta, t_max, t_lim = step[keep], t_delta[keep], t_max[keep], t_lim[keep]
     return RayHits(hit, t_entry, t_exit, voxel, face)
 
 

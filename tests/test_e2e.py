@@ -15,6 +15,7 @@ modes.
 """
 
 import contextlib
+import ctypes
 import dataclasses
 import hashlib
 import io
@@ -236,6 +237,31 @@ def test_checkpoint_is_independent_of_the_blas_thread_count(tmp_path):
                        capture_output=True)
         digests.append(sha256(out / "final.gmem"))
     assert digests[0] == digests[1]
+
+
+def blas_threads():
+    """Thread count of the OpenBLAS this process loaded, or None where no
+    OpenBLAS with a known getter is mapped (or /proc is absent)."""
+    maps = Path("/proc/self/maps")
+    libs = sorted({line.split()[-1] for line in maps.read_text().splitlines()
+                   if "openblas" in line}) if maps.exists() else []
+    getters = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+               "openblas_get_num_threads")
+    for lib in libs:
+        blas = ctypes.CDLL(lib)
+        for get in filter(None, (getattr(blas, name, None) for name in getters)):
+            get.argtypes, get.restype = [], ctypes.c_int
+            return get()
+    return None
+
+
+def test_the_suite_runs_on_one_blas_thread():
+    # tests/conftest.py imports splatmem before numpy loads its BLAS, so
+    # the in-process runs of this suite follow the command line's pin.
+    threads = blas_threads()
+    if threads is None:
+        pytest.skip("no OpenBLAS thread-count getter in this process")
+    assert threads == 1
 
 
 class TestLongRun:

@@ -11,6 +11,8 @@ uint16 occupancy and the thin-axis map every frame. `trace_rays`, `scene_maps`,
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import splatmem.synth as synth
 from splatmem.conf import confidence_values
@@ -37,6 +39,8 @@ def loop_trace_rays(gt, frame, pixels, far=None):
     """Reference: the DDA over the unpadded grid, one live set per step."""
     far = frame.far if far is None else far
     origin, dirs = frame.pixel_rays(pixels)
+    with np.errstate(divide="ignore", over="ignore"):
+        dirs = np.where(np.isinf(1.0 / dirs), 0.0, dirs)
     n = len(dirs)
     occupied = gt.values != gt.num_classes - 1
     dims = np.array(gt.dims)
@@ -48,8 +52,9 @@ def loop_trace_rays(gt, frame, pixels, far=None):
     face = np.argmax(np.abs(dirs), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_d = np.where(dirs != 0, 1.0 / dirs, np.inf)
-    lo_t = (gt.origin - origin) * inv_d
-    hi_t = (gt.origin + dims * vs - origin) * inv_d
+    with np.errstate(invalid="ignore", over="ignore"):
+        lo_t = (gt.origin - origin) * inv_d
+        hi_t = (gt.origin + dims * vs - origin) * inv_d
     t0 = np.nanmax(np.minimum(lo_t, hi_t), axis=1)
     t1 = np.nanmin(np.maximum(lo_t, hi_t), axis=1)
     for a in range(3):
@@ -58,13 +63,14 @@ def loop_trace_rays(gt, frame, pixels, far=None):
         t1[z & ~inside] = -np.inf
     t_start = np.maximum(t0, 0.0)
     alive = (t_start <= t1) & (t_start <= far)
-    pos = origin + t_start[:, None] * dirs
+    # rays that miss may start at inf; they are placed at the origin
+    pos = origin + np.where(alive, t_start, 0.0)[:, None] * dirs
     idx = np.clip(cell_of(pos, gt.origin, vs), 0, dims - 1)
     step = np.where(dirs > 0, 1, -1)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         t_delta = np.where(dirs != 0, vs / np.abs(dirs), np.inf)
     next_face = gt.origin + (idx + (dirs > 0)) * vs
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         t_max = np.where(dirs != 0, (next_face - origin) * inv_d, np.inf)
     t_cur = t_start.copy()
     while np.any(alive):
@@ -243,6 +249,43 @@ PIXELS = np.concatenate([
 ])
 
 
+# The principal ray first, then four rays with a zero camera x or y
+# component and a 4 x 5 grid across the view.
+FEW_PIXELS = np.concatenate([PIXELS[-5:], sample_pixels(DEFAULT_WIDTH, DEFAULT_HEIGHT, 4, 5)])
+ROUND = synth._MARCH_ROUND
+
+
+@st.composite
+def small_scenes_and_cameras(draw):
+    """A grid of 1-12 voxels a side with up to four boxes, and a camera
+    inside it, outside it or inside an occupied voxel, looking along an
+    axis or anywhere, with a far plane from just past the near plane to
+    past the grid. Most rays of such grids step past the padded grid in the
+    round they stop in."""
+    vs = 0.1
+    dims = np.array([draw(st.integers(1, 12)) for _ in range(3)])
+    grid = VoxelGrid.empty_labels((0, 0, 0), vs, dims)
+    for _ in range(draw(st.integers(0, 4))):
+        lo = [draw(st.integers(0, n - 1)) for n in dims]
+        hi = [draw(st.integers(a, n - 1)) + 1 for a, n in zip(lo, dims)]
+        grid.values[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = draw(st.integers(0, 3))
+    unit = st.floats(0.01, 0.99)
+    pos = np.array([draw(unit) for _ in range(3)]) * dims * vs
+    place = draw(st.sampled_from(["inside", "outside", "occupied"]))
+    if place == "occupied":
+        grid.values[tuple(cell_of(pos, grid.origin, vs))] = 0
+    elif place == "outside":
+        a, past = draw(st.integers(0, 2)), draw(st.floats(0.05, 1.0))
+        pos[a] = dims[a] * vs + past if draw(st.booleans()) else -past
+    if draw(st.booleans()):
+        forward = np.eye(3)[draw(st.integers(0, 2))] * draw(st.sampled_from([-1, 1]))
+    else:
+        forward = np.array([draw(st.floats(-1, 1)) for _ in range(3)])
+        if np.linalg.norm(forward) < 0.1:
+            forward[draw(st.integers(0, 2))] = 1.0
+    return grid, camera(pos, forward, far=draw(st.floats(DEFAULT_NEAR + 0.01, 3.0)))
+
+
 def assert_hits_equal(got, ref):
     for name in ("hit", "t_entry", "t_exit", "voxel", "face_axis"):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
@@ -304,6 +347,7 @@ class TestTraceRays:
         ((2.4, 2.4, 1.44), (0, 0, -1)),
         ((-1.0, 2.4, 1.44), (1, 0, 0)),      # enters through the x = 0 face
         ((2.0, 2.0, 0.64), (1, 0, 0)),       # origin on voxel faces
+        ((0.0, 2.4, 1.44), (0, 1, 0)),       # origin on the grid's x = 0 plane
         ((-1.0, 6.0, 1.44), (1, 0, 0)),      # outside the y slab: misses
         ((2.4, 2.4, 6.0), (0, 0, 1)),        # above the grid, looking up
     ])
@@ -311,6 +355,19 @@ class TestTraceRays:
         frame = camera(position, forward)
         origin, dirs = frame.pixel_rays(PIXELS)
         assert np.sum(dirs == 0) >= 5
+        assert_hits_equal(trace_rays(GT, scene_maps(GT), frame, PIXELS),
+                          loop_trace_rays(GT, frame, PIXELS))
+
+    @pytest.mark.parametrize("position,forward", [
+        ((2.4, 2.4, 1.44), (1, 5e-324, 0)),
+        ((2.4, 2.4, 1.44), (0, -1, 5e-324)),
+        ((-1.0, 2.4, 1.44), (1, -5e-324, 0)),
+    ])
+    def test_subnormal_direction_components_match_loop(self, position, forward):
+        # 1 / d overflows: such a component acts as a zero one, with no warning
+        frame = camera(position, forward)
+        dirs = frame.pixel_rays(PIXELS)[1]
+        assert np.any((dirs != 0) & (np.abs(dirs) < np.finfo(float).tiny))
         assert_hits_equal(trace_rays(GT, scene_maps(GT), frame, PIXELS),
                           loop_trace_rays(GT, frame, PIXELS))
 
@@ -324,6 +381,39 @@ class TestTraceRays:
         hits = trace_rays(GT, scene_maps(GT), frame, PIXELS)
         assert not hits.hit.any()
         assert_hits_equal(hits, loop_trace_rays(GT, frame, PIXELS))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(small_scenes_and_cameras())
+    def test_generated_small_scenes_match_loop(self, scene):
+        grid, frame = scene
+        assert_hits_equal(trace_rays(grid, scene_maps(grid), frame, FEW_PIXELS),
+                          loop_trace_rays(grid, frame, FEW_PIXELS))
+
+    @pytest.mark.parametrize("stop", [2, ROUND - 1, ROUND, ROUND + 1, 2 * ROUND])
+    @pytest.mark.parametrize("by", ["wall", "far", "far on the wall", "grid end"])
+    def test_stops_at_round_edges(self, stop, by):
+        # A corridor along x with the camera in its first voxel, looking
+        # down it: the principal ray enters voxel x = j after j steps.
+        length = stop if by == "grid end" else stop + 3
+        grid = VoxelGrid.empty_labels((0, 0, 0), 0.1, (length, 3, 3))
+        if by != "grid end":
+            grid.values[stop] = 0
+        view = (0.05, 0.15, 0.15), (1, 0, 0)
+        far = DEFAULT_FAR
+        if by == "far":
+            # entering x = j at t = 0.1 j - 0.05, the ray passes this far
+            # plane as it enters the wall
+            far = 0.1 * stop - 0.07
+        elif by == "far on the wall":
+            # a far plane exactly at the wall's entry still lets it count
+            far = loop_trace_rays(grid, camera(*view), FEW_PIXELS).t_entry[0]
+        frame = camera(*view, far)
+        assert np.array_equal(frame.pixel_rays(FEW_PIXELS[:1])[1], [[1.0, 0.0, 0.0]])
+        hits = trace_rays(grid, scene_maps(grid), frame, FEW_PIXELS)
+        assert_hits_equal(hits, loop_trace_rays(grid, frame, FEW_PIXELS))
+        assert hits.hit[0] == (by in ("wall", "far on the wall"))
+        if hits.hit[0]:
+            assert hits.voxel[0].tolist() == [stop, 1, 1] and hits.face_axis[0] == 0
 
 
 def hit_voxels(seed, frames=6):

@@ -8,12 +8,4 @@ import os
 os.environ.update(dict.fromkeys(
     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
-from .core import CameraFrame, PrimitiveBatch, cell_of, concat_batches
-from .grid import VoxelGrid, load_vgrid, save_vgrid
-from .splat import argmax_labels, render, splat_fields
-from .cavf import FusionConfig, fuse, fusion_weights
-from .attn import EncoderWeights, cca, dte_step, init_weights, mha, temporal_encoder_block
-from .memory import GaussianMemory, init_memory, load_gmem, query_fov, save_gmem, update
-from .metrics import MetricReport, iou, local_mask, observed_mask
-
 __version__ = "0.1.0"

@@ -8,6 +8,12 @@ wherever it stands. A `RunConfig` built in code passes the same checks.
 Exit codes: 0 success, 1 config error, 2 format error, 3 internal
 invariant violation.
 
+`render` exits 1 and writes nothing unless its grid (from `--like`, from
+`--dims`, `--voxel-size` and `--origin`, or derived from the checkpoint's
+bounding box) passes `grid.check_geometry` with the checkpoint's classes:
+a non-finite origin or voxel size, a voxel size <= 0, a dim under 1, or
+more than `grid.MAX_GRID_CELLS` voxels x classes.
+
 A fusion cell key (`core.cell_key`) holds cells within 2^20 fusion voxels
 of the world origin on each axis: about 125 km at the default 0.12 m.
 A run or `fuse` whose primitives leave that range exits 3, naming the
@@ -262,31 +268,29 @@ def cmd_render(args) -> None:
     if args.like and (args.dims or args.voxel_size is not None):
         raise ConfigError("--like takes the grid from its file; it excludes "
                           "--dims and --voxel-size")
-    if args.voxel_size is not None and not 0 < args.voxel_size < np.inf:
-        raise ConfigError(f"--voxel-size must be positive, got {args.voxel_size}")
+    if args.dims and args.voxel_size is None:
+        raise ConfigError("--dims requires --voxel-size")
     mem = load_gmem(args.gmem)
-    if args.like:
-        ref = load_vgrid(args.like)
-        geom = VoxelGrid.empty_prob(ref.origin, ref.voxel_size, ref.dims,
-                                    ref.num_classes)
-    elif args.dims:
-        if args.voxel_size is None:
-            raise ConfigError("--dims requires --voxel-size")
-        if min(args.dims) < 1:
-            raise ConfigError(f"--dims must all be >= 1, got {args.dims}")
-        origin = args.origin if args.origin else [0.0, 0.0, 0.0]
-        geom = VoxelGrid.empty_prob(origin, args.voxel_size, args.dims,
-                                    mem.batch.n_logits + 1)
-    else:
-        if len(mem.batch) == 0:
+    n_classes = mem.batch.n_logits + 1
+    try:
+        # render reads only the grid's geometry, so a label grid carries it
+        if args.like:
+            geom = load_vgrid(args.like)
+        elif args.dims:
+            origin = args.origin if args.origin else [0.0, 0.0, 0.0]
+            geom = VoxelGrid.empty_labels(origin, args.voxel_size, args.dims, n_classes)
+        elif len(mem.batch) == 0:
             raise ConfigError("cannot derive a grid from an empty memory")
-        vs = 0.08 if args.voxel_size is None else args.voxel_size
-        pad = 0.5
-        lo = mem.batch.means.min(axis=0) - pad
-        hi = mem.batch.means.max(axis=0) + pad
-        dims = np.maximum(np.ceil((hi - lo) / vs).astype(int), 1)
-        geom = VoxelGrid.empty_prob(lo, vs, tuple(dims), mem.batch.n_logits + 1)
-    out = render(geom, mem.batch)
+        else:
+            vs = 0.08 if args.voxel_size is None else args.voxel_size
+            lo = mem.batch.means.min(axis=0) - 0.5
+            hi = mem.batch.means.max(axis=0) + 0.5
+            with np.errstate(divide="ignore", over="ignore"):  # a bad size fails the check
+                dims = np.maximum(np.ceil((hi - lo) / vs), 1)
+            geom = VoxelGrid.empty_labels(lo, vs, dims, n_classes)
+        out = render(geom, mem.batch)
+    except InvalidInputError as e:
+        raise ConfigError(f"render grid: {e}") from e
     if args.labels:
         out = argmax_labels(out)
     save_vgrid(args.out, out)

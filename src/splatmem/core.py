@@ -39,16 +39,10 @@ _KEY_REACH = 1 << 20
 _KEY_WEIGHTS = np.array([1 << 42, 1 << 21, 1], dtype=np.int64)
 
 
-def cell_of(points, origin, size: float) -> np.ndarray:
-    """Integer cell floor((p - origin) / size) of each (N, 3) point."""
-    p = np.asarray(points, dtype=np.float64)
-    return np.floor((p - origin) / size).astype(np.int64)
-
-
 def cell_key(points, size: float) -> np.ndarray:
     """Fusion-cell key, (N,), of each (N, 3) point: each index of
-    `cell_of(points, 0, size)`, cells anchored at the world origin, offset
-    by 2^20 into 21 bits, x highest. Raises InvariantError for an index
+    floor(p / size), cells anchored at the world origin, offset by 2^20
+    into 21 bits, x highest. Raises InvariantError for an index
     outside [-2^20, 2^20), which would wrap: at the default 0.12 m cell, a
     point about 125 km from the origin on any axis.
     """

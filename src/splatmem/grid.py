@@ -3,16 +3,24 @@
 Probability grids hold C channels per voxel: occupied classes 0..C-2
 followed by the empty channel C-1, summing to one. Label grids hold one
 integer per voxel with the same class indexing (C-1 = empty).
+
+This module owns grid geometry: a finite origin, a finite positive voxel
+size, dims >= 1, 2 to MAX_CLASSES classes and at most MAX_GRID_CELLS
+voxels x classes. `check_geometry` is the one check of it, which every
+`VoxelGrid`, `.vgrid` header, scene and render passes before an int cast
+or an allocation. `VoxelGrid.voxel_span` is the one rule from a world box
+to the voxels whose centres it holds.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NUM_CLASSES, cell_of
+from .core import NUM_CLASSES
 from .errors import FormatError, InvalidInputError
 
 PROB_MODE = 0
@@ -21,6 +29,33 @@ LABEL_MODE = 1
 _MAGIC = b"VGRD"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIBI3I3dd")  # magic, version, mode, C, dims, origin, voxel_size
+_PAYLOAD_DTYPE = {PROB_MODE: "<f4", LABEL_MODE: "<u2"}
+
+# Largest voxels x classes of a grid: its float64 render takes 1 GiB.
+# Labels are uint16, so a grid has at most 2^16 classes.
+MAX_GRID_CELLS = 2**27
+MAX_CLASSES = 2**16
+
+
+def check_geometry(origin, voxel_size, dims, num_classes) -> None:
+    """Raise InvalidInputError unless the values place a valid grid: a
+    finite origin, 0 < voxel_size < inf, every dim >= 1, 2 <= C <=
+    MAX_CLASSES and at most MAX_GRID_CELLS voxels x C. Dims may be floats
+    of any size, so the check runs before they are cast or allocated."""
+    origin = [float(v) for v in origin]
+    dims = [float(d) for d in dims]
+    if not (len(origin) == 3 and all(map(math.isfinite, origin))):
+        raise InvalidInputError(f"grid origin must be 3 finite values, got {origin}")
+    if not 0 < voxel_size < math.inf:
+        raise InvalidInputError(f"voxel size must be finite and positive, got {voxel_size}")
+    if not (len(dims) == 3 and all(d >= 1 for d in dims)):  # NaN fails too
+        raise InvalidInputError(f"grid dims must all be >= 1, got {dims}")
+    if not 2 <= num_classes <= MAX_CLASSES:
+        raise InvalidInputError(f"classes must lie in [2, {MAX_CLASSES}], got {num_classes}")
+    voxels = math.prod(dims)  # a float product past its range is inf
+    if voxels * num_classes > MAX_GRID_CELLS:
+        raise InvalidInputError(f"{voxels:.4g} voxels x {num_classes} classes "
+                                f"exceed {MAX_GRID_CELLS}")
 
 
 @dataclass
@@ -40,12 +75,9 @@ class VoxelGrid:
     num_classes: int = NUM_CLASSES
 
     def __post_init__(self):
+        check_geometry(self.origin, self.voxel_size, self.dims, self.num_classes)
         self.origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
         self.dims = tuple(int(d) for d in self.dims)
-        if any(d < 1 for d in self.dims):
-            raise InvalidInputError(f"dims must all be >= 1, got {self.dims}")
-        if self.voxel_size <= 0:
-            raise InvalidInputError("voxel_size must be positive")
         if self.mode == PROB_MODE:
             expect = self.dims + (self.num_classes,)
             self.values = np.asarray(self.values, dtype=np.float64)
@@ -60,16 +92,12 @@ class VoxelGrid:
             )
 
     @classmethod
-    def empty_prob(cls, origin, voxel_size, dims, num_classes=NUM_CLASSES) -> "VoxelGrid":
-        """All-empty probability grid: channel C-1 is 1 everywhere."""
-        vals = np.zeros(tuple(dims) + (num_classes,))
-        vals[..., -1] = 1.0
-        return cls(origin, voxel_size, tuple(dims), vals, PROB_MODE, num_classes)
-
-    @classmethod
     def empty_labels(cls, origin, voxel_size, dims, num_classes=NUM_CLASSES) -> "VoxelGrid":
-        vals = np.full(tuple(dims), num_classes - 1, dtype=np.uint16)
-        return cls(origin, voxel_size, tuple(dims), vals, LABEL_MODE, num_classes)
+        """All-empty label grid; dims may be floats, checked before the cast."""
+        check_geometry(origin, voxel_size, dims, num_classes)
+        dims = tuple(int(d) for d in dims)
+        vals = np.full(dims, num_classes - 1, dtype=np.uint16)
+        return cls(origin, voxel_size, dims, vals, LABEL_MODE, num_classes)
 
     def axis_centers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return tuple(
@@ -77,9 +105,26 @@ class VoxelGrid:
             for a in range(3)
         )
 
+    def voxel_span(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+        """Int64 index ranges (i0, i1), shaped like `lo` and `hi`, of the
+        voxels whose centres lie in the world box [lo, hi] along each axis
+        (closed at both ends). The indices are clamped in float before the
+        cast, i0 to [0, dims] and i1 to [-1, dims - 1], so any bound, inf
+        included, gives a valid range, and i0 > i1 where no centre lies in
+        the box. Bounds must not be NaN."""
+        dims = np.asarray(self.dims, dtype=np.float64)
+        with np.errstate(over="ignore"):  # a bound past float range clamps as inf
+            i0 = np.ceil((lo - self.origin) / self.voxel_size - 0.5)
+            i1 = np.floor((hi - self.origin) / self.voxel_size - 0.5)
+        return (np.clip(i0, 0, dims).astype(np.int64),
+                np.clip(i1, -1, dims - 1).astype(np.int64))
+
     def voxel_of(self, points: np.ndarray) -> np.ndarray:
-        """Integer voxel index of each (N,3) point (floor semantics)."""
-        return cell_of(np.atleast_2d(points), self.origin, self.voxel_size)
+        """Voxel index floor((p - origin) / voxel_size) of each (N, 3) point,
+        clamped in float to [-1, dims] before the cast, so that a point off
+        the grid keeps an index off it."""
+        i = np.floor((np.atleast_2d(points) - self.origin) / self.voxel_size)
+        return np.clip(i, -1, self.dims).astype(np.int64)
 
     def in_bounds(self, idx: np.ndarray) -> np.ndarray:
         idx = np.atleast_2d(idx)
@@ -112,23 +157,9 @@ def save_vgrid(path, grid: VoxelGrid) -> None:
     with x the fastest-varying spatial index: f32 channel blocks per voxel
     in probability mode, u16 labels in label mode.
     """
-    header = _HEADER.pack(
-        _MAGIC,
-        _VERSION,
-        grid.mode,
-        grid.num_classes,
-        *grid.dims,
-        *grid.origin.tolist(),
-        grid.voxel_size,
-    )
-    if grid.mode == PROB_MODE:
-        payload = np.ascontiguousarray(
-            grid.values.transpose(2, 1, 0, 3).astype(np.float32)
-        ).tobytes()
-    else:
-        payload = np.ascontiguousarray(
-            grid.values.transpose(2, 1, 0).astype("<u2")
-        ).tobytes()
+    header = _HEADER.pack(_MAGIC, _VERSION, grid.mode, grid.num_classes, *grid.dims,
+                          *grid.origin.tolist(), grid.voxel_size)
+    payload = grid.values.swapaxes(0, 2).astype(_PAYLOAD_DTYPE[grid.mode]).tobytes()
     with open(path, "wb") as f:
         f.write(header)
         f.write(payload)
@@ -147,30 +178,20 @@ def load_vgrid(path) -> VoxelGrid:
         raise FormatError(f"unsupported vgrid version {version}")
     if mode not in (PROB_MODE, LABEL_MODE):
         raise FormatError(f"unknown vgrid mode {mode}")
-    if min(nx, ny, nz) < 1:
-        raise FormatError(f"vgrid dims {(nx, ny, nz)} must all be >= 1")
-    if not (np.isfinite(vs) and vs > 0):
-        raise FormatError(f"vgrid voxel size {vs} is not a positive number")
-    if not np.all(np.isfinite((ox, oy, oz))):
-        raise FormatError("vgrid origin is not finite")
-    if C < 2:
-        raise FormatError(f"vgrid header has C={C}; need C >= 2")
+    try:
+        check_geometry((ox, oy, oz), vs, (nx, ny, nz), C)
+    except InvalidInputError as e:
+        raise FormatError(f"vgrid header: {e}") from e
+    prob = mode == PROB_MODE
+    shape = (nz, ny, nx, C) if prob else (nz, ny, nx)
+    dtype = np.dtype(_PAYLOAD_DTYPE[mode])
     payload = raw[_HEADER.size :]
-    n_vox = nx * ny * nz
-    if mode == PROB_MODE:
-        expect = n_vox * C * 4
-        if len(payload) != expect:
-            raise FormatError(f"vgrid payload is {len(payload)} bytes, expected {expect}")
-        vals = np.frombuffer(payload, dtype="<f4").reshape(nz, ny, nx, C)
-        if not np.all(np.isfinite(vals)):
-            raise FormatError("vgrid probabilities hold non-finite values")
-        vals = vals.transpose(2, 1, 0, 3).astype(np.float64)
-    else:
-        expect = n_vox * 2
-        if len(payload) != expect:
-            raise FormatError(f"vgrid payload is {len(payload)} bytes, expected {expect}")
-        vals = np.frombuffer(payload, dtype="<u2").reshape(nz, ny, nx)
-        if vals.max() >= C:
-            raise FormatError(f"vgrid labels reach {vals.max()}, need < C={C}")
-        vals = vals.transpose(2, 1, 0).copy()
-    return VoxelGrid((ox, oy, oz), vs, (nx, ny, nz), vals, mode, C)
+    expect = math.prod(shape) * dtype.itemsize
+    if len(payload) != expect:
+        raise FormatError(f"vgrid payload is {len(payload)} bytes, expected {expect}")
+    vals = np.frombuffer(payload, dtype=dtype).reshape(shape).swapaxes(0, 2)
+    if prob and not np.all(np.isfinite(vals)):
+        raise FormatError("vgrid probabilities hold non-finite values")
+    if not prob and vals.max() >= C:
+        raise FormatError(f"vgrid labels reach {vals.max()}, need < C={C}")
+    return VoxelGrid((ox, oy, oz), vs, (nx, ny, nz), vals.copy(), mode, C)

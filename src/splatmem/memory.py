@@ -31,15 +31,16 @@ _GMEM_HEADER = struct.Struct("<4sI3Id3d")  # magic, version, count, d_model, C, 
 _QUAT_NORM_TOL = 1e-3
 
 
-def _record_floats(n_classes: int, width: int) -> int:
-    """Width of one `.gmem` record: mean 3, scale 3, quat 4, opacity 1,
-    logits C-1, feature `width`."""
-    return 3 + 3 + 4 + 1 + (n_classes - 1) + width
+def _record_layout(n_classes: int, d_model: int) -> tuple[tuple[str, int], ...]:
+    """The fields of one `.gmem` record in file order, each a
+    `PrimitiveBatch` field and its width in float32s."""
+    return (("means", 3), ("scales", 3), ("rotations", 4), ("opacities", 1),
+            ("logits", n_classes - 1), ("features", d_model))
 
 
 def gmem_nbytes(batch: PrimitiveBatch) -> int:
     """Size in bytes of the `.gmem` checkpoint of a batch."""
-    record = _record_floats(batch.n_logits + 1, batch.d_model)
+    record = sum(w for _, w in _record_layout(batch.n_logits + 1, batch.d_model))
     return _GMEM_HEADER.size + len(batch) * record * 4
 
 
@@ -146,11 +147,12 @@ def save_gmem(path, memory: GaussianMemory) -> None:
 
     Header {magic "GMEM", version u32, count u32, d_model u32, C u32,
     fusion voxel_size f64, origin 3 x f64} followed by one packed f32
-    record per primitive: mean 3, scale 3, quat 4, opacity 1, logits C-1,
-    feature d_model. The origin is always written as zeros, the world
-    origin that anchors every fusion cell. Confidences and cell keys are
-    derived data and are recomputed on load. Raises InvariantError, and
-    writes nothing, when a record value is not finite in float32.
+    record per primitive, laid out by `_record_layout`: mean 3, scale 3,
+    quat 4, opacity 1, logits C-1, feature d_model. The origin is always
+    written as zeros, the world origin that anchors every fusion cell.
+    Confidences and cell keys are derived data and are recomputed on load.
+    Raises InvariantError, and writes nothing, when a record value is not
+    finite in float32.
     """
     b = memory.batch
     d_model = b.d_model
@@ -159,14 +161,13 @@ def save_gmem(path, memory: GaussianMemory) -> None:
         GMEM_MAGIC, GMEM_VERSION, len(b), d_model, n_classes,
         memory.fusion.voxel_size, 0.0, 0.0, 0.0,
     )
-    columns = dict(means=b.means, scales=b.scales, rotations=b.rotations,
-                   opacities=b.opacities[:, None], logits=b.logits, features=b.features)
+    layout = _record_layout(n_classes, d_model)
+    columns = [getattr(b, name).reshape(len(b), width) for name, width in layout]
     f32_max = float(np.finfo(np.float32).max)
-    for name, col in columns.items():  # NaN fails the comparisons too
+    for (name, _), col in zip(layout, columns):  # NaN fails the comparisons too
         if not (col.min(initial=0.0) >= -f32_max and col.max(initial=0.0) <= f32_max):
             raise InvariantError(f"gmem column {name} holds a value float32 cannot store")
-    rec = np.empty((len(b), _record_floats(n_classes, d_model)), dtype="<f4")
-    np.concatenate(list(columns.values()), axis=1, out=rec, casting="same_kind")
+    rec = np.concatenate(columns, axis=1, dtype="<f4", casting="same_kind")
     with open(path, "wb") as f:
         f.write(header)
         f.write(rec.tobytes())
@@ -199,7 +200,8 @@ def load_gmem(path) -> GaussianMemory:
     if (ox, oy, oz) != (0.0, 0.0, 0.0):
         raise FormatError(f"gmem origin is ({ox}, {oy}, {oz}); fusion cells are "
                           "anchored at the world origin (0, 0, 0)")
-    rec_width = _record_floats(n_classes, d_model)
+    names, widths = zip(*_record_layout(n_classes, d_model))
+    rec_width = sum(widths)
     expect = count * rec_width * 4
     payload = raw[_GMEM_HEADER.size:]
     if len(payload) != expect:
@@ -208,23 +210,17 @@ def load_gmem(path) -> GaussianMemory:
     # before widening: casting a signalling NaN raises the invalid flag
     if not np.all(np.isfinite(rec)):
         raise FormatError("gmem records hold non-finite values")
-    rec = rec.astype(np.float64)
-    means = rec[:, 0:3]
-    scales = rec[:, 3:6]
-    quats = rec[:, 6:10]
-    opac = rec[:, 10]
-    if np.any(scales <= 0):
+    cols = dict(zip(names, np.split(rec.astype(np.float64), np.cumsum(widths)[:-1], axis=1)))
+    opac = cols["opacities"] = cols["opacities"][:, 0]
+    if np.any(cols["scales"] <= 0):
         raise FormatError("gmem records hold a non-positive scale")
     if np.any((opac < 0) | (opac > 1)):
         raise FormatError("gmem records hold an opacity outside [0, 1]")
-    if np.any(np.abs(np.linalg.norm(quats, axis=1) - 1) > _QUAT_NORM_TOL):
+    if np.any(np.abs(np.linalg.norm(cols["rotations"], axis=1) - 1) > _QUAT_NORM_TOL):
         raise FormatError("gmem records hold a quaternion that is not unit norm")
-    logits = rec[:, 11 : 11 + n_classes - 1]
-    feats = rec[:, 11 + n_classes - 1 :]
-    confs = confidence_values(logits, opac)
-    batch = PrimitiveBatch(means, scales, quats, opac, logits, feats, confs)
+    batch = PrimitiveBatch(**cols, confidences=confidence_values(cols["logits"], opac))
     try:
-        cells = cell_key(means, vs)
+        cells = cell_key(batch.means, vs)
     except InvariantError as e:
         raise FormatError(f"gmem records: {e}") from e
     return GaussianMemory(batch, FusionConfig(voxel_size=vs), cells)

@@ -3,9 +3,10 @@
 A primitive contributes to every voxel of the block covered by the
 cells its ellipsoid, truncated at TRUNCATION_SIGMAS, overlaps: the
 cells are cubes of CELL_FACTOR voxels anchored at the world origin, and
-the ellipsoid is bounded by its axis-aligned box. A truncation wider than
-the grid makes the block the whole grid, and the result coincides with a
-dense all-pairs evaluation.
+the ellipsoid is bounded by its axis-aligned box. A primitive wider than
+the grid, however wide, covers the whole grid (`VoxelGrid.voxel_span`
+clamps its block), and the result coincides with a dense all-pairs
+evaluation.
 
 Rendering splats by tiles, cubes of CELL_FACTOR voxels placed where the
 cells' blocks start: a block is whole tiles bar the voxel layer it shares
@@ -29,7 +30,7 @@ import numpy as np
 
 from .core import PrimitiveBatch, quats_to_rotations
 from .errors import InvalidInputError
-from .grid import LABEL_MODE, PROB_MODE, VoxelGrid
+from .grid import LABEL_MODE, PROB_MODE, VoxelGrid, check_geometry
 
 TRUNCATION_SIGMAS = 3.0
 # Support cells are 4 voxels per side; so are the render's tiles.
@@ -50,14 +51,13 @@ class SplatFields:
     acc: np.ndarray     # (T, C, V) density-weighted class probs, then density
 
 
-def _voxel_span(means, half, origin, voxel_size, cell_size, dims):
+def _voxel_span(grid: VoxelGrid, means, half):
     """Voxel index ranges, (N, 3) each, covered by the cells each support
     AABB overlaps; lo > hi on an axis where the block misses the grid."""
+    cell_size = grid.voxel_size * CELL_FACTOR
     lo_world = np.floor((means - half) / cell_size) * cell_size
     hi_world = (np.floor((means + half) / cell_size) + 1.0) * cell_size
-    lo_i = np.ceil((lo_world - origin) / voxel_size - 0.5).astype(np.int64)
-    hi_i = np.floor((hi_world - origin) / voxel_size - 0.5).astype(np.int64)
-    return np.maximum(lo_i, 0), np.minimum(hi_i, np.asarray(dims) - 1)
+    return grid.voxel_span(lo_world, hi_world)
 
 
 def _chunks(pairs: np.ndarray, budget: int):
@@ -142,11 +142,13 @@ def splat_fields(grid: VoxelGrid, primitives: PrimitiveBatch) -> SplatFields:
     cell = grid.voxel_size * CELL_FACTOR
     # half extents of each truncated ellipsoid's world AABB
     half = TRUNCATION_SIGMAS * np.sqrt(np.einsum("nab,nb->na", R**2, s2))
-    lo, hi = _voxel_span(b.means, half, grid.origin, grid.voxel_size, cell, grid.dims)
+    lo, hi = _voxel_span(grid, b.means, half)
     live = np.flatnonzero(np.all(lo <= hi, axis=1))
-    # tiles every CELL_FACTOR voxels from the unclipped lo of the origin's cell
+    # tiles every CELL_FACTOR voxels from the unclipped lo of the origin's
+    # cell, in [-CELL_FACTOR, 0] (clipped there against rounding)
     start = np.ceil((np.floor(grid.origin / cell) * cell - grid.origin) / grid.voxel_size
-                    - 0.5).astype(np.int64)
+                    - 0.5)
+    start = np.clip(start, -CELL_FACTOR, 0).astype(np.int64)
     shape = tuple((np.asarray(grid.dims) - 1 - start) // CELL_FACTOR + 1)
     first, last = ((x[live] - start) // CELL_FACTOR for x in (lo, hi))
     tile_ids, touched, prim = _rounds(first, last - first + 1, shape)
@@ -191,7 +193,10 @@ def render(grid: VoxelGrid, primitives: PrimitiveBatch) -> VoxelGrid:
     """Render primitives into a probability grid.
 
     Per-voxel channels are (alpha * e_1, ..., alpha * e_{C-1}, 1 - alpha).
+    Only the grid's geometry is read. InvalidInputError, before any
+    allocation, if it fails `check_geometry` with the primitives' C.
     """
+    check_geometry(grid.origin, grid.voxel_size, grid.dims, primitives.n_logits + 1)
     f = splat_fields(grid, primitives)
     c_occ = f.acc.shape[1] - 1
     # finalise the tiles in place: the density channel becomes 1 - alpha

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conf import confidence_values
-from .core import D_MODEL, NUM_CLASSES, CameraFrame, PrimitiveBatch, cell_of
+from .core import D_MODEL, NUM_CLASSES, CameraFrame, PrimitiveBatch
 from .errors import InvalidInputError
-from .grid import LABEL_MODE, VoxelGrid
+from .grid import LABEL_MODE, VoxelGrid, check_geometry
 
 DEFAULT_INTRINSICS = np.array([[500.0, 0.0, 320.0], [0.0, 500.0, 240.0], [0.0, 0.0, 1.0]])
 DEFAULT_WIDTH, DEFAULT_HEIGHT = 640, 480
@@ -51,10 +51,6 @@ STUB_MEAN_CENTERING = 0.5
 # extent, and camera height as a fraction of the vertical extent.
 ORBIT_RADIUS_FRAC = 0.32
 ORBIT_HEIGHT_FRAC = 0.5
-# Largest voxels x classes of a scene's grid: its float64 render takes
-# 1 GiB. Labels are uint16, so a scene has at most 2^16 classes.
-MAX_GRID_CELLS = 2**27
-MAX_CLASSES = 2**16
 # DDA steps every live ray takes between two stop tests of the march.
 _MARCH_ROUND = 16
 
@@ -89,21 +85,10 @@ class SceneSpec:
         e = self.extent = np.asarray(self.extent, dtype=np.float64)
         if not (e.shape == (3,) and np.all(np.isfinite(e) & (e > 0))):
             raise InvalidInputError(f"extent must be 3 finite positive values, got {e.tolist()}")
-        if not 0 < self.gt_voxel_size < np.inf:
-            raise InvalidInputError(f"voxel_size must be finite and positive, "
-                                    f"got {self.gt_voxel_size}")
-        if not 2 <= self.num_classes <= MAX_CLASSES:
-            raise InvalidInputError(f"classes must lie in [2, {MAX_CLASSES}], "
-                                    f"got {self.num_classes}")
-        with np.errstate(over="ignore"):  # a count past float range is inf
-            n = np.round(e / self.gt_voxel_size)
-            voxels = n.prod()
-        if not n.min() >= 1:
-            raise InvalidInputError(f"extent {e.tolist()} spans no voxel of "
-                                    f"{self.gt_voxel_size} on some axis")
-        if voxels * self.num_classes > MAX_GRID_CELLS:
-            raise InvalidInputError(f"{voxels:.4g} voxels x {self.num_classes} classes "
-                                    f"exceed {MAX_GRID_CELLS}")
+        # the check reports a bad voxel size before the dims it gives
+        with np.errstate(divide="ignore", over="ignore"):
+            check_geometry((0.0, 0.0, 0.0), self.gt_voxel_size,
+                           np.round(e / self.gt_voxel_size), self.num_classes)
         for b in self.boxes:
             if np.any(b.lo < -1e-9) or np.any(b.hi > self.extent + 1e-9):
                 raise InvalidInputError(f"box {b} exceeds the scene extent")
@@ -188,15 +173,11 @@ def default_scene() -> SceneSpec:
 
 def generate_scene(spec: SceneSpec) -> VoxelGrid:
     """Voxelize a scene spec into a label grid (last box wins on overlap)."""
-    dims = spec.dims
-    grid = VoxelGrid.empty_labels((0.0, 0.0, 0.0), spec.gt_voxel_size, dims,
+    grid = VoxelGrid.empty_labels((0.0, 0.0, 0.0), spec.gt_voxel_size, spec.dims,
                                   spec.num_classes)
     labels = grid.values
-    vs = spec.gt_voxel_size
     for b in spec.boxes:
-        # voxel centers (i + 0.5) vs inside [lo, hi], closed on both ends
-        lo = np.maximum(np.ceil(b.lo / vs - 0.5).astype(int), 0)
-        hi = np.minimum(np.floor(b.hi / vs - 0.5).astype(int), np.array(dims) - 1)
+        lo, hi = grid.voxel_span(b.lo, b.hi)
         if np.any(lo > hi):
             continue
         labels[lo[0] : hi[0] + 1, lo[1] : hi[1] + 1, lo[2] : hi[2] + 1] = b.cls
@@ -296,7 +277,7 @@ def trace_rays(gt: VoxelGrid, maps: SceneMaps, frame: CameraFrame,
     ids = np.flatnonzero((t_start <= t1) & (t_start <= frame.far))
 
     d = dirs[ids]
-    idx = np.clip(cell_of(origin + t_start[ids, None] * d, gt.origin, vs), 0, dims - 1)
+    idx = np.clip(gt.voxel_of(origin + t_start[ids, None] * d), 0, dims - 1)
     strides = np.array(maps.codes.strides) // maps.codes.itemsize
     flat = (idx + 1) @ strides
     step = np.where(d > 0, strides, -strides)

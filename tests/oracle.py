@@ -4,8 +4,9 @@ Nothing in `splatmem` calls these. The tests compare the batched code
 against them: one primitive at a time (`GaussianPrimitive`, `kernel`,
 `density`, `quat_to_rotation`, `entropy`, `confidence`), and the fields of
 a splatting pass spread over the whole grid (`alpha`, `semantics`,
-`undefined`). `pack_cells` gives the fusion-cell keys of the (N, 3) cell
-triples that the grouping references work on.
+`undefined`). `cell_of` gives the integer cell triple of each point, and
+`pack_cells` the fusion-cell keys of the (N, 3) cell triples that the
+grouping references work on.
 """
 
 from __future__ import annotations
@@ -19,6 +20,12 @@ from splatmem.core import _QUAT_NORM_EPS, MIN_SCALE, PrimitiveBatch, cell_key
 from splatmem.errors import InvalidInputError
 from splatmem.grid import VoxelGrid
 from splatmem.splat import SplatFields, _flat_voxels
+
+
+def cell_of(points, origin, size: float) -> np.ndarray:
+    """Integer cell floor((p - origin) / size) of each (N, 3) point."""
+    p = np.asarray(points, dtype=np.float64)
+    return np.floor((p - origin) / size).astype(np.int64)
 
 
 def _vec3(v, name: str) -> np.ndarray:

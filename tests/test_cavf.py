@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from oracle import GaussianPrimitive, from_primitives, pack_cells
+from oracle import GaussianPrimitive, cell_of, from_primitives, pack_cells
 from splatmem.cavf import FusionConfig, fuse, fusion_weights
 from splatmem.conf import confidence_values
-from splatmem.core import MIN_SCALE, PrimitiveBatch, cell_key, cell_of
+from splatmem.core import MIN_SCALE, PrimitiveBatch, cell_key
 from splatmem.errors import InvalidInputError
 
 RNG = np.random.default_rng(17)

@@ -37,9 +37,11 @@ import splatmem.cli as cli
 import splatmem.memory as memory_mod
 import splatmem.synth as synth_mod
 from splatmem.grid import load_vgrid
-from splatmem.core import D_MODEL
+from splatmem.cavf import FusionConfig
+from splatmem.core import D_MODEL, PrimitiveBatch, cell_key
 from splatmem.errors import InvalidInputError
-from splatmem.memory import _GMEM_HEADER, _record_floats, load_gmem, save_gmem
+from splatmem.memory import (_GMEM_HEADER, GaussianMemory, _record_layout, load_gmem,
+                             save_gmem)
 from splatmem.synth import StubConfig, generate_scene
 from test_attn import mha_materialised
 from test_splat import full_grid_render
@@ -106,10 +108,22 @@ def sha256(path):
 def gmem_parts(path, n_classes=12, d_model=D_MODEL):
     """A `.gmem` file split into (header and non-feature bytes, features)."""
     raw = path.read_bytes()
-    rec = np.frombuffer(raw[_GMEM_HEADER.size:], dtype="<f4")
-    rec = rec.reshape(-1, _record_floats(n_classes, d_model))
-    return (raw[:_GMEM_HEADER.size] + rec[:, :-d_model].tobytes(),
-            rec[:, -d_model:].astype(np.float64))
+    names, widths = zip(*_record_layout(n_classes, d_model))
+    rec = np.frombuffer(raw[_GMEM_HEADER.size:], dtype="<f4").reshape(-1, sum(widths))
+    start = sum(widths[:names.index("features")])  # features are the last field
+    return (raw[:_GMEM_HEADER.size] + rec[:, :start].tobytes(),
+            rec[:, start:].astype(np.float64))
+
+
+def one_row_memory(means, scale, voxel_size=0.12, n_classes=12):
+    """A memory of one primitive per mean, of opacity 0.9 and scale `scale`
+    on every axis, with fusion cells of `voxel_size`."""
+    means = np.asarray(means, dtype=np.float64)
+    n = len(means)
+    batch = PrimitiveBatch(means, np.full((n, 3), scale), np.tile([1.0, 0, 0, 0], (n, 1)),
+                           np.full(n, 0.9), np.zeros((n, n_classes - 1)),
+                           np.zeros((n, D_MODEL)), np.full(n, 0.5))
+    return GaussianMemory(batch, FusionConfig(voxel_size), cell_key(means, voxel_size))
 
 
 def artifacts(out):
@@ -255,6 +269,13 @@ def blas_threads():
     return None
 
 
+def test_importing_the_package_loads_no_numpy():
+    # so that tests/conftest.py pins BLAS before anything loads numpy
+    code = "import sys, splatmem; sys.exit('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_the_suite_runs_on_one_blas_thread():
     # tests/conftest.py imports splatmem before numpy loads its BLAS, so
     # the in-process runs of this suite follow the command line's pin.
@@ -370,6 +391,12 @@ class TestCliExitCodes:
         ["render", "--like", "{out}/final_pred.vgrid", "--dims", "4", "4", "4",
          "--voxel-size", "0.08"],
         ["render", "--like", "{out}/final_pred.vgrid", "--voxel-size", "0.08"],
+        # a grid that fails grid.check_geometry; the element count of the
+        # last one overflows intp, so it cannot be allocated
+        ["render", "--dims", "2", "2", "2", "--voxel-size", "0.1", "--origin", "nan", "0", "0"],
+        ["render", "--dims", "2", "2", "2", "--voxel-size", "0.1", "--origin", "0", "inf", "0"],
+        ["render", "--dims", "2", "2", "2", "--voxel-size", "nan"],
+        ["render", "--dims", "3000000", "3000000", "3000000", "--voxel-size", "0.1"],
     ], ids=" ".join)
     def test_invalid_knob_exits_1(self, embodied_run, tmp_path, capsys, argv):
         # a flag value is honoured or rejected, never replaced by a default
@@ -392,6 +419,30 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "cell size 1e-07 m" in err and "2^20 cells (0.104858 m)" in err
         assert not (tmp_path / "out" / "final.gmem").exists()
+
+    def test_derived_grid_past_the_bound_exits_1(self, tmp_path, capsys):
+        # Means 1e15 m apart lie within the key range of 1e12 m cells, and
+        # the derived grid at 0.08 m spans 1.25e16 voxels a side, a count
+        # that overflows intp.
+        path = tmp_path / "far.gmem"
+        save_gmem(path, one_row_memory([[0.0] * 3, [1e15] * 3], 0.05, voxel_size=1e12))
+        dst = tmp_path / "o.vgrid"
+        assert cli.main(["render", str(path), str(dst)]) == 1
+        assert "exceed" in capsys.readouterr().err
+        assert not dst.exists()
+
+    @pytest.mark.parametrize("scale", [1e20, float(np.finfo(np.float32).max)],
+                             ids=["1e20", "float32_max"])
+    def test_render_of_a_primitive_wider_than_the_grid(self, tmp_path, scale):
+        # a scale that float32 stores is valid, and covers the whole grid
+        path = tmp_path / "wide.gmem"
+        save_gmem(path, one_row_memory([[0.1, 0.2, 0.3]], scale))
+        opacity = load_gmem(path).batch.opacities[0]
+        got = tmp_path / "o.vgrid"
+        assert cli.main(["render", str(path), str(got), "--dims", "5", "4", "3",
+                         "--voxel-size", "0.1", "--origin", "-0.2", "0", "0.05"]) == 0
+        empty = load_vgrid(got).values[..., -1]
+        assert np.all(empty == np.float32(1.0 - opacity))
 
     def test_fuse_past_the_key_range_exits_3(self, embodied_run, tmp_path, capsys):
         out, _, _, _ = embodied_run

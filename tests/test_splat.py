@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracle
+import splatmem.grid as grid_mod
 import splatmem.splat as splat_mod
 from oracle import GaussianPrimitive, from_primitives, kernel
 from splatmem.core import PrimitiveBatch, quats_to_rotations
@@ -22,7 +23,7 @@ def softmax(x):
 
 
 def make_grid(dims=(8, 8, 8), voxel_size=0.1, origin=(0, 0, 0)):
-    return VoxelGrid.empty_prob(origin, voxel_size, dims, C)
+    return VoxelGrid.empty_labels(origin, voxel_size, dims, C)
 
 
 def random_primitives(n, lo=0.0, hi=0.8, scale_range=(0.03, 0.12), seed=None):
@@ -180,8 +181,7 @@ def full_grid_splat_fields(grid, b, truncation_radius_sigmas=3.0):
         channel_weights = np.concatenate([np.ones((n, 1)), class_probs], axis=1)
         if np.isfinite(truncation_radius_sigmas):
             half = truncation_radius_sigmas * np.sqrt(np.einsum("nab,nb->na", R**2, s2))
-            lo, hi = splat_mod._voxel_span(b.means, half, grid.origin, grid.voxel_size,
-                                           grid.voxel_size * CELL_FACTOR, grid.dims)
+            lo, hi = splat_mod._voxel_span(grid, b.means, half)
         else:
             lo = np.zeros((n, 3), dtype=np.int64)
             hi = np.broadcast_to(np.asarray(grid.dims) - 1, (n, 3))
@@ -234,8 +234,7 @@ def block_spans(grid, b):
     """Each primitive's block at 3 sigma, as (lo, hi) voxel indices."""
     R = quats_to_rotations(b.rotations)
     half = 3.0 * np.sqrt(np.einsum("nab,nb->na", R**2, b.scales**2))
-    return splat_mod._voxel_span(b.means, half, grid.origin, grid.voxel_size,
-                                 grid.voxel_size * CELL_FACTOR, grid.dims)
+    return splat_mod._voxel_span(grid, b.means, half)
 
 
 # Grids other than make_grid()'s 0.8 m cube, by reference batch. At the
@@ -450,6 +449,46 @@ class TestSplatOpacity:
         a1 = oracle.alpha(splat_fields(grid, batch(prims[:6])))
         a2 = oracle.alpha(splat_fields(grid, batch(prims)))
         assert np.all(a2 >= a1 - 1e-12)
+
+
+class TestWidePrimitives:
+    """A primitive wider than the grid covers every voxel, however wide; at
+    a scale of 1e20 its block's bounds in voxels lie past int64."""
+
+    @pytest.mark.parametrize("scale", [1e20, float(np.finfo(np.float32).max)],
+                             ids=["1e20", "float32_max"])
+    @pytest.mark.parametrize("origin", [(0.0, 0.0, 0.0), (-0.37, 0.11, 0.04)],
+                             ids=["aligned", "offset"])
+    def test_alpha_is_the_opacity_everywhere(self, scale, origin):
+        grid = make_grid(dims=(6, 5, 4), origin=origin)
+        g = GaussianPrimitive((0.2, 0.3, 0.1), (scale, scale / 2, scale), RNG.normal(size=4),
+                              0.9, RNG.normal(size=C - 1))
+        assert np.all(oracle.alpha(splat_fields(grid, batch([g]))) == 0.9)
+        out = render(grid, batch([g]))
+        assert np.all(1.0 - out.values[..., -1] == 0.9)
+        assert np.allclose(out.values[..., :-1], 0.9 * softmax(g.logits), rtol=0, atol=1e-12)
+
+    def test_render_at_a_far_origin(self):
+        # At 1.35e17 m the origin's cell corner rounds 16 m off the origin,
+        # 160 voxels past the grid's first; the tile start is clipped to
+        # [-CELL_FACTOR, 0] all the same.
+        o = 1.3509650502249771e17
+        grid = make_grid(dims=(5, 4, 3), origin=(o, 0.0, 0.0))
+        prims = [dataclasses.replace(g, mean=g.mean + [o, 0.0, 0.0], scale=np.full(3, 200.0))
+                 for g in random_primitives(3, lo=0.0, hi=0.4, seed=46)]
+        out = render(grid, batch(prims))
+        assert np.all(out.values[..., -1] < 1.0)
+        assert np.array_equal(out.values, full_grid_render(grid, batch(prims)))
+
+
+def test_render_checks_its_grid_before_it_splats(monkeypatch):
+    # the output has the primitives' 12 classes, past the bound here, not
+    # the given grid's 2
+    monkeypatch.setattr(grid_mod, "MAX_GRID_CELLS", 100)
+    grid = VoxelGrid.empty_labels((0, 0, 0), 0.1, (5, 5, 2), 2)
+    monkeypatch.setattr(splat_mod, "splat_fields", lambda *args: pytest.fail("splatted"))
+    with pytest.raises(InvalidInputError, match="exceed"):
+        render(grid, batch(random_primitives(1, seed=5)))
 
 
 class TestSplatSemantics:

@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import splatmem.synth as synth
+from oracle import cell_of
 from splatmem.conf import confidence_values
-from splatmem.core import D_MODEL, CameraFrame, PrimitiveBatch, cell_of
+from splatmem.core import D_MODEL, CameraFrame, PrimitiveBatch
 from splatmem.grid import VoxelGrid
 from splatmem.synth import (DEFAULT_FAR, DEFAULT_HEIGHT, DEFAULT_INTRINSICS,
                             DEFAULT_NEAR, DEFAULT_WIDTH, STUB_FOOTPRINT_GAIN,

@@ -11,8 +11,9 @@ invariant violation.
 `render` exits 1 and writes nothing unless its grid (from `--like`, from
 `--dims`, `--voxel-size` and `--origin`, or derived from the checkpoint's
 bounding box) passes `grid.check_geometry` with the checkpoint's classes:
-a non-finite origin or voxel size, a voxel size <= 0, a dim under 1, or
-more than `grid.MAX_GRID_CELLS` voxels x classes.
+a non-finite origin or voxel size, a voxel size <= 0, a dim under 1,
+more than `grid.MAX_GRID_CELLS` voxels x classes, or an origin so far out
+that float64 cannot tell its voxel centres apart.
 
 A fusion cell key (`core.cell_key`) holds cells within 2^20 fusion voxels
 of the world origin on each axis: about 125 km at the default 0.12 m.
@@ -174,8 +175,7 @@ def run_local(cfg: RunConfig) -> MetricReport:
         batch = stub_predict(gt, maps, frame, cfg.noise, cfg.stub_seed + i, cfg.stub)
         batch, _ = dte_step(batch, empty_hist, weights)
         fused = init_memory(batch, cfg.fusion).batch
-        pred = render(gt, fused)
-        labels = argmax_labels(pred)
+        labels = render(gt, fused, labels=True)
         report = iou(labels, gt, local_mask(gt, frame))
         save_vgrid(out / f"pred_frame_{i:03d}.vgrid", labels)
         rows.append(
@@ -288,11 +288,9 @@ def cmd_render(args) -> None:
             with np.errstate(divide="ignore", over="ignore"):  # a bad size fails the check
                 dims = np.maximum(np.ceil((hi - lo) / vs), 1)
             geom = VoxelGrid.empty_labels(lo, vs, dims, n_classes)
-        out = render(geom, mem.batch)
+        out = render(geom, mem.batch, labels=args.labels)
     except InvalidInputError as e:
         raise ConfigError(f"render grid: {e}") from e
-    if args.labels:
-        out = argmax_labels(out)
     save_vgrid(args.out, out)
 
 
@@ -355,7 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--dims", type=int, nargs=3)
     p_render.add_argument("--origin", type=float, nargs=3)
     p_render.add_argument("--voxel-size", type=float)
-    p_render.add_argument("--labels", action="store_true")
+    p_render.add_argument("--labels", action="store_true",
+                          help="write the argmax label grid (uint16, the only "
+                               "full-grid array built) instead of the probabilities")
 
     p_fuse = sub.add_parser("fuse", help="re-fuse a .gmem at a new cell size")
     p_fuse.add_argument("gmem")

@@ -5,11 +5,13 @@ followed by the empty channel C-1, summing to one. Label grids hold one
 integer per voxel with the same class indexing (C-1 = empty).
 
 This module owns grid geometry: a finite origin, a finite positive voxel
-size, dims >= 1, 2 to MAX_CLASSES classes and at most MAX_GRID_CELLS
-voxels x classes. `check_geometry` is the one check of it, which every
-`VoxelGrid`, `.vgrid` header, scene and render passes before an int cast
-or an allocation. `VoxelGrid.voxel_span` is the one rule from a world box
-to the voxels whose centres it holds.
+size, dims >= 1, 2 to MAX_CLASSES classes, at most MAX_GRID_CELLS
+voxels x classes, and float64 steps of at most 2^-CENTRE_BITS voxel sizes
+as far out as the grid reaches, so that its voxel centres stay apart.
+`check_geometry` is the one check of it, which every `VoxelGrid`, `.vgrid`
+header, scene and render passes before an int cast or an allocation.
+`VoxelGrid.voxel_span` is the one rule from a world box to the voxels
+whose centres it holds.
 """
 
 from __future__ import annotations
@@ -35,13 +37,19 @@ _PAYLOAD_DTYPE = {PROB_MODE: "<f4", LABEL_MODE: "<u2"}
 # Labels are uint16, so a grid has at most 2^16 classes.
 MAX_GRID_CELLS = 2**27
 MAX_CLASSES = 2**16
+# A voxel spans at least 2^CENTRE_BITS float64 steps anywhere on the grid,
+# so each centre, rounded once or twice, stays far from its neighbours.
+CENTRE_BITS = 20
 
 
 def check_geometry(origin, voxel_size, dims, num_classes) -> None:
     """Raise InvalidInputError unless the values place a valid grid: a
     finite origin, 0 < voxel_size < inf, every dim >= 1, 2 <= C <=
-    MAX_CLASSES and at most MAX_GRID_CELLS voxels x C. Dims may be floats
-    of any size, so the check runs before they are cast or allocated."""
+    MAX_CLASSES, at most MAX_GRID_CELLS voxels x C, and a float64 step
+    (ulp) at max|origin| + max(dims) x voxel_size, the farthest a
+    coordinate of the grid reaches, of at most voxel_size x
+    2^-CENTRE_BITS. Dims may be floats of any size, so the check runs
+    before they are cast or allocated."""
     origin = [float(v) for v in origin]
     dims = [float(d) for d in dims]
     if not (len(origin) == 3 and all(map(math.isfinite, origin))):
@@ -56,6 +64,11 @@ def check_geometry(origin, voxel_size, dims, num_classes) -> None:
     if voxels * num_classes > MAX_GRID_CELLS:
         raise InvalidInputError(f"{voxels:.4g} voxels x {num_classes} classes "
                                 f"exceed {MAX_GRID_CELLS}")
+    reach = max(map(abs, origin)) + max(dims) * voxel_size  # inf past range
+    if not math.ulp(reach) <= voxel_size * 2.0**-CENTRE_BITS:
+        raise InvalidInputError(f"voxel size {voxel_size} is under 2^{CENTRE_BITS} float64 "
+                                f"steps ({math.ulp(reach):.3g}) at {reach:.4g}, so voxel "
+                                f"centres would coincide")
 
 
 @dataclass
@@ -159,10 +172,11 @@ def save_vgrid(path, grid: VoxelGrid) -> None:
     """
     header = _HEADER.pack(_MAGIC, _VERSION, grid.mode, grid.num_classes, *grid.dims,
                           *grid.origin.tolist(), grid.voxel_size)
-    payload = grid.values.swapaxes(0, 2).astype(_PAYLOAD_DTYPE[grid.mode]).tobytes()
+    # one C-ordered copy, written from its own buffer
+    payload = grid.values.swapaxes(0, 2).astype(_PAYLOAD_DTYPE[grid.mode], order="C")
     with open(path, "wb") as f:
         f.write(header)
-        f.write(payload)
+        f.write(payload.data)
 
 
 def load_vgrid(path) -> VoxelGrid:

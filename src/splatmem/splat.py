@@ -20,6 +20,8 @@ Memory: C + 1 numbers per tile voxel, up to six integers per pair while
 ranking and one after, and about _CHUNK_PAIRS floats per kernel or product
 array. `render` finalises the tiles in place and scatters them into its
 output, where every other voxel takes the (0, ..., 0, 1) of a full-grid pass.
+With `labels` it scatters each tile voxel's argmax instead, and every other
+voxel takes C - 1: the uint16 label grid is then its only full-grid array.
 """
 
 from __future__ import annotations
@@ -189,8 +191,10 @@ def splat_fields(grid: VoxelGrid, primitives: PrimitiveBatch) -> SplatFields:
     return SplatFields(grid.dims, idx, keep, acc)
 
 
-def render(grid: VoxelGrid, primitives: PrimitiveBatch) -> VoxelGrid:
-    """Render primitives into a probability grid.
+def render(grid: VoxelGrid, primitives: PrimitiveBatch, labels: bool = False) -> VoxelGrid:
+    """Render primitives into a probability grid, or with `labels` into the
+    label grid `argmax_labels` would make of it, byte for byte, without
+    building the float64 C-channel grid.
 
     Per-voxel channels are (alpha * e_1, ..., alpha * e_{C-1}, 1 - alpha).
     Only the grid's geometry is read. InvalidInputError, before any
@@ -207,15 +211,23 @@ def render(grid: VoxelGrid, primitives: PrimitiveBatch) -> VoxelGrid:
     alpha = np.subtract(1.0, f.keep, out=f.keep)
     sem *= alpha[:, None]
     np.subtract(1.0, alpha, out=dens)
-    values = np.zeros(grid.dims + (c_occ + 1,))
-    values[..., c_occ] = 1.0
+    if labels:
+        # a voxel in no tile holds (0, ..., 0, 1), whose first maximum is C - 1
+        values = np.full(grid.dims, c_occ, dtype=np.uint16)
+        flat = values.reshape(-1)
+    else:
+        values = np.zeros(grid.dims + (c_occ + 1,))
+        values[..., c_occ] = 1.0
+        flat = values.reshape(-1, c_occ + 1)
     step = max(1, _CHUNK_PAIRS // np.prod(f.acc.shape[1:]))
     for t in range(0, len(f.acc), step):
         vox = _flat_voxels([i[:, t:t + step] for i in f.idx], grid.dims)
-        values.reshape(-1, c_occ + 1)[vox[vox >= 0]] = \
-            f.acc[t:t + step].transpose(0, 2, 1)[vox >= 0]
+        tiles = f.acc[t:t + step]
+        # np.argmax keeps the first maximum, as argmax_labels does
+        tiles = np.argmax(tiles, axis=1) if labels else tiles.transpose(0, 2, 1)
+        flat[vox[vox >= 0]] = tiles[vox >= 0]
     return VoxelGrid(grid.origin.copy(), grid.voxel_size, grid.dims, values,
-                     PROB_MODE, c_occ + 1)
+                     LABEL_MODE if labels else PROB_MODE, c_occ + 1)
 
 
 def argmax_labels(grid: VoxelGrid) -> VoxelGrid:

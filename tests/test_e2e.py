@@ -65,7 +65,21 @@ LOCAL_IOU = 0.7448166295202844
 LOCAL_MIOU = 0.7224730345428553
 LOCAL_SHA256 = {
     "metrics.csv": "025a24c1efd091e20513e63d0ebc1d1ba79c694317ce45a76cb5a42bbc7aa0fd",
+    "pred_frame_000.vgrid": "29dc01d10e6e32df13d8398787e554ce9930e3e4a91e7f8e1dc126709b56021c",
+    "pred_frame_001.vgrid": "1d36d1fbdc1a2e6fb2f62447716f176cfe2a94777e9a9cf9b719a7927a111fee",
+    "pred_frame_002.vgrid": "3d84a2f8c5903a47fa4cd8cc5ac723017201c856896d2c8ec77b5ff8fe0006a6",
+    "pred_frame_003.vgrid": "319021365757e504d3b50e95dd34e49c322bd7f092071d9abab895bcb6f73c50",
+    "pred_frame_004.vgrid": "2aa83fcf22c1323e3ec93a656a575978483d6365e7088731491abbef6b883d8f",
     "pred_frame_005.vgrid": "ddd366db88952e0db653d27e29973498a07090e2b7d8c1f8e75957455761cbaf",
+}
+# `render --labels` of the embodied run's checkpoint, recorded when the
+# label grid was still the argmax of a whole probability grid; `--like` its
+# run grid gives the run's own final_labels.vgrid
+RENDER_LABELS_SHA256 = {
+    "derived": "34b9e5bc7cced980695a433b7770d0ee1323cb123ce23ec6a79ce9e4d6c30560",
+    "derived_0.13": "d47ea81fb34f1974f674be582c8f0ac231eda66d818c99339af9c28931cc33f0",
+    "dims": "8d309021f30377fc82aa0e67ba6ce376335c9887a3f2be5f7027442955211836",
+    "like": EMBODIED_SHA256["final_labels.vgrid"],
 }
 
 CONCAT_IOU = 0.8027100732912903
@@ -397,6 +411,9 @@ class TestCliExitCodes:
         ["render", "--dims", "2", "2", "2", "--voxel-size", "0.1", "--origin", "0", "inf", "0"],
         ["render", "--dims", "2", "2", "2", "--voxel-size", "nan"],
         ["render", "--dims", "3000000", "3000000", "3000000", "--voxel-size", "0.1"],
+        # voxel centres 0.1 m apart coincide at 1.35e17 m, where the step is 16 m
+        ["render", "--dims", "5", "4", "3", "--voxel-size", "0.1", "--origin", "1.35e17", "0",
+         "0"],
     ], ids=" ".join)
     def test_invalid_knob_exits_1(self, embodied_run, tmp_path, capsys, argv):
         # a flag value is honoured or rejected, never replaced by a default
@@ -650,6 +667,7 @@ class TestCliExitCodes:
         {"voxel_size": float("nan")},
         {"voxel_size": float("inf")},
         {"origin": (float("nan"), 0.0, 0.0)},
+        {"origin": (1.35e17, 0.0, 0.0)},
         {"num_classes": 0},
         {"num_classes": 1},
         {"fill": float("nan")},
@@ -690,6 +708,20 @@ class TestCliContract:
         assert cli.main(["render", str(out / "final.gmem"), str(got),
                          "--like", str(out / "final_pred.vgrid"), *flags]) == 0
         assert got.read_bytes() == (out / artifact).read_bytes()
+
+    @pytest.mark.parametrize("grid,flags", [
+        ("derived", []),
+        ("derived_0.13", ["--voxel-size", "0.13"]),
+        ("dims", ["--dims", "30", "31", "17", "--voxel-size", "0.09",
+                  "--origin", "0.3", "-0.2", "0.01"]),
+        ("like", ["--like", "{out}/final_pred.vgrid"]),
+    ])
+    def test_render_labels_keeps_its_bytes(self, embodied_run, tmp_path, grid, flags):
+        out, _, _, _ = embodied_run
+        got = tmp_path / "o.vgrid"
+        assert cli.main(["render", str(out / "final.gmem"), str(got), "--labels",
+                         *(f.format(out=out) for f in flags)]) == 0
+        assert sha256(got) == RENDER_LABELS_SHA256[grid]
 
     def test_render_at_a_half_voxel_origin(self, embodied_run, tmp_path):
         # voxel centres on cell faces, where neighbouring blocks share a voxel

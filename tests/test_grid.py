@@ -1,5 +1,7 @@
-"""Grid geometry: the one validity check and the one voxel-span rule."""
+"""Grid geometry: the one validity check and the one voxel-span rule,
+and the `.vgrid` payload."""
 
+import math
 import struct
 
 import numpy as np
@@ -8,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splatmem.errors import FormatError, InvalidInputError
-from splatmem.grid import (LABEL_MODE, MAX_CLASSES, MAX_GRID_CELLS, PROB_MODE, VoxelGrid,
-                           check_geometry, load_vgrid)
+from splatmem.grid import (_PAYLOAD_DTYPE, CENTRE_BITS, LABEL_MODE, MAX_CLASSES,
+                           MAX_GRID_CELLS, PROB_MODE, VoxelGrid, check_geometry, load_vgrid,
+                           save_vgrid)
 
 INF = float("inf")
 NAN = float("nan")
+HEADER = "<4sIBI3I3dd"
 
 
 @st.composite
@@ -99,8 +103,12 @@ def test_voxel_of_keeps_points_off_the_grid_off_it():
 class TestCheckGeometry:
     @pytest.mark.parametrize("origin,voxel_size,dims,classes", [
         ((0, 0, 0), 0.1, (1, 1, 1), 2),
-        ((-1e300, 0, 1e300), 1e-300, (3.0, 2.0, 1.0), MAX_CLASSES // 2**10),
+        # about the farthest origin at which 1e-300 m voxels keep 2^20 steps
+        ((-1e-291, 0, 1e-291), 1e-300, (3.0, 2.0, 1.0), MAX_CLASSES // 2**10),
         ((0, 0, 0), 1e300, (2**9, 2**9, 2**5), MAX_GRID_CELLS // 2**23),  # at the bound
+        ((-1e300, 0, 1e300), 1e291, (3.0, 2.0, 1.0), 12),
+        # the float64 step below 2^33 is 2^-20, exactly the bound at 1 m voxels
+        ((2.0**33 - 3, 0, 0), 1.0, (2, 1, 1), 12),
     ])
     def test_valid_geometry_passes(self, origin, voxel_size, dims, classes):
         check_geometry(origin, voxel_size, dims, classes)
@@ -123,6 +131,13 @@ class TestCheckGeometry:
         ((0, 0, 0), 0.1, (2**9, 2**9, 2**5), MAX_GRID_CELLS // 2**23 + 1),
         ((0, 0, 0), 0.1, (1e200, 1e200, 1e200), 2),      # the product is inf
         ((0, 0, 0), 0.1, (INF, 1, 1), 2),
+        # voxel centres that coincide in float64: at 1.35e17 m the step is
+        # 16 m, and at 1e300 m it is 1.5e284 m
+        ((1.35e17, 0, 0), 0.1, (5, 4, 3), 12),
+        ((-1e300, 0, 1e300), 1e-300, (3.0, 2.0, 1.0), MAX_CLASSES // 2**10),
+        ((0, 0, 0), 5e-324, (1, 1, 1), 2),              # a step is the whole voxel
+        ((2.0**33 - 2, 0, 0), 1.0, (2, 1, 1), 12),      # reaches 2^33, where the step is 2^-19
+        ((0, 0, 0), 1e306, (2**9, 1, 1), 2),            # reaches past float range
     ])
     def test_invalid_geometry_raises(self, origin, voxel_size, dims, classes):
         with pytest.raises(InvalidInputError):
@@ -140,6 +155,35 @@ class TestCheckGeometry:
             VoxelGrid.empty_labels((0, 0, 0), 0.1, (1e30, 1e30, 1e30))
 
 
+@st.composite
+def geometries(draw):
+    """An origin, a voxel size from the smallest subnormal to 1e300 and 1-64
+    voxels a side. Half of the origins are any finite floats; the other
+    half lie within a factor of 8 of voxel_size x 2^(CENTRE_BITS + 52),
+    where the float64 step reaches the bound."""
+    vs = draw(st.floats(5e-324, 1e300))
+    dims = tuple(draw(st.integers(1, 64)) for _ in range(3))
+    if draw(st.booleans()):
+        origin = [draw(st.floats(allow_nan=False, allow_infinity=False)) for _ in range(3)]
+    else:
+        e = math.frexp(vs)[1] + CENTRE_BITS + 52
+        origin = [math.ldexp(draw(st.floats(-1, 1)), min(e + draw(st.integers(-3, 3)), 1023))
+                  for _ in range(3)]
+    return origin, vs, dims
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(geometries())
+def test_accepted_grids_keep_their_centres_apart(geometry):
+    origin, vs, dims = geometry
+    try:
+        check_geometry(origin, vs, dims, 2)
+    except InvalidInputError:
+        return
+    for centres in VoxelGrid.empty_labels(origin, vs, dims, 2).axis_centers():
+        assert np.all(np.diff(centres) > 0)
+
+
 def test_vgrid_header_past_the_bound_is_a_format_error(tmp_path):
     # the header alone names 2^60 voxels; no payload is read
     path = tmp_path / "big.vgrid"
@@ -147,3 +191,25 @@ def test_vgrid_header_past_the_bound_is_a_format_error(tmp_path):
                                  2**20, 2**20, 2**20, 0.0, 0.0, 0.0, 0.1))
     with pytest.raises(FormatError, match="vgrid header: .* exceed"):
         load_vgrid(path)
+
+
+def test_vgrid_header_whose_centres_coincide_is_a_format_error(tmp_path):
+    # 0.1 m voxels at 1.35e17 m, where the float64 step is 16 m
+    path = tmp_path / "far.vgrid"
+    path.write_bytes(struct.pack(HEADER, b"VGRD", 1, LABEL_MODE, 12,
+                                 5, 4, 3, 1.35e17, 0.0, 0.0, 0.1))
+    with pytest.raises(FormatError, match="vgrid header: .* coincide"):
+        load_vgrid(path)
+
+
+@pytest.mark.parametrize("mode", [PROB_MODE, LABEL_MODE])
+def test_vgrid_payload_is_the_swapped_grid(tmp_path, mode):
+    # the bytes of the copy save_vgrid once made with tobytes()
+    rng = np.random.default_rng(7)
+    dims = (5, 4, 3)
+    values = (rng.dirichlet(np.ones(12), dims) if mode == PROB_MODE
+              else rng.integers(0, 12, dims))
+    grid = VoxelGrid((0.1, -0.2, 0.3), 0.08, dims, values, mode, 12)
+    save_vgrid(tmp_path / "g.vgrid", grid)
+    want = grid.values.swapaxes(0, 2).astype(_PAYLOAD_DTYPE[mode]).tobytes()
+    assert (tmp_path / "g.vgrid").read_bytes()[struct.calcsize(HEADER):] == want

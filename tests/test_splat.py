@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracle
 import splatmem.grid as grid_mod
@@ -12,6 +14,8 @@ from splatmem.core import PrimitiveBatch, quats_to_rotations
 from splatmem.errors import InvalidInputError
 from splatmem.grid import LABEL_MODE, PROB_MODE, VoxelGrid
 from splatmem.splat import CELL_FACTOR, argmax_labels, render, splat_fields
+from splatmem.synth import (NoiseParams, StubConfig, default_scene, generate_scene,
+                            generate_trajectory, scene_maps, stub_predict)
 
 RNG = np.random.default_rng(11)
 C = 12
@@ -469,10 +473,9 @@ class TestWidePrimitives:
         assert np.allclose(out.values[..., :-1], 0.9 * softmax(g.logits), rtol=0, atol=1e-12)
 
     def test_render_at_a_far_origin(self):
-        # At 1.35e17 m the origin's cell corner rounds 16 m off the origin,
-        # 160 voxels past the grid's first; the tile start is clipped to
-        # [-CELL_FACTOR, 0] all the same.
-        o = 1.3509650502249771e17
+        # 5.3e8 m is about as far out as 0.1 m voxels keep 2^CENTRE_BITS
+        # float64 steps (to 2^29 m); grid.check_geometry refuses a grid past it
+        o = 5.3e8 + 0.37
         grid = make_grid(dims=(5, 4, 3), origin=(o, 0.0, 0.0))
         prims = [dataclasses.replace(g, mean=g.mean + [o, 0.0, 0.0], scale=np.full(3, 200.0))
                  for g in random_primitives(3, lo=0.0, hi=0.4, seed=46)]
@@ -489,6 +492,86 @@ def test_render_checks_its_grid_before_it_splats(monkeypatch):
     monkeypatch.setattr(splat_mod, "splat_fields", lambda *args: pytest.fail("splatted"))
     with pytest.raises(InvalidInputError, match="exceed"):
         render(grid, batch(random_primitives(1, seed=5)))
+
+
+def tied_pair(mean, scale=0.15):
+    """Two coincident primitives whose logits for classes 0 and 1 are
+    swapped; numpy sums the first eight exponentials pairwise, so both
+    softmax sums agree and the two classes tie exactly wherever they lead."""
+    logits = np.zeros(C - 1)
+    logits[:2] = 6.0, 4.0
+    g = GaussianPrimitive(mean, (scale, scale * 0.8, scale * 1.2), (0.9, 0.1, -0.3, 0.2),
+                          0.95, logits)
+    return [g, dataclasses.replace(g, logits=logits[[1, 0] + list(range(2, C - 1))])]
+
+
+@st.composite
+def label_cases(draw):
+    """A grid of 1-10 voxels a side at an origin off the cells' lattice, so
+    tiles stick out past its edges, and up to 12 primitives whose means lie
+    up to half the grid's extent off it; some batches add a primitive wider
+    than the grid or a tied pair."""
+    dims = tuple(draw(st.integers(1, 10)) for _ in range(3))
+    vs = draw(st.sampled_from([0.1, 0.125, 0.07]))
+    origin = np.array([draw(st.floats(-0.5, 0.5)) for _ in range(3)])
+    extent = np.asarray(dims) * vs
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prims = [dataclasses.replace(g, mean=origin + rng.uniform(-0.5, 1.5, 3) * extent)
+             for g in random_primitives(draw(st.integers(0, 12)), seed=rng)]
+    if draw(st.booleans()):
+        prims += random_primitives(1, scale_range=(2.0, 3.0), seed=rng)
+    if draw(st.booleans()):
+        prims += tied_pair(origin + rng.uniform(0.2, 0.8, 3) * extent)
+    return make_grid(dims, vs, origin), batch(prims)
+
+
+def tie_case():
+    grid = make_grid((6, 5, 7), 0.1, (0.03, -0.11, 0.2))
+    return grid, batch(tied_pair(grid.origin + [0.3, 0.25, 0.35]))
+
+
+class TestLabels:
+    """render(..., labels=True) is the argmax of the probability render,
+    byte for byte, without the float64 C-channel grid."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(label_cases())
+    @example((make_grid(), batch([])))
+    @example((reference_grid("all_outside"), batch(reference_batches()["all_outside"])))
+    @example((reference_grid("offset_origin"), batch(reference_batches()["offset_origin"])))
+    @example((reference_grid("whole_grid_block"), batch(reference_batches()["whole_grid_block"])))
+    @example(tie_case())
+    def test_labels_are_the_argmax_of_the_render(self, case):
+        grid, b = case
+        got = render(grid, b, labels=True)
+        want = argmax_labels(render(grid, b))
+        assert (got.mode, got.num_classes, got.dims) == (LABEL_MODE, C, grid.dims)
+        assert np.array_equal(got.origin, grid.origin) and got.voxel_size == grid.voxel_size
+        assert got.values.tobytes() == want.values.tobytes()
+        assert np.array_equal(got.values, np.argmax(full_grid_render(grid, b), axis=-1))
+
+    def test_the_tied_pair_ties(self):
+        grid, b = tie_case()
+        probs = full_grid_render(grid, b)
+        tied = (probs[..., 0] == probs[..., 1]) & (probs[..., 0] == probs.max(axis=-1))
+        assert tied.sum() > 10
+        assert np.all(render(grid, b, labels=True).values[tied] == 0)
+
+    def test_a_local_frame_never_builds_the_probability_grid(self):
+        # the first frame of the default local run, on the 60 x 60 x 36 grid
+        spec = default_scene()
+        gt = generate_scene(spec)
+        frame = generate_trajectory(spec, gt, 1, 0)[0]
+        b = stub_predict(gt, scene_maps(gt), frame, NoiseParams(), 0, StubConfig())
+        prob_grid = np.prod(gt.dims) * gt.num_classes * 8
+        tracemalloc.start()
+        try:
+            labels = render(gt, b, labels=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(b) > 500 and labels.values.dtype == np.uint16
+        assert peak < prob_grid
 
 
 class TestSplatSemantics:

@@ -127,9 +127,10 @@ class PrimitiveBatch:
         return PrimitiveBatch(*(getattr(self, f)[idx] for f in _BATCH_FIELDS))
 
 
-def concat_batches(a: PrimitiveBatch, b: PrimitiveBatch) -> PrimitiveBatch:
+def concat_batches(*batches: PrimitiveBatch) -> PrimitiveBatch:
+    """The rows of `batches`, in order, in one batch."""
     return PrimitiveBatch(*(
-        np.concatenate([getattr(a, f), getattr(b, f)]) for f in _BATCH_FIELDS))
+        np.concatenate([getattr(b, f) for b in batches]) for f in _BATCH_FIELDS))
 
 
 @dataclass(frozen=True)

@@ -38,10 +38,11 @@ def _record_layout(n_classes: int, d_model: int) -> tuple[tuple[str, int], ...]:
             ("logits", n_classes - 1), ("features", d_model))
 
 
-def gmem_nbytes(batch: PrimitiveBatch) -> int:
-    """Size in bytes of the `.gmem` checkpoint of a batch."""
+def gmem_nbytes(batch: PrimitiveBatch, rows: int | None = None) -> int:
+    """Size in bytes of the `.gmem` checkpoint of a batch, or of `rows`
+    rows of its layout."""
     record = sum(w for _, w in _record_layout(batch.n_logits + 1, batch.d_model))
-    return _GMEM_HEADER.size + len(batch) * record * 4
+    return _GMEM_HEADER.size + (len(batch) if rows is None else rows) * record * 4
 
 
 @dataclass

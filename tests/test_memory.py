@@ -200,6 +200,20 @@ class TestUpdate:
         assert gmem_nbytes(mem.batch) == 52 + len(mem) * (11 + (C - 1) + D) * 4
 
 
+def test_one_join_equals_a_join_per_frame():
+    """The concatenation baseline joins its frames once; that batch, and the
+    bytes its stats rows count, are those of joining every frame."""
+    parts = [make_batch(n, seed=40 + n) for n in (0, 7, 1, 0, 12)]
+    stepwise = PrimitiveBatch.empty(C)
+    for p in parts:
+        stepwise = concat_batches(stepwise, p)
+    joined = concat_batches(PrimitiveBatch.empty(C), *parts)
+    for f in FIELDS:
+        assert getattr(joined, f).tobytes() == getattr(stepwise, f).tobytes()
+        assert getattr(joined, f).shape == getattr(stepwise, f).shape
+    assert gmem_nbytes(parts[0], len(joined)) == gmem_nbytes(joined)
+
+
 def merge_collisions_reference(kept, kept_cells, new, new_cells, cfg):
     """The per-pair collision merge that _merge_collisions replaced, over
     (N, 3) cell triples."""

@@ -6,7 +6,8 @@ origin), weighted by a per-cell softmax over their confidences at
 temperature 1, and merged into one primitive per occupied cell by convex
 combination of every attribute and feature. Quaternions are sign-aligned
 to the highest-weight group member before summation since q and -q encode
-the same rotation.
+the same rotation. Each merged mean is clipped per axis to its group's
+range, which rounding can leave, so it stays in the group's cell.
 
 Both steps run without a Python loop over cells: a stable argsort of the
 keys groups the rows, the groups are bucketed by their number of rows k,
@@ -75,7 +76,6 @@ class FusedSet:
     """One merged primitive per occupied cell, in cell-sorted order."""
 
     batch: PrimitiveBatch
-    cells: np.ndarray               # (M,) cell key of each output
     quat_fallback: np.ndarray       # (M,) True where the quaternion sum degenerated
 
     def __len__(self) -> int:
@@ -108,7 +108,9 @@ def fuse(primitives: PrimitiveBatch, weights, cells) -> FusedSet:
     # as a per-group gw @ X; summing gw[:, :, None] * X would round differently.
     for g, rows in buckets:
         gw = w[rows][:, None, :]                              # (G, 1, k)
-        means[g] = np.matmul(gw, b.means[rows])[:, 0]
+        grouped = b.means[rows]                               # (G, k, 3)
+        means[g] = np.clip(np.matmul(gw, grouped)[:, 0], grouped.min(axis=1),
+                           grouped.max(axis=1))
         scales[g] = np.maximum(np.matmul(gw, b.scales[rows])[:, 0], MIN_SCALE)
         opacities[g] = np.matmul(gw, b.opacities[rows][:, :, None])[:, 0, 0]
         logits[g] = np.matmul(gw, b.logits[rows])[:, 0]
@@ -124,4 +126,4 @@ def fuse(primitives: PrimitiveBatch, weights, cells) -> FusedSet:
         quat_fallback[g] = fallback
     confs = confidence_values(logits, opacities)
     batch = PrimitiveBatch(means, scales, rotations, opacities, logits, features, confs)
-    return FusedSet(batch, out_cells, quat_fallback)
+    return FusedSet(batch, quat_fallback)

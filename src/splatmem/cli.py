@@ -44,7 +44,7 @@ import numpy as np
 
 from .attn import ENCODER_SEED, dte_step, init_weights
 from .cavf import FusionConfig
-from .core import PrimitiveBatch, cell_key, concat_batches
+from .core import PrimitiveBatch, concat_batches
 from .errors import ConfigError, FormatError, InvalidInputError, InvariantError
 from .grid import VoxelGrid, load_vgrid, save_vgrid
 from .memory import (GaussianMemory, gmem_nbytes, init_memory, load_gmem, save_gmem,
@@ -227,9 +227,8 @@ def run_embodied(cfg: RunConfig) -> MetricReport:
         time_rows.append(f"{i},{time.perf_counter() - t0:.4f}")
 
     if concat_mode:
-        held = concat_batches(*pieces)
+        memory = GaussianMemory(concat_batches(*pieces), cfg.fusion)
         del pieces
-        memory = GaussianMemory(held, cfg.fusion, cell_key(held.means, cfg.fusion.voxel_size))
     gmem_path = out / "final.gmem"
     save_gmem(gmem_path, memory)
     # Render from the reloaded checkpoint so the emitted grid matches a
@@ -256,7 +255,9 @@ def run_embodied(cfg: RunConfig) -> MetricReport:
 def cmd_stats(path: str) -> str:
     mem = load_gmem(path)
     b = mem.batch
-    lines = [f"count {len(b)}", f"bytes {gmem_nbytes(b)}"]
+    cells = len(np.unique(mem.cells))
+    lines = [f"count {len(b)}", f"bytes {gmem_nbytes(b)}", f"cells {cells}",
+             f"duplicate_cells {len(b) - cells}"]
     if len(b):
         lo, hi = b.means.min(axis=0), b.means.max(axis=0)
         lines.append("bbox_min " + " ".join(_fmt(v) for v in lo))
@@ -349,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_emb = sub.add_parser("run-embodied", help="full-episode memory runs")
     _add_run_flags(p_emb)
 
-    p_stats = sub.add_parser("stats", help="summarize a .gmem checkpoint")
+    p_stats = sub.add_parser("stats", help="summarize a .gmem checkpoint: rows, bytes, "
+                             "fusion cells, rows beyond one per cell, classes")
     p_stats.add_argument("gmem")
 
     p_render = sub.add_parser("render", help="render a .gmem into a .vgrid")

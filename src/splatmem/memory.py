@@ -5,10 +5,10 @@ features and those of the frame's local prediction against each other
 with the dual temporal encoder, merges the union through
 confidence-aware voxel fusion, and writes the result back next to the
 untouched out-of-view primitives. After every update there is at most
-one primitive per fusion cell. Fusion cells are anchored at the world
-origin, in memory and in a `.gmem` checkpoint alike. Each row's cell is a
-`core.cell_key`, so the cells two sets share are one intersection of
-int64 keys.
+one primitive per fusion cell. A row's cell is the `core.cell_key` of its
+mean, anchored at the world origin, and is never stored: not in memory,
+not in a `.gmem` checkpoint. The cells two sets share are one
+intersection of int64 keys.
 """
 
 from __future__ import annotations
@@ -47,25 +47,28 @@ def gmem_nbytes(batch: PrimitiveBatch, rows: int | None = None) -> int:
 
 @dataclass
 class GaussianMemory:
-    """Accumulated primitive set plus its fusion-cell bookkeeping."""
+    """Accumulated primitive set and the fusion cell size it keeps."""
 
     batch: PrimitiveBatch
     fusion: FusionConfig
-    cells: np.ndarray  # (N,) fusion-cell key per primitive
 
     def __len__(self) -> int:
         return len(self.batch)
 
+    @property
+    def cells(self) -> np.ndarray:
+        """(N,) fusion-cell key of each row: the cell of its mean."""
+        return cell_key(self.batch.means, self.fusion.voxel_size)
+
     def check_unique_cells(self) -> None:
-        if len(self.cells) != len(np.unique(self.cells)):
+        if len(self) != len(np.unique(self.cells)):
             raise InvalidInputError("memory holds more than one primitive per cell")
 
 
-def _fuse_cells(batch: PrimitiveBatch, cells: np.ndarray) -> tuple[PrimitiveBatch, np.ndarray]:
-    """Fuse a batch grouped by the given cell keys; returns (batch, keys)."""
-    w = fusion_weights(batch.confidences, cells)
-    fused = fuse(batch, w, cells)
-    return fused.batch, fused.cells
+def _fuse_cells(batch: PrimitiveBatch, voxel_size: float) -> PrimitiveBatch:
+    """Fuse a batch into one row per fusion cell of its means."""
+    cells = cell_key(batch.means, voxel_size)
+    return fuse(batch, fusion_weights(batch.confidences, cells), cells).batch
 
 
 def init_memory(prediction: PrimitiveBatch,
@@ -73,8 +76,7 @@ def init_memory(prediction: PrimitiveBatch,
     """Start a memory from the first frame's prediction, self-fused. An
     empty prediction gives an empty memory, which later updates fill."""
     cfg = cfg or FusionConfig()
-    batch, cells = _fuse_cells(prediction, cell_key(prediction.means, cfg.voxel_size))
-    return GaussianMemory(batch, cfg, cells)
+    return GaussianMemory(_fuse_cells(prediction, cfg.voxel_size), cfg)
 
 
 def query_fov(memory: GaussianMemory, frame: CameraFrame) -> tuple[PrimitiveBatch, np.ndarray]:
@@ -103,44 +105,37 @@ def update(memory: GaussianMemory, local_prediction: PrimitiveBatch, frame: Came
 
     inside, idx_out = query_fov(memory, frame)
     refined_local, refined_hist = dte_step(local_prediction, inside, weights)
-    union = concat_batches(refined_local, refined_hist)
-    cells = cell_key(union.means, memory.fusion.voxel_size)
-    new_batch, new_cells = _fuse_cells(union, cells)
-    kept_cells = memory.cells[idx_out]
-    kept, new_batch, new_cells = _merge_collisions(
-        memory.batch.select(idx_out), kept_cells, new_batch, new_cells)
-
-    memory.batch = concat_batches(kept, new_batch)
-    memory.cells = np.concatenate([kept_cells, new_cells])
+    vs = memory.fusion.voxel_size
+    new = _fuse_cells(concat_batches(refined_local, refined_hist), vs)
+    kept, new = _merge_collisions(memory.batch.select(idx_out), new, vs)
+    memory.batch = concat_batches(kept, new)
     return len(inside)
 
 
-def _merge_collisions(
-    kept: PrimitiveBatch, kept_cells: np.ndarray,
-    new: PrimitiveBatch, new_cells: np.ndarray,
-) -> tuple[PrimitiveBatch, PrimitiveBatch, np.ndarray]:
+def _merge_collisions(kept: PrimitiveBatch, new: PrimitiveBatch,
+                      voxel_size: float) -> tuple[PrimitiveBatch, PrimitiveBatch]:
     """Merge new rows into the kept rows that own the same cell.
 
-    A refined mean can drift into a cell still owned by an out-of-view
-    primitive. The new rows hold one row per cell; the kept rows may repeat
-    a cell (a reloaded checkpoint can), and then the first of them is its
-    owner. Each shared cell pairs its owner with its new row; all such
-    pairs go through one fuse call, each group kept row first (the
-    grouping sort is stable), exactly as a separate fuse of each pair. The
-    merged rows replace their kept rows in place, the new rows are
-    dropped, and every other row stays bit-identical. Returns (kept, new
-    without the merged rows, its cells).
+    A cell can hold an out-of-view kept row and an in-view new one when it
+    straddles the frustum's boundary, or when a local mean lies outside its
+    own frame's frustum. The new rows hold one row per cell; the kept rows
+    may repeat a cell (a loaded concat checkpoint does), and then the first
+    of them is its owner. Each shared cell pairs
+    its owner with its new row; all such pairs go through one fuse call,
+    each group kept row first (the grouping sort is stable), exactly as a
+    separate fuse of each pair. The merged rows replace their kept rows in
+    place, the new rows are dropped, and every other row stays
+    bit-identical. Returns (kept, new without the merged rows).
     """
     # ki and nj are first occurrences in key order, fuse's output order.
-    _, ki, nj = np.intersect1d(kept_cells, new_cells, return_indices=True)
+    _, ki, nj = np.intersect1d(cell_key(kept.means, voxel_size),
+                               cell_key(new.means, voxel_size), return_indices=True)
     if len(ki) == 0:
-        return kept, new, new_cells
-    pairs = concat_batches(kept.select(ki), new.select(nj))
-    merged, _ = _fuse_cells(pairs, np.concatenate([kept_cells[ki], new_cells[nj]]))
+        return kept, new
+    merged = _fuse_cells(concat_batches(kept.select(ki), new.select(nj)), voxel_size)
     for f in fields(kept):
         getattr(kept, f.name)[ki] = getattr(merged, f.name)
-    rest = np.delete(np.arange(len(new)), nj)
-    return kept, new.select(rest), new_cells[rest]
+    return kept, new.select(np.delete(np.arange(len(new)), nj))
 
 
 def save_gmem(path, memory: GaussianMemory) -> None:
@@ -151,9 +146,11 @@ def save_gmem(path, memory: GaussianMemory) -> None:
     record per primitive, laid out by `_record_layout`: mean 3, scale 3,
     quat 4, opacity 1, logits C-1, feature d_model. The origin is always
     written as zeros, the world origin that anchors every fusion cell.
-    Confidences and cell keys are derived data and are recomputed on load.
-    Raises InvariantError, and writes nothing, when a record value is not
-    finite in float32.
+    Confidences are derived data and are recomputed on load. A mean
+    component that the float32 cast carries across a cell face is stepped
+    one float32 value back toward its float64 value. Raises InvariantError,
+    and writes nothing, when a record value is not finite in float32 or a
+    mean is still outside its row's cell.
     """
     b = memory.batch
     d_model = b.d_model
@@ -169,6 +166,16 @@ def save_gmem(path, memory: GaussianMemory) -> None:
         if not (col.min(initial=0.0) >= -f32_max and col.max(initial=0.0) <= f32_max):
             raise InvariantError(f"gmem column {name} holds a value float32 cannot store")
     rec = np.concatenate(columns, axis=1, dtype="<f4", casting="same_kind")
+    vs, cells = memory.fusion.voxel_size, memory.cells
+    moved = np.nonzero(cell_key(rec[:, :3], vs) != cells)[0]  # means come first
+    for a in range(3):  # step back each component that the cast took out
+        probe = b.means[moved]
+        probe[:, a] = rec[moved, a]
+        rows = moved[cell_key(probe, vs) != cells[moved]]
+        toward = np.copysign(np.inf, b.means[rows, a] - rec[rows, a]).astype("<f4")
+        rec[rows, a] = np.nextafter(rec[rows, a], toward)
+    if np.any(cell_key(rec[moved, :3], vs) != cells[moved]):
+        raise InvariantError("a float32 mean lies outside the fusion cell of its row")
     with open(path, "wb") as f:
         f.write(header)
         f.write(rec.tobytes())
@@ -179,10 +186,10 @@ def load_gmem(path) -> GaussianMemory:
     malformed or non-finite header or record.
 
     Fusion cells are anchored at the world origin, so a header whose
-    origin is not (0, 0, 0) is refused. A version 1 file stores neither
-    the confidences nor the cell keys; both are recomputed from the
-    records. The feature width is the header's `d_model`, which may be any
-    width >= 1.
+    origin is not (0, 0, 0) is refused, as is a mean outside the range of
+    a cell key. A version 1 file stores no confidences; they are
+    recomputed from the records. The feature width is the header's
+    `d_model`, which may be any width >= 1.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -221,7 +228,7 @@ def load_gmem(path) -> GaussianMemory:
         raise FormatError("gmem records hold a quaternion that is not unit norm")
     batch = PrimitiveBatch(**cols, confidences=confidence_values(cols["logits"], opac))
     try:
-        cells = cell_key(batch.means, vs)
+        cell_key(batch.means, vs)
     except InvariantError as e:
         raise FormatError(f"gmem records: {e}") from e
-    return GaussianMemory(batch, FusionConfig(voxel_size=vs), cells)
+    return GaussianMemory(batch, FusionConfig(voxel_size=vs))

@@ -9,9 +9,12 @@ The embodied `final.gmem` and `final_pred.vgrid` were re-pinned when the
 encoder stopped refining attributes: it had round-tripped opacities
 through a clipped logit, which moved them by up to 1e-6. Since then the
 embodied run differs from its twin with an identity encoder only in the
-feature columns of `final.gmem`. The exit-code tests also run valid scene
-files whose frames see nothing, and generated ones, through all three
-modes.
+feature columns of `final.gmem`. Both `final.gmem` and `final_pred.vgrid`
+digests were re-pinned again when `save_gmem` began to keep each float32
+mean in its row's cell: 9 embodied and 11 concat means moved by one
+float32 step, and the grids by at most 6e-8. The exit-code tests also run
+valid scene files whose frames see nothing, and generated ones, through
+all three modes.
 """
 
 import contextlib
@@ -49,15 +52,15 @@ from test_splat import full_grid_render
 EMBODIED_IOU = 0.8003755227447299
 EMBODIED_MIOU = 0.8522706540419506
 EMBODIED_SHA256 = {
-    "final.gmem": "7d21f4e7e7a44bd5afc5550ddf9b0595805828c485092e339612ef5763a38645",
-    "final_pred.vgrid": "23d957543f8222b622ad3564ac269962a31e8e7a7742c85829c2162b57fd2649",
+    "final.gmem": "b5d4582676b11c0e6c8b6e602171ad7bb27c4ba12c6384dfb446327da47b5ef0",
+    "final_pred.vgrid": "42e7ed705cd2b5ed07ecf6303763e5456255b4d477ff70c34707dbd7f3f78a56",
     "final_labels.vgrid": "ec1a443f39e0cdb80ef27e73ac2ebc584d1f385db9e380f636329eb934d69c42",
     "metrics.csv": "7a32264c66aa69e9b29ef794e7900e6df04fb879dea3ac34454bb3f270c9e257",
     "stats.csv": "0e8e48b9a90193d81898e3849a5ea5703f1a46a17a47b201d6b7925e96c61f21",
 }
 # header plus every record column but the features
 EMBODIED_GMEM_NONFEATURE_SHA256 = (
-    "004724f86b91f21a2b10c1f965d9dc9b76465308d2f787a8c3c0534c781a25de")
+    "53414ebe19de91459e10422caf53039b2d057820727fbcad72fe340002fd61a0")
 # Features of a float64-attention run lie 2.4e-7 (one float32 ulp) from the
 # float32 ones after 6 frames; the bound leaves 40x headroom.
 FEATURE_ATOL_F64_ATTENTION = 1e-5
@@ -85,8 +88,8 @@ RENDER_LABELS_SHA256 = {
 CONCAT_IOU = 0.8027100732912903
 CONCAT_MIOU = 0.8484178054006746
 CONCAT_SHA256 = {
-    "final.gmem": "9fb701bb3e0ca1d9137831d4152070ff52adcf1df96b8b5c7a03331506b693e2",
-    "final_pred.vgrid": "67fd653faf7707cd3350d09eb68b87bf6d2378f56b3d48303220f2897abfc4cf",
+    "final.gmem": "c58d8a7ac692f6ad0615c0e97e2dfe5eae2c95182a41f89eab55b040ff233f45",
+    "final_pred.vgrid": "c3d9ffb9aac49bf4a0789272a7867fd10bdb06c36cc5d8057e5765d6c885c9f3",
     "final_labels.vgrid": "acb6652187b9fc894c785eafe2f967af9dfb4da534d9f21dad38ce32255de025",
     "metrics.csv": "cd01dd1e214f1ec906ac8757fb3b2e5569b631e7c9cdd3976b7ee69f0dcf0ceb",
     "stats.csv": "60ce208d3c925d240a62e13696ccff4347a3778bc2f76df1441f2eafda5bf70b",
@@ -137,7 +140,7 @@ def one_row_memory(means, scale, voxel_size=0.12, n_classes=12):
     batch = PrimitiveBatch(means, np.full((n, 3), scale), np.tile([1.0, 0, 0, 0], (n, 1)),
                            np.full(n, 0.9), np.zeros((n, n_classes - 1)),
                            np.zeros((n, D_MODEL)), np.full(n, 0.5))
-    return GaussianMemory(batch, FusionConfig(voxel_size), cell_key(means, voxel_size))
+    return GaussianMemory(batch, FusionConfig(voxel_size))
 
 
 def artifacts(out):
@@ -155,7 +158,7 @@ def embodied_run(tmp_path_factory):
 
     def merge(*args):
         result = real_merge(*args)
-        merges.append(len(args[2]) - len(result[1]))  # new rows in, new rows kept
+        merges.append(len(args[1]) - len(result[1]))  # new rows in, new rows kept
         return result
 
     with pytest.MonkeyPatch.context() as mp:
@@ -354,11 +357,74 @@ class TestConcatBaseline:
             assert sha256(tmp_path / name) == digest, name
 
 
+def duplicate_cells(memory):
+    """Rows of a memory less the distinct cells of their means."""
+    keys = cell_key(memory.batch.means, memory.fusion.voxel_size)
+    return len(keys) - len(np.unique(keys))
+
+
+def recording_update(dupes):
+    """`cli.update`, appending the memory's duplicate cells after each call."""
+    real_update = cli.update
+
+    def update(memory, *args):
+        inside = real_update(memory, *args)
+        dupes.append(duplicate_cells(memory))
+        return inside
+    return update
+
+
+@pytest.fixture(scope="module")
+def default_runs(tmp_path_factory):
+    """The output directories of the default embodied and concat runs, and
+    the duplicate cells of the embodied memory after each update."""
+    dupes, outs = [], {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "update", recording_update(dupes))
+        for mode in (cli.MODE_EMBODIED, cli.MODE_CONCAT):
+            outs[mode] = tmp_path_factory.mktemp(mode)
+            cli.run_embodied(cli.RunConfig(mode=mode, output_dir=str(outs[mode])))
+    return outs, dupes
+
+
+class TestOneRowPerCell:
+    """A row's fusion cell is the cell of its mean, so the memory holds one
+    row per cell after every update and after a checkpoint round trip."""
+
+    def test_every_update_of_the_default_run(self, default_runs):
+        # rounding in fuse can carry a mean across a cell face: in this
+        # run, in update 26
+        _, dupes = default_runs
+        assert dupes == [0] * 29
+
+    def test_the_default_run_checkpoint_reloads_one_row_per_cell(self, default_runs):
+        # the float32 cast can carry a mean across a cell face: in this
+        # run, 57 of them
+        outs, _ = default_runs
+        mem = load_gmem(outs[cli.MODE_EMBODIED] / "final.gmem")
+        assert (len(mem), duplicate_cells(mem)) == (5073, 0)
+
+    def test_every_update_of_a_noisy_run(self, tmp_path, monkeypatch):
+        dupes = []
+        monkeypatch.setattr(cli, "update", recording_update(dupes))
+        config = tmp_path / "grid.json"
+        config.write_text('{"stub": {"grid_h": 12, "grid_w": 16}}')
+        assert cli.main(["run-embodied", "--config", str(config), "--frames", "8",
+                         "--depth-sigma", "0.05", "--output-dir", str(tmp_path)]) == 0
+        assert dupes == [0] * 7
+        assert duplicate_cells(load_gmem(tmp_path / "final.gmem")) == 0
+
+
 class TestCliExitCodes:
-    def test_stats_of_the_run_checkpoint(self, embodied_run, capsys):
-        out, _, mem, _ = embodied_run
-        assert cli.main(["stats", str(out / "final.gmem")]) == 0
-        assert f"count {len(mem)}" in capsys.readouterr().out
+    def test_stats_of_the_run_checkpoint(self, default_runs, capsys):
+        outs, _ = default_runs
+        # the baseline keeps every row, in the cells the fused memory holds
+        for mode, rows, cells in ((cli.MODE_EMBODIED, 5073, 5073),
+                                  (cli.MODE_CONCAT, 31635, 5073)):
+            assert cli.main(["stats", str(outs[mode] / "final.gmem")]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[0] == f"count {rows}"
+            assert lines[2:4] == [f"cells {cells}", f"duplicate_cells {rows - cells}"]
 
     @pytest.mark.parametrize("offset,fmt,value", [
         (20, "<d", 0.0),              # voxel size
@@ -479,7 +545,7 @@ class TestCliExitCodes:
         assert capsys.readouterr().out == "iou 1.000000 miou nan\n"
         assert (out / "final.gmem").stat().st_size == _GMEM_HEADER.size == 52
         assert cli.main(["stats", str(out / "final.gmem")]) == 0
-        assert capsys.readouterr().out == "count 0\nbytes 52\n"
+        assert capsys.readouterr().out == "count 0\nbytes 52\ncells 0\nduplicate_cells 0\n"
         assert cli.main(["fuse", str(out / "final.gmem"), str(tmp_path / "f.gmem")]) == 0
         assert (tmp_path / "f.gmem").read_bytes() == (out / "final.gmem").read_bytes()
 
@@ -751,14 +817,15 @@ class TestCliContract:
                          "--like", str(out / "final_pred.vgrid")]) == 0
         assert got.read_bytes() == (out / "final_pred.vgrid").read_bytes()
         assert cli.main(["fuse", str(path), str(tmp_path / "f.gmem")]) == 0
-        assert load_gmem(tmp_path / "f.gmem").batch.features.shape == (917, 16)
+        assert load_gmem(tmp_path / "f.gmem").batch.features.shape == (919, 16)
 
     def test_fuse_leaves_one_row_per_cell(self, embodied_run, tmp_path):
+        # the checkpoint already holds one row per cell, so at the run's
+        # cell size fuse keeps every row, in key order
         out, _, _, _ = embodied_run
         before = load_gmem(out / "final.gmem")
-        # the float32 checkpoint moves a few means across cell faces
-        assert (len(before), len(np.unique(before.cells, axis=0))) == (919, 917)
         assert cli.main(["fuse", str(out / "final.gmem"), str(tmp_path / "f.gmem")]) == 0
         after = load_gmem(tmp_path / "f.gmem")
-        assert len(after) == 917
-        after.check_unique_cells()
+        order = np.argsort(before.cells)
+        assert np.array_equal(after.cells, before.cells[order])
+        assert np.array_equal(after.batch.means, before.batch.means[order])

@@ -3,6 +3,8 @@ and the `.vgrid` payload."""
 
 import math
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,3 +215,75 @@ def test_vgrid_payload_is_the_swapped_grid(tmp_path, mode):
     save_vgrid(tmp_path / "g.vgrid", grid)
     want = grid.values.swapaxes(0, 2).astype(_PAYLOAD_DTYPE[mode]).tobytes()
     assert (tmp_path / "g.vgrid").read_bytes()[struct.calcsize(HEADER):] == want
+
+
+def vgrid_file(mode: int) -> bytes:
+    """A valid 2 x 3 x 2 grid of 12 classes."""
+    dims = (2, 3, 2)
+    values = (np.full(dims + (12,), 1 / 12) if mode == PROB_MODE
+              else np.arange(12).reshape(dims) % 12)
+    grid = VoxelGrid((0.1, -0.2, 0.3), 0.08, dims, values, mode, 12)
+    return struct.pack(HEADER, b"VGRD", 1, mode, 12, *dims, *grid.origin,
+                       grid.voxel_size) + values.swapaxes(0, 2).astype(
+                           _PAYLOAD_DTYPE[mode]).tobytes()
+
+
+def reads_or_format_error(raw: bytes) -> bool:
+    """Whether `load_vgrid` reads `raw`; False on a FormatError, and any
+    other exception or warning fails the calling test."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "f.vgrid"
+        path.write_bytes(raw)
+        try:
+            load_vgrid(path)
+        except FormatError:
+            return False
+    return True
+
+
+MODES = st.sampled_from([PROB_MODE, LABEL_MODE])
+FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+class TestFuzzLoadVgrid:
+    """Malformed files end in a FormatError and nothing else."""
+
+    @FUZZ
+    @given(MODES, st.data())
+    def test_truncation(self, mode, data):
+        raw = vgrid_file(mode)
+        cut = raw[:data.draw(st.integers(0, len(raw) - 1))]
+        assert not reads_or_format_error(cut)
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(MODES, st.integers(0, struct.calcsize(HEADER) * 8 - 1))
+    def test_header_bit_flip(self, mode, bit):
+        raw = bytearray(vgrid_file(mode))
+        raw[bit // 8] ^= 1 << bit % 8
+        reads_or_format_error(bytes(raw))
+
+    @FUZZ
+    @given(st.data(), st.sampled_from([0x7FC00000, 0x7FA00000, 0xFFC00001, 0x7F800000,
+                                       0xFF800000]))
+    def test_non_finite_probability(self, data, bits):
+        raw = bytearray(vgrid_file(PROB_MODE))
+        n = (len(raw) - struct.calcsize(HEADER)) // 4
+        at = struct.calcsize(HEADER) + 4 * data.draw(st.integers(0, n - 1))
+        struct.pack_into("<I", raw, at, bits)
+        assert not reads_or_format_error(bytes(raw))
+
+    @FUZZ
+    @given(st.data(), st.integers(12, 2**16 - 1))
+    def test_label_past_the_classes(self, data, label):
+        raw = bytearray(vgrid_file(LABEL_MODE))
+        n = (len(raw) - struct.calcsize(HEADER)) // 2
+        at = struct.calcsize(HEADER) + 2 * data.draw(st.integers(0, n - 1))
+        struct.pack_into("<H", raw, at, label)
+        assert not reads_or_format_error(bytes(raw))
+
+    @FUZZ
+    @given(MODES, st.sampled_from([9, 13, 17, 21]), st.integers(MAX_CLASSES + 1, 2**32 - 1))
+    def test_huge_count(self, mode, offset, value):
+        raw = bytearray(vgrid_file(mode))
+        struct.pack_into("<I", raw, offset, value)  # C, then the dims
+        assert not reads_or_format_error(bytes(raw))

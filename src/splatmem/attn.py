@@ -6,12 +6,12 @@ with dual confidence modulation (values scaled by key-side confidence,
 concatenated heads scaled by query-side confidence before the output
 projection), the attention + FFN block, and the dual-stream temporal
 encoder step. The encoder refines features only: means, scales,
-rotations, opacities, logits and confidences pass through it as the same
-arrays. Each residual is followed by a parameter-free layer norm
-(post-norm, Ba et al. 2016), so refined features keep a per-row RMS of
-at most 1 however many frames they pass through; without it they grow
-about 4x per frame and leave float32 range within 70 frames. No masking,
-no gradients.
+rotations, opacities and logits pass through it as the same arrays, so
+each row keeps the confidence they give it. Each residual is followed by
+a parameter-free layer norm (post-norm, Ba et al. 2016), so refined
+features keep a per-row RMS of at most 1 however many frames they pass
+through; without it they grow about 4x per frame and leave float32 range
+within 70 frames. No masking, no gradients.
 """
 
 from __future__ import annotations
@@ -117,22 +117,22 @@ def mha(Q: np.ndarray, K: np.ndarray, V: np.ndarray, n_heads: int) -> np.ndarray
     return out
 
 
-def cca(query: PrimitiveBatch, keyval: PrimitiveBatch, w: EncoderWeights) -> np.ndarray:
-    """Confidence-modulated cross attention between two batches.
+def cca(qf: np.ndarray, qc: np.ndarray, kf: np.ndarray, kc: np.ndarray,
+        w: EncoderWeights) -> np.ndarray:
+    """Confidence-modulated cross attention of query rows to key rows.
 
-    Values are scaled row-wise by key-side confidences after the linear
-    projection; the concatenated head output is scaled by the query-side
-    confidences before the final W_o projection.
+    qf (N, D_MODEL) and kf (M, D_MODEL) are features, qc (N,) and kc (M,)
+    confidences. Values are scaled row-wise by the key-side confidences
+    after the linear projection; the concatenated head output is scaled by
+    the query-side confidences before the final W_o projection.
     """
-    if len(query) == 0 or len(keyval) == 0:
-        raise InvalidInputError("cca batches must be nonempty")
-    if query.d_model != D_MODEL or keyval.d_model != D_MODEL:
+    if len(qf) == 0 or len(kf) == 0:
+        raise InvalidInputError("cca needs at least one query and one key row")
+    if qf.shape[1] != D_MODEL or kf.shape[1] != D_MODEL:
         raise InvalidInputError(f"cca needs features {D_MODEL} wide, the encoder's width")
-    Q = query.features @ w.w_q
-    K = keyval.features @ w.w_k
-    V = (keyval.features @ w.w_v) * keyval.confidences[:, None]
-    out = mha(Q, K, V, N_HEADS)
-    return (out * query.confidences[:, None]) @ w.w_o
+    V = (kf @ w.w_v) * kc[:, None]
+    out = mha(qf @ w.w_q, kf @ w.w_k, V, N_HEADS)
+    return (out * qc[:, None]) @ w.w_o
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
@@ -145,14 +145,15 @@ def _ffn(x: np.ndarray, w: EncoderWeights) -> np.ndarray:
     return np.maximum(x @ w.ffn_w1 + w.ffn_b1, 0.0) @ w.ffn_w2 + w.ffn_b2
 
 
-def temporal_encoder_block(query: PrimitiveBatch, keyval: PrimitiveBatch,
-                           w: EncoderWeights) -> np.ndarray:
-    """One attention + FFN block; returns the refined feature rows.
+def temporal_encoder_block(qf: np.ndarray, qc: np.ndarray, kf: np.ndarray,
+                           kc: np.ndarray, w: EncoderWeights) -> np.ndarray:
+    """One attention + FFN block over the arrays `cca` takes; returns the
+    refined query feature rows.
 
     Post-norm residual chain on features (norm(x + cca), then
     norm(f1 + FFN(f1))), so every output row has RMS at most 1.
     """
-    f1 = _norm(query.features + cca(query, keyval, w))
+    f1 = _norm(qf + cca(qf, qc, kf, kc, w))
     return _norm(f1 + _ffn(f1, w))
 
 
@@ -162,23 +163,22 @@ def dte_step(current: PrimitiveBatch, history: PrimitiveBatch,
 
     Stream A queries history with the current batch, stream B the reverse;
     both streams update synchronously per block, N_BLOCKS times, so
-    swapping the inputs swaps the outputs exactly. Each output is its input
-    batch with only the features replaced. An empty history degenerates to
-    N_BLOCKS of self-attention on the current batch. An empty current batch
-    has nothing to refine or to attend from, so both inputs come back
-    unchanged, the same objects.
+    swapping the inputs swaps the outputs exactly. Each stream's
+    confidences are read once: no block changes them. Each output is its
+    input batch with only the features replaced. An empty history
+    degenerates to N_BLOCKS of self-attention on the current batch. An
+    empty current batch has nothing to refine or to attend from, so both
+    inputs come back unchanged, the same objects.
     """
     if len(current) == 0:
         return current, history
+    a, ac = current.features, current.confidences
     if len(history) == 0:
-        a = current
         for _ in range(N_BLOCKS):
-            a = replace(a, features=temporal_encoder_block(a, a, w))
-        return a, history
-    a, b = current, history
+            a = temporal_encoder_block(a, ac, a, ac, w)
+        return replace(current, features=a), history
+    b, bc = history.features, history.confidences
     for _ in range(N_BLOCKS):
-        a, b = (
-            replace(a, features=temporal_encoder_block(a, b, w)),
-            replace(b, features=temporal_encoder_block(b, a, w)),
-        )
-    return a, b
+        a, b = (temporal_encoder_block(a, ac, b, bc, w),
+                temporal_encoder_block(b, bc, a, ac, w))
+    return replace(current, features=a), replace(history, features=b)

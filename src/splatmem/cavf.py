@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conf import confidence_values
 from .core import MIN_SCALE, PrimitiveBatch
 from .errors import InvalidInputError
 
@@ -87,9 +86,8 @@ def fuse(primitives: PrimitiveBatch, weights, cells) -> FusedSet:
 
     `weights` must come from fusion_weights over the same `cells`. Output
     order is canonical (cell-sorted), so the result is independent of the
-    input ordering. The merged rows get confidences recomputed from their
-    merged logits and opacities by `conf.confidence_values`, the same
-    function that scored the inputs.
+    input ordering. A merged row's confidence is that of its merged
+    logits and opacity.
     """
     b = primitives
     w = np.asarray(weights, dtype=np.float64)
@@ -124,6 +122,5 @@ def fuse(primitives: PrimitiveBatch, weights, cells) -> FusedSet:
         rotations[g] = np.where(fallback[:, None], ref,
                                 qs[:, 0] / np.where(fallback, 1.0, norm)[:, None])
         quat_fallback[g] = fallback
-    confs = confidence_values(logits, opacities)
-    batch = PrimitiveBatch(means, scales, rotations, opacities, logits, features, confs)
+    batch = PrimitiveBatch(means, scales, rotations, opacities, logits, features)
     return FusedSet(batch, quat_fallback)

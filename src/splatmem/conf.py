@@ -3,10 +3,11 @@
 Confidence is the power transform
     C = (1 - min(H / H_MAX, 1))^SHARPNESS * opacity
 with H the Shannon entropy (natural log) of the softmaxed logits. The two
-constants are fixed, so a `.gmem` reload recomputes exactly the
-confidences of the run that wrote it. Confidences are raw per-primitive
-scores in [0, 1]; the fusion softmax over each cell is their only
-normalization.
+constants are fixed, so a confidence is a function of a row's logits and
+opacity alone: `PrimitiveBatch.confidences` computes it on each read, and
+neither a batch nor a `.gmem` checkpoint stores it. Confidences are raw
+per-primitive scores in [0, 1]; the fusion softmax over each cell is
+their only normalization.
 """
 
 from __future__ import annotations

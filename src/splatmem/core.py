@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .conf import confidence_values
 from .errors import InvalidInputError, InvariantError
 
 # Class count: occupied classes 0..NUM_CLASSES-2 plus one empty class.
@@ -76,16 +77,15 @@ def quats_to_rotations(quats: np.ndarray) -> np.ndarray:
     return R
 
 
-_BATCH_FIELDS = ("means", "scales", "rotations", "opacities", "logits",
-                 "features", "confidences")
+_BATCH_FIELDS = ("means", "scales", "rotations", "opacities", "logits", "features")
 
 
 @dataclass
 class PrimitiveBatch:
-    """A set of primitives with their feature rows and confidences.
+    """A set of primitives with their feature rows.
 
     Arrays: means (N,3), scales (N,3), rotations (N,4), opacities (N,),
-    logits (N,C-1), features (N,d), confidences (N,).
+    logits (N,C-1), features (N,d).
     """
 
     means: np.ndarray
@@ -94,7 +94,6 @@ class PrimitiveBatch:
     opacities: np.ndarray
     logits: np.ndarray
     features: np.ndarray
-    confidences: np.ndarray
 
     def __post_init__(self):
         for name in _BATCH_FIELDS:
@@ -103,11 +102,15 @@ class PrimitiveBatch:
         for name in _BATCH_FIELDS[1:]:
             if len(getattr(self, name)) != n:
                 raise InvalidInputError(f"batch field {name} has mismatched length")
-        if n and (np.min(self.confidences) < -1e-12 or np.max(self.confidences) > 1 + 1e-12):
-            raise InvalidInputError("confidences must lie in [0, 1]")
 
     def __len__(self) -> int:
         return len(self.means)
+
+    @property
+    def confidences(self) -> np.ndarray:
+        """(N,) confidence of each row, computed from its logits and opacity
+        on every read: fusion writes both in place."""
+        return confidence_values(self.logits, self.opacities)
 
     @property
     def d_model(self) -> int:
@@ -121,7 +124,7 @@ class PrimitiveBatch:
     def empty(cls, n_classes: int) -> "PrimitiveBatch":
         z = np.zeros
         return cls(z((0, 3)), z((0, 3)), z((0, 4)), z(0), z((0, n_classes - 1)),
-                   z((0, D_MODEL)), z(0))
+                   z((0, D_MODEL)))
 
     def select(self, idx) -> "PrimitiveBatch":
         return PrimitiveBatch(*(getattr(self, f)[idx] for f in _BATCH_FIELDS))

@@ -105,7 +105,7 @@ class VoxelGrid:
             )
 
     @classmethod
-    def empty_labels(cls, origin, voxel_size, dims, num_classes=NUM_CLASSES) -> "VoxelGrid":
+    def empty_labels(cls, origin, voxel_size, dims, num_classes) -> "VoxelGrid":
         """All-empty label grid; dims may be floats, checked before the cast."""
         check_geometry(origin, voxel_size, dims, num_classes)
         dims = tuple(int(d) for d in dims)

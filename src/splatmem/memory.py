@@ -20,7 +20,6 @@ import numpy as np
 
 from .attn import EncoderWeights, dte_step
 from .cavf import FusionConfig, fuse, fusion_weights
-from .conf import confidence_values
 from .core import CameraFrame, PrimitiveBatch, cell_key, concat_batches
 from .errors import FormatError, InvalidInputError, InvariantError
 
@@ -71,11 +70,9 @@ def _fuse_cells(batch: PrimitiveBatch, voxel_size: float) -> PrimitiveBatch:
     return fuse(batch, fusion_weights(batch.confidences, cells), cells).batch
 
 
-def init_memory(prediction: PrimitiveBatch,
-                cfg: FusionConfig | None = None) -> GaussianMemory:
+def init_memory(prediction: PrimitiveBatch, cfg: FusionConfig) -> GaussianMemory:
     """Start a memory from the first frame's prediction, self-fused. An
     empty prediction gives an empty memory, which later updates fill."""
-    cfg = cfg or FusionConfig()
     return GaussianMemory(_fuse_cells(prediction, cfg.voxel_size), cfg)
 
 
@@ -145,12 +142,11 @@ def save_gmem(path, memory: GaussianMemory) -> None:
     fusion voxel_size f64, origin 3 x f64} followed by one packed f32
     record per primitive, laid out by `_record_layout`: mean 3, scale 3,
     quat 4, opacity 1, logits C-1, feature d_model. The origin is always
-    written as zeros, the world origin that anchors every fusion cell.
-    Confidences are derived data and are recomputed on load. A mean
-    component that the float32 cast carries across a cell face is stepped
-    one float32 value back toward its float64 value. Raises InvariantError,
-    and writes nothing, when a record value is not finite in float32 or a
-    mean is still outside its row's cell.
+    written as zeros, the world origin that anchors every fusion cell. A
+    mean component that the float32 cast carries across a cell face is
+    stepped one float32 value back toward its float64 value. Raises
+    InvariantError, and writes nothing, when a record value is not finite
+    in float32 or a mean is still outside its row's cell.
     """
     b = memory.batch
     d_model = b.d_model
@@ -187,9 +183,8 @@ def load_gmem(path) -> GaussianMemory:
 
     Fusion cells are anchored at the world origin, so a header whose
     origin is not (0, 0, 0) is refused, as is a mean outside the range of
-    a cell key. A version 1 file stores no confidences; they are
-    recomputed from the records. The feature width is the header's
-    `d_model`, which may be any width >= 1.
+    a cell key. The feature width is the header's `d_model`, which may be
+    any width >= 1.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -226,7 +221,7 @@ def load_gmem(path) -> GaussianMemory:
         raise FormatError("gmem records hold an opacity outside [0, 1]")
     if np.any(np.abs(np.linalg.norm(cols["rotations"], axis=1) - 1) > _QUAT_NORM_TOL):
         raise FormatError("gmem records hold a quaternion that is not unit norm")
-    batch = PrimitiveBatch(**cols, confidences=confidence_values(cols["logits"], opac))
+    batch = PrimitiveBatch(**cols)
     try:
         cell_key(batch.means, vs)
     except InvariantError as e:

@@ -13,6 +13,9 @@ from .core import CameraFrame
 from .errors import InvalidInputError
 from .grid import LABEL_MODE, VoxelGrid
 
+# Voxel centres per frustum test, which bounds its transient arrays.
+_FRUSTUM_CHUNK = 1 << 15
+
 
 @dataclass
 class MetricReport:
@@ -79,7 +82,9 @@ def iou(pred: VoxelGrid, gt: VoxelGrid, mask: np.ndarray) -> MetricReport:
 def _frustum_box(grid: VoxelGrid, frame: CameraFrame) -> tuple[tuple[slice, ...], np.ndarray]:
     """The box of voxels around the world AABB of the frame's 8 frustum
     corners, padded by one voxel, and the frustum test of its centers; no
-    center outside the box lies in the frustum."""
+    center outside the box lies in the frustum. The test runs on slabs of
+    whole x-planes of the box, each of at most _FRUSTUM_CHUNK centers or
+    else one plane."""
     w, h = frame.width, frame.height
     origin, dirs = frame.pixel_rays(np.array([[0, 0], [w, 0], [0, h], [w, h]]))
     # no center lies deeper than the grid's deepest corner
@@ -92,8 +97,14 @@ def _frustum_box(grid: VoxelGrid, frame: CameraFrame) -> tuple[tuple[slice, ...]
     hi = np.clip(ijk.max(axis=0) + 2, 0, grid.dims)
     box = tuple(slice(a, max(a, b)) for a, b in zip(lo.tolist(), hi.tolist()))
     axes = [ax[sl] for ax, sl in zip(grid.axis_centers(), box)]
-    centers = np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1)
-    return box, frame.contains(centers.reshape(-1, 3)).reshape(centers.shape[:3])
+    inside = np.empty(tuple(len(ax) for ax in axes), dtype=bool)
+    step = max(1, _FRUSTUM_CHUNK // max(1, inside.shape[1] * inside.shape[2]))
+    for a in range(0, len(axes[0]), step):
+        slab = inside[a:a + step]
+        centers = np.stack(np.meshgrid(axes[0][a:a + step], *axes[1:], indexing="ij",
+                                       copy=False), axis=-1)
+        slab[...] = frame.contains(centers.reshape(-1, 3)).reshape(slab.shape)
+    return box, inside
 
 
 def local_mask(grid: VoxelGrid, frame: CameraFrame) -> np.ndarray:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conf import confidence_values
 from .core import D_MODEL, NUM_CLASSES, CameraFrame, PrimitiveBatch
 from .errors import InvalidInputError
 from .grid import LABEL_MODE, VoxelGrid, check_geometry
@@ -394,7 +393,7 @@ def stub_predict(
     frame: CameraFrame,
     noise: NoiseParams,
     seed: int,
-    stub_cfg: StubConfig | None = None,
+    cfg: StubConfig,
 ) -> PrimitiveBatch:
     """Ground-truth-guided local prediction with controllable corruption.
 
@@ -406,7 +405,6 @@ def stub_predict(
     hits and drops when the perturbed depth leaves the struck voxel.
     Features are D_MODEL zeros, the width of the encoder that refines them.
     """
-    cfg = stub_cfg or StubConfig()
     rng = np.random.default_rng(seed)
     pixels = sample_pixels(frame.width, frame.height, cfg.grid_h, cfg.grid_w)
     hits = trace_rays(gt, maps, frame, pixels)
@@ -476,8 +474,7 @@ def stub_predict(
 
     quats = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (len(sel), 1))
     feats = np.zeros((len(sel), D_MODEL))
-    confs = confidence_values(logits, opac)
-    return PrimitiveBatch(means, scales, quats, opac, logits, feats, confs)
+    return PrimitiveBatch(means, scales, quats, opac, logits, feats)
 
 
 def _look_at_pose(position: np.ndarray, forward: np.ndarray) -> np.ndarray:

@@ -150,20 +150,17 @@ def density(x, g: GaussianPrimitive) -> float:
 
 
 def from_primitives(primitives: list[GaussianPrimitive]) -> PrimitiveBatch:
-    """Stack GaussianPrimitive rows; confidences use the default config."""
+    """Stack GaussianPrimitive rows."""
     prims = list(primitives)
     if not prims:
         raise InvalidInputError("cannot build a batch from zero primitives")
-    logits = np.stack([g.logits for g in prims])
-    opac = np.array([g.opacity for g in prims])
     return PrimitiveBatch(
         np.stack([g.mean for g in prims]),
         np.stack([g.scale for g in prims]),
         np.stack([g.rotation for g in prims]),
-        opac,
-        logits,
+        np.array([g.opacity for g in prims]),
+        np.stack([g.logits for g in prims]),
         np.stack([g.feature for g in prims]),
-        confidence_values(logits, opac),
     )
 
 

@@ -1,5 +1,3 @@
-import copy
-import dataclasses
 import hashlib
 import struct
 
@@ -8,6 +6,7 @@ import pytest
 
 from splatmem.attn import (D_FF, ENCODER_SEED, N_BLOCKS, N_HEADS, cca, dte_step,
                            init_weights, mha, temporal_encoder_block)
+from splatmem.conf import confidence_values
 from splatmem.core import D_MODEL, PrimitiveBatch
 from splatmem.errors import InvalidInputError
 
@@ -16,8 +15,7 @@ D = 32
 # The weight arrays of an EncoderWeights, in the order init_weights draws them.
 WEIGHT_FIELDS = ("w_q", "w_k", "w_v", "w_o", "ffn_w1", "ffn_b1", "ffn_w2",
                  "ffn_b2")
-ATTRIBUTE_FIELDS = ("means", "scales", "rotations", "opacities", "logits",
-                    "confidences")
+ATTRIBUTE_FIELDS = ("means", "scales", "rotations", "opacities", "logits")
 
 # Frozen regression fixtures, generated once from the implementation.
 # WTS_SHA256_SEED42 is the digest of the seed-42 bundle: a "<4sI3IQ" header
@@ -34,19 +32,31 @@ DTE_B_FEAT2 = np.array([1.11895189, -0.62157731, -0.30737787, -0.28527078])
 EPS32 = float(np.finfo(np.float32).eps)
 
 
+# Logit rows of entropy exactly 0: a row with them has its opacity as its
+# confidence, bit for bit.
+CERTAIN_LOGITS = np.eye(1, 11) * 1e3
+
+
 def fixed_batch(seed, n=3, d=D):
+    """A seeded batch with certain logits, so each row's confidence is its
+    opacity. The opacities are the last draw, after two draws that are
+    discarded: the fixtures above were pinned on this stream of draws."""
     rng = np.random.default_rng(seed)
     quats = rng.normal(size=(n, 4))
     quats /= np.linalg.norm(quats, axis=1, keepdims=True)
-    return PrimitiveBatch(
-        means=rng.uniform(0, 1, (n, 3)),
-        scales=rng.uniform(0.02, 0.1, (n, 3)),
-        rotations=quats,
-        opacities=rng.uniform(0.2, 0.9, n),
-        logits=rng.normal(size=(n, 11)),
-        features=rng.normal(size=(n, d)),
-        confidences=rng.uniform(0.1, 1.0, n),
-    )
+    means = rng.uniform(0, 1, (n, 3))
+    scales = rng.uniform(0.02, 0.1, (n, 3))
+    rng.uniform(0.2, 0.9, n)
+    rng.normal(size=(n, 11))
+    features = rng.normal(size=(n, d))
+    opacities = rng.uniform(0.1, 1.0, n)
+    return PrimitiveBatch(means, scales, quats, opacities,
+                          np.repeat(CERTAIN_LOGITS, n, axis=0), features)
+
+
+def stream(b):
+    """The arrays of a batch that the encoder reads: features, confidences."""
+    return b.features, b.confidences
 
 
 def mha_reference(Q, K, V, n_heads):
@@ -195,9 +205,7 @@ class TestCca:
         w = init_weights(seed=11)
         q = fixed_batch(1, n=4)
         kv = fixed_batch(2, n=6)
-        q.confidences[:] = 1.0
-        kv.confidences[:] = 1.0
-        got = cca(q, kv, w)
+        got = cca(q.features, np.ones(4), kv.features, np.ones(6), w)
         plain = mha(q.features @ w.w_q, kv.features @ w.w_k,
                     kv.features @ w.w_v, N_HEADS) @ w.w_o
         assert np.max(np.abs(got - plain)) <= 1e-9
@@ -206,8 +214,7 @@ class TestCca:
         w = init_weights(seed=12)
         q = fixed_batch(3, n=4)
         kv = fixed_batch(4, n=5)
-        kv.confidences[:] = 0.0
-        assert np.max(np.abs(cca(q, kv, w))) == 0.0
+        assert np.max(np.abs(cca(*stream(q), kv.features, np.zeros(5), w))) == 0.0
 
     def test_zero_conf_key_value_is_ignored(self):
         # with one key's confidence at zero, its value projection input is
@@ -215,11 +222,12 @@ class TestCca:
         w = init_weights(seed=13)
         q = fixed_batch(5, n=3)
         kv = fixed_batch(6, n=4)
-        kv.confidences[2] = 0.0
-        base = cca(q, kv, w)
+        kc = kv.confidences
+        kc[2] = 0.0
+        base = cca(*stream(q), kv.features, kc, w)
         # perturbing the feature row would change K too; instead verify via
         # the formula: V' row 2 is exactly zero
-        V = (kv.features @ w.w_v) * kv.confidences[:, None]
+        V = (kv.features @ w.w_v) * kc[:, None]
         assert np.max(np.abs(V[2])) == 0.0
         got = mha(q.features @ w.w_q, kv.features @ w.w_k, V, N_HEADS)
         got = (got * q.confidences[:, None]) @ w.w_o
@@ -229,33 +237,30 @@ class TestCca:
         w = init_weights(seed=14)
         q = fixed_batch(7, n=3)
         kv = fixed_batch(8, n=3)
-        q.confidences[:] = 1.0
-        full = cca(q, kv, w)
-        q2 = copy.deepcopy(q)
-        q2.confidences = np.array([0.5, 1.0, 0.25])
-        scaled = cca(q2, kv, w)
+        full = cca(q.features, np.ones(3), *stream(kv), w)
+        qc = np.array([0.5, 1.0, 0.25])
+        scaled = cca(q.features, qc, *stream(kv), w)
         # scaling happens before W_o, so rows scale exactly
-        assert np.allclose(scaled, (q2.confidences[:, None]
-                                    * (full @ np.linalg.inv(w.w_o))) @ w.w_o,
+        assert np.allclose(scaled, (qc[:, None] * (full @ np.linalg.inv(w.w_o))) @ w.w_o,
                            atol=1e-9)
 
     def test_empty_batch_rejected(self):
         w = init_weights(seed=15)
         with pytest.raises(InvalidInputError):
-            cca(PrimitiveBatch.empty(12), fixed_batch(1), w)
+            cca(*stream(PrimitiveBatch.empty(12)), *stream(fixed_batch(1)), w)
 
     def test_feature_width_mismatch_rejected(self):
         w = init_weights(seed=16)
         q = fixed_batch(1, d=16)
         with pytest.raises(InvalidInputError):
-            cca(q, q, w)
+            cca(*stream(q), *stream(q), w)
 
 
 class TestTemporalEncoderBlock:
     def test_returns_refined_feature_rows(self):
         w = init_weights(seed=17)
         q = fixed_batch(9)
-        out = temporal_encoder_block(q, fixed_batch(10), w)
+        out = temporal_encoder_block(*stream(q), *stream(fixed_batch(10)), w)
         assert out.shape == q.features.shape
         assert not np.array_equal(out, q.features)
 
@@ -267,8 +272,7 @@ class TestTemporalEncoderBlock:
         w.ffn_b2 = np.zeros_like(w.ffn_b2)
         q = fixed_batch(11)
         kv = fixed_batch(12)
-        kv.confidences[:] = 0.0
-        out = temporal_encoder_block(q, kv, w)
+        out = temporal_encoder_block(*stream(q), kv.features, np.zeros(len(kv)), w)
         # with no attention and no FFN the block only normalises x twice
         x = q.features
         for _ in range(2):
@@ -278,12 +282,12 @@ class TestTemporalEncoderBlock:
 
     def test_golden_fixture(self):
         w = init_weights(seed=42)
-        out = temporal_encoder_block(fixed_batch(100), fixed_batch(200), w)
+        out = temporal_encoder_block(*stream(fixed_batch(100)), *stream(fixed_batch(200)), w)
         assert np.allclose(out[0, :4], BLOCK_FEAT0, atol=1e-7)
 
     def test_outputs_finite_and_valid(self):
         w = init_weights(seed=19)
-        out = temporal_encoder_block(fixed_batch(13), fixed_batch(14), w)
+        out = temporal_encoder_block(*stream(fixed_batch(13)), *stream(fixed_batch(14)), w)
         assert np.all(np.isfinite(out))
         # post-norm rows have zero mean and RMS at most 1
         assert np.allclose(out.mean(axis=1), 0.0, atol=1e-12)
@@ -311,12 +315,28 @@ class TestDteStep:
         w = init_weights(seed=22)
         cur = fixed_batch(18)
         a, hist_out = dte_step(cur, PrimitiveBatch.empty(12), w)
-        manual = cur
+        f, c = stream(cur)
         for _ in range(N_BLOCKS):
-            manual = dataclasses.replace(
-                manual, features=temporal_encoder_block(manual, manual, w))
-        assert np.array_equal(a.features, manual.features)
+            f = temporal_encoder_block(f, c, f, c, w)
+        assert np.array_equal(a.features, f)
         assert len(hist_out) == 0
+
+    def test_streams_weigh_by_the_confidences_of_logits_and_opacity(self):
+        # uncertain logits: each row's confidence is below its opacity
+        w = init_weights(seed=27)
+        rng = np.random.default_rng(27)
+        cur, hist = fixed_batch(21, n=4), fixed_batch(22, n=6)
+        cur.logits, hist.logits = rng.normal(size=(4, 11)), rng.normal(size=(6, 11))
+        a, b = dte_step(cur, hist, w)
+        ac = confidence_values(cur.logits, cur.opacities)
+        bc = confidence_values(hist.logits, hist.opacities)
+        assert np.all(ac < cur.opacities) and np.all(bc < hist.opacities)
+        fa, fb = cur.features, hist.features
+        for _ in range(N_BLOCKS):
+            fa, fb = (temporal_encoder_block(fa, ac, fb, bc, w),
+                      temporal_encoder_block(fb, bc, fa, ac, w))
+        assert np.array_equal(a.features, fa)
+        assert np.array_equal(b.features, fb)
 
     @pytest.mark.parametrize("n_hist", [0, 5])
     def test_only_features_change(self, n_hist):

@@ -24,7 +24,6 @@ def make_batch(n, spread=0.6, seed=None):
         opacities=rng.uniform(0.1, 1.0, size=n),
         logits=rng.normal(size=(n, C - 1)),
         features=rng.normal(size=(n, 16)),
-        confidences=rng.uniform(0.01, 1.0, size=n),
     )
 
 
@@ -127,8 +126,7 @@ class TestFuse:
     def test_identical_pair_reproduces_input(self):
         b = make_batch(1, seed=3)
         pair = PrimitiveBatch(*(np.repeat(getattr(b, f), 2, axis=0) for f in (
-            "means", "scales", "rotations", "opacities", "logits", "features",
-            "confidences")))
+            "means", "scales", "rotations", "opacities", "logits", "features")))
         cells = np.zeros(2, dtype=np.int64)
         w = fusion_weights(pair.confidences, cells)
         out = fuse(pair, w, cells).batch
@@ -145,7 +143,7 @@ class TestFuse:
         b = make_batch(2, seed=4)
         b.means[0] = [0.0, 0.0, 0.0]
         b.means[1] = [0.06, 0.0, 0.0]
-        b.confidences[:] = 0.5
+        b.opacities[1], b.logits[1] = b.opacities[0], b.logits[0]  # equal confidences
         cells = np.zeros(2, dtype=np.int64)
         w = fusion_weights(b.confidences, cells)
         out = fuse(b, w, cells).batch
@@ -204,7 +202,6 @@ class TestFuse:
         b = make_batch(30, seed=10)
         cfg = FusionConfig(voxel_size=0.12)
         once = fuse_with_config(b, cfg).batch
-        once.confidences[:] = 0.5
         twice = fuse_with_config(once, cfg).batch
         assert len(twice) == len(once)
         assert np.allclose(twice.means, once.means, atol=1e-9)
@@ -218,7 +215,6 @@ class TestFuse:
             opacities=np.array([0.5, 0.5]),
             logits=np.zeros((2, C - 1)),
             features=np.zeros((2, 4)),
-            confidences=np.array([0.5, 0.5]),
         )
         out = fuse_with_config(b, FusionConfig())
         assert not out.quat_fallback[0]
@@ -232,10 +228,9 @@ class TestFuse:
             means=np.zeros((2, 3)),
             scales=np.full((2, 3), 0.1),
             rotations=np.array([[1e-9, 0.0, 0.0, 0.0], [0.0, 1e-9, 0.0, 0.0]]),
-            opacities=np.array([0.5, 0.5]),
+            opacities=np.array([0.2, 0.9]),
             logits=np.zeros((2, C - 1)),
             features=np.zeros((2, 4)),
-            confidences=np.array([0.2, 0.9]),
         )
         cells = np.zeros(2, dtype=np.int64)
         w = fusion_weights(b.confidences, cells)

@@ -139,7 +139,7 @@ def one_row_memory(means, scale, voxel_size=0.12, n_classes=12):
     n = len(means)
     batch = PrimitiveBatch(means, np.full((n, 3), scale), np.tile([1.0, 0, 0, 0], (n, 1)),
                            np.full(n, 0.9), np.zeros((n, n_classes - 1)),
-                           np.zeros((n, D_MODEL)), np.full(n, 0.5))
+                           np.zeros((n, D_MODEL)))
     return GaussianMemory(batch, FusionConfig(voxel_size))
 
 

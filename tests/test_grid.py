@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splatmem.core import NUM_CLASSES
 from splatmem.errors import FormatError, InvalidInputError
 from splatmem.grid import (_PAYLOAD_DTYPE, CENTRE_BITS, LABEL_MODE, MAX_CLASSES,
                            MAX_GRID_CELLS, PROB_MODE, VoxelGrid, check_geometry, load_vgrid,
@@ -46,7 +47,7 @@ def grids_and_boxes(draw):
     lo, hi = np.array([[bound(a) for _ in range(2)] for a in range(3)]).T
     if draw(st.integers(0, 3)):
         lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-    return VoxelGrid.empty_labels(origin, vs, dims), lo, hi
+    return VoxelGrid.empty_labels(origin, vs, dims, NUM_CLASSES), lo, hi
 
 
 class TestVoxelSpan:
@@ -65,7 +66,7 @@ class TestVoxelSpan:
                 assert i0[a] > i1[a]
 
     def test_centres_on_the_faces_are_inside(self):
-        grid = VoxelGrid.empty_labels((0.5, -1.0, 0.0), 0.25, (8, 8, 8))
+        grid = VoxelGrid.empty_labels((0.5, -1.0, 0.0), 0.25, (8, 8, 8), NUM_CLASSES)
         lo = grid.origin + np.array([2.5, 0.5, 7.5]) * 0.25  # centres 2, 0 and 7
         hi = grid.origin + np.array([4.5, 0.5, 9.0]) * 0.25  # centres 4 and 0
         i0, i1 = grid.voxel_span(lo, hi)
@@ -81,12 +82,12 @@ class TestVoxelSpan:
     @pytest.mark.parametrize("voxel_size", [0.1, 1e-300])
     def test_unbounded_boxes_clamp_to_the_grid(self, lo, hi, want, voxel_size):
         # at 1e-300 m a 1e300 bound is 1e600 voxels out, past float range
-        grid = VoxelGrid.empty_labels((0.0, 0.0, 0.0), voxel_size, (4, 4, 4))
+        grid = VoxelGrid.empty_labels((0.0, 0.0, 0.0), voxel_size, (4, 4, 4), NUM_CLASSES)
         i0, i1 = grid.voxel_span(np.full(3, lo), np.full(3, hi))
         assert (i0.tolist(), i1.tolist()) == want
 
     def test_spans_of_many_boxes(self):
-        grid = VoxelGrid.empty_labels((0.0, 0.0, 0.0), 0.5, (4, 2, 3))
+        grid = VoxelGrid.empty_labels((0.0, 0.0, 0.0), 0.5, (4, 2, 3), NUM_CLASSES)
         lo = np.array([[0.0, 0.0, 0.0], [-9.0, 0.3, 5.0]])
         hi = np.array([[1.0, 0.7, 0.25], [9.0, 0.6, 9.0]])
         i0, i1 = grid.voxel_span(lo, hi)
@@ -95,7 +96,7 @@ class TestVoxelSpan:
 
 
 def test_voxel_of_keeps_points_off_the_grid_off_it():
-    grid = VoxelGrid.empty_labels((0.0, -1.0, 0.0), 0.5, (4, 2, 3))
+    grid = VoxelGrid.empty_labels((0.0, -1.0, 0.0), 0.5, (4, 2, 3), NUM_CLASSES)
     points = [[0.1, -0.9, 1.4], [-0.1, 0.01, 1.5], [1e300, -1e300, 7.0], [2.0, 0.0, -1e-9]]
     ijk = grid.voxel_of(points)
     assert ijk.tolist() == [[0, 0, 2], [-1, 2, 3], [4, -1, 3], [4, 2, -1]]
@@ -154,7 +155,7 @@ class TestCheckGeometry:
     def test_empty_labels_checks_before_it_allocates(self):
         # 1e30 voxels a side would overflow the allocation's size
         with pytest.raises(InvalidInputError, match="exceed"):
-            VoxelGrid.empty_labels((0, 0, 0), 0.1, (1e30, 1e30, 1e30))
+            VoxelGrid.empty_labels((0, 0, 0), 0.1, (1e30, 1e30, 1e30), NUM_CLASSES)
 
 
 @st.composite

@@ -30,8 +30,7 @@ from splatmem.memory import (
 RNG = np.random.default_rng(31)
 C = 12
 D = 32
-FIELDS = ("means", "scales", "rotations", "opacities", "logits", "features",
-          "confidences")
+FIELDS = ("means", "scales", "rotations", "opacities", "logits", "features")
 
 
 def make_batch(n, lo=0.0, hi=1.0, seed=None):
@@ -40,8 +39,6 @@ def make_batch(n, lo=0.0, hi=1.0, seed=None):
     quats /= np.linalg.norm(quats, axis=1, keepdims=True)
     logits = rng.normal(size=(n, C - 1)) * 2
     opac = rng.uniform(0.2, 1.0, n)
-    from splatmem.conf import confidence_values
-
     return PrimitiveBatch(
         means=rng.uniform(lo, hi, size=(n, 3)),
         scales=rng.uniform(0.02, 0.08, size=(n, 3)),
@@ -49,7 +46,6 @@ def make_batch(n, lo=0.0, hi=1.0, seed=None):
         opacities=opac,
         logits=logits,
         features=rng.normal(size=(n, D)),
-        confidences=confidence_values(logits, opac),
     )
 
 
@@ -64,7 +60,7 @@ def make_frame(position=(0.0, 0.0, 0.0), look=(0.0, 0.0, 1.0)):
 
 class TestInitMemory:
     def test_single_primitive(self):
-        mem = init_memory(make_batch(1, seed=1))
+        mem = init_memory(make_batch(1, seed=1), FusionConfig())
         assert len(mem) == 1
         assert np.array_equal(mem.cells, cell_key(mem.batch.means, 0.12))
 
@@ -84,20 +80,20 @@ class TestInitMemory:
         mem.check_unique_cells()
 
     def test_empty_prediction_gives_an_empty_memory(self):
-        mem = init_memory(PrimitiveBatch.empty(C))
+        mem = init_memory(PrimitiveBatch.empty(C), FusionConfig())
         assert len(mem) == 0 and mem.cells.shape == (0,)
         assert (mem.batch.n_logits, mem.batch.d_model) == (C - 1, D)
 
 
 class TestQueryFov:
     def test_point_on_axis_inside(self):
-        mem = init_memory(make_batch(1, seed=4))
+        mem = init_memory(make_batch(1, seed=4), FusionConfig())
         mem.batch.means[0] = [0.0, 0.0, 1.0]
         inside, outside = query_fov(mem, make_frame())
         assert len(inside) == 1 and len(outside) == 0
 
     def test_point_behind_camera_outside(self):
-        mem = init_memory(make_batch(1, seed=5))
+        mem = init_memory(make_batch(1, seed=5), FusionConfig())
         mem.batch.means[0] = [0.0, 0.0, -1.0]
         inside, outside = query_fov(mem, make_frame())
         assert len(inside) == 0 and len(outside) == 1
@@ -177,7 +173,7 @@ class TestUpdate:
 
     def test_empty_local_prediction_only_counts(self):
         w = init_weights(seed=4)
-        mem = init_memory(make_batch(10, seed=13))
+        mem = init_memory(make_batch(10, seed=13), FusionConfig())
         means_before = mem.batch.means.copy()
         assert update(mem, PrimitiveBatch.empty(C), make_frame(), w) == 0
         assert np.array_equal(mem.batch.means, means_before)
@@ -197,7 +193,7 @@ class TestUpdate:
         # what a stats.csv row records: the in-view count that update
         # returns, and the checkpoint bytes of the updated memory
         w = init_weights(seed=6)
-        mem = init_memory(make_batch(10, seed=15))
+        mem = init_memory(make_batch(10, seed=15), FusionConfig())
         frame = make_frame(position=(0.5, 0.5, -2.0))
         in_view = len(query_fov(mem, frame)[0])
         assert in_view > 0
@@ -324,7 +320,7 @@ class TestGmemRoundtrip:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_loaded_fields_match_quantized(self, tmp_path):
-        mem = init_memory(make_batch(12, seed=18))
+        mem = init_memory(make_batch(12, seed=18), FusionConfig())
         path = tmp_path / "m.gmem"
         save_gmem(path, mem)
         loaded = load_gmem(path)
@@ -335,7 +331,7 @@ class TestGmemRoundtrip:
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.gmem"
-        save_gmem(path, init_memory(make_batch(3, seed=19)))
+        save_gmem(path, init_memory(make_batch(3, seed=19), FusionConfig()))
         raw = bytearray(path.read_bytes())
         raw[:4] = b"XXXX"
         path.write_bytes(bytes(raw))
@@ -343,7 +339,7 @@ class TestGmemRoundtrip:
             load_gmem(path)
 
     def test_bytes_estimate_is_file_size(self, tmp_path):
-        mem = init_memory(make_batch(25, seed=23))
+        mem = init_memory(make_batch(25, seed=23), FusionConfig())
         path = tmp_path / "m.gmem"
         save_gmem(path, mem)
         assert gmem_nbytes(mem.batch) == path.stat().st_size
@@ -355,7 +351,7 @@ class TestGmemRoundtrip:
         import struct
 
         path = tmp_path / "m.gmem"
-        save_gmem(path, init_memory(make_batch(25, seed=27)))
+        save_gmem(path, init_memory(make_batch(25, seed=27), FusionConfig()))
         raw = bytearray(path.read_bytes())
         assert struct.unpack_from("<3d", raw, 28) == (0.0, 0.0, 0.0)
         struct.pack_into("<3d", raw, 28, 0.05, -0.03, 0.07)
@@ -373,7 +369,7 @@ class TestGmemRoundtrip:
         import struct
 
         path = tmp_path / "m.gmem"
-        save_gmem(path, init_memory(make_batch(3, seed=24)))
+        save_gmem(path, init_memory(make_batch(3, seed=24), FusionConfig()))
         raw = bytearray(path.read_bytes())
         offsets = {"d_model": (12, "<I"), "n_classes": (16, "<I"),
                    "voxel_size": (20, "<d"), "origin": (36, "<d")}
@@ -386,7 +382,7 @@ class TestGmemRoundtrip:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_record_value(self, tmp_path, value):
         path = tmp_path / "m.gmem"
-        save_gmem(path, init_memory(make_batch(3, seed=25)))
+        save_gmem(path, init_memory(make_batch(3, seed=25), FusionConfig()))
         raw = bytearray(path.read_bytes())
         raw[52:56] = np.float32(value).tobytes()  # first mean coordinate
         path.write_bytes(bytes(raw))
@@ -399,7 +395,7 @@ class TestGmemRoundtrip:
     def test_value_float32_cannot_store_is_refused_before_writing(self, tmp_path,
                                                                   column, value):
         # The cast would warn and write inf, which load_gmem refuses.
-        mem = init_memory(make_batch(3, seed=26))
+        mem = init_memory(make_batch(3, seed=26), FusionConfig())
         getattr(mem.batch, column)[1, 0] = value
         path = tmp_path / "m.gmem"
         with pytest.raises(InvariantError, match=column):
@@ -408,7 +404,7 @@ class TestGmemRoundtrip:
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "m.gmem"
-        save_gmem(path, init_memory(make_batch(3, seed=20)))
+        save_gmem(path, init_memory(make_batch(3, seed=20), FusionConfig()))
         raw = path.read_bytes()
         path.write_bytes(raw[:-7])
         with pytest.raises(FormatError):
@@ -474,7 +470,7 @@ def gmem_file() -> bytes:
     """A valid three-row checkpoint."""
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "m.gmem"
-        save_gmem(path, init_memory(make_batch(3, seed=28)))
+        save_gmem(path, init_memory(make_batch(3, seed=28), FusionConfig()))
         return path.read_bytes()
 
 

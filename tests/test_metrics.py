@@ -4,6 +4,7 @@ against a per-class loop."""
 import numpy as np
 import pytest
 
+import splatmem.metrics as metrics
 from oracle import centers
 from splatmem.core import CameraFrame
 from splatmem.errors import InvalidInputError
@@ -78,6 +79,18 @@ class TestLocalMask:
             unclipped += np.prod([b.stop - b.start for b in box])
         assert _frustum_box(GT, inner)[0] == unclipped_box_mask(GT, inner)[1]
         assert clipped < 0.95 * unclipped
+
+    @pytest.mark.parametrize("chunk", [997, 4096])
+    def test_chunks_give_the_whole_box_mask(self, monkeypatch, chunk):
+        # 997 is less than one x-plane of these boxes, 4096 one or two
+        frames = generate_trajectory(default_scene(), GT, 10, 1) + random_frames(20, seed=6)
+        monkeypatch.setattr(metrics, "_FRUSTUM_CHUNK", GT.values.size)
+        whole = [_frustum_box(GT, frame) for frame in frames]
+        monkeypatch.setattr(metrics, "_FRUSTUM_CHUNK", chunk)
+        for frame, (box, inside) in zip(frames, whole):
+            got_box, got = _frustum_box(GT, frame)
+            assert got_box == box and np.array_equal(got, inside)
+        assert sum(inside.size > 10 * chunk for _, inside in whole) >= 10
 
     def test_trajectory_frames_match_all_centers(self):
         for frame in generate_trajectory(default_scene(), GT, 10, 2):

@@ -1,6 +1,6 @@
 """Every public name of `splatmem` is reached, every defaulted
-parameter is passed by some call, and every run config value is set by
-a flag or a caller.
+parameter is passed by some call and omitted by another, and every run
+config value is set by a flag or a caller.
 
 The package is parsed with `ast`. The callers are the modules of the
 package other than `__init__.py`, and the benchmark's modules in
@@ -119,21 +119,20 @@ def _defaulted(fn: ast.FunctionDef, in_class: bool) -> list[tuple[str, int | Non
     return out
 
 
-def unpassed_parameters() -> list[str]:
-    """Defaulted parameters of functions and methods in `splatmem` that no
-    call in the package passes, by keyword or by position. A call is
+def parameter_calls(callers: list[ast.AST]) -> dict[str, list[bool]]:
+    """For each defaulted parameter of the functions and methods in
+    `splatmem`, named "module.function(parameter)", whether each call
+    among `callers` passes it, by keyword or by position. A call is
     matched by the called name alone; one with *args or **kwargs passes
     every parameter."""
-    trees = package_modules()
     calls: dict[str, list[ast.Call]] = {}
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                f = node.func
-                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                calls.setdefault(name, []).append(node)
-    out = []
-    for mod, tree in trees.items():
+    for node in callers:
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            calls.setdefault(name, []).append(node)
+    out = {}
+    for mod, tree in package_modules().items():
         defs = [(n, False) for n in tree.body if isinstance(n, ast.FunctionDef)]
         for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
             defs += [(n, True) for n in cls.body if isinstance(n, ast.FunctionDef)]
@@ -144,9 +143,21 @@ def unpassed_parameters() -> list[str]:
                             k.arg is None or k.arg == name for k in call.keywords):
                         return True
                     return index is not None and len(call.args) > index
-                if not any(passes(c) for c in calls.get(fn.name, [])):
-                    out.append(f"{mod}.{fn.name}({name})")
+                out[f"{mod}.{fn.name}({name})"] = [passes(c) for c in calls.get(fn.name, [])]
     return out
+
+
+def unpassed_parameters() -> list[str]:
+    """Defaulted parameters that no call in the package passes."""
+    package = [node for tree in package_modules().values() for node in ast.walk(tree)]
+    return [p for p, passed in parameter_calls(package).items() if not any(passed)]
+
+
+def always_passed_parameters() -> list[str]:
+    """Defaulted parameters that some call in the package or in
+    `perfbench/` passes and none omits: their defaults are dead."""
+    return [p for p, passed in parameter_calls(caller_nodes()).items()
+            if passed and all(passed)]
 
 
 def test_every_defaulted_parameter_is_passed():
@@ -156,6 +167,10 @@ def test_every_defaulted_parameter_is_passed():
 def test_kept_parameters_are_still_unpassed():
     # a kept parameter that src/ starts to pass, or that is deleted, leaves the list
     assert set(unpassed_parameters()) & UNPASSED_KEPT == UNPASSED_KEPT
+
+
+def test_every_defaulted_parameter_is_omitted_by_some_call():
+    assert always_passed_parameters() == []
 
 
 def config_fields() -> list[tuple[str, str, str]]:

@@ -375,8 +375,7 @@ class TestBatchedMatchesLoop:
         b = PrimitiveBatch(
             rng.uniform(0.0, 1.0, (n, 3)) * np.array([4.8, 4.8, 2.88]),
             rng.uniform(0.02, 0.15, (n, 3)), q / np.linalg.norm(q, axis=1, keepdims=True),
-            rng.uniform(0.1, 1.0, n), rng.normal(size=(n, C - 1)), np.zeros((n, 0)),
-            np.full(n, 0.5))
+            rng.uniform(0.1, 1.0, n), rng.normal(size=(n, C - 1)), np.zeros((n, 0)))
         tracemalloc.start()
         try:
             out = render(grid, b)

@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 
 import splatmem.synth as synth
 from oracle import cell_of
-from splatmem.conf import confidence_values
-from splatmem.core import D_MODEL, CameraFrame, PrimitiveBatch
+from splatmem.core import D_MODEL, NUM_CLASSES, CameraFrame, PrimitiveBatch
 from splatmem.grid import VoxelGrid
 from splatmem.synth import (DEFAULT_FAR, DEFAULT_HEIGHT, DEFAULT_INTRINSICS,
                             DEFAULT_NEAR, DEFAULT_WIDTH, STUB_FOOTPRINT_GAIN,
@@ -32,8 +31,7 @@ from splatmem.synth import (DEFAULT_FAR, DEFAULT_HEIGHT, DEFAULT_INTRINSICS,
 GT = generate_scene(default_scene())
 EXTENT = default_scene().extent
 LIFT_GRIDS = [(21, 28), (30, 40)]
-FIELDS = ("means", "scales", "rotations", "opacities", "logits", "features",
-          "confidences")
+FIELDS = ("means", "scales", "rotations", "opacities", "logits", "features")
 
 
 def loop_trace_rays(gt, frame, pixels, far=None):
@@ -220,8 +218,7 @@ def reference_stub_predict(gt, frame, noise, seed, cfg):
     scales[np.arange(len(sel)), normal_axis] = STUB_NORMAL_SCALE
     quats = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (len(sel), 1))
     feats = np.zeros((len(sel), D_MODEL))
-    confs = confidence_values(logits, opac)
-    return PrimitiveBatch(means, scales, quats, opac, logits, feats, confs)
+    return PrimitiveBatch(means, scales, quats, opac, logits, feats)
 
 
 def camera(position, forward, far=DEFAULT_FAR):
@@ -265,7 +262,7 @@ def small_scenes_and_cameras(draw):
     round they stop in."""
     vs = 0.1
     dims = np.array([draw(st.integers(1, 12)) for _ in range(3)])
-    grid = VoxelGrid.empty_labels((0, 0, 0), vs, dims)
+    grid = VoxelGrid.empty_labels((0, 0, 0), vs, dims, NUM_CLASSES)
     for _ in range(draw(st.integers(0, 4))):
         lo = [draw(st.integers(0, n - 1)) for n in dims]
         hi = [draw(st.integers(a, n - 1)) + 1 for a, n in zip(lo, dims)]
@@ -310,7 +307,7 @@ class TestSceneMaps:
         rng = np.random.default_rng(reach)
         for occupied in (GT.values != GT.num_classes - 1, rng.random((20, 17, 9)) < 0.6):
             labels = np.where(occupied, 0, 11).astype(np.uint16)
-            grid = VoxelGrid.empty_labels((0, 0, 0), 0.1, occupied.shape)
+            grid = VoxelGrid.empty_labels((0, 0, 0), 0.1, occupied.shape, NUM_CLASSES)
             grid.values[:] = labels
             thin = scene_maps(grid).thin_axis
             ref = loop_thin_axis_map(occupied, reach)
@@ -396,7 +393,7 @@ class TestTraceRays:
         # A corridor along x with the camera in its first voxel, looking
         # down it: the principal ray enters voxel x = j after j steps.
         length = stop if by == "grid end" else stop + 3
-        grid = VoxelGrid.empty_labels((0, 0, 0), 0.1, (length, 3, 3))
+        grid = VoxelGrid.empty_labels((0, 0, 0), 0.1, (length, 3, 3), NUM_CLASSES)
         if by != "grid end":
             grid.values[stop] = 0
         view = (0.05, 0.15, 0.15), (1, 0, 0)

@@ -33,7 +33,7 @@ _VERSION = 1
 _HEADER = struct.Struct("<4sIBI3I3dd")  # magic, version, mode, C, dims, origin, voxel_size
 _PAYLOAD_DTYPE = {PROB_MODE: "<f4", LABEL_MODE: "<u2"}
 
-# Largest voxels x classes of a grid: its float64 render takes 1 GiB.
+# Largest voxels x classes of a grid: its float32 render takes 512 MiB.
 # Labels are uint16, so a grid has at most 2^16 classes.
 MAX_GRID_CELLS = 2**27
 MAX_CLASSES = 2**16
@@ -75,9 +75,10 @@ def check_geometry(origin, voxel_size, dims, num_classes) -> None:
 class VoxelGrid:
     """Dense voxel grid with world placement metadata.
 
-    values has shape (nx, ny, nz, C) float64 in probability mode or
-    (nx, ny, nz) uint16 in label mode. Voxel (0,0,0) occupies the cube
-    whose lower corner sits at `origin`; sampling points are voxel centers.
+    values has shape (nx, ny, nz, C) float32, the precision of the
+    `.vgrid` payload, in probability mode or (nx, ny, nz) uint16 in label
+    mode. Voxel (0,0,0) occupies the cube whose lower corner sits at
+    `origin`; sampling points are voxel centers.
     """
 
     origin: np.ndarray
@@ -93,7 +94,7 @@ class VoxelGrid:
         self.dims = tuple(int(d) for d in self.dims)
         if self.mode == PROB_MODE:
             expect = self.dims + (self.num_classes,)
-            self.values = np.asarray(self.values, dtype=np.float64)
+            self.values = np.asarray(self.values, dtype=np.float32)
         elif self.mode == LABEL_MODE:
             expect = self.dims
             self.values = np.asarray(self.values, dtype=np.uint16)
@@ -149,7 +150,7 @@ class VoxelGrid:
     def check_normalized(self, tol: float = 1e-5) -> None:
         if self.mode != PROB_MODE:
             raise InvalidInputError("normalization applies to probability grids")
-        sums = self.values.sum(axis=-1)
+        sums = self.values.sum(axis=-1, dtype=np.float64)
         worst = float(np.max(np.abs(sums - 1.0)))
         if worst > tol:
             raise InvalidInputError(f"channel sums deviate from 1 by {worst:.3e}")
@@ -172,11 +173,11 @@ def save_vgrid(path, grid: VoxelGrid) -> None:
     """
     header = _HEADER.pack(_MAGIC, _VERSION, grid.mode, grid.num_classes, *grid.dims,
                           *grid.origin.tolist(), grid.voxel_size)
-    # one C-ordered copy, written from its own buffer
-    payload = grid.values.swapaxes(0, 2).astype(_PAYLOAD_DTYPE[grid.mode], order="C")
     with open(path, "wb") as f:
         f.write(header)
-        f.write(payload.data)
+        # one z-plane at a time, so no copy of the whole grid is made
+        for plane in grid.values.swapaxes(0, 2):
+            f.write(np.ascontiguousarray(plane, dtype=_PAYLOAD_DTYPE[grid.mode]).data)
 
 
 def load_vgrid(path) -> VoxelGrid:
@@ -199,11 +200,11 @@ def load_vgrid(path) -> VoxelGrid:
     prob = mode == PROB_MODE
     shape = (nz, ny, nx, C) if prob else (nz, ny, nx)
     dtype = np.dtype(_PAYLOAD_DTYPE[mode])
-    payload = raw[_HEADER.size :]
+    size = len(raw) - _HEADER.size
     expect = math.prod(shape) * dtype.itemsize
-    if len(payload) != expect:
-        raise FormatError(f"vgrid payload is {len(payload)} bytes, expected {expect}")
-    vals = np.frombuffer(payload, dtype=dtype).reshape(shape).swapaxes(0, 2)
+    if size != expect:
+        raise FormatError(f"vgrid payload is {size} bytes, expected {expect}")
+    vals = np.frombuffer(raw, dtype=dtype, offset=_HEADER.size).reshape(shape).swapaxes(0, 2)
     if prob and not np.all(np.isfinite(vals)):
         raise FormatError("vgrid probabilities hold non-finite values")
     if not prob and vals.max() >= C:

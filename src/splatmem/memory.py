@@ -174,7 +174,7 @@ def save_gmem(path, memory: GaussianMemory) -> None:
         raise InvariantError("a float32 mean lies outside the fusion cell of its row")
     with open(path, "wb") as f:
         f.write(header)
-        f.write(rec.tobytes())
+        f.write(rec.data)
 
 
 def load_gmem(path) -> GaussianMemory:
@@ -206,14 +206,15 @@ def load_gmem(path) -> GaussianMemory:
     names, widths = zip(*_record_layout(n_classes, d_model))
     rec_width = sum(widths)
     expect = count * rec_width * 4
-    payload = raw[_GMEM_HEADER.size:]
-    if len(payload) != expect:
-        raise FormatError(f"gmem payload is {len(payload)} bytes, expected {expect}")
-    rec = np.frombuffer(payload, dtype="<f4").reshape(count, rec_width)
+    size = len(raw) - _GMEM_HEADER.size
+    if size != expect:
+        raise FormatError(f"gmem payload is {size} bytes, expected {expect}")
+    rec = np.frombuffer(raw, dtype="<f4", offset=_GMEM_HEADER.size).reshape(count, rec_width)
     # before widening: casting a signalling NaN raises the invalid flag
     if not np.all(np.isfinite(rec)):
         raise FormatError("gmem records hold non-finite values")
     cols = dict(zip(names, np.split(rec.astype(np.float64), np.cumsum(widths)[:-1], axis=1)))
+    del raw, rec  # the file's bytes, before the checks' temporaries
     opac = cols["opacities"] = cols["opacities"][:, 0]
     if np.any(cols["scales"] <= 0):
         raise FormatError("gmem records hold a non-positive scale")

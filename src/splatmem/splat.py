@@ -18,10 +18,12 @@ its terms in ascending primitive index, with the operations of a
 per-primitive loop in its order, and the fields are bit-identical to it.
 Memory: C + 1 numbers per tile voxel, up to six integers per pair while
 ranking and one after, and about _CHUNK_PAIRS floats per kernel or product
-array. `render` finalises the tiles in place and scatters them into its
-output, where every other voxel takes the (0, ..., 0, 1) of a full-grid pass.
-With `labels` it scatters each tile voxel's argmax instead, and every other
-voxel takes C - 1: the uint16 label grid is then its only full-grid array.
+array. `render` finalises the tiles in place, in float64, and scatters them
+into its float32 output, where every other voxel takes the (0, ..., 0, 1) of
+a full-grid pass: each channel rounds once, as the `.vgrid` payload does.
+With `labels` it scatters the first maximum of each tile voxel's rounded
+channels instead, and every other voxel takes C - 1: the uint16 label grid
+is then its only full-grid array.
 """
 
 from __future__ import annotations
@@ -144,7 +146,9 @@ def splat_fields(grid: VoxelGrid, primitives: PrimitiveBatch) -> SplatFields:
     cell = grid.voxel_size * CELL_FACTOR
     # half extents of each truncated ellipsoid's world AABB
     half = TRUNCATION_SIGMAS * np.sqrt(np.einsum("nab,nb->na", R**2, s2))
-    lo, hi = _voxel_span(grid, b.means, half)
+    inv_cov = np.einsum("nab,nb,ncb->nac", R, 1.0 / s2, R)
+    lo, hi = (x.astype(np.int32) for x in _voxel_span(grid, b.means, half))
+    del R, s2, half
     live = np.flatnonzero(np.all(lo <= hi, axis=1))
     # tiles every CELL_FACTOR voxels from the unclipped lo of the origin's
     # cell, in [-CELL_FACTOR, 0] (clipped there against rounding)
@@ -154,9 +158,10 @@ def splat_fields(grid: VoxelGrid, primitives: PrimitiveBatch) -> SplatFields:
     shape = tuple((np.asarray(grid.dims) - 1 - start) // CELL_FACTOR + 1)
     first, last = ((x[live] - start) // CELL_FACTOR for x in (lo, hi))
     tile_ids, touched, prim = _rounds(first, last - first + 1, shape)
+    del first, last
+    prim = live.astype(np.int32)[prim]  # each pair's row of the batch
     idx = [s + CELL_FACTOR * t + np.arange(CELL_FACTOR)[:, None]
            for s, t in zip(start, np.unravel_index(tile_ids, shape))]
-    inv_cov = np.einsum("nab,nb,ncb->nac", R, 1.0 / s2, R)
     pdf_norm = (2.0 * np.pi) ** 1.5 * np.prod(b.scales, axis=1)
     # class probabilities, then 1.0: 1.0 * p == p, so acc's last channel is the density
     channel_weights = np.ones((len(b), b.n_logits + 1))
@@ -164,14 +169,13 @@ def splat_fields(grid: VoxelGrid, primitives: PrimitiveBatch) -> SplatFields:
     e /= e.sum(axis=1, keepdims=True)
     keep = np.ones((len(tile_ids), CELL_FACTOR**3))
     acc = np.zeros((len(tile_ids), b.n_logits + 1, CELL_FACTOR**3))
-    # one reused buffer for the channel products of `step` tiles at a time;
-    # with no summed index, einsum rounds each p * w_c once, like a product
+    # the channel products of `step` tiles at a time; with no summed index,
+    # einsum rounds each p * w_c once, like a product
     step = max(1, _CHUNK_PAIRS // np.prod(acc.shape[1:]))
-    buf = np.empty((min(step, len(acc)),) + acc.shape[1:])
     round_start = np.concatenate([[0], np.cumsum(touched)])
     axes = grid.axis_centers()
     for r0, r1 in _chunks(touched * CELL_FACTOR**3, _CHUNK_PAIRS):
-        rows = live[prim[round_start[r0]:round_start[r1]]]
+        rows = prim[round_start[r0]:round_start[r1]]
         pos = np.concatenate([np.arange(m) for m in touched[r0:r1].tolist()])
         # np.take keeps the pair axis innermost, unlike i[:, pos]
         ix = [np.take(i, pos, axis=1) for i in idx]
@@ -179,24 +183,28 @@ def splat_fields(grid: VoxelGrid, primitives: PrimitiveBatch) -> SplatFields:
         fac, den = _kernel([ax[np.clip(i, 0, d - 1)] for ax, i, d in zip(axes, ix, grid.dims)],
                            [(i >= lo[rows, a]) & (i <= hi[rows, a]) for a, i in enumerate(ix)],
                            b.means[rows], inv_cov[rows], b.opacities[rows], pdf_norm[rows])
-        for r in range(r0, r1):
-            j, m = round_start[r] - round_start[r0], int(touched[r])
+        spans = [(round_start[r] - round_start[r0], int(touched[r])) for r in range(r0, r1)]
+        for j, m in spans:
             keep[:m] *= fac[j:j + m]
+        del fac  # before the products' buffer
+        buf = np.empty((min(step, int(touched[r0])),) + acc.shape[1:])
+        for j, m in spans:
             for t in range(0, m, step):
                 u = min(t + step, m)
                 acc[t:u] += np.einsum("nv,nc->ncv", den[j + t:j + u],
                                       channel_weights[rows[j + t:j + u]],
                                       out=buf[:u - t])
-        del fac, den  # before the next chunk's kernel
+        del den, buf  # before the next chunk's kernel
     return SplatFields(grid.dims, idx, keep, acc)
 
 
 def render(grid: VoxelGrid, primitives: PrimitiveBatch, labels: bool = False) -> VoxelGrid:
     """Render primitives into a probability grid, or with `labels` into the
     label grid `argmax_labels` would make of it, byte for byte, without
-    building the float64 C-channel grid.
+    building the C-channel grid.
 
-    Per-voxel channels are (alpha * e_1, ..., alpha * e_{C-1}, 1 - alpha).
+    Per-voxel channels are (alpha * e_1, ..., alpha * e_{C-1}, 1 - alpha),
+    computed in float64 and stored in float32.
     Only the grid's geometry is read. InvalidInputError, before any
     allocation, if it fails `check_geometry` with the primitives' C.
     """
@@ -216,15 +224,17 @@ def render(grid: VoxelGrid, primitives: PrimitiveBatch, labels: bool = False) ->
         values = np.full(grid.dims, c_occ, dtype=np.uint16)
         flat = values.reshape(-1)
     else:
-        values = np.zeros(grid.dims + (c_occ + 1,))
+        values = np.zeros(grid.dims + (c_occ + 1,), dtype=np.float32)
         values[..., c_occ] = 1.0
         flat = values.reshape(-1, c_occ + 1)
     step = max(1, _CHUNK_PAIRS // np.prod(f.acc.shape[1:]))
     for t in range(0, len(f.acc), step):
         vox = _flat_voxels([i[:, t:t + step] for i in f.idx], grid.dims)
         tiles = f.acc[t:t + step]
-        # np.argmax keeps the first maximum, as argmax_labels does
-        tiles = np.argmax(tiles, axis=1) if labels else tiles.transpose(0, 2, 1)
+        # labels: the first maximum of the float32 channels, as argmax_labels
+        # takes it; channels: each rounds to float32 once, here
+        tiles = (np.argmax(tiles.astype(np.float32), axis=1) if labels
+                 else tiles.transpose(0, 2, 1))
         flat[vox[vox >= 0]] = tiles[vox >= 0]
     return VoxelGrid(grid.origin.copy(), grid.voxel_size, grid.dims, values,
                      LABEL_MODE if labels else PROB_MODE, c_occ + 1)

@@ -4,7 +4,8 @@ Nothing in `splatmem` calls these. The tests compare the batched code
 against them: one primitive at a time (`GaussianPrimitive`, `kernel`,
 `density`, `quat_to_rotation`, `entropy`, `confidence`), and the fields of
 a splatting pass spread over the whole grid (`alpha`, `semantics`,
-`undefined`). `cell_of` gives the integer cell triple of each point, and
+`undefined`) with the float64 channels a render makes of them
+(`channels`). `cell_of` gives the integer cell triple of each point, and
 `pack_cells` the fusion-cell keys of the (N, 3) cell triples that the
 grouping references work on.
 """
@@ -202,6 +203,13 @@ def semantics(f: SplatFields) -> np.ndarray:
     sem = np.divide(f.acc[:, :-1], np.where(dens == 0.0, 1.0, dens))
     sem.transpose(0, 2, 1)[dens[:, 0] == 0.0] = 1.0 / sem.shape[1]
     return _full(f, 1.0 / sem.shape[1], sem)
+
+
+def channels(f: SplatFields) -> np.ndarray:
+    """Float64 channels (alpha e_1, ..., alpha e_{C-1}, 1 - alpha) of every
+    voxel, before `render` rounds them to float32."""
+    a = alpha(f)
+    return np.concatenate([a[..., None] * semantics(f), (1.0 - a)[..., None]], axis=-1)
 
 
 def undefined(f: SplatFields) -> np.ndarray:

@@ -2,6 +2,7 @@ import copy
 import functools
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +329,22 @@ class TestGmemRoundtrip:
         assert np.allclose(loaded.batch.means, mem.batch.means, atol=1e-6)
         assert np.allclose(loaded.batch.logits, mem.batch.logits, atol=1e-5)
         assert loaded.fusion.voxel_size == mem.fusion.voxel_size
+
+    def test_load_holds_only_the_file_and_the_batch(self, tmp_path):
+        # 15,000 rows make a 3.1 MiB file: one more copy of its payload
+        # would pass the bound by 2 MiB
+        mem = GaussianMemory(make_batch(15000, seed=5), FusionConfig())
+        path = tmp_path / "m.gmem"
+        save_gmem(path, mem)
+        tracemalloc.start()
+        try:
+            loaded = load_gmem(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        batch_bytes = sum(getattr(loaded.batch, name).nbytes for name in FIELDS)
+        assert batch_bytes == 2 * (path.stat().st_size - _GMEM_HEADER.size)
+        assert peak <= path.stat().st_size + batch_bytes + 2**20
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.gmem"

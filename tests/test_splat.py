@@ -12,7 +12,7 @@ import splatmem.splat as splat_mod
 from oracle import GaussianPrimitive, from_primitives, kernel
 from splatmem.core import PrimitiveBatch, quats_to_rotations
 from splatmem.errors import InvalidInputError
-from splatmem.grid import LABEL_MODE, PROB_MODE, VoxelGrid
+from splatmem.grid import LABEL_MODE, PROB_MODE, VoxelGrid, load_vgrid, save_vgrid
 from splatmem.splat import CELL_FACTOR, argmax_labels, render, splat_fields
 from splatmem.synth import (NoiseParams, StubConfig, default_scene, generate_scene,
                             generate_trajectory, scene_maps, stub_predict)
@@ -228,6 +228,12 @@ def full_grid_render(grid, b, truncation_radius_sigmas=3.0):
     return values
 
 
+def assert_stored(out, channels):
+    """`out` holds the float32 rounding of the float64 `channels`, bit for bit."""
+    assert out.values.dtype == np.float32 and out.values.shape == channels.shape
+    assert out.values.tobytes() == channels.astype(np.float32).tobytes()
+
+
 def truncate_at(monkeypatch, sigmas):
     """Truncate the render at `sigmas`. inf becomes 1e9 sigmas, at which
     every block is the whole test grid, as at the references' inf."""
@@ -387,7 +393,8 @@ class TestBatchedMatchesLoop:
 
 class TestBoxMatchesFullGrid:
     """Accumulating and finalising only the tiles the blocks cover gives
-    the full-grid fields and channels bit for bit."""
+    the full-grid fields and float64 channels bit for bit, and the render
+    stores those channels rounded to float32."""
 
     @pytest.mark.parametrize("truncation", [3.0, np.inf])
     @pytest.mark.parametrize("name", sorted(reference_batches()))
@@ -400,8 +407,9 @@ class TestBoxMatchesFullGrid:
         assert np.array_equal(oracle.alpha(f), alpha)
         assert np.array_equal(oracle.semantics(f), sem)
         assert np.array_equal(oracle.undefined(f), undefined)
-        out = render(grid, b)
-        assert np.array_equal(out.values, full_grid_render(grid, b, truncation))
+        channels = oracle.channels(f)
+        assert np.array_equal(channels, full_grid_render(grid, b, truncation))
+        assert_stored(render(grid, b), channels)
 
     @pytest.mark.parametrize("name,box_shape", [
         ("empty", (0, 0, 0)), ("all_outside", (0, 0, 0)), ("every_face", (8, 8, 8)),
@@ -466,10 +474,12 @@ class TestWidePrimitives:
         grid = make_grid(dims=(6, 5, 4), origin=origin)
         g = GaussianPrimitive((0.2, 0.3, 0.1), (scale, scale / 2, scale), RNG.normal(size=4),
                               0.9, RNG.normal(size=C - 1))
-        assert np.all(oracle.alpha(splat_fields(grid, batch([g]))) == 0.9)
-        out = render(grid, batch([g]))
-        assert np.all(1.0 - out.values[..., -1] == 0.9)
-        assert np.allclose(out.values[..., :-1], 0.9 * softmax(g.logits), rtol=0, atol=1e-12)
+        f = splat_fields(grid, batch([g]))
+        assert np.all(oracle.alpha(f) == 0.9)
+        channels = oracle.channels(f)
+        assert np.all(1.0 - channels[..., -1] == 0.9)
+        assert np.allclose(channels[..., :-1], 0.9 * softmax(g.logits), rtol=0, atol=1e-12)
+        assert_stored(render(grid, batch([g])), channels)
 
     def test_render_at_a_far_origin(self):
         # 5.3e8 m is about as far out as 0.1 m voxels keep 2^CENTRE_BITS
@@ -478,9 +488,12 @@ class TestWidePrimitives:
         grid = make_grid(dims=(5, 4, 3), origin=(o, 0.0, 0.0))
         prims = [dataclasses.replace(g, mean=g.mean + [o, 0.0, 0.0], scale=np.full(3, 200.0))
                  for g in random_primitives(3, lo=0.0, hi=0.4, seed=46)]
+        channels = oracle.channels(splat_fields(grid, batch(prims)))
+        assert np.all(channels[..., -1] < 1.0)
+        assert np.array_equal(channels, full_grid_render(grid, batch(prims)))
         out = render(grid, batch(prims))
         assert np.all(out.values[..., -1] < 1.0)
-        assert np.array_equal(out.values, full_grid_render(grid, batch(prims)))
+        assert_stored(out, channels)
 
 
 def test_render_checks_its_grid_before_it_splats(monkeypatch):
@@ -524,14 +537,26 @@ def label_cases(draw):
     return make_grid(dims, vs, origin), batch(prims)
 
 
-def tie_case():
+def tie_case(nudge=0.0):
+    """The tied pair on a grid off the cells' lattice; a `nudge` added to
+    the second primitive's logit for class 1 makes class 1 lead class 0
+    where the two lead (by a relative 2.2e-10 at NEAR_TIE)."""
     grid = make_grid((6, 5, 7), 0.1, (0.03, -0.11, 0.2))
-    return grid, batch(tied_pair(grid.origin + [0.3, 0.25, 0.35]))
+    g, h = tied_pair(grid.origin + [0.3, 0.25, 0.35])
+    h = dataclasses.replace(h, logits=h.logits + np.eye(C - 1)[1] * nudge)
+    return grid, batch([g, h])
+
+
+# class 1 leads class 0 in float64, by far less than a float32 step
+NEAR_TIE = 1e-9
 
 
 class TestLabels:
     """render(..., labels=True) is the argmax of the probability render,
-    byte for byte, without the float64 C-channel grid."""
+    byte for byte, without the C-channel grid. A label is the first maximum
+    of the stored float32 channels, not of the float64 channels they round:
+    where two classes differ in float64 but round to one float32 value, the
+    lower class wins, as in the argmax of a reloaded `.vgrid`."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(label_cases())
@@ -540,6 +565,7 @@ class TestLabels:
     @example((reference_grid("offset_origin"), batch(reference_batches()["offset_origin"])))
     @example((reference_grid("whole_grid_block"), batch(reference_batches()["whole_grid_block"])))
     @example(tie_case())
+    @example(tie_case(NEAR_TIE))
     def test_labels_are_the_argmax_of_the_render(self, case):
         grid, b = case
         got = render(grid, b, labels=True)
@@ -547,7 +573,8 @@ class TestLabels:
         assert (got.mode, got.num_classes, got.dims) == (LABEL_MODE, C, grid.dims)
         assert np.array_equal(got.origin, grid.origin) and got.voxel_size == grid.voxel_size
         assert got.values.tobytes() == want.values.tobytes()
-        assert np.array_equal(got.values, np.argmax(full_grid_render(grid, b), axis=-1))
+        stored = full_grid_render(grid, b).astype(np.float32)
+        assert np.array_equal(got.values, np.argmax(stored, axis=-1))
 
     def test_the_tied_pair_ties(self):
         grid, b = tie_case()
@@ -556,13 +583,26 @@ class TestLabels:
         assert tied.sum() > 10
         assert np.all(render(grid, b, labels=True).values[tied] == 0)
 
+    def test_a_near_tie_goes_to_the_lower_class_as_in_the_file(self, tmp_path):
+        grid, b = tie_case(NEAR_TIE)
+        channels = oracle.channels(splat_fields(grid, b))
+        stored = channels.astype(np.float32)
+        near = ((channels[..., 1] > channels[..., 0]) & (stored[..., 1] == stored[..., 0])
+                & (stored[..., 0] == stored.max(axis=-1)))
+        assert near.sum() > 10
+        save_vgrid(tmp_path / "pred.vgrid", render(grid, b))
+        want = argmax_labels(load_vgrid(tmp_path / "pred.vgrid"))
+        got = render(grid, b, labels=True)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert np.all(got.values[near] == 0)
+
     def test_a_local_frame_never_builds_the_probability_grid(self):
         # the first frame of the default local run, on the 60 x 60 x 36 grid
         spec = default_scene()
         gt = generate_scene(spec)
         frame = generate_trajectory(spec, gt, 1, 0)[0]
         b = stub_predict(gt, scene_maps(gt), frame, NoiseParams(), 0, StubConfig())
-        prob_grid = np.prod(gt.dims) * gt.num_classes * 8
+        prob_grid = np.prod(gt.dims) * gt.num_classes * np.dtype(np.float32).itemsize
         tracemalloc.start()
         try:
             labels = render(gt, b, labels=True)
@@ -614,9 +654,10 @@ class TestRenderOracle:
         truncate_at(monkeypatch, np.inf)
         grid = make_grid(dims=(6, 6, 6), voxel_size=0.12)
         prims = random_primitives(20, seed=21)
-        out = render(grid, batch(prims))
-        oracle = dense_render_oracle(grid, prims)
-        assert np.max(np.abs(out.values - oracle)) <= 1e-9
+        channels = oracle.channels(splat_fields(grid, batch(prims)))
+        dense = dense_render_oracle(grid, prims)
+        assert np.max(np.abs(channels - dense)) <= 1e-9
+        assert_stored(render(grid, batch(prims)), channels)
 
     def test_truncated_within_tolerance_of_dense(self):
         grid = make_grid(dims=(8, 8, 8), voxel_size=0.1)
@@ -640,6 +681,14 @@ class TestRenderOracle:
         out = render(grid, batch([]))
         assert np.allclose(out.values[..., -1], 1.0)
         assert np.allclose(out.values[..., :-1], 0.0)
+
+    def test_a_saved_render_reloads_as_rendered(self, tmp_path):
+        grid = reference_grid("offset_origin")
+        out = render(grid, batch(reference_batches()["offset_origin"]))
+        save_vgrid(tmp_path / "pred.vgrid", out)
+        back = load_vgrid(tmp_path / "pred.vgrid")
+        assert back.values.dtype == out.values.dtype
+        assert back.values.tobytes() == out.values.tobytes()
 
     def test_channel_sums_one(self):
         grid = make_grid()

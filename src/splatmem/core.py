@@ -29,7 +29,7 @@ NUM_CLASSES = 12
 # width, so a loaded memory may hold another.
 D_MODEL = 32
 
-# The DTE and fusion clamp the scale components they compute to at least
+# Fusion (`cavf.fuse`) clamps the scale components it computes to at least
 # this, which keeps the covariance invertible.
 MIN_SCALE = 1e-4
 

@@ -6,10 +6,10 @@ sampled pixel ray strikes, and a noise controllable stub predictor turns
 those hits into per-frame primitive batches so the temporal pipeline can
 run end to end. The march advances all live rays in rounds of
 `_MARCH_ROUND` steps and retires the rays that stopped once per round.
-What depends only on the scene is built once per run as `SceneMaps`: the
-occupancy, its thin-axis map, and a code grid padded by one voxel that the
-march reads by flat index, so leaving the grid reads "outside" with no
-bounds test.
+What depends only on the scene is built once per run as `SceneMaps`: a
+code grid padded by one voxel that the march reads by flat index, so
+leaving the grid reads "outside" with no bounds test, and the shell's
+per-axis runs and thin axis, which shape the splats.
 """
 
 from __future__ import annotations
@@ -198,8 +198,8 @@ class RayHits:
 class SceneMaps:
     """Lookups of the stub predictor that depend only on the scene: int8
     `codes` padded by one voxel (0 free, 1 occupied, 2 outside), and per
-    occupied voxel the axis along which the shell is thinnest (0 at free
-    voxels, where no run reads it).
+    occupied voxel its shell's `_surface_extent` runs, int8 of shape
+    dims + (3,), and their argmin `thin_axis` (both 0 at free voxels).
 
     A ray reaches the padding at the latest one step after its last
     in-grid voxel, so its march needs no bounds test. Steps that a ray
@@ -207,7 +207,7 @@ class SceneMaps:
     the march reads them with `clip` and discards them."""
 
     codes: np.ndarray
-    occupied: np.ndarray
+    runs: np.ndarray
     thin_axis: np.ndarray
 
 
@@ -216,10 +216,9 @@ def scene_maps(gt: VoxelGrid) -> SceneMaps:
     occupied = gt.values != gt.num_classes - 1
     codes = np.pad(occupied.astype(np.int8), 1, constant_values=2)
     shell = np.argwhere(occupied)
-    runs = _surface_extent(shell, 1.0, SURFACE_EXTENT_REACH, (occupied, True))
-    thin_axis = np.zeros(gt.dims, dtype=np.int8)
-    thin_axis[tuple(shell.T)] = np.argmin(runs, axis=1)
-    return SceneMaps(codes, occupied, thin_axis)
+    runs = np.zeros(gt.dims + (3,), dtype=np.int8)
+    runs[tuple(shell.T)] = _surface_extent(shell, SURFACE_EXTENT_REACH, (occupied, True))
+    return SceneMaps(codes, runs, np.argmin(runs, axis=-1).astype(np.int8))
 
 
 def trace_rays(gt: VoxelGrid, maps: SceneMaps, frame: CameraFrame,
@@ -264,14 +263,11 @@ def trace_rays(gt: VoxelGrid, maps: SceneMaps, frame: CameraFrame,
     with np.errstate(invalid="ignore", over="ignore"):
         lo_t = (gt.origin - origin) * inv_d
         hi_t = (gt.origin + dims * vs - origin) * inv_d
+    # A zero direction component's slab is (-inf, inf) with the origin
+    # inside it; outside, both crossings are +inf (so t0 is) or both -inf
+    # (so t1 is), and the ray misses.
     t0 = np.nanmax(np.minimum(lo_t, hi_t), axis=1)
     t1 = np.nanmin(np.maximum(lo_t, hi_t), axis=1)
-    # Rays with a zero direction component miss unless the origin lies
-    # inside that axis slab.
-    for a in range(3):
-        z = dirs[:, a] == 0
-        inside = (origin[a] >= gt.origin[a]) & (origin[a] <= gt.origin[a] + dims[a] * vs)
-        t1[z & ~inside] = -np.inf
     t_start = np.maximum(t0, 0.0)
     ids = np.flatnonzero((t_start <= t1) & (t_start <= frame.far))
 
@@ -281,7 +277,7 @@ def trace_rays(gt: VoxelGrid, maps: SceneMaps, frame: CameraFrame,
     flat = (idx + 1) @ strides
     step = np.where(d > 0, strides, -strides)
     with np.errstate(divide="ignore", over="ignore"):
-        t_delta = np.where(d != 0, vs / np.abs(d), np.inf)
+        t_delta = vs / np.abs(d)
     next_face = gt.origin + (idx + (d > 0)) * vs
     with np.errstate(invalid="ignore", over="ignore"):
         t_max = np.where(d != 0, (next_face - origin) * inv_d[ids], np.inf)
@@ -364,10 +360,10 @@ class StubConfig:
             raise InvalidInputError("grid_h and grid_w must be positive")
 
 
-def _surface_extent(voxels: np.ndarray, voxel_size: float, reach: int,
+def _surface_extent(voxels: np.ndarray, reach: int,
                     *conditions: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Symmetric same-surface run length around voxels along each axis:
-    (N, 3) meters of support on the weaker side, up to `reach` voxels, from
+    (N, 3) voxels of support on the weaker side, up to `reach`, from
     one gather into the flattened maps. A run ends at the grid edge or where
     a (map, want) condition fails: a differently labeled voxel, or one whose
     thin axis differs from the sample's normal axis, which stops splats from
@@ -384,7 +380,7 @@ def _surface_extent(voxels: np.ndarray, voxel_size: float, reach: int,
         same &= np.take(grid_map, flat, mode="clip") == want
     # a run is the index of the first probe that fails, past a False sentinel
     ends = np.pad(same.reshape(2, reach, *same.shape[1:]), ((0, 0), (0, 1), (0, 0), (0, 0)))
-    return np.ascontiguousarray(np.argmin(ends, axis=1).min(axis=0).T) * voxel_size
+    return np.ascontiguousarray(np.argmin(ends, axis=1).min(axis=0).T)
 
 
 def stub_predict(
@@ -453,14 +449,13 @@ def stub_predict(
     # with range and grazing incidence) but is capped by how far the
     # surface actually extends, so splats never spill past panel rims.
     voxels = hits.voxel[sel]
-    reach = SURFACE_EXTENT_REACH
-    geom_ext = _surface_extent(voxels, gt.voxel_size, reach, (maps.occupied, True))
+    runs = maps.runs[tuple(voxels.T)]
     entry = hits.face_axis[sel]
-    normal_axis = np.argmin(geom_ext, axis=1)
-    entry_is_min = geom_ext[np.arange(len(sel)), entry] <= geom_ext.min(axis=1)
+    normal_axis = np.argmin(runs, axis=1)
+    entry_is_min = runs[np.arange(len(sel)), entry] <= runs.min(axis=1)
     normal_axis[entry_is_min] = entry[entry_is_min]
-    class_ext = _surface_extent(voxels, gt.voxel_size, reach, (gt.values, hit_label),
-                                (maps.thin_axis, normal_axis))
+    class_ext = _surface_extent(voxels, SURFACE_EXTENT_REACH, (gt.values, hit_label),
+                                (maps.thin_axis, normal_axis)) * gt.voxel_size
 
     pix_angle = max(1.0 / frame.intrinsics[0, 0] * frame.width / cfg.grid_w,
                     1.0 / frame.intrinsics[1, 1] * frame.height / cfg.grid_h)

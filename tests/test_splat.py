@@ -388,7 +388,9 @@ class TestBatchedMatchesLoop:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - out.values.nbytes < 20 * 2**20
+        # The peak comes in `splat_fields`, before the 5.9 MiB output
+        # exists, so the bound is on everything traced, output included.
+        assert peak < 25 * 2**20
 
 
 class TestBoxMatchesFullGrid:

@@ -3,10 +3,11 @@
 The references below are the per-frame forms of the stub path: the ray
 march that tests bounds on the unpadded grid and `far` per step, the
 per-axis surface extent that walks each sign and step with its own
-gathers, the thin-axis map built from 24 shifted copies of the
-occupancy, and the stub predictor built on them, which rebuilds the
-uint16 occupancy and the thin-axis map every frame. `trace_rays`, `scene_maps`,
-`_surface_extent` and `stub_predict` must match them bit for bit.
+gathers, the per-axis runs and thin-axis map built from 24 shifted
+copies of the occupancy, and the stub predictor built on them, which
+rebuilds the uint16 occupancy and the thin-axis map every frame.
+`trace_rays`, `scene_maps`, `_surface_extent` and `stub_predict` must
+match them bit for bit.
 """
 
 import numpy as np
@@ -128,7 +129,8 @@ def axis_surface_extent(labels, voxels, axis, voxel_size, reach, thin_map=None,
 
 
 def loop_thin_axis_map(occupied, reach):
-    """Reference: per-voxel axis along which the occupied shell is
+    """Reference: per-voxel runs of occupied shell on the weaker side along
+    each axis, up to `reach`, and the axis along which the shell is
     thinnest, from shifted copies of the whole occupancy."""
     runs = np.empty(occupied.shape + (3,), dtype=np.int8)
     for a in range(3):
@@ -151,7 +153,7 @@ def loop_thin_axis_map(occupied, reach):
                 run += still
             total = np.minimum(total, run)
         runs[..., a] = total
-    return np.argmin(runs, axis=-1).astype(np.int8)
+    return runs, np.argmin(runs, axis=-1).astype(np.int8)
 
 
 def reference_stub_predict(gt, frame, noise, seed, cfg):
@@ -200,7 +202,7 @@ def reference_stub_predict(gt, frame, noise, seed, cfg):
     normal_axis = np.argmin(geom_ext, axis=1)
     entry_is_min = geom_ext[np.arange(len(sel)), entry] <= geom_ext.min(axis=1)
     normal_axis[entry_is_min] = entry[entry_is_min]
-    thin_map = loop_thin_axis_map(gt.values != gt.num_classes - 1, SURFACE_EXTENT_REACH)
+    thin_map = loop_thin_axis_map(gt.values != gt.num_classes - 1, SURFACE_EXTENT_REACH)[1]
     class_ext = np.stack(
         [axis_surface_extent(gt.values, hits.voxel[sel], a, gt.voxel_size,
                              SURFACE_EXTENT_REACH, thin_map, normal_axis)
@@ -299,7 +301,10 @@ class TestSceneMaps:
         inner = np.zeros(maps.codes.shape, dtype=bool)
         inner[1:-1, 1:-1, 1:-1] = True
         assert np.all(maps.codes[~inner] == 2)
-        assert np.array_equal(maps.occupied, occupied)
+        runs = loop_thin_axis_map(occupied, SURFACE_EXTENT_REACH)[0]
+        assert maps.runs.dtype == np.int8 and maps.runs.shape == GT.dims + (3,)
+        assert np.array_equal(maps.runs[occupied], runs[occupied])
+        assert not maps.runs[~occupied].any()
 
     @pytest.mark.parametrize("reach", [1, 2, 4])
     def test_thin_axis_matches_shifted_copies_on_the_shell(self, reach, monkeypatch):
@@ -309,10 +314,12 @@ class TestSceneMaps:
             labels = np.where(occupied, 0, 11).astype(np.uint16)
             grid = VoxelGrid.empty_labels((0, 0, 0), 0.1, occupied.shape, NUM_CLASSES)
             grid.values[:] = labels
-            thin = scene_maps(grid).thin_axis
-            ref = loop_thin_axis_map(occupied, reach)
-            assert np.array_equal(thin[occupied], ref[occupied])
-            assert not thin[~occupied].any()
+            maps = scene_maps(grid)
+            runs, ref = loop_thin_axis_map(occupied, reach)
+            assert np.array_equal(maps.runs[occupied], runs[occupied])
+            assert not maps.runs[~occupied].any()
+            assert np.array_equal(maps.thin_axis[occupied], ref[occupied])
+            assert not maps.thin_axis[~occupied].any()
 
 
 class TestTraceRays:
@@ -347,6 +354,8 @@ class TestTraceRays:
         ((2.0, 2.0, 0.64), (1, 0, 0)),       # origin on voxel faces
         ((0.0, 2.4, 1.44), (0, 1, 0)),       # origin on the grid's x = 0 plane
         ((-1.0, 6.0, 1.44), (1, 0, 0)),      # outside the y slab: misses
+        ((-1.0, 2.4, 1.44), (0, 1, 0)),      # outside the x slab: misses
+        ((2.4, 2.4, 6.0), (1, 0, 0)),        # outside the z slab: misses
         ((2.4, 2.4, 6.0), (0, 0, 1)),        # above the grid, looking up
     ])
     def test_axis_aligned_views_match_loop(self, position, forward):
@@ -430,21 +439,21 @@ class TestSurfaceExtent:
     def test_one_gather_matches_per_axis_runs(self, seed, reach):
         occupied = GT.values != GT.num_classes - 1
         occupancy = np.where(occupied, 0, 1).astype(np.uint16)
-        thin = loop_thin_axis_map(occupied, reach)
+        thin = loop_thin_axis_map(occupied, reach)[1]
         vs = GT.voxel_size
         # occupied voxels on every face of the grid as well as the hit voxels
         edge = np.array([[0, 5, 5], [59, 5, 5], [5, 0, 5], [5, 59, 5], [5, 5, 0],
                          [0, 5, 35], [0, 0, 0], [59, 59, 35]])
         assert occupied[tuple(edge.T)].all()
         for voxels, entry in hit_voxels(seed) + [(edge, np.array([0, 0, 1, 1, 2, 2, 0, 1]))]:
-            geom = _surface_extent(voxels, vs, reach, (occupied, True))
+            geom = _surface_extent(voxels, reach, (occupied, True)) * vs
             ref = np.stack([axis_surface_extent(occupancy, voxels, a, vs, reach)
                             for a in range(3)], axis=1)
             assert np.array_equal(geom, ref)
             normal = np.where(geom[np.arange(len(voxels)), entry] <= geom.min(axis=1),
                               entry, np.argmin(geom, axis=1))
             labels = GT.values[voxels[:, 0], voxels[:, 1], voxels[:, 2]]
-            cls = _surface_extent(voxels, vs, reach, (GT.values, labels), (thin, normal))
+            cls = _surface_extent(voxels, reach, (GT.values, labels), (thin, normal)) * vs
             ref = np.stack([axis_surface_extent(GT.values, voxels, a, vs, reach, thin,
                                                 normal) for a in range(3)], axis=1)
             assert np.array_equal(cls, ref)

@@ -52,7 +52,7 @@ from .memory import (GaussianMemory, gmem_nbytes, init_memory, load_gmem, save_g
 from .metrics import MetricReport, iou, local_mask, observed_mask
 from .splat import argmax_labels, render
 from .synth import (NoiseParams, StubConfig, default_scene, generate_scene,
-                    generate_trajectory, load_scene_spec, scene_maps, stub_predict)
+                    generate_trajectory, parse_scene_spec, scene_maps, stub_predict)
 
 MODE_LOCAL = "local"
 MODE_EMBODIED = "embodied"
@@ -142,22 +142,24 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
 
 def _episode(cfg: RunConfig, *modes: str):
     """The set-up of a run in one of `modes`: the output directory, the
-    scene's ground-truth grid and maps, the trajectory and the encoder
-    weights. The scene file is read, voxelized once and given its
-    trajectory before the directory is made, so a scene that fails any of
-    these is a config error that leaves no directory behind."""
+    scene's maps (which carry its ground-truth grid), the trajectory and
+    the encoder weights. The scene file is read, voxelized once, built
+    into maps and given its trajectory before the directory is made, so a
+    scene that fails any of these is a config error that leaves no
+    directory behind."""
     if cfg.mode not in modes:
         raise ConfigError(f"this run takes mode {' or '.join(map(repr, modes))}, "
                           f"not {cfg.mode!r}")
     try:
-        spec = default_scene() if cfg.scene == "default" else load_scene_spec(cfg.scene)
-        gt = generate_scene(spec)
-        frames = generate_trajectory(spec, gt, cfg.n_frames, cfg.trajectory_seed)
+        spec = (default_scene() if cfg.scene == "default"
+                else parse_scene_spec(Path(cfg.scene).read_text()))
+        maps = scene_maps(generate_scene(spec))
+        frames = generate_trajectory(spec, maps, cfg.n_frames, cfg.trajectory_seed)
     except (InvalidInputError, UnicodeDecodeError, OSError) as e:
         raise ConfigError(f"scene file {cfg.scene}: {e}") from e
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out, gt, scene_maps(gt), frames, init_weights(ENCODER_SEED)
+    return out, maps, frames, init_weights(ENCODER_SEED)
 
 
 def _fmt(v: float) -> str:
@@ -166,13 +168,14 @@ def _fmt(v: float) -> str:
 
 def run_local(cfg: RunConfig) -> MetricReport:
     """Per-frame pipeline: stub predict, self-refine, fuse, render, score."""
-    out, gt, maps, frames, weights = _episode(cfg, MODE_LOCAL)
+    out, maps, frames, weights = _episode(cfg, MODE_LOCAL)
+    gt = maps.grid
     empty_hist = PrimitiveBatch.empty(gt.num_classes)
 
     rows = ["frame,count,iou,miou,observed_fraction"]
     ious, mious = [], []
     for i, frame in enumerate(frames):
-        batch = stub_predict(gt, maps, frame, cfg.noise, cfg.stub_seed + i, cfg.stub)
+        batch = stub_predict(maps, frame, cfg.noise, cfg.stub_seed + i, cfg.stub)
         batch, _ = dte_step(batch, empty_hist, weights)
         fused = init_memory(batch, cfg.fusion).batch
         labels = render(gt, fused, labels=True)
@@ -201,7 +204,8 @@ def run_local(cfg: RunConfig) -> MetricReport:
 def run_embodied(cfg: RunConfig) -> MetricReport:
     """Full-episode pipeline with the persistent memory (or the append-only
     concatenation baseline), scored over the observed region."""
-    out, gt, maps, frames, weights = _episode(cfg, MODE_EMBODIED, MODE_CONCAT)
+    out, maps, frames, weights = _episode(cfg, MODE_EMBODIED, MODE_CONCAT)
+    gt = maps.grid
     concat_mode = cfg.mode == MODE_CONCAT
     memory: GaussianMemory | None = None
     # The baseline joins its frames once, after the loop: joining in every
@@ -212,7 +216,7 @@ def run_embodied(cfg: RunConfig) -> MetricReport:
     time_rows = ["frame,seconds"]
     for i, frame in enumerate(frames):
         t0 = time.perf_counter()
-        batch = stub_predict(gt, maps, frame, cfg.noise, cfg.stub_seed + i, cfg.stub)
+        batch = stub_predict(maps, frame, cfg.noise, cfg.stub_seed + i, cfg.stub)
         inside = len(batch)
         if concat_mode:
             pieces.append(batch)

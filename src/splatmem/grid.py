@@ -140,13 +140,6 @@ class VoxelGrid:
         i = np.floor((np.atleast_2d(points) - self.origin) / self.voxel_size)
         return np.clip(i, -1, self.dims).astype(np.int64)
 
-    def in_bounds(self, idx: np.ndarray) -> np.ndarray:
-        idx = np.atleast_2d(idx)
-        ok = np.ones(len(idx), dtype=bool)
-        for a in range(3):
-            ok &= (idx[:, a] >= 0) & (idx[:, a] < self.dims[a])
-        return ok
-
     def check_normalized(self, tol: float = 1e-5) -> None:
         if self.mode != PROB_MODE:
             raise InvalidInputError("normalization applies to probability grids")

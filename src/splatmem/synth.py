@@ -6,10 +6,11 @@ sampled pixel ray strikes, and a noise controllable stub predictor turns
 those hits into per-frame primitive batches so the temporal pipeline can
 run end to end. The march advances all live rays in rounds of
 `_MARCH_ROUND` steps and retires the rays that stopped once per round.
-What depends only on the scene is built once per run as `SceneMaps`: a
-code grid padded by one voxel that the march reads by flat index, so
-leaving the grid reads "outside" with no bounds test, and the shell's
-per-axis runs and thin axis, which shape the splats.
+What depends only on the scene is built once per run as `SceneMaps`:
+the label grid itself; a code grid padded by one voxel, which answers
+free, occupied or off the grid for the march, the stub's landing test
+and the trajectory's camera placement with no bounds test; and the
+shell's per-axis runs and thin axis, which shape the splats.
 """
 
 from __future__ import annotations
@@ -97,12 +98,6 @@ class SceneSpec:
     @property
     def dims(self) -> tuple[int, int, int]:
         return tuple(int(n) for n in np.round(self.extent / self.gt_voxel_size))
-
-
-def load_scene_spec(path) -> SceneSpec:
-    with open(path) as f:
-        text = f.read()
-    return parse_scene_spec(text)
 
 
 def parse_scene_spec(text: str) -> SceneSpec:
@@ -196,34 +191,41 @@ class RayHits:
 
 @dataclass(frozen=True)
 class SceneMaps:
-    """Lookups of the stub predictor that depend only on the scene: int8
-    `codes` padded by one voxel (0 free, 1 occupied, 2 outside), and per
-    occupied voxel its shell's `_surface_extent` runs, int8 of shape
-    dims + (3,), and their argmin `thin_axis` (both 0 at free voxels).
+    """One scene as the stub predictor and the trajectory read it: the
+    label `grid` it was built from; int8 `codes` padded by one voxel
+    (0 free, 1 occupied, 2 outside); and per occupied voxel its shell's
+    `_surface_extent` runs, int8 of shape dims + (3,), and their argmin
+    `thin_axis` (both 0 at free voxels).
 
-    A ray reaches the padding at the latest one step after its last
-    in-grid voxel, so its march needs no bounds test. Steps that a ray
-    takes past its stop, in the same round, may leave the padded grid;
+    `codes` answers every free, occupied or off-grid test of the march,
+    the stub and the trajectory. A point's code is at `voxel_of(p) + 1`,
+    which always lies in the padded grid because `voxel_of` clamps to
+    [-1, dims]. A ray reaches the padding at the latest one step after its
+    last in-grid voxel, so its march needs no bounds test. Steps that a
+    ray takes past its stop, in the same round, may leave the padded grid;
     the march reads them with `clip` and discards them."""
 
+    grid: VoxelGrid
     codes: np.ndarray
     runs: np.ndarray
     thin_axis: np.ndarray
 
 
 def scene_maps(gt: VoxelGrid) -> SceneMaps:
-    """Build the maps of one scene, once per run."""
+    """Build the maps of one label grid, once per run. InvalidInputError
+    if `gt` is not a label grid."""
+    if gt.mode != LABEL_MODE:
+        raise InvalidInputError("scene maps need a label grid")
     occupied = gt.values != gt.num_classes - 1
     codes = np.pad(occupied.astype(np.int8), 1, constant_values=2)
     shell = np.argwhere(occupied)
     runs = np.zeros(gt.dims + (3,), dtype=np.int8)
     runs[tuple(shell.T)] = _surface_extent(shell, SURFACE_EXTENT_REACH, (occupied, True))
-    return SceneMaps(codes, runs, np.argmin(runs, axis=-1).astype(np.int8))
+    return SceneMaps(gt, codes, runs, np.argmin(runs, axis=-1).astype(np.int8))
 
 
-def trace_rays(gt: VoxelGrid, maps: SceneMaps, frame: CameraFrame,
-               pixels: np.ndarray) -> RayHits:
-    """March rays through the label grid to the first occupied voxel.
+def trace_rays(maps: SceneMaps, frame: CameraFrame, pixels: np.ndarray) -> RayHits:
+    """March rays through the scene's grid to the first occupied voxel.
 
     The ray parameter equals camera-space depth, so entry/exit values place
     points along the ray directly. Marching stops at the frame's far plane
@@ -236,8 +238,7 @@ def trace_rays(gt: VoxelGrid, maps: SceneMaps, frame: CameraFrame,
     scalar march, so the result is bit-identical to one; what it computes
     past its stop is discarded.
     """
-    if gt.mode != LABEL_MODE:
-        raise InvalidInputError("trace_rays expects a label grid")
+    gt = maps.grid
     origin, dirs = frame.pixel_rays(pixels)
     # A direction component whose reciprocal overflows, such as a subnormal
     # one, never reaches a face within float range, so it counts as zero.
@@ -384,7 +385,6 @@ def _surface_extent(voxels: np.ndarray, reach: int,
 
 
 def stub_predict(
-    gt: VoxelGrid,
     maps: SceneMaps,
     frame: CameraFrame,
     noise: NoiseParams,
@@ -393,17 +393,20 @@ def stub_predict(
 ) -> PrimitiveBatch:
     """Ground-truth-guided local prediction with controllable corruption.
 
-    Traces the lift sampling grid, places each mean at the midpoint of the
-    ray's chord through the struck voxel (strictly inside it) plus depth
-    noise, and assigns the containing voxel's class as a high-magnitude
-    logit. Classes flip to a random wrong class with probability
-    flip_prob; additive logit noise follows. Opacity is 1 for consistent
-    hits and drops when the perturbed depth leaves the struck voxel.
+    Traces the lift sampling grid through the scene of `maps`, places each
+    mean at the midpoint of the ray's chord through the struck voxel
+    (strictly inside it) plus depth noise, and assigns as a high-magnitude
+    logit the class of the voxel the mean lands in where `maps.codes`
+    reads it occupied, else that of the struck voxel. Classes flip to a
+    random wrong class with probability flip_prob; additive logit noise
+    follows. Opacity is 1 for consistent hits and drops when the perturbed
+    depth leaves the struck voxel.
     Features are D_MODEL zeros, the width of the encoder that refines them.
     """
+    gt = maps.grid
     rng = np.random.default_rng(seed)
     pixels = sample_pixels(frame.width, frame.height, cfg.grid_h, cfg.grid_w)
-    hits = trace_rays(gt, maps, frame, pixels)
+    hits = trace_rays(maps, frame, pixels)
     n_all = len(pixels)
     n_cls = gt.num_classes - 1
 
@@ -419,23 +422,20 @@ def stub_predict(
     t_mid = 0.5 * (hits.t_entry[sel] + hits.t_exit[sel])
     origin, dirs = frame.pixel_rays(pixels[sel])
     clean = origin + t_mid[:, None] * dirs
-    centers = gt.origin + (hits.voxel[sel] + 0.5) * gt.voxel_size
+    voxels = hits.voxel[sel]
+    centers = gt.origin + (voxels + 0.5) * gt.voxel_size
     clean = clean + STUB_MEAN_CENTERING * (centers - clean)
     means = clean + depth_noise[sel, None] * dirs
 
     cell = gt.voxel_of(means)
-    in_b = gt.in_bounds(cell)
-    cell_cl = np.clip(cell, 0, np.array(gt.dims) - 1)
-    land_label = gt.values[cell_cl[:, 0], cell_cl[:, 1], cell_cl[:, 2]]
-    hit_label = gt.values[hits.voxel[sel, 0], hits.voxel[sel, 1], hits.voxel[sel, 2]]
-    use_land = in_b & (land_label != gt.num_classes - 1)
-    cls = np.where(use_land, land_label, hit_label).astype(np.int64)
+    landed = maps.codes[tuple(cell.T + 1)] == 1
+    cls = gt.values[tuple(np.where(landed[:, None], cell, voxels).T)].astype(np.int64)
 
     flips = flip_roll[sel] < noise.flip_prob
     wrong = (cls + 1 + flip_target[sel]) % n_cls
     cls = np.where(flips, wrong, cls)
 
-    consistent = np.all(cell == hits.voxel[sel], axis=1)
+    consistent = np.all(cell == voxels, axis=1)
     opac = np.where(consistent, 1.0, STUB_MOVED_OPACITY)
 
     logits = np.zeros((len(sel), n_cls))
@@ -448,12 +448,12 @@ def stub_predict(
     # In-plane size follows the local sample footprint (ray spacing grows
     # with range and grazing incidence) but is capped by how far the
     # surface actually extends, so splats never spill past panel rims.
-    voxels = hits.voxel[sel]
     runs = maps.runs[tuple(voxels.T)]
     entry = hits.face_axis[sel]
     normal_axis = np.argmin(runs, axis=1)
     entry_is_min = runs[np.arange(len(sel)), entry] <= runs.min(axis=1)
     normal_axis[entry_is_min] = entry[entry_is_min]
+    hit_label = gt.values[tuple(voxels.T)]
     class_ext = _surface_extent(voxels, SURFACE_EXTENT_REACH, (gt.values, hit_label),
                                 (maps.thin_axis, normal_axis)) * gt.voxel_size
 
@@ -489,22 +489,21 @@ def _look_at_pose(position: np.ndarray, forward: np.ndarray) -> np.ndarray:
     return pose
 
 
-def generate_trajectory(spec: SceneSpec, gt: VoxelGrid, n_frames: int,
+def generate_trajectory(spec: SceneSpec, maps: SceneMaps, n_frames: int,
                         seed: int) -> list[CameraFrame]:
     """Seeded orbital sweep that pans across the scene over n_frames.
 
     Cameras sit on a circle around the scene center inside free space and
     look inward across the room with a cycling pitch, so the sweep
     progressively covers the floor, the opposite walls, and interior
-    structure. Free space is read from `gt`, the run's grid of `spec`
-    (`generate_scene(spec)`), so the scene is not voxelized again.
-    Positions falling inside occupied voxels retreat toward the center
+    structure. The circle follows `spec.extent`; free space is read from
+    `maps.codes`, the maps of the run's grid of `spec`. Positions that
+    fall in an occupied voxel or off the grid retreat toward the center
     deterministically; a scene with no free voxel at all is rejected.
     """
     if n_frames < 1:
         raise InvalidInputError("n_frames must be >= 1")
-    free = gt.values == gt.num_classes - 1
-    if not np.any(free):
+    if not np.any(maps.codes == 0):
         raise InvalidInputError("scene has no free space for a trajectory")
     rng = np.random.default_rng(seed)
     center = spec.extent / 2.0
@@ -523,8 +522,7 @@ def generate_trajectory(spec: SceneSpec, gt: VoxelGrid, n_frames: int,
         ])
         r = radius
         for _ in range(32):
-            vox = gt.voxel_of(pos[None, :])[0]
-            if np.all((vox >= 0) & (vox < np.array(gt.dims))) and free[tuple(vox)]:
+            if maps.codes[tuple(maps.grid.voxel_of(pos)[0] + 1)] == 0:
                 break
             r *= 0.85
             pos[0] = center[0] + r * np.cos(theta)

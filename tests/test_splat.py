@@ -602,8 +602,9 @@ class TestLabels:
         # the first frame of the default local run, on the 60 x 60 x 36 grid
         spec = default_scene()
         gt = generate_scene(spec)
-        frame = generate_trajectory(spec, gt, 1, 0)[0]
-        b = stub_predict(gt, scene_maps(gt), frame, NoiseParams(), 0, StubConfig())
+        maps = scene_maps(gt)
+        frame = generate_trajectory(spec, maps, 1, 0)[0]
+        b = stub_predict(maps, frame, NoiseParams(), 0, StubConfig())
         prob_grid = np.prod(gt.dims) * gt.num_classes * np.dtype(np.float32).itemsize
         tracemalloc.start()
         try:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import splatmem.synth as synth
 from oracle import cell_of
 from splatmem.core import D_MODEL, NUM_CLASSES, CameraFrame, PrimitiveBatch
+from splatmem.errors import InvalidInputError
 from splatmem.grid import VoxelGrid
 from splatmem.synth import (DEFAULT_FAR, DEFAULT_HEIGHT, DEFAULT_INTRINSICS,
                             DEFAULT_NEAR, DEFAULT_WIDTH, STUB_FOOTPRINT_GAIN,
@@ -25,8 +26,8 @@ from splatmem.synth import (DEFAULT_FAR, DEFAULT_HEIGHT, DEFAULT_INTRINSICS,
                             STUB_NORMAL_SCALE, STUB_SPILL_MARGIN, STUB_TANGENT_SCALE_MAX,
                             STUB_TANGENT_SCALE_MIN, SURFACE_EXTENT_REACH, NoiseParams,
                             RayHits, StubConfig, _look_at_pose, _surface_extent,
-                            default_scene, generate_scene,
-                            generate_trajectory, sample_pixels, scene_maps, stub_predict,
+                            default_scene, generate_scene, generate_trajectory,
+                            parse_scene_spec, sample_pixels, scene_maps, stub_predict,
                             trace_rays)
 
 GT = generate_scene(default_scene())
@@ -178,7 +179,7 @@ def reference_stub_predict(gt, frame, noise, seed, cfg):
     clean = clean + STUB_MEAN_CENTERING * (centers - clean)
     means = clean + depth_noise[sel, None] * dirs
     cell = gt.voxel_of(means)
-    in_b = gt.in_bounds(cell)
+    in_b = np.all((cell >= 0) & (cell < np.array(gt.dims)), axis=1)
     cell_cl = np.clip(cell, 0, np.array(gt.dims) - 1)
     land_label = gt.values[cell_cl[:, 0], cell_cl[:, 1], cell_cl[:, 2]]
     hit_label = gt.values[hits.voxel[sel, 0], hits.voxel[sel, 1], hits.voxel[sel, 2]]
@@ -306,6 +307,21 @@ class TestSceneMaps:
         assert np.array_equal(maps.runs[occupied], runs[occupied])
         assert not maps.runs[~occupied].any()
 
+    def test_codes_at_voxel_of_read_off_the_grid_points_outside(self):
+        # the grid and points of test_voxel_of_keeps_points_off_the_grid_off_it,
+        # of which only the first lies on the grid, in voxel (0, 0, 2)
+        grid = VoxelGrid.empty_labels((0.0, -1.0, 0.0), 0.5, (4, 2, 3), NUM_CLASSES)
+        points = [[0.1, -0.9, 1.4], [-0.1, 0.01, 1.5], [1e300, -1e300, 7.0], [2.0, 0.0, -1e-9]]
+        for label, code in [(NUM_CLASSES - 1, 0), (3, 1)]:
+            grid.values[0, 0, 2] = label
+            codes = scene_maps(grid).codes[tuple(grid.voxel_of(points).T + 1)]
+            assert codes.tolist() == [code, 2, 2, 2]
+
+    def test_probability_grid_is_rejected(self):
+        values = np.full((2, 3, 4, NUM_CLASSES), 1.0 / NUM_CLASSES)
+        with pytest.raises(InvalidInputError, match="label grid"):
+            scene_maps(VoxelGrid((0, 0, 0), 0.1, (2, 3, 4), values))
+
     @pytest.mark.parametrize("reach", [1, 2, 4])
     def test_thin_axis_matches_shifted_copies_on_the_shell(self, reach, monkeypatch):
         monkeypatch.setattr(synth, "SURFACE_EXTENT_REACH", reach)
@@ -328,8 +344,8 @@ class TestTraceRays:
     def test_trajectory_matches_loop(self, seed, grid_hw):
         maps = scene_maps(GT)
         pixels = sample_pixels(DEFAULT_WIDTH, DEFAULT_HEIGHT, *grid_hw)
-        for frame in generate_trajectory(default_scene(), GT, 12, seed):
-            assert_hits_equal(trace_rays(GT, maps, frame, pixels),
+        for frame in generate_trajectory(default_scene(), maps, 12, seed):
+            assert_hits_equal(trace_rays(maps, frame, pixels),
                               loop_trace_rays(GT, frame, pixels))
 
     def test_random_cameras_match_loop(self):
@@ -340,7 +356,7 @@ class TestTraceRays:
         n_hit = n_miss = 0
         for frame in cams:
             ref = loop_trace_rays(GT, frame, PIXELS)
-            assert_hits_equal(trace_rays(GT, maps, frame, PIXELS), ref)
+            assert_hits_equal(trace_rays(maps, frame, PIXELS), ref)
             n_hit += ref.hit.sum()
             n_miss += (~ref.hit).sum()
         assert n_hit > 1000 and n_miss > 1000
@@ -362,7 +378,7 @@ class TestTraceRays:
         frame = camera(position, forward)
         origin, dirs = frame.pixel_rays(PIXELS)
         assert np.sum(dirs == 0) >= 5
-        assert_hits_equal(trace_rays(GT, scene_maps(GT), frame, PIXELS),
+        assert_hits_equal(trace_rays(scene_maps(GT), frame, PIXELS),
                           loop_trace_rays(GT, frame, PIXELS))
 
     @pytest.mark.parametrize("position,forward", [
@@ -375,7 +391,7 @@ class TestTraceRays:
         frame = camera(position, forward)
         dirs = frame.pixel_rays(PIXELS)[1]
         assert np.any((dirs != 0) & (np.abs(dirs) < np.finfo(float).tiny))
-        assert_hits_equal(trace_rays(GT, scene_maps(GT), frame, PIXELS),
+        assert_hits_equal(trace_rays(scene_maps(GT), frame, PIXELS),
                           loop_trace_rays(GT, frame, PIXELS))
 
     @pytest.mark.parametrize("position,forward,far", [
@@ -385,7 +401,7 @@ class TestTraceRays:
     ])
     def test_rays_that_miss_the_grid(self, position, forward, far):
         frame = camera(position, forward, far)
-        hits = trace_rays(GT, scene_maps(GT), frame, PIXELS)
+        hits = trace_rays(scene_maps(GT), frame, PIXELS)
         assert not hits.hit.any()
         assert_hits_equal(hits, loop_trace_rays(GT, frame, PIXELS))
 
@@ -393,7 +409,7 @@ class TestTraceRays:
     @given(small_scenes_and_cameras())
     def test_generated_small_scenes_match_loop(self, scene):
         grid, frame = scene
-        assert_hits_equal(trace_rays(grid, scene_maps(grid), frame, FEW_PIXELS),
+        assert_hits_equal(trace_rays(scene_maps(grid), frame, FEW_PIXELS),
                           loop_trace_rays(grid, frame, FEW_PIXELS))
 
     @pytest.mark.parametrize("stop", [2, ROUND - 1, ROUND, ROUND + 1, 2 * ROUND])
@@ -416,7 +432,7 @@ class TestTraceRays:
             far = loop_trace_rays(grid, camera(*view), FEW_PIXELS).t_entry[0]
         frame = camera(*view, far)
         assert np.array_equal(frame.pixel_rays(FEW_PIXELS[:1])[1], [[1.0, 0.0, 0.0]])
-        hits = trace_rays(grid, scene_maps(grid), frame, FEW_PIXELS)
+        hits = trace_rays(scene_maps(grid), frame, FEW_PIXELS)
         assert_hits_equal(hits, loop_trace_rays(grid, frame, FEW_PIXELS))
         assert hits.hit[0] == (by in ("wall", "far on the wall"))
         if hits.hit[0]:
@@ -427,8 +443,8 @@ def hit_voxels(seed, frames=6):
     maps = scene_maps(GT)
     pixels = sample_pixels(DEFAULT_WIDTH, DEFAULT_HEIGHT, 30, 40)
     out = []
-    for frame in generate_trajectory(default_scene(), GT, frames, seed):
-        hits = trace_rays(GT, maps, frame, pixels)
+    for frame in generate_trajectory(default_scene(), maps, frames, seed):
+        hits = trace_rays(maps, frame, pixels)
         out.append((hits.voxel[hits.hit], hits.face_axis[hits.hit]))
     return out
 
@@ -469,8 +485,8 @@ class TestStubPredict:
     def test_batches_match_reference(self, seed, grid_hw, noise):
         cfg = StubConfig(grid_h=grid_hw[0], grid_w=grid_hw[1])
         maps = scene_maps(GT)
-        for i, frame in enumerate(generate_trajectory(default_scene(), GT, 8, seed)):
-            got = stub_predict(GT, maps, frame, noise, seed + i, cfg)
+        for i, frame in enumerate(generate_trajectory(default_scene(), maps, 8, seed)):
+            got = stub_predict(maps, frame, noise, seed + i, cfg)
             ref = reference_stub_predict(GT, frame, noise, seed + i, cfg)
             assert len(got) == len(ref) > 0
             for name in FIELDS:
@@ -479,6 +495,37 @@ class TestStubPredict:
     def test_frames_that_see_nothing_give_empty_batches(self):
         cfg = StubConfig(grid_h=12, grid_w=16)
         frame = camera((-3.0, -3.0, 1.0), (-1, -1, 0))
-        got = stub_predict(GT, scene_maps(GT), frame, NoiseParams(), 0, cfg)
+        got = stub_predict(scene_maps(GT), frame, NoiseParams(), 0, cfg)
         assert len(got) == 0
         assert len(reference_stub_predict(GT, frame, NoiseParams(), 0, cfg)) == 0
+
+
+# Two panels stand on the orbit of this scene, so that cameras 0 and 5 of
+# the seed-0 sweep over 10 frames start inside them and retreat twice
+# toward the center, to 0.85^2 of the 1.024 m orbit.
+PANELS_ON_THE_ORBIT = """extent 3.2 3.2 2.0
+box 0 0 0 3.2 3.2 0.08 1
+box 2.4 1.2 0 2.8 2.0 2.0 5
+box 0.4 1.4 0 0.8 1.8 1.6 6
+"""
+
+
+class TestGenerateTrajectory:
+    @pytest.mark.parametrize("spec,retreats", [
+        (default_scene(), []),
+        (parse_scene_spec(PANELS_ON_THE_ORBIT), [0, 5]),
+    ], ids=["default", "panels_on_the_orbit"])
+    def test_cameras_sit_in_free_voxels(self, spec, retreats):
+        gt = generate_scene(spec)
+        frames = generate_trajectory(spec, scene_maps(gt), 10, 0)
+        radius = synth.ORBIT_RADIUS_FRAC * min(spec.extent[:2])
+        retreated = []
+        for i, frame in enumerate(frames):
+            vox = cell_of(frame.position, gt.origin, gt.voxel_size)
+            assert np.all((vox >= 0) & (vox < gt.dims))
+            assert gt.values[tuple(vox)] == gt.num_classes - 1
+            r = np.hypot(*(frame.position[:2] - spec.extent[:2] / 2))
+            if not np.isclose(r, radius):
+                assert r == pytest.approx(0.85**2 * radius)
+                retreated.append(i)
+        assert retreated == retreats

@@ -120,10 +120,11 @@ def _build(cls, data, where: str):
         raise ConfigError(f"{where}: {e}") from e
 
 
-def load_run_config(path: str | None, overrides: dict) -> RunConfig:
+def load_run_config(path: str | None, overrides: dict, mode: str) -> RunConfig:
     """The run config of a JSON file, with each dotted key of `overrides`
-    (a set flag) beating the file's value. The file alone and the merged
-    values pass the same checks."""
+    (a set flag) beating the file's value, and `mode`, the subcommand's,
+    where neither sets one. The file alone and the merged values pass the
+    same checks."""
     data: dict = {}
     if path is not None:
         p = Path(path)
@@ -134,6 +135,7 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
         except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise ConfigError(f"config file {path}: invalid JSON ({e})") from e
         _build(RunConfig, data, f"config file {path}")
+    data.setdefault("mode", mode)
     for dotted, value in overrides.items():
         section, _, name = dotted.rpartition(".")
         (data.setdefault(section, {}) if section else data)[name] = value
@@ -381,9 +383,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command in ("run-local", "run-embodied"):
-            cfg = load_run_config(args.config, _overrides(args))
-            run = run_local if args.command == "run-local" else run_embodied
-            report = run(cfg)
+            run, mode = ((run_local, MODE_LOCAL) if args.command == "run-local"
+                         else (run_embodied, MODE_EMBODIED))
+            report = run(load_run_config(args.config, _overrides(args), mode))
             print(f"iou {report.iou:.6f} miou {report.miou:.6f}")
         elif args.command == "stats":
             sys.stdout.write(cmd_stats(args.gmem))

@@ -142,8 +142,8 @@ class CameraFrame:
 
     Camera axes: +x right, +y down, +z forward. Pixel (u, v) spans
     [0, width) x [0, height); a point projects inside the frame iff its
-    camera-space depth (z) lies in [near, far] and its projection lands
-    inside the bounds.
+    camera-space depth (z) lies in [near, far], with 0 < near < far, and
+    its projection lands inside the bounds.
     """
 
     intrinsics: np.ndarray
@@ -165,8 +165,8 @@ class CameraFrame:
         R = P[:3, :3]
         if np.max(np.abs(R @ R.T - np.eye(3))) > 1e-6:
             raise InvalidInputError("pose rotation part is not orthonormal")
-        if not (self.near < self.far):
-            raise InvalidInputError("near must be less than far")
+        if not (0 < self.near < self.far):  # also rejects NaN
+            raise InvalidInputError("near and far must satisfy 0 < near < far")
         if self.width <= 0 or self.height <= 0:
             raise InvalidInputError("image dimensions must be positive")
         object.__setattr__(self, "intrinsics", K)
@@ -176,36 +176,19 @@ class CameraFrame:
     def position(self) -> np.ndarray:
         return self.pose[:3, 3]
 
-    def world_to_camera(self, points: np.ndarray) -> np.ndarray:
-        """Transform (N,3) world points into camera coordinates."""
-        p = np.asarray(points, dtype=np.float64)
-        R = self.pose[:3, :3]
-        t = self.pose[:3, 3]
-        return (p - t) @ R  # R^T (p - t), row-vector form
-
-    def project(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Project (N,3) world points; returns pixel coords (N,2) and depths (N,).
-
-        Points at or behind the camera plane get non-finite pixel coords.
-        """
-        pc = self.world_to_camera(np.atleast_2d(points))
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """Frustum test for (N,3) world points: camera-space depth in
+        [near, far] and pinhole projection inside the image bounds. As
+        near > 0, the depth test alone keeps points at or behind the
+        camera outside, whatever their projection reads."""
+        p = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        pc = (p - self.position) @ self.pose[:3, :3]  # R^T (p - t), row-vector form
         z = pc[:, 2]
         with np.errstate(divide="ignore", invalid="ignore"):
             u = self.intrinsics[0, 0] * pc[:, 0] / z + self.intrinsics[0, 2]
             v = self.intrinsics[1, 1] * pc[:, 1] / z + self.intrinsics[1, 2]
-        bad = z <= 0
-        u[bad] = np.nan
-        v[bad] = np.nan
-        return np.stack([u, v], axis=1), z
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Frustum test for (N,3) world points, by depth range and image bounds."""
-        uv, z = self.project(points)
-        with np.errstate(invalid="ignore"):
-            ok = (z >= self.near) & (z <= self.far)
-            ok &= (uv[:, 0] >= 0) & (uv[:, 0] < self.width)
-            ok &= (uv[:, 1] >= 0) & (uv[:, 1] < self.height)
-        return ok
+            return ((z >= self.near) & (z <= self.far) & (u >= 0) & (u < self.width)
+                    & (v >= 0) & (v < self.height))
 
     def pixel_rays(self, pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """World-space rays through pixel coords (N,2).

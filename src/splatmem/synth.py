@@ -4,7 +4,9 @@ Scenes are box compositions voxelized into ground-truth label grids.
 Exact voxel ray marching (amanatides-woo stepping) finds the surface each
 sampled pixel ray strikes, and a noise controllable stub predictor turns
 those hits into per-frame primitive batches so the temporal pipeline can
-run end to end. The march advances all live rays in rounds of
+run end to end. Each march starts in the camera's voxel, free and on the
+grid where the trajectory places it, and ends at the padding past the
+grid's edge or at the far plane; it advances all live rays in rounds of
 `_MARCH_ROUND` steps and retires the rays that stopped once per round.
 What depends only on the scene is built once per run as `SceneMaps`:
 the label grid itself; a code grid padded by one voxel, which answers
@@ -200,10 +202,11 @@ class SceneMaps:
     `codes` answers every free, occupied or off-grid test of the march,
     the stub and the trajectory. A point's code is at `voxel_of(p) + 1`,
     which always lies in the padded grid because `voxel_of` clamps to
-    [-1, dims]. A ray reaches the padding at the latest one step after its
-    last in-grid voxel, so its march needs no bounds test. Steps that a
-    ray takes past its stop, in the same round, may leave the padded grid;
-    the march reads them with `clip` and discards them."""
+    [-1, dims]. The march starts in the camera's on-grid voxel and a ray
+    reaches the padding one step after its last in-grid voxel, so it ends
+    there or at the far plane with no bounds test. Steps that a ray takes
+    past its stop, in the same round, may leave the padded grid; the march
+    reads them with `clip` and discards them."""
 
     grid: VoxelGrid
     codes: np.ndarray
@@ -227,9 +230,11 @@ def scene_maps(gt: VoxelGrid) -> SceneMaps:
 def trace_rays(maps: SceneMaps, frame: CameraFrame, pixels: np.ndarray) -> RayHits:
     """March rays through the scene's grid to the first occupied voxel.
 
-    The ray parameter equals camera-space depth, so entry/exit values place
-    points along the ray directly. Marching stops at the frame's far plane
-    or at the grid boundary, where the padded code grid reads "outside".
+    Every ray starts at t = 0 in the camera's voxel (InvalidInputError,
+    before any march, if it is off the grid) and ends at the first
+    occupied voxel, at the padding past the grid's edge or past the far
+    plane. The ray parameter equals camera-space depth, so entry/exit
+    values place points along the ray directly.
 
     Live rays step in rounds of _MARCH_ROUND with no stop test. After each
     round one bulk pass over the round's recorded steps finds every ray's
@@ -240,51 +245,34 @@ def trace_rays(maps: SceneMaps, frame: CameraFrame, pixels: np.ndarray) -> RayHi
     """
     gt = maps.grid
     origin, dirs = frame.pixel_rays(pixels)
-    # A direction component whose reciprocal overflows, such as a subnormal
-    # one, never reaches a face within float range, so it counts as zero.
-    with np.errstate(divide="ignore", over="ignore"):
-        dirs = np.where(np.isinf(1.0 / dirs), 0.0, dirs)
+    cam = gt.voxel_of(origin)[0]
+    if maps.codes[tuple(cam + 1)] == 2:
+        raise InvalidInputError(f"camera at {origin.tolist()} lies off the scene's grid")
     n = len(dirs)
-    dims = np.array(gt.dims)
     vs = gt.voxel_size
 
     hit = np.zeros(n, dtype=bool)
     t_entry = np.full(n, np.inf)
     t_exit = np.full(n, np.inf)
     voxel = np.zeros((n, 3), dtype=np.int64)
-    # Face the ray crossed into its current voxel; rays starting inside a
-    # voxel fall back to their dominant direction axis.
+    # Face the ray crossed into its current voxel; in the camera's voxel,
+    # even an occupied one, it falls back to the dominant direction axis.
     face = np.argmax(np.abs(dirs), axis=1)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_d = np.where(dirs != 0, 1.0 / dirs, np.inf)
-    # Crossings past float range saturate to inf. An origin on a bounding
-    # plane of a parallel axis gives 0 * inf = NaN, which nanmax and nanmin
-    # skip.
-    with np.errstate(invalid="ignore", over="ignore"):
-        lo_t = (gt.origin - origin) * inv_d
-        hi_t = (gt.origin + dims * vs - origin) * inv_d
-    # A zero direction component's slab is (-inf, inf) with the origin
-    # inside it; outside, both crossings are +inf (so t0 is) or both -inf
-    # (so t1 is), and the ray misses.
-    t0 = np.nanmax(np.minimum(lo_t, hi_t), axis=1)
-    t1 = np.nanmin(np.maximum(lo_t, hi_t), axis=1)
-    t_start = np.maximum(t0, 0.0)
-    ids = np.flatnonzero((t_start <= t1) & (t_start <= frame.far))
-
-    d = dirs[ids]
-    idx = np.clip(gt.voxel_of(origin + t_start[ids, None] * d), 0, dims - 1)
+    ids = np.arange(n)
     strides = np.array(maps.codes.strides) // maps.codes.itemsize
-    flat = (idx + 1) @ strides
-    step = np.where(d > 0, strides, -strides)
+    flat = np.full(n, (cam + 1) @ strides)
+    step = np.where(dirs > 0, strides, -strides)
     with np.errstate(divide="ignore", over="ignore"):
-        t_delta = vs / np.abs(d)
-    next_face = gt.origin + (idx + (d > 0)) * vs
+        t_delta = vs / np.abs(dirs)
+        inv_d = 1.0 / dirs
+    next_face = gt.origin + (cam + (dirs > 0)) * vs
+    # A direction component whose reciprocal overflows, zero or subnormal,
+    # never reaches a face within float range.
     with np.errstate(invalid="ignore", over="ignore"):
-        t_max = np.where(d != 0, (next_face - origin) * inv_d[ids], np.inf)
-    t_cur = t_start[ids]
-    t_lim = np.fmin(frame.far, t1[ids])
-    axis = face[ids]
+        t_max = np.where(np.isinf(inv_d), np.inf, (next_face - origin) * inv_d)
+    t_cur = np.zeros(n)
+    axis = face.copy()
     codes = maps.codes.ravel()
     while len(ids):
         # A round: every live ray takes _MARCH_ROUND steps with no stop
@@ -305,7 +293,7 @@ def trace_rays(maps: SceneMaps, frame: CameraFrame, pixels: np.ndarray) -> RayHi
         # Steps past a ray's stop may leave the padded grid. They are
         # discarded, and `clip` keeps their gathers in range.
         code = np.take(codes, flats[:-1], mode="clip")
-        stop = (code != 0) | (ts[:-1] > t_lim)
+        stop = (code != 0) | (ts[:-1] > frame.far)
         ended = stop.any(axis=0)
         # Retire each ray that stopped at its first stopping state j. A ray
         # stopping at state 0 entered through the axis of the previous
@@ -314,7 +302,7 @@ def trace_rays(maps: SceneMaps, frame: CameraFrame, pixels: np.ndarray) -> RayHi
         done = np.flatnonzero(ended)
         j = stop[:, done].argmax(axis=0)
         face[ids[done]] = np.where(j > 0, ks[j - 1, done] - 3 * done, axis[done])
-        got = (code[j, done] == 1) & (ts[j, done] <= t_lim[done])
+        got = (code[j, done] == 1) & (ts[j, done] <= frame.far)
         j, done = j[got], done[got]
         r = ids[done]
         hit[r], t_entry[r], t_exit[r] = True, ts[j, done], ts[j + 1, done]
@@ -322,7 +310,7 @@ def trace_rays(maps: SceneMaps, frame: CameraFrame, pixels: np.ndarray) -> RayHi
         keep = np.flatnonzero(~ended)
         axis = ks[-1, keep] - 3 * keep
         ids, flat, t_cur = ids[keep], flats[-1, keep], ts[-1, keep]
-        step, t_delta, t_max, t_lim = step[keep], t_delta[keep], t_max[keep], t_lim[keep]
+        step, t_delta, t_max = step[keep], t_delta[keep], t_max[keep]
     return RayHits(hit, t_entry, t_exit, voxel, face)
 
 
@@ -499,7 +487,8 @@ def generate_trajectory(spec: SceneSpec, maps: SceneMaps, n_frames: int,
     structure. The circle follows `spec.extent`; free space is read from
     `maps.codes`, the maps of the run's grid of `spec`. Positions that
     fall in an occupied voxel or off the grid retreat toward the center
-    deterministically; a scene with no free voxel at all is rejected.
+    deterministically; a scene with no free voxel at all is rejected. Each
+    camera's free on-grid voxel is where `trace_rays` starts its march.
     """
     if n_frames < 1:
         raise InvalidInputError("n_frames must be >= 1")

@@ -5,9 +5,10 @@ against them: one primitive at a time (`GaussianPrimitive`, `kernel`,
 `density`, `quat_to_rotation`, `entropy`, `confidence`), and the fields of
 a splatting pass spread over the whole grid (`alpha`, `semantics`,
 `undefined`) with the float64 channels a render makes of them
-(`channels`). `cell_of` gives the integer cell triple of each point, and
+(`channels`). `cell_of` gives the integer cell triple of each point,
 `pack_cells` the fusion-cell keys of the (N, 3) cell triples that the
-grouping references work on.
+grouping references work on, and `project` the pixel coordinates and
+depths of points under a camera's pinhole model.
 """
 
 from __future__ import annotations
@@ -27,6 +28,16 @@ def cell_of(points, origin, size: float) -> np.ndarray:
     """Integer cell floor((p - origin) / size) of each (N, 3) point."""
     p = np.asarray(points, dtype=np.float64)
     return np.floor((p - origin) / size).astype(np.int64)
+
+
+def project(frame, points) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel coords (N, 2) and camera-space depths (N,) of (N, 3) world
+    points under `frame` (a `CameraFrame`), for points in front of it."""
+    p = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    pc = (p - frame.position) @ frame.pose[:3, :3]
+    K = frame.intrinsics
+    uv = K[:2, :2].diagonal() * pc[:, :2] / pc[:, 2:] + K[:2, 2]
+    return uv, pc[:, 2]
 
 
 def _vec3(v, name: str) -> np.ndarray:

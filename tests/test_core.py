@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import (Covariance, GaussianPrimitive, covariance, density, kernel, pack_cells,
-                    quat_to_rotation)
+                    project, quat_to_rotation)
 from splatmem.core import CameraFrame, cell_key, quats_to_rotations
 from splatmem.errors import InvalidInputError, InvariantError
 
@@ -212,7 +212,7 @@ class TestCameraFrame:
 
     def test_projection_center(self):
         f = self.make_frame()
-        uv, z = f.project(np.array([[0, 0, 2.0]]))
+        uv, z = project(f, np.array([[0, 0, 2.0]]))
         assert np.allclose(uv[0], [320, 240])
         assert z[0] == pytest.approx(2.0)
 
@@ -228,15 +228,17 @@ class TestCameraFrame:
             CameraFrame(np.eye(3) * 100, P, 10, 10, 0.1, 1.0)
 
     def test_near_far_ordering(self):
-        with pytest.raises(InvalidInputError):
-            CameraFrame(np.eye(3) * 100, np.eye(4), 10, 10, 5.0, 1.0)
+        # 0 < near < far; NaN fails both comparisons
+        for near, far in [(5.0, 1.0), (0.0, 1.0), (-1.0, 1.0), (np.nan, 1.0), (0.1, np.nan)]:
+            with pytest.raises(InvalidInputError):
+                CameraFrame(np.eye(3) * 100, np.eye(4), 10, 10, near, far)
 
     def test_pixel_ray_roundtrip(self):
         f = self.make_frame()
         pix = np.array([[100.5, 400.5], [320.0, 240.0]])
         origin, dirs = f.pixel_rays(pix)
         pts = origin + 3.0 * dirs
-        uv, z = f.project(pts)
+        uv, z = project(f, pts)
         assert np.allclose(uv, pix, atol=1e-9)
         assert np.allclose(z, 3.0)
 

@@ -339,10 +339,23 @@ class TestLocal:
         assert capsys.readouterr().out == f"iou {LOCAL_IOU:.6f} miou {LOCAL_MIOU:.6f}\n"
 
     def test_subcommand_without_local_mode_exits_1(self, tmp_path, capsys):
+        # a mode set by a flag or by the config file is checked, not replaced
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"mode": cli.MODE_EMBODIED}))
         out = tmp_path / "out"
-        assert cli.main(["run-local", "--frames", "2", "--output-dir", str(out)]) == 1
-        assert "config error" in capsys.readouterr().err
-        assert not out.exists()
+        for flags in (["--mode", cli.MODE_EMBODIED], ["--config", str(path)]):
+            assert cli.main(["run-local", *flags, "--frames", "2",
+                             "--output-dir", str(out)]) == 1
+            assert "this run takes mode 'local'" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_subcommand_supplies_local_mode(self, tmp_path, capsys):
+        # where neither a flag nor the config file sets the mode
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"n_frames": 1}))
+        out = tmp_path / "out"
+        assert cli.main(["run-local", "--config", str(path), "--output-dir", str(out)]) == 0
+        assert (out / "report.txt").read_text().startswith("mode local\n")
 
 
 class TestConcatBaseline:

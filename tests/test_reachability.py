@@ -6,10 +6,12 @@ The package is parsed with `ast`. The callers are the modules of the
 package other than `__init__.py`, and the benchmark's modules in
 `perfbench/`. A public top-level function or class passes when a caller
 names it, as a variable, an attribute or an import, outside the name's
-own definition. A public method, property, class constant or annotated
-(dataclass) field of a public class passes when a caller names it as an
-attribute outside its own definition. The re-exports of `__init__.py` do not count: they would keep
-any name alive. Neither do the tests: code that only they reach belongs
+own definition. A public class constant or annotated (dataclass) field
+of a public class passes when a caller names it as an attribute outside
+its own definition; a public method or property, only when a caller
+names it outside its own class, since one that only its class calls is
+a helper of that class. The re-exports of `__init__.py` do not count:
+they would keep any name alive. Neither do the tests: code that only they reach belongs
 in `tests/oracle.py`.
 
 Members are matched by attribute name only, not by the class they
@@ -21,6 +23,7 @@ sufficient, for a member to be live.
 
 import ast
 import dataclasses
+import functools
 from pathlib import Path
 
 import splatmem.cli as cli
@@ -29,7 +32,10 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "splatmem"
 
 
+@functools.cache
 def package_modules() -> dict[str, ast.Module]:
+    # parsed once, so that a caller node and a definition's own nodes are
+    # the same objects and a name's own definition can be told apart
     return {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))
             if p.name != "__init__.py"}
 
@@ -63,24 +69,26 @@ def unreached_names() -> list[str]:
 
 
 def unreached_members() -> list[str]:
-    """Public methods, properties, class constants and annotated fields of
-    public classes that no caller names as an attribute."""
+    """Public methods and properties of public classes that no caller names
+    as an attribute outside the class, and public class constants and
+    annotated fields that none names outside their own definition."""
     attrs = [(node.attr, node) for node in caller_nodes() if isinstance(node, ast.Attribute)]
     out = []
     for mod, tree in package_modules().items():
         for cls in tree.body:
             if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
                 continue
+            in_class = {id(n) for n in ast.walk(cls)}
             for node in cls.body:
+                own = {id(n) for n in ast.walk(node)}
                 if isinstance(node, ast.FunctionDef):
-                    names = [node.name]
+                    names, own = [node.name], in_class
                 elif isinstance(node, ast.Assign):
                     names = [t.id for t in node.targets if isinstance(t, ast.Name)]
                 elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
                     names = [node.target.id]
                 else:  # docstrings
                     continue
-                own = {id(n) for n in ast.walk(node)}
                 for name in names:
                     if name.startswith("_"):
                         continue

@@ -231,8 +231,13 @@ def camera(position, forward, far=DEFAULT_FAR):
                        DEFAULT_WIDTH, DEFAULT_HEIGHT, DEFAULT_NEAR, far)
 
 
+def on_the_grid(grid, position):
+    cell = cell_of(position, grid.origin, grid.voxel_size)
+    return bool(np.all((cell >= 0) & (cell < grid.dims)))
+
+
 def random_cameras(n, seed):
-    """Cameras inside and around the scene, looking anywhere, with far
+    """Cameras on and around the scene's grid, looking anywhere, with far
     planes from shorter than one voxel row to past the whole grid."""
     rng = np.random.default_rng(seed)
     out = []
@@ -259,10 +264,11 @@ ROUND = synth._MARCH_ROUND
 @st.composite
 def small_scenes_and_cameras(draw):
     """A grid of 1-12 voxels a side with up to four boxes, and a camera
-    inside it, outside it or inside an occupied voxel, looking along an
-    axis or anywhere, with a far plane from just past the near plane to
-    past the grid. Most rays of such grids step past the padded grid in the
-    round they stop in."""
+    inside it, on its lower face or just inside its upper one along one
+    axis, or inside an occupied voxel, looking along an axis or anywhere,
+    with a far plane from just past the near plane to past the grid. Most
+    rays of such grids step past the padded grid in the round they stop
+    in."""
     vs = 0.1
     dims = np.array([draw(st.integers(1, 12)) for _ in range(3)])
     grid = VoxelGrid.empty_labels((0, 0, 0), vs, dims, NUM_CLASSES)
@@ -272,12 +278,12 @@ def small_scenes_and_cameras(draw):
         grid.values[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = draw(st.integers(0, 3))
     unit = st.floats(0.01, 0.99)
     pos = np.array([draw(unit) for _ in range(3)]) * dims * vs
-    place = draw(st.sampled_from(["inside", "outside", "occupied"]))
+    place = draw(st.sampled_from(["inside", "edge", "occupied"]))
     if place == "occupied":
         grid.values[tuple(cell_of(pos, grid.origin, vs))] = 0
-    elif place == "outside":
-        a, past = draw(st.integers(0, 2)), draw(st.floats(0.05, 1.0))
-        pos[a] = dims[a] * vs + past if draw(st.booleans()) else -past
+    elif place == "edge":
+        a = draw(st.integers(0, 2))
+        pos[a] = (dims[a] - 1e-6) * vs if draw(st.booleans()) else 0.0
     if draw(st.booleans()):
         forward = np.eye(3)[draw(st.integers(0, 2))] * draw(st.sampled_from([-1, 1]))
     else:
@@ -349,12 +355,17 @@ class TestTraceRays:
                               loop_trace_rays(GT, frame, pixels))
 
     def test_random_cameras_match_loop(self):
+        # on-grid cameras match the loop; off-grid ones raise
         maps = scene_maps(GT)
         cams = random_cameras(120, seed=5)
-        inside = [np.all((c.position >= 0) & (c.position <= EXTENT)) for c in cams]
-        assert 10 < sum(inside) < 110
+        on_grid = [on_the_grid(GT, c.position) for c in cams]
+        assert 10 < sum(on_grid) < 110
         n_hit = n_miss = 0
-        for frame in cams:
+        for frame, on in zip(cams, on_grid):
+            if not on:
+                with pytest.raises(InvalidInputError, match="off the scene's grid"):
+                    trace_rays(maps, frame, PIXELS)
+                continue
             ref = loop_trace_rays(GT, frame, PIXELS)
             assert_hits_equal(trace_rays(maps, frame, PIXELS), ref)
             n_hit += ref.hit.sum()
@@ -366,13 +377,13 @@ class TestTraceRays:
         ((2.4, 2.4, 1.44), (0, -1, 0)),
         ((2.4, 2.4, 1.44), (0, 0, 1)),
         ((2.4, 2.4, 1.44), (0, 0, -1)),
-        ((-1.0, 2.4, 1.44), (1, 0, 0)),      # enters through the x = 0 face
+        ((0.04, 2.4, 1.44), (1, 0, 0)),      # in the occupied window: stops at t = 0
         ((2.0, 2.0, 0.64), (1, 0, 0)),       # origin on voxel faces
         ((0.0, 2.4, 1.44), (0, 1, 0)),       # origin on the grid's x = 0 plane
-        ((-1.0, 6.0, 1.44), (1, 0, 0)),      # outside the y slab: misses
-        ((-1.0, 2.4, 1.44), (0, 1, 0)),      # outside the x slab: misses
-        ((2.4, 2.4, 6.0), (1, 0, 0)),        # outside the z slab: misses
-        ((2.4, 2.4, 6.0), (0, 0, 1)),        # above the grid, looking up
+        ((2.4, 2.4, 2.87), (0, 0, 1)),       # in the top layer, looking up: misses
+        ((2.4, 2.4, 2.8), (1, 0, 0)),        # in the top layer: upper rays leave
+        ((4.799, 2.4, 1.44), (-1, 0, 0)),    # in the last x layer, the wall
+        ((0.1, 0.1, 0.1), (1, 0, 0)),        # in the free corner voxel (1, 1, 1)
     ])
     def test_axis_aligned_views_match_loop(self, position, forward):
         frame = camera(position, forward)
@@ -384,7 +395,7 @@ class TestTraceRays:
     @pytest.mark.parametrize("position,forward", [
         ((2.4, 2.4, 1.44), (1, 5e-324, 0)),
         ((2.4, 2.4, 1.44), (0, -1, 5e-324)),
-        ((-1.0, 2.4, 1.44), (1, -5e-324, 0)),
+        ((2.4, 2.4, 2.8), (1, -5e-324, 0)),  # in the top layer: upper rays leave
     ])
     def test_subnormal_direction_components_match_loop(self, position, forward):
         # 1 / d overflows: such a component acts as a zero one, with no warning
@@ -395,15 +406,39 @@ class TestTraceRays:
                           loop_trace_rays(GT, frame, PIXELS))
 
     @pytest.mark.parametrize("position,forward,far", [
-        ((-3.0, -3.0, 1.0), (-1, -1, 0), DEFAULT_FAR),   # looks away
-        ((2.4, 2.4, 9.0), (0.1, 0.2, 1), DEFAULT_FAR),   # above, looks up
-        ((-3.0, 2.4, 1.44), (1, 0, 0), 2.5),             # far plane short of the grid
+        ((2.4, 2.4, 2.87), (0, 0, 1), DEFAULT_FAR),      # top layer, leaves at once
+        ((2.4, 2.4, 1.6), (0.1, 0.2, 1), DEFAULT_FAR),   # looks up out of the open top
+        ((0.3, 3.0, 2.4), (1, 0, 0), 2.5),               # far plane short of the walls
     ])
     def test_rays_that_miss_the_grid(self, position, forward, far):
+        # the room has no ceiling: these rays leave the grid or pass `far`
         frame = camera(position, forward, far)
         hits = trace_rays(scene_maps(GT), frame, PIXELS)
         assert not hits.hit.any()
         assert_hits_equal(hits, loop_trace_rays(GT, frame, PIXELS))
+
+    @pytest.mark.parametrize("position,forward", [
+        ((-1.0, 2.4, 1.44), (1, 0, 0)),
+        ((-1e-9, 2.4, 1.44), (1, 0, 0)),     # just below the grid's x = 0 plane
+        ((-1.0, 6.0, 1.44), (1, 0, 0)),
+        ((-1.0, 2.4, 1.44), (0, 1, 0)),
+        ((2.4, 2.4, 6.0), (1, 0, 0)),
+        ((2.4, 2.4, 6.0), (0, 0, 1)),
+        ((-1.0, 2.4, 1.44), (1, -5e-324, 0)),
+        ((-3.0, -3.0, 1.0), (-1, -1, 0)),
+        ((2.4, 2.4, 9.0), (0.1, 0.2, 1)),
+        ((-3.0, 2.4, 1.44), (1, 0, 0)),
+    ])
+    def test_off_grid_cameras_raise(self, position, forward):
+        # the march starts in the camera's voxel, so a camera off the grid
+        # is rejected before any ray is marched
+        maps = scene_maps(GT)
+        frame = camera(position, forward)
+        assert not on_the_grid(GT, frame.position)
+        with pytest.raises(InvalidInputError, match="off the scene's grid"):
+            trace_rays(maps, frame, PIXELS)
+        with pytest.raises(InvalidInputError, match="off the scene's grid"):
+            stub_predict(maps, frame, NoiseParams(), 0, StubConfig())
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(small_scenes_and_cameras())
@@ -494,7 +529,8 @@ class TestStubPredict:
 
     def test_frames_that_see_nothing_give_empty_batches(self):
         cfg = StubConfig(grid_h=12, grid_w=16)
-        frame = camera((-3.0, -3.0, 1.0), (-1, -1, 0))
+        # looks up out of the room's open top
+        frame = camera((2.4, 2.4, 2.0), (0, 0, 1))
         got = stub_predict(scene_maps(GT), frame, NoiseParams(), 0, cfg)
         assert len(got) == 0
         assert len(reference_stub_predict(GT, frame, NoiseParams(), 0, cfg)) == 0

@@ -51,7 +51,7 @@ from .memory import (GaussianMemory, gmem_nbytes, init_memory, load_gmem, save_g
                      update)
 from .metrics import MetricReport, iou, local_mask, observed_mask
 from .splat import argmax_labels, render
-from .synth import (NoiseParams, StubConfig, default_scene, generate_scene,
+from .synth import (DEFAULT_SCENE, NoiseParams, SceneSpec, StubConfig, generate_scene,
                     generate_trajectory, parse_scene_spec, scene_maps, stub_predict)
 
 MODE_LOCAL = "local"
@@ -145,16 +145,16 @@ def load_run_config(path: str | None, overrides: dict, mode: str) -> RunConfig:
 def _episode(cfg: RunConfig, *modes: str):
     """The set-up of a run in one of `modes`: the output directory, the
     scene's maps (which carry its ground-truth grid), the trajectory and
-    the encoder weights. The scene file is read, voxelized once, built
-    into maps and given its trajectory before the directory is made, so a
-    scene that fails any of these is a config error that leaves no
-    directory behind."""
+    the encoder weights. The scene file, or `DEFAULT_SCENE`, is parsed,
+    voxelized once, built into maps and given its trajectory before the
+    directory is made, so a scene that fails any of these is a config
+    error that leaves no directory behind."""
     if cfg.mode not in modes:
         raise ConfigError(f"this run takes mode {' or '.join(map(repr, modes))}, "
                           f"not {cfg.mode!r}")
     try:
-        spec = (default_scene() if cfg.scene == "default"
-                else parse_scene_spec(Path(cfg.scene).read_text()))
+        spec = parse_scene_spec(DEFAULT_SCENE if cfg.scene == "default"
+                                else Path(cfg.scene).read_text())
         maps = scene_maps(generate_scene(spec))
         frames = generate_trajectory(spec, maps, cfg.n_frames, cfg.trajectory_seed)
     except (InvalidInputError, UnicodeDecodeError, OSError) as e:
@@ -295,7 +295,7 @@ def cmd_render(args) -> None:
         elif len(mem.batch) == 0:
             raise ConfigError("cannot derive a grid from an empty memory")
         else:
-            vs = 0.08 if args.voxel_size is None else args.voxel_size
+            vs = SceneSpec.gt_voxel_size if args.voxel_size is None else args.voxel_size
             lo = mem.batch.means.min(axis=0) - 0.5
             hi = mem.batch.means.max(axis=0) + 0.5
             with np.errstate(divide="ignore", over="ignore"):  # a bad size fails the check
@@ -366,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--like", help="copy grid geometry from this .vgrid")
     p_render.add_argument("--dims", type=int, nargs=3)
     p_render.add_argument("--origin", type=float, nargs=3)
-    p_render.add_argument("--voxel-size", type=float)
+    p_render.add_argument("--voxel-size", type=float, help="voxel size (default "
+                          f"{SceneSpec.gt_voxel_size} m where the grid is derived)")
     p_render.add_argument("--labels", action="store_true",
                           help="write the argmax label grid (uint16, the only "
                                "full-grid array built) instead of the probabilities")

@@ -138,7 +138,7 @@ def concat_batches(*batches: PrimitiveBatch) -> PrimitiveBatch:
 
 @dataclass(frozen=True)
 class CameraFrame:
-    """Pinhole camera: intrinsics K, rigid camera-to-world pose, depth range.
+    """Pinhole camera: intrinsics K, rigid camera-to-world pose (both finite), depth range.
 
     Camera axes: +x right, +y down, +z forward. Pixel (u, v) spans
     [0, width) x [0, height); a point projects inside the frame iff its
@@ -158,10 +158,10 @@ class CameraFrame:
         P = np.asarray(self.pose, dtype=np.float64)
         if K.shape != (3, 3):
             raise InvalidInputError("intrinsics must be 3x3")
-        if K[0, 0] <= 0 or K[1, 1] <= 0:
-            raise InvalidInputError("focal lengths must be positive")
-        if P.shape != (4, 4):
-            raise InvalidInputError("pose must be a 4x4 rigid transform")
+        if not (np.all(np.isfinite(K)) and K[0, 0] > 0 and K[1, 1] > 0):
+            raise InvalidInputError("intrinsics must be finite, with positive focal lengths")
+        if P.shape != (4, 4) or not np.all(np.isfinite(P)):
+            raise InvalidInputError("pose must be a finite 4x4 rigid transform")
         R = P[:3, :3]
         if np.max(np.abs(R @ R.T - np.eye(3))) > 1e-6:
             raise InvalidInputError("pose rotation part is not orthonormal")

@@ -1,18 +1,20 @@
 """Synthetic scenes standing in for a learned perception stack.
 
-Scenes are box compositions voxelized into ground-truth label grids.
-Exact voxel ray marching (amanatides-woo stepping) finds the surface each
-sampled pixel ray strikes, and a noise controllable stub predictor turns
-those hits into per-frame primitive batches so the temporal pipeline can
-run end to end. Each march starts in the camera's voxel, free and on the
-grid where the trajectory places it, and ends at the padding past the
-grid's edge or at the far plane; it advances all live rays in rounds of
-`_MARCH_ROUND` steps and retires the rays that stopped once per round.
-What depends only on the scene is built once per run as `SceneMaps`:
-the label grid itself; a code grid padded by one voxel, which answers
-free, occupied or off the grid for the march, the stub's landing test
-and the trajectory's camera placement with no bounds test; and the
-shell's per-axis runs and thin axis, which shape the splats.
+Scenes are box compositions, each read from scene-file text by
+`parse_scene_spec` (`DEFAULT_SCENE` is the default run's) and voxelized
+into a ground-truth label grid. Exact voxel ray marching (amanatides-woo
+stepping) finds the surface each sampled pixel ray strikes, and a noise
+controllable stub predictor turns those hits into per-frame primitive
+batches so the temporal pipeline can run end to end. Each march starts
+in the camera's voxel, free and on the grid where the trajectory places
+it, and ends at the padding past the grid's edge or at the far plane; it
+advances all live rays in rounds of `_MARCH_ROUND` steps and retires the
+rays that stopped once per round. What depends only on the scene is
+built once per run as `SceneMaps`: the label grid itself; a code grid
+padded by one voxel, which answers free, occupied or off the grid for
+the march, the stub's landing test and the trajectory's camera placement
+with no bounds test; and the shell's per-axis runs and thin axis, which
+shape the splats.
 """
 
 from __future__ import annotations
@@ -57,29 +59,34 @@ ORBIT_HEIGHT_FRAC = 0.5
 _MARCH_ROUND = 16
 
 
-@dataclass(frozen=True)
-class Box:
-    lo: np.ndarray
-    hi: np.ndarray
-    cls: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", np.asarray(self.lo, dtype=np.float64))
-        object.__setattr__(self, "hi", np.asarray(self.hi, dtype=np.float64))
-        if not np.all(self.hi > self.lo):  # also rejects NaN
-            raise InvalidInputError("box hi must exceed lo on every axis")
+# A room: floor, walls and furniture panels, each a one-voxel shell that an
+# inside-out sweep can see. Standing structure replaces the floor beneath
+# it, so every surface junction is a clean class boundary.
+DEFAULT_SCENE = """\
+extent 4.8 4.8 2.88
+box 0 0 0 4.8 4.8 0.08 1             # floor
+box 0 0 0 0.08 4.8 2.88 2            # wall x=0
+box 4.72 0 0 4.8 4.8 2.88 2          # wall x=max
+box 0.08 0 0 4.72 0.08 2.88 2        # wall y=0
+box 0.08 4.72 0 4.72 4.8 2.88 2      # wall y=max
+box 0 1.6 1.12 0.08 3.2 2.08 3       # window cut into wall
+box 1.04 0.96 0 1.12 2.24 1.04 9     # furniture panel
+box 3.36 1.2 0 3.44 2.4 0.96 6       # sofa back panel
+box 1.6 3.68 0 3.2 3.76 1.2 7        # table panel
+box 2 0.88 0.72 2.8 0.96 1.44 8      # screen panel
+box 2.24 2.24 0.64 2.64 2.64 0.72 4  # floating shelf slab
+"""
 
 
 @dataclass
 class SceneSpec:
-    """Axis-aligned box composition over a bounded extent.
-
-    Overlapping boxes resolve by list order: the last box containing a
-    voxel center wins.
-    """
+    """Axis-aligned box composition over a bounded extent: (lo, hi, class)
+    boxes, each with hi > lo on every axis, inside the extent and of an
+    occupied class. Overlapping boxes resolve by list order: the last box
+    containing a voxel center wins."""
 
     extent: np.ndarray
-    boxes: list[Box] = field(default_factory=list)
+    boxes: list[tuple[np.ndarray, np.ndarray, int]] = field(default_factory=list)
     gt_voxel_size: float = 0.08
     num_classes: int = NUM_CLASSES
 
@@ -91,92 +98,73 @@ class SceneSpec:
         with np.errstate(divide="ignore", over="ignore"):
             check_geometry((0.0, 0.0, 0.0), self.gt_voxel_size,
                            np.round(e / self.gt_voxel_size), self.num_classes)
-        for b in self.boxes:
-            if np.any(b.lo < -1e-9) or np.any(b.hi > self.extent + 1e-9):
-                raise InvalidInputError(f"box {b} exceeds the scene extent")
-            if not (0 <= b.cls <= self.num_classes - 2):
-                raise InvalidInputError(f"box class {b.cls} outside occupied range")
+        self.boxes = [(np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64), cls)
+                      for lo, hi, cls in self.boxes]
+        for lo, hi, cls in self.boxes:
+            if not np.all(hi > lo):  # also rejects NaN
+                raise InvalidInputError(f"box {lo} to {hi}: hi must exceed lo on every axis")
+            if np.any(lo < -1e-9) or np.any(hi > e + 1e-9):
+                raise InvalidInputError(f"box {lo} to {hi} exceeds the scene extent")
+            if not (0 <= cls <= self.num_classes - 2):
+                raise InvalidInputError(f"box class {cls} outside occupied range")
 
     @property
     def dims(self) -> tuple[int, int, int]:
         return tuple(int(n) for n in np.round(self.extent / self.gt_voxel_size))
 
 
+# scene-file record: (the values it takes, the SceneSpec field it sets)
+_RECORDS = {"extent": (3, "extent"), "voxel_size": (1, "gt_voxel_size"),
+            "classes": (1, "num_classes"), "box": (7, "boxes")}
+
+
 def parse_scene_spec(text: str) -> SceneSpec:
     """A scene spec from its text form: one record per line, `#` starts a
     comment. The records are
         extent X Y Z                       (required)
-        voxel_size S                       (default 0.08)
-        classes C                          (default NUM_CLASSES)
+        voxel_size S                       (default SceneSpec.gt_voxel_size)
+        classes C                          (default SceneSpec.num_classes)
         box X0 Y0 Z0 X1 Y1 Z1 CLASS        (any number; CLASS an integer)
-    and any other record raises InvalidInputError, as does a bad value.
+    Each record takes exactly the values shown, and extent, voxel_size and
+    classes appear at most once. InvalidInputError names the line of a
+    record that breaks either rule, is unknown or has a value that does not
+    parse. SceneSpec checks the values; a record left out keeps its default.
     """
-    extent = None
-    voxel_size = 0.08
-    num_classes = NUM_CLASSES
-    boxes: list[Box] = []
+    fields: dict = {"boxes": []}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, *vals = line.split()
         try:
-            if key == "extent":
-                extent = [float(v) for v in vals]
-            elif key == "voxel_size":
-                voxel_size = float(vals[0])
-            elif key == "classes":
-                num_classes = int(vals[0])
-            elif key == "box":
-                if len(vals) != 7:
-                    raise ValueError("box needs 6 corner values and a class")
-                nums = [float(v) for v in vals[:6]]
-                boxes.append(Box(nums[0:3], nums[3:6], int(vals[6])))
-            else:
+            if key not in _RECORDS:
                 raise ValueError(f"unknown record {key!r}")
-        except (ValueError, IndexError) as e:
+            count, name = _RECORDS[key]
+            if len(vals) != count:
+                raise ValueError(f"{key} takes {count} values, got {len(vals)}")
+            if key == "box":
+                c = [float(v) for v in vals[:6]]
+                fields[name].append((c[:3], c[3:], int(vals[6])))
+            elif name in fields:
+                raise ValueError(f"a second {key} record")
+            else:
+                v = [(int if key == "classes" else float)(x) for x in vals]
+                fields[name] = v if key == "extent" else v[0]
+        except ValueError as e:
             raise InvalidInputError(f"scene spec line {lineno}: {e}") from e
-    if extent is None:
+    if "extent" not in fields:
         raise InvalidInputError("scene spec is missing the extent record")
-    return SceneSpec(extent, boxes, voxel_size, num_classes)
-
-
-def default_scene() -> SceneSpec:
-    """A room-like scene: thin floor, walls, and a few furniture panels.
-
-    Every occupied region is a one-voxel-thick shell, so an inside-out
-    camera sweep can observe essentially all of the occupied space.
-    Standing structure reaches the ground (replacing the floor beneath it)
-    to keep every surface junction a clean class boundary.
-    """
-    t = 0.08  # shell thickness = one voxel
-    e = (4.8, 4.8, 2.88)
-    boxes = [
-        Box((0.0, 0.0, 0.0), (4.8, 4.8, t), 1),              # floor
-        Box((0.0, 0.0, 0.0), (t, 4.8, 2.88), 2),             # wall x=0
-        Box((4.8 - t, 0.0, 0.0), (4.8, 4.8, 2.88), 2),       # wall x=max
-        Box((t, 0.0, 0.0), (4.8 - t, t, 2.88), 2),           # wall y=0
-        Box((t, 4.8 - t, 0.0), (4.8 - t, 4.8, 2.88), 2),     # wall y=max
-        Box((0.0, 1.6, 1.12), (t, 3.2, 2.08), 3),            # window cut into wall
-        Box((1.04, 0.96, 0.0), (1.12, 2.24, 1.04), 9),       # furniture panel
-        Box((3.36, 1.2, 0.0), (3.44, 2.4, 0.96), 6),         # sofa back panel
-        Box((1.6, 3.68, 0.0), (3.2, 3.76, 1.2), 7),          # table panel
-        Box((2.0, 0.88, 0.72), (2.8, 0.96, 1.44), 8),        # screen panel
-        Box((2.24, 2.24, 0.64), (2.64, 2.64, 0.72), 4),      # floating shelf slab
-    ]
-    return SceneSpec(e, boxes, 0.08)
+    return SceneSpec(**fields)
 
 
 def generate_scene(spec: SceneSpec) -> VoxelGrid:
     """Voxelize a scene spec into a label grid (last box wins on overlap)."""
     grid = VoxelGrid.empty_labels((0.0, 0.0, 0.0), spec.gt_voxel_size, spec.dims,
                                   spec.num_classes)
-    labels = grid.values
-    for b in spec.boxes:
-        lo, hi = grid.voxel_span(b.lo, b.hi)
-        if np.any(lo > hi):
-            continue
-        labels[lo[0] : hi[0] + 1, lo[1] : hi[1] + 1, lo[2] : hi[2] + 1] = b.cls
+    for box_lo, box_hi, cls in spec.boxes:
+        # a box with no voxel center gives lo > hi, an empty slice
+        lo, hi = grid.voxel_span(box_lo, box_hi)
+        grid.values[lo[0] : hi[0] + 1, lo[1] : hi[1] + 1, lo[2] : hi[2] + 1] = cls
     return grid
 
 

@@ -233,6 +233,17 @@ class TestCameraFrame:
             with pytest.raises(InvalidInputError):
                 CameraFrame(np.eye(3) * 100, np.eye(4), 10, 10, near, far)
 
+    @pytest.mark.parametrize("part,index,value", [
+        ("pose", (0, 3), np.nan), ("pose", (0, 0), np.nan),
+        ("intrinsics", (0, 2), np.inf), ("intrinsics", (0, 0), np.inf),
+    ], ids=["nan_translation", "nan_rotation", "inf_principal_point", "inf_focal_length"])
+    def test_non_finite_pose_or_intrinsics_rejected(self, part, index, value):
+        arrays = {"intrinsics": np.array([[500.0, 0, 320], [0, 500.0, 240], [0, 0, 1]]),
+                  "pose": np.eye(4)}
+        arrays[part][index] = value
+        with pytest.raises(InvalidInputError, match="finite"):
+            CameraFrame(arrays["intrinsics"], arrays["pose"], 640, 480, 0.1, 10.0)
+
     def test_pixel_ray_roundtrip(self):
         f = self.make_frame()
         pix = np.array([[100.5, 400.5], [320.0, 240.0]])

@@ -253,6 +253,20 @@ def test_a_run_voxelizes_its_scene_once(tmp_path, monkeypatch, mode):
     assert len(calls) == 1
 
 
+def test_default_scene_text_in_a_file_runs_the_default_scene(tmp_path, capsys):
+    # `--scene default` parses DEFAULT_SCENE, so a file holding that text
+    # writes the same bytes
+    scene = tmp_path / "default.scene"
+    scene.write_text(synth_mod.DEFAULT_SCENE)
+    outs = [tmp_path / "from_default", tmp_path / "from_file"]
+    for name, out in zip(["default", str(scene)], outs):
+        assert cli.main(["run-embodied", "--scene", name, "--frames", "2",
+                         "--output-dir", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 2 and printed[0] == printed[1]
+    assert len(artifacts(outs[0])) == 6 and artifacts(outs[1]) == artifacts(outs[0])
+
+
 def test_checkpoint_is_independent_of_the_blas_thread_count(tmp_path):
     # On two BLAS threads a float32 product in the attention rounds
     # differently at the default lift grid. Importing splatmem pins one
@@ -426,6 +440,19 @@ class TestOneRowPerCell:
                          "--depth-sigma", "0.05", "--output-dir", str(tmp_path)]) == 0
         assert dupes == [0] * 7
         assert duplicate_cells(load_gmem(tmp_path / "final.gmem")) == 0
+
+
+# Scene files whose second line holds a record with a value too many, or
+# one of the single records a second time.
+LINE_2_ERRORS = {
+    "extra_extent_value": b"voxel_size 0.08\nextent 1.6 1.6 0.96 2\n",
+    "extra_box_value": b"extent 1.6 1.6 0.96\nbox 0 0 0 1.6 1.6 0.08 1 2\n",
+    "extra_voxel_size_value": b"extent 1.6 1.6 0.96\nvoxel_size 0.08 0.5\n",
+    "extra_classes_value": b"extent 1.6 1.6 0.96\nclasses 12 3\n",
+    "repeated_extent": b"extent 1.6 1.6 0.96\nextent 3.2 3.2 0.96\n",
+    "repeated_voxel_size": b"voxel_size 0.08\nvoxel_size 0.1\nextent 1.6 1.6 0.96\n",
+    "repeated_classes": b"classes 12\nclasses 12\nextent 1.6 1.6 0.96\n",
+}
 
 
 class TestCliExitCodes:
@@ -692,11 +719,12 @@ class TestCliExitCodes:
         b"extent 1.6 1.6 0.96\nvoxel_size 1e-9\n",
         b"extent 1e300 1e300 1e300\nvoxel_size 1e-10\n",
         b"extent 1.6 1.6 0.96\nbox 0 0 0 1.6 1.6 0.8 1\n",
+        *LINE_2_ERRORS.values(),
     ], ids=["two_extents", "nan_extent", "inf_extent", "nan_voxel_size", "inf_voxel_size",
             "fractional_class", "nan_box", "seed", "not_utf8", "directory",
             "no_classes", "classes_past_uint16", "extent_under_a_voxel",
             "voxel_past_the_extent", "grid_past_the_size_limit", "grid_past_float_range",
-            "orbit_blocked"])
+            "orbit_blocked", *LINE_2_ERRORS])
     def test_malformed_scene_file_exits_1(self, tmp_path, capsys, text):
         scene = tmp_path / "s.scene"
         if text is None:
@@ -709,6 +737,8 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: scene file {scene}: ")
         assert err.count("\n") == 1
+        if text in LINE_2_ERRORS.values():
+            assert err.startswith(f"config error: scene file {scene}: scene spec line 2: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

@@ -10,12 +10,13 @@ from splatmem.core import CameraFrame
 from splatmem.errors import InvalidInputError
 from splatmem.grid import LABEL_MODE, VoxelGrid
 from splatmem.metrics import _frustum_box, iou, local_mask, observed_mask
-from splatmem.synth import (DEFAULT_INTRINSICS, _look_at_pose, default_scene,
-                            generate_scene, generate_trajectory, scene_maps)
+from splatmem.synth import (DEFAULT_INTRINSICS, DEFAULT_SCENE, _look_at_pose, generate_scene,
+                            generate_trajectory, parse_scene_spec, scene_maps)
 
-GT = generate_scene(default_scene())
+SPEC = parse_scene_spec(DEFAULT_SCENE)
+GT = generate_scene(SPEC)
 MAPS = scene_maps(GT)
-EXTENT = default_scene().extent
+EXTENT = SPEC.extent
 
 
 def all_centers_mask(grid, frame):
@@ -67,7 +68,7 @@ class TestLocalMask:
     def test_clipped_box_keeps_the_masks(self):
         # the default trajectory, whose far planes lie beyond the room, and
         # a frame whose far plane ends inside the grid
-        frames = generate_trajectory(default_scene(), MAPS, 30, 0)
+        frames = generate_trajectory(SPEC, MAPS, 30, 0)
         pose = _look_at_pose(EXTENT / 2, np.array([1.0, 0.2, 0.1]))
         inner = CameraFrame(DEFAULT_INTRINSICS, pose, 320, 240, 0.1, 1.0)
         clipped = unclipped = 0
@@ -84,7 +85,7 @@ class TestLocalMask:
     @pytest.mark.parametrize("chunk", [997, 4096])
     def test_chunks_give_the_whole_box_mask(self, monkeypatch, chunk):
         # 997 is less than one x-plane of these boxes, 4096 one or two
-        frames = generate_trajectory(default_scene(), MAPS, 10, 1) + random_frames(20, seed=6)
+        frames = generate_trajectory(SPEC, MAPS, 10, 1) + random_frames(20, seed=6)
         monkeypatch.setattr(metrics, "_FRUSTUM_CHUNK", GT.values.size)
         whole = [_frustum_box(GT, frame) for frame in frames]
         monkeypatch.setattr(metrics, "_FRUSTUM_CHUNK", chunk)
@@ -94,7 +95,7 @@ class TestLocalMask:
         assert sum(inside.size > 10 * chunk for _, inside in whole) >= 10
 
     def test_trajectory_frames_match_all_centers(self):
-        for frame in generate_trajectory(default_scene(), MAPS, 10, 2):
+        for frame in generate_trajectory(SPEC, MAPS, 10, 2):
             assert np.array_equal(local_mask(GT, frame), all_centers_mask(GT, frame))
 
 

@@ -14,8 +14,8 @@ from splatmem.core import PrimitiveBatch, quats_to_rotations
 from splatmem.errors import InvalidInputError
 from splatmem.grid import LABEL_MODE, PROB_MODE, VoxelGrid, load_vgrid, save_vgrid
 from splatmem.splat import CELL_FACTOR, argmax_labels, render, splat_fields
-from splatmem.synth import (NoiseParams, StubConfig, default_scene, generate_scene,
-                            generate_trajectory, scene_maps, stub_predict)
+from splatmem.synth import (DEFAULT_SCENE, NoiseParams, StubConfig, generate_scene,
+                            generate_trajectory, parse_scene_spec, scene_maps, stub_predict)
 
 RNG = np.random.default_rng(11)
 C = 12
@@ -600,7 +600,7 @@ class TestLabels:
 
     def test_a_local_frame_never_builds_the_probability_grid(self):
         # the first frame of the default local run, on the 60 x 60 x 36 grid
-        spec = default_scene()
+        spec = parse_scene_spec(DEFAULT_SCENE)
         gt = generate_scene(spec)
         maps = scene_maps(gt)
         frame = generate_trajectory(spec, maps, 1, 0)[0]

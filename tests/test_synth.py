@@ -10,6 +10,8 @@ rebuilds the uint16 occupancy and the thin-axis map every frame.
 match them bit for bit.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,17 +23,18 @@ from splatmem.core import D_MODEL, NUM_CLASSES, CameraFrame, PrimitiveBatch
 from splatmem.errors import InvalidInputError
 from splatmem.grid import VoxelGrid
 from splatmem.synth import (DEFAULT_FAR, DEFAULT_HEIGHT, DEFAULT_INTRINSICS,
-                            DEFAULT_NEAR, DEFAULT_WIDTH, STUB_FOOTPRINT_GAIN,
+                            DEFAULT_NEAR, DEFAULT_SCENE, DEFAULT_WIDTH, STUB_FOOTPRINT_GAIN,
                             STUB_LOGIT_MAGNITUDE, STUB_MEAN_CENTERING, STUB_MOVED_OPACITY,
                             STUB_NORMAL_SCALE, STUB_SPILL_MARGIN, STUB_TANGENT_SCALE_MAX,
                             STUB_TANGENT_SCALE_MIN, SURFACE_EXTENT_REACH, NoiseParams,
-                            RayHits, StubConfig, _look_at_pose, _surface_extent,
-                            default_scene, generate_scene, generate_trajectory,
+                            RayHits, SceneSpec, StubConfig, _look_at_pose, _surface_extent,
+                            generate_scene, generate_trajectory,
                             parse_scene_spec, sample_pixels, scene_maps, stub_predict,
                             trace_rays)
 
-GT = generate_scene(default_scene())
-EXTENT = default_scene().extent
+SPEC = parse_scene_spec(DEFAULT_SCENE)
+GT = generate_scene(SPEC)
+EXTENT = SPEC.extent
 LIFT_GRIDS = [(21, 28), (30, 40)]
 FIELDS = ("means", "scales", "rotations", "opacities", "logits", "features")
 
@@ -298,6 +301,25 @@ def assert_hits_equal(got, ref):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
 
 
+# sha256 of the default scene's uint16 label grid, recorded from the
+# Python box literals that the scene text replaced
+DEFAULT_LABELS_SHA256 = "e6032480682c1f7a01206b35a9f6bd2e8e85a6bfa9d8e25fcfd5a220cdb396f7"
+
+
+class TestSceneSpec:
+    def test_default_label_grid_pinned(self):
+        assert GT.dims == (60, 60, 36) and GT.values.dtype == np.uint16
+        assert hashlib.sha256(GT.values.tobytes()).hexdigest() == DEFAULT_LABELS_SHA256
+
+    @pytest.mark.parametrize("lo,hi", [
+        ((0, 0, 0), (1, 0, 1)), ((0, 0, 0.5), (1, 1, 0.25)), ((np.nan, 0, 0), (1, 1, 1)),
+        ((0, 0, 0), (1, 1, np.nan)),
+    ], ids=["flat", "inverted", "nan_lo", "nan_hi"])
+    def test_box_hi_must_exceed_lo(self, lo, hi):
+        with pytest.raises(InvalidInputError, match="hi must exceed lo"):
+            SceneSpec((1.0, 1.0, 1.0), [(lo, hi, 1)])
+
+
 class TestSceneMaps:
     def test_padded_codes_and_maps(self):
         maps = scene_maps(GT)
@@ -350,7 +372,7 @@ class TestTraceRays:
     def test_trajectory_matches_loop(self, seed, grid_hw):
         maps = scene_maps(GT)
         pixels = sample_pixels(DEFAULT_WIDTH, DEFAULT_HEIGHT, *grid_hw)
-        for frame in generate_trajectory(default_scene(), maps, 12, seed):
+        for frame in generate_trajectory(SPEC, maps, 12, seed):
             assert_hits_equal(trace_rays(maps, frame, pixels),
                               loop_trace_rays(GT, frame, pixels))
 
@@ -478,7 +500,7 @@ def hit_voxels(seed, frames=6):
     maps = scene_maps(GT)
     pixels = sample_pixels(DEFAULT_WIDTH, DEFAULT_HEIGHT, 30, 40)
     out = []
-    for frame in generate_trajectory(default_scene(), maps, frames, seed):
+    for frame in generate_trajectory(SPEC, maps, frames, seed):
         hits = trace_rays(maps, frame, pixels)
         out.append((hits.voxel[hits.hit], hits.face_axis[hits.hit]))
     return out
@@ -520,7 +542,7 @@ class TestStubPredict:
     def test_batches_match_reference(self, seed, grid_hw, noise):
         cfg = StubConfig(grid_h=grid_hw[0], grid_w=grid_hw[1])
         maps = scene_maps(GT)
-        for i, frame in enumerate(generate_trajectory(default_scene(), maps, 8, seed)):
+        for i, frame in enumerate(generate_trajectory(SPEC, maps, 8, seed)):
             got = stub_predict(maps, frame, noise, seed + i, cfg)
             ref = reference_stub_predict(GT, frame, noise, seed + i, cfg)
             assert len(got) == len(ref) > 0
@@ -548,7 +570,7 @@ box 0.4 1.4 0 0.8 1.8 1.6 6
 
 class TestGenerateTrajectory:
     @pytest.mark.parametrize("spec,retreats", [
-        (default_scene(), []),
+        (SPEC, []),
         (parse_scene_spec(PANELS_ON_THE_ORBIT), [0, 5]),
     ], ids=["default", "panels_on_the_orbit"])
     def test_cameras_sit_in_free_voxels(self, spec, retreats):

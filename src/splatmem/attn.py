@@ -1,17 +1,19 @@
 """Deterministic forward-only attention machinery.
 
 Covers the seeded weight bundle (a run rebuilds it from ENCODER_SEED,
-never reads it from a file), plain multi-head attention, cross-attention
-with dual confidence modulation (values scaled by key-side confidence,
-concatenated heads scaled by query-side confidence before the output
-projection), the attention + FFN block, and the dual-stream temporal
-encoder step. The encoder refines features only: means, scales,
-rotations, opacities and logits pass through it as the same arrays, so
-each row keeps the confidence they give it. Each residual is followed by
-a parameter-free layer norm (post-norm, Ba et al. 2016), so refined
-features keep a per-row RMS of at most 1 however many frames they pass
-through; without it they grow about 4x per frame and leave float32 range
-within 70 frames. No masking, no gradients.
+never reads it from a file), plain multi-head attention (float32 scores
+against keys relative to the first key, base-2 exponentials, and a
+row-max pass only in a head whose scores could leave float32 range),
+cross-attention with dual confidence modulation (values scaled by
+key-side confidence, concatenated heads scaled by query-side confidence
+before the output projection), the attention + FFN block, and the
+dual-stream temporal encoder step. The encoder refines features only:
+means, scales, rotations, opacities and logits pass through it as the
+same arrays, so each row keeps the confidence they give it. Each
+residual is followed by a parameter-free layer norm (post-norm, Ba et
+al. 2016), so refined features keep a per-row RMS of at most 1 however
+many frames they pass through; without it they grow about 4x per frame
+and leave float32 range within 70 frames. No masking, no gradients.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ N_BLOCKS = 2
 ENCODER_SEED = 42
 # Query rows per attention block; the score buffer is _BLOCK_ROWS x M.
 _BLOCK_ROWS = 128
+# Largest bound on log2 of a head's value product that mha runs without
+# subtracting each row's max score; float32 overflows at 2**128.
+_EXP2_LIMIT = 100.0
 _NORM_EPS = 1e-5
 
 
@@ -76,15 +81,26 @@ def init_weights(seed: int) -> EncoderWeights:
 def mha(Q: np.ndarray, K: np.ndarray, V: np.ndarray, n_heads: int) -> np.ndarray:
     """Multi-head attention, heads concatenated, no output projection.
 
-    Q is (N, d); K and V are (M, d). The 1/sqrt(dh) scale is folded into Q
-    in float64, then the attention runs in float32 (mixed precision,
-    Micikevicius et al. 2018) and returns float64. Each head runs over
-    blocks of _BLOCK_ROWS query rows in one reused (block, M) float32
-    score buffer, so the peak score memory is _BLOCK_ROWS x M x 4 bytes
-    (512 KiB at M = 1024) instead of an (H, N, M) tensor. Scores are
-    max-subtracted before the exponential, so output stays finite for any
-    finite input, and each row is normalised after the product with V
-    (FlashAttention's deferred normalisation, Dao et al. 2022).
+    Q is (N, d); K and V are (M, d). Each head scores its queries against
+    its keys relative to the first key, K_h - K_h[0]. Softmax ignores a
+    per-row shift, and the first key's score is then exactly 0, so every
+    row holds one weight of exactly 1 and its denominator is at least 1.
+    The shift and log2(e)/sqrt(dh) (base-2 scores, so the exponential is
+    exp2) are folded into K and Q in float64; the attention then runs in
+    float32 (mixed precision, Micikevicius et al. 2018) and returns
+    float64. Each head runs over blocks of _BLOCK_ROWS query rows in one
+    reused (block, M) float32 score buffer, so the peak score memory is
+    _BLOCK_ROWS x M x 4 bytes (512 KiB at M = 1024) instead of an
+    (H, N, M) tensor. A block takes the score product, exp2, the product
+    with V and a product with a ones vector, which gives each row's
+    denominator, and each row is normalised after the product with V
+    (FlashAttention's deferred normalisation, Dao et al. 2022). The
+    denominator is not a ones column of V: a matrix product sums each
+    column in one float32 accumulator, which drops the small weights
+    after a weight near 1. A head whose bound on log2 of its value
+    product, max|q_r| * max|k_j - k_0| + log2(M * max(max|V_h|, 1)),
+    passes _EXP2_LIMIT also subtracts each row's max score before exp2,
+    so the output stays finite for any finite input.
     """
     Q, K, V = (np.asarray(a, dtype=np.float64) for a in (Q, K, V))
     if Q.ndim != 2 or K.ndim != 2 or V.ndim != 2:
@@ -98,9 +114,15 @@ def mha(Q: np.ndarray, K: np.ndarray, V: np.ndarray, n_heads: int) -> np.ndarray
     if d % n_heads != 0:
         raise InvalidInputError(f"d={d} not divisible by n_heads={n_heads}")
     dh = d // n_heads
-    q32 = (Q / np.sqrt(dh)).astype(np.float32)
+    Q = Q * (np.log2(np.e) / np.sqrt(dh))
+    K = K - K[0]
+    bounds = (np.linalg.norm(Q.reshape(n, n_heads, dh), axis=2).max(axis=0)
+              * np.linalg.norm(K.reshape(m, n_heads, dh), axis=2).max(axis=0)
+              + np.log2(m * np.maximum(np.abs(V).reshape(m, n_heads, dh).max(axis=(0, 2)), 1.0)))
+    q32 = Q.astype(np.float32)
     k32 = K.astype(np.float32)
     v32 = V.astype(np.float32)
+    ones = np.ones(m, dtype=np.float32)
     out = np.empty((n, d))
     buf = np.empty((min(n, _BLOCK_ROWS), m), dtype=np.float32)
     for h in range(n_heads):
@@ -111,9 +133,10 @@ def mha(Q: np.ndarray, K: np.ndarray, V: np.ndarray, n_heads: int) -> np.ndarray
             b = min(a + _BLOCK_ROWS, n)
             s = buf[: b - a]
             np.matmul(q32[a:b, cols], kt, out=s)
-            s -= s.max(axis=1, keepdims=True)
-            np.exp(s, out=s)
-            out[a:b, cols] = (s @ vh) / s.sum(axis=1, keepdims=True)
+            if bounds[h] > _EXP2_LIMIT:
+                s -= s.max(axis=1, keepdims=True)
+            np.exp2(s, out=s)
+            out[a:b, cols] = (s @ vh) / (s @ ones)[:, None]
     return out
 
 

@@ -19,6 +19,7 @@ shape the splats.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,8 +83,8 @@ box 2.24 2.24 0.64 2.64 2.64 0.72 4  # floating shelf slab
 class SceneSpec:
     """Axis-aligned box composition over a bounded extent: (lo, hi, class)
     boxes, each with hi > lo on every axis, inside the extent and of an
-    occupied class. Overlapping boxes resolve by list order: the last box
-    containing a voxel center wins."""
+    occupied class given as an integer, not a bool. Overlapping boxes
+    resolve by list order: the last box containing a voxel center wins."""
 
     extent: np.ndarray
     boxes: list[tuple[np.ndarray, np.ndarray, int]] = field(default_factory=list)
@@ -105,6 +106,8 @@ class SceneSpec:
                 raise InvalidInputError(f"box {lo} to {hi}: hi must exceed lo on every axis")
             if np.any(lo < -1e-9) or np.any(hi > e + 1e-9):
                 raise InvalidInputError(f"box {lo} to {hi} exceeds the scene extent")
+            if isinstance(cls, bool) or not isinstance(cls, numbers.Integral):
+                raise InvalidInputError(f"box class {cls!r} is not an integer")
             if not (0 <= cls <= self.num_classes - 2):
                 raise InvalidInputError(f"box class {cls} outside occupied range")
 

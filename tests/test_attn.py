@@ -4,8 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from splatmem.attn import (D_FF, ENCODER_SEED, N_BLOCKS, N_HEADS, cca, dte_step,
-                           init_weights, mha, temporal_encoder_block)
+from splatmem.attn import (_EXP2_LIMIT, D_FF, ENCODER_SEED, N_BLOCKS, N_HEADS, cca,
+                           dte_step, init_weights, mha, temporal_encoder_block)
 from splatmem.conf import confidence_values
 from splatmem.core import D_MODEL, PrimitiveBatch
 from splatmem.errors import InvalidInputError
@@ -106,6 +106,36 @@ def float32_atol(Q, K, V, n_heads):
     return 2 * EPS32 * (1 + s) * np.abs(V).max()
 
 
+def exp2_bounds(Q, K, V, n_heads):
+    """Per head, the bound on log2 of the value product that mha compares
+    with _EXP2_LIMIT: max|q_r| * max|k_j - k_0| in base-2 score units,
+    plus log2(M * max(max|V_h|, 1))."""
+    dh = Q.shape[1] // n_heads
+    out = []
+    for h in range(n_heads):
+        c = slice(h * dh, (h + 1) * dh)
+        qk = (np.linalg.norm(Q[:, c], axis=1).max() * np.log2(np.e) / np.sqrt(dh)
+              * np.linalg.norm(K[:, c] - K[0, c], axis=1).max())
+        out.append(qk + np.log2(len(K) * max(np.abs(V[:, c]).max(), 1.0)))
+    return np.array(out)
+
+
+def shifted_key_case(case, n, m):
+    """Inputs where the keys relative to the first key matter: a large
+    offset shared by all keys, a first key six times the others, or a
+    first key that holds each row's maximum score in every head."""
+    rng = np.random.default_rng(n * 7 + m)
+    Q, K, V = (rng.normal(size=(r, D)) for r in (n, m, m))
+    if case == "shared_offset":
+        K += 50.0
+    elif case == "outlier_first_key":
+        K[0] *= 6.0
+    else:
+        Q = np.abs(Q)
+        K[0] = 6.0
+    return Q, K, V
+
+
 class TestInitWeights:
     def test_deterministic(self):
         a = init_weights(seed=5)
@@ -197,6 +227,54 @@ class TestMha:
         out = mha(Q, K, V, 4)
         assert np.all(np.isfinite(out))
         np.testing.assert_allclose(out, mha_materialised(Q, K, V, 4),
+                                   rtol=0, atol=float32_atol(Q, K, V, 4))
+
+    # Every case stays below the guard, so no row subtracts its max.
+    @pytest.mark.parametrize("case", ["shared_offset", "outlier_first_key",
+                                      "first_key_row_max"])
+    @pytest.mark.parametrize("n", [127, 129, 588])
+    @pytest.mark.parametrize("m", [588, 1151])
+    def test_keys_relative_to_the_first_key(self, case, n, m):
+        Q, K, V = shifted_key_case(case, n, m)
+        bounds = exp2_bounds(Q, K, V, 4)
+        assert bounds.max() < _EXP2_LIMIT
+        if case == "outlier_first_key":
+            assert bounds.max() > 0.5 * _EXP2_LIMIT
+        if case == "first_key_row_max":
+            for h in range(4):
+                c = slice(8 * h, 8 * h + 8)
+                s = Q[:, c] @ K[:, c].T
+                assert np.all(s[:, :1] >= s)
+        np.testing.assert_allclose(mha(Q, K, V, 4), mha_materialised(Q, K, V, 4),
+                                   rtol=0, atol=float32_atol(Q, K, V, 4))
+
+    @pytest.mark.parametrize("n,m", [(127, 588), (588, 1151)])
+    def test_one_head_past_the_guard(self, n, m):
+        # head 0's scores reach about 2**200: exp2 overflows float32 there
+        # unless that head subtracts its row max
+        rng = np.random.default_rng(n + m)
+        Q, K, V = (rng.normal(size=(r, D)) for r in (n, m, m))
+        Q[:, :8] *= 12.0
+        bounds = exp2_bounds(Q, K, V, 4)
+        assert bounds[0] > 2 * _EXP2_LIMIT and np.all(bounds[1:] < _EXP2_LIMIT)
+        out = mha(Q, K, V, 4)
+        assert np.all(np.isfinite(out))
+        np.testing.assert_allclose(out, mha_materialised(Q, K, V, 4),
+                                   rtol=0, atol=float32_atol(Q, K, V, 4))
+
+    @pytest.mark.parametrize("n,m", [(127, 588), (588, 1151)])
+    @pytest.mark.parametrize("side", [-0.5, 0.5])
+    def test_either_side_of_the_guard(self, n, m, side):
+        # Q scaled so that the largest head bound is _EXP2_LIMIT + side
+        rng = np.random.default_rng(n + m)
+        Q, K, V = (rng.normal(size=(r, D)) for r in (n, m, m))
+        log_terms = exp2_bounds(0 * Q, K, V, 4)
+        score_terms = exp2_bounds(Q, K, V, 4) - log_terms
+        h = np.argmax(score_terms)
+        Q *= (_EXP2_LIMIT + side - log_terms[h]) / score_terms[h]
+        bounds = exp2_bounds(Q, K, V, 4)
+        assert bounds.max() == pytest.approx(_EXP2_LIMIT + side, abs=1e-9)
+        np.testing.assert_allclose(mha(Q, K, V, 4), mha_materialised(Q, K, V, 4),
                                    rtol=0, atol=float32_atol(Q, K, V, 4))
 
 

@@ -12,9 +12,11 @@ embodied run differs from its twin with an identity encoder only in the
 feature columns of `final.gmem`. Both `final.gmem` and `final_pred.vgrid`
 digests were re-pinned again when `save_gmem` began to keep each float32
 mean in its row's cell: 9 embodied and 11 concat means moved by one
-float32 step, and the grids by at most 6e-8. The exit-code tests also run
-valid scene files whose frames see nothing, and generated ones, through
-all three modes.
+float32 step, and the grids by at most 6e-8. The embodied `final.gmem`
+digest was re-pinned when the attention took its keys relative to the
+first key and base-2 scores: only feature bytes moved. The exit-code
+tests also run valid scene files whose frames see nothing, and generated
+ones, through all three modes.
 """
 
 import contextlib
@@ -52,7 +54,7 @@ from test_splat import full_grid_render
 EMBODIED_IOU = 0.8003755227447299
 EMBODIED_MIOU = 0.8522706540419506
 EMBODIED_SHA256 = {
-    "final.gmem": "b5d4582676b11c0e6c8b6e602171ad7bb27c4ba12c6384dfb446327da47b5ef0",
+    "final.gmem": "f5cc3f593516af226987ea63bc55c5b0043ebee876e7fd2aae022c5661d89089",
     "final_pred.vgrid": "42e7ed705cd2b5ed07ecf6303763e5456255b4d477ff70c34707dbd7f3f78a56",
     "final_labels.vgrid": "ec1a443f39e0cdb80ef27e73ac2ebc584d1f385db9e380f636329eb934d69c42",
     "metrics.csv": "7a32264c66aa69e9b29ef794e7900e6df04fb879dea3ac34454bb3f270c9e257",

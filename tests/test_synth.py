@@ -319,6 +319,15 @@ class TestSceneSpec:
         with pytest.raises(InvalidInputError, match="hi must exceed lo"):
             SceneSpec((1.0, 1.0, 1.0), [(lo, hi, 1)])
 
+    @pytest.mark.parametrize("cls", [1.5, True, np.bool_(True), 1.0], ids=repr)
+    def test_box_class_must_be_an_integer(self, cls):
+        with pytest.raises(InvalidInputError, match="not an integer"):
+            SceneSpec((1, 1, 1), [((0, 0, 0), (1, 1, 1), cls)], 0.5)
+
+    def test_numpy_integer_box_class_accepted(self):
+        spec = SceneSpec((1, 1, 1), [((0, 0, 0), (1, 1, 1), np.int64(3))], 0.5)
+        assert np.all(generate_scene(spec).values == 3)
+
 
 class TestSceneMaps:
     def test_padded_codes_and_maps(self):

@@ -116,9 +116,12 @@ def mha(Q: np.ndarray, K: np.ndarray, V: np.ndarray, n_heads: int) -> np.ndarray
     dh = d // n_heads
     Q = Q * (np.log2(np.e) / np.sqrt(dh))
     K = K - K[0]
-    bounds = (np.linalg.norm(Q.reshape(n, n_heads, dh), axis=2).max(axis=0)
-              * np.linalg.norm(K.reshape(m, n_heads, dh), axis=2).max(axis=0)
-              + np.log2(m * np.maximum(np.abs(V).reshape(m, n_heads, dh).max(axis=(0, 2)), 1.0)))
+    # max|q_r| * max|k_j| per head from the largest squared norms, and
+    # max|V_h| from the columns' max and min
+    q2, k2 = (np.einsum("nhd,nhd->nh", x, x).max(axis=0)
+              for x in (Q.reshape(n, n_heads, dh), K.reshape(m, n_heads, dh)))
+    v_abs = np.maximum(V.max(axis=0), -V.min(axis=0)).reshape(n_heads, dh).max(axis=1)
+    bounds = np.sqrt(q2 * k2) + np.log2(m * np.maximum(v_abs, 1.0))
     q32 = Q.astype(np.float32)
     k32 = K.astype(np.float32)
     v32 = V.astype(np.float32)

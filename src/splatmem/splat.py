@@ -11,19 +11,27 @@ evaluation.
 Rendering splats by tiles, cubes of CELL_FACTOR voxels placed where the
 cells' blocks start: a block is whole tiles bar the voxel layer it shares
 with the next block when voxel centres lie on cell faces, and a (primitive,
-tile) pair leaves the voxels off its block as they are. The pairs, stably
+tile) pair leaves the voxels off its block as they are. The tiles are cut
+into slabs of consecutive x-layers, each holding about _SLAB_PAIRS pairs or
+one layer, and every tile lies in one slab. Within a slab the pairs, stably
 sorted by tile, take their rank within it; round r applies each tile's r-th
 primitive to a prefix of the tiles by descending depth. So each voxel takes
 its terms in ascending primitive index, with the operations of a
 per-primitive loop in its order, and the fields are bit-identical to it.
-Memory: C + 1 numbers per tile voxel, up to six integers per pair while
-ranking and one after, and about _CHUNK_PAIRS floats per kernel or product
-array. `render` finalises the tiles in place, in float64, and scatters them
-into its float32 output, where every other voxel takes the (0, ..., 0, 1) of
-a full-grid pass: each channel rounds once, as the `.vgrid` payload does.
-With `labels` it scatters the first maximum of each tile voxel's rounded
-channels instead, and every other voxel takes C - 1: the uint16 label grid
-is then its only full-grid array.
+Memory: the per-primitive setup that every slab reads (the inverse
+covariances, blocks, tile ranges, pdf norms and channel weights: 37
+numbers, 236 B, a primitive at 12 classes). Then, for one slab at a time
+and freed before the next: C + 1 numbers per tile voxel, up to six
+integers per pair while ranking and one after, and about _CHUNK_PAIRS
+floats per kernel or product array. `render`
+finalises each slab's tiles in place, in float64, and scatters them into its
+float32 output before the next slab, where every other voxel takes the
+(0, ..., 0, 1) of a full-grid pass: each channel rounds once, as the `.vgrid`
+payload does. With `labels` it scatters the first maximum of each tile
+voxel's rounded channels instead, and every other voxel takes C - 1: the
+uint16 label grid is then its only full-grid array. Either way, what the
+render holds beyond its output grows with the batch only by its setup
+while no x-layer holds more than _SLAB_PAIRS pairs.
 """
 
 from __future__ import annotations
@@ -39,15 +47,18 @@ from .grid import LABEL_MODE, PROB_MODE, VoxelGrid, check_geometry
 TRUNCATION_SIGMAS = 3.0
 # Support cells are 4 voxels per side; so are the render's tiles.
 CELL_FACTOR = 4
-# (primitive, voxel) pairs evaluated at once: per-chunk arrays stay at a
-# few MiB whatever the batch size (a chunk still holds at least one round).
-_CHUNK_PAIRS = 1 << 17
+# (primitive, tile) pairs ranked at once: a slab of x-layers of tiles holds
+# about this many, whatever the batch size (a slab still holds one layer).
+_SLAB_PAIRS = 1 << 14
+# (primitive, voxel) pairs evaluated at once: per-chunk arrays stay under a
+# MiB whatever the slab (a chunk still holds at least one round).
+_CHUNK_PAIRS = 1 << 16
 
 
 @dataclass
 class SplatFields:
-    """Fields of one splatting pass over its occupied tiles; a voxel in no
-    tile has alpha 0, uniform semantics and zero density."""
+    """Fields of one slab of a splatting pass over its occupied tiles; a
+    voxel in no tile has alpha 0, uniform semantics and zero density."""
 
     dims: tuple[int, int, int]
     idx: list           # per axis, (CELL_FACTOR, T) voxel indices of the tiles
@@ -137,9 +148,10 @@ def _kernel(coords, inside, means, A, opacities, pdf_norm):
     return np.subtract(1.0, np.multiply(k, opacities, out=k), out=k).T, den
 
 
-def splat_fields(grid: VoxelGrid, primitives: PrimitiveBatch) -> SplatFields:
+def splat_slabs(grid: VoxelGrid, primitives: PrimitiveBatch):
     """Accumulate the opacity and semantic fields at voxel centers over the
-    tiles that the primitives' blocks cover."""
+    tiles that the primitives' blocks cover, yielding one SplatFields per
+    slab of consecutive x-layers of tiles. Every tile lies in one slab."""
     b = primitives
     R = quats_to_rotations(b.rotations)
     s2 = b.scales**2
@@ -149,53 +161,88 @@ def splat_fields(grid: VoxelGrid, primitives: PrimitiveBatch) -> SplatFields:
     inv_cov = np.einsum("nab,nb,ncb->nac", R, 1.0 / s2, R)
     lo, hi = (x.astype(np.int32) for x in _voxel_span(grid, b.means, half))
     del R, s2, half
-    live = np.flatnonzero(np.all(lo <= hi, axis=1))
+    live = np.flatnonzero(np.all(lo <= hi, axis=1)).astype(np.int32)
     # tiles every CELL_FACTOR voxels from the unclipped lo of the origin's
     # cell, in [-CELL_FACTOR, 0] (clipped there against rounding)
     start = np.ceil((np.floor(grid.origin / cell) * cell - grid.origin) / grid.voxel_size
                     - 0.5)
-    start = np.clip(start, -CELL_FACTOR, 0).astype(np.int64)
+    start = np.clip(start, -CELL_FACTOR, 0).astype(np.int32)
     shape = tuple((np.asarray(grid.dims) - 1 - start) // CELL_FACTOR + 1)
     first, last = ((x[live] - start) // CELL_FACTOR for x in (lo, hi))
-    tile_ids, touched, prim = _rounds(first, last - first + 1, shape)
-    del first, last
-    prim = live.astype(np.int32)[prim]  # each pair's row of the batch
-    idx = [s + CELL_FACTOR * t + np.arange(CELL_FACTOR)[:, None]
-           for s, t in zip(start, np.unravel_index(tile_ids, shape))]
     pdf_norm = (2.0 * np.pi) ** 1.5 * np.prod(b.scales, axis=1)
     # class probabilities, then 1.0: 1.0 * p == p, so acc's last channel is the density
     channel_weights = np.ones((len(b), b.n_logits + 1))
     e = np.exp(b.logits - b.logits.max(axis=1, keepdims=True), out=channel_weights[:, :-1])
     e /= e.sum(axis=1, keepdims=True)
-    keep = np.ones((len(tile_ids), CELL_FACTOR**3))
-    acc = np.zeros((len(tile_ids), b.n_logits + 1, CELL_FACTOR**3))
+    # (primitive, tile) pairs per x-layer: a primitive has `plane` tiles in
+    # each layer it covers
+    plane = np.prod(last[:, 1:] - first[:, 1:] + 1, axis=1)
+    layer_pairs = np.cumsum(np.bincount(first[:, 0], plane, shape[0])
+                            - np.bincount(last[:, 0] + 1, plane, shape[0] + 1)[:-1])
+    axes = grid.axis_centers()
     # the channel products of `step` tiles at a time; with no summed index,
     # einsum rounds each p * w_c once, like a product
-    step = max(1, _CHUNK_PAIRS // np.prod(acc.shape[1:]))
-    round_start = np.concatenate([[0], np.cumsum(touched)])
-    axes = grid.axis_centers()
-    for r0, r1 in _chunks(touched * CELL_FACTOR**3, _CHUNK_PAIRS):
-        rows = prim[round_start[r0]:round_start[r1]]
-        pos = np.concatenate([np.arange(m) for m in touched[r0:r1].tolist()])
-        # np.take keeps the pair axis innermost, unlike i[:, pos]
-        ix = [np.take(i, pos, axis=1) for i in idx]
-        # a voxel past the grid's edge, never inside a block, takes its nearest centre
-        fac, den = _kernel([ax[np.clip(i, 0, d - 1)] for ax, i, d in zip(axes, ix, grid.dims)],
-                           [(i >= lo[rows, a]) & (i <= hi[rows, a]) for a, i in enumerate(ix)],
-                           b.means[rows], inv_cov[rows], b.opacities[rows], pdf_norm[rows])
-        spans = [(round_start[r] - round_start[r0], int(touched[r])) for r in range(r0, r1)]
-        for j, m in spans:
-            keep[:m] *= fac[j:j + m]
-        del fac  # before the products' buffer
-        buf = np.empty((min(step, int(touched[r0])),) + acc.shape[1:])
-        for j, m in spans:
-            for t in range(0, m, step):
-                u = min(t + step, m)
-                acc[t:u] += np.einsum("nv,nc->ncv", den[j + t:j + u],
-                                      channel_weights[rows[j + t:j + u]],
-                                      out=buf[:u - t])
-        del den, buf  # before the next chunk's kernel
-    return SplatFields(grid.dims, idx, keep, acc)
+    step = max(1, _CHUNK_PAIRS // ((b.n_logits + 1) * CELL_FACTOR**3))
+    for x0, x1 in _chunks(layer_pairs, _SLAB_PAIRS):
+        meets = np.flatnonzero((first[:, 0] < x1) & (last[:, 0] >= x0))
+        # their tile ranges, clipped to the slab's layers
+        lo_t, hi_t = first[meets], last[meets]
+        np.maximum(lo_t[:, 0], x0, out=lo_t[:, 0])
+        np.minimum(hi_t[:, 0], x1 - 1, out=hi_t[:, 0])
+        tile_ids, touched, prim = _rounds(lo_t, hi_t - lo_t + 1, shape)
+        prim = live[meets][prim]  # each pair's row of the batch
+        idx = [s + CELL_FACTOR * t + np.arange(CELL_FACTOR)[:, None]
+               for s, t in zip(start, np.unravel_index(tile_ids, shape))]
+        keep = np.ones((len(tile_ids), CELL_FACTOR**3))
+        acc = np.zeros((len(tile_ids), b.n_logits + 1, CELL_FACTOR**3))
+        round_start = np.concatenate([[0], np.cumsum(touched)])
+        for r0, r1 in _chunks(touched * CELL_FACTOR**3, _CHUNK_PAIRS):
+            rows = prim[round_start[r0]:round_start[r1]]
+            pos = np.concatenate([np.arange(m) for m in touched[r0:r1].tolist()])
+            # np.take keeps the pair axis innermost, unlike i[:, pos]
+            ix = [np.take(i, pos, axis=1) for i in idx]
+            # a voxel past the grid's edge, never inside a block, takes its nearest centre
+            fac, den = _kernel([ax[np.clip(i, 0, d - 1)]
+                                for ax, i, d in zip(axes, ix, grid.dims)],
+                               [(i >= lo[rows, a]) & (i <= hi[rows, a]) for a, i in enumerate(ix)],
+                               b.means[rows], inv_cov[rows], b.opacities[rows], pdf_norm[rows])
+            spans = [(round_start[r] - round_start[r0], int(touched[r])) for r in range(r0, r1)]
+            for j, m in spans:
+                keep[:m] *= fac[j:j + m]
+            del fac  # before the products' buffer
+            buf = np.empty((min(step, int(touched[r0])),) + acc.shape[1:])
+            for j, m in spans:
+                for t in range(0, m, step):
+                    u = min(t + step, m)
+                    acc[t:u] += np.einsum("nv,nc->ncv", den[j + t:j + u],
+                                          channel_weights[rows[j + t:j + u]],
+                                          out=buf[:u - t])
+            del den, buf  # before the next chunk's kernel
+        yield SplatFields(grid.dims, idx, keep, acc)
+        del idx, keep, acc  # before the next slab is ranked
+
+
+def _write_slab(f: SplatFields, flat: np.ndarray, labels: bool) -> None:
+    """Finalise a slab's tiles in place and scatter them into `flat`, the
+    output's voxels: the channels, or with `labels` their first maximum."""
+    c_occ = f.acc.shape[1] - 1
+    # the density channel becomes 1 - alpha
+    sem, dens = f.acc[:, :c_occ], f.acc[:, c_occ]
+    undefined = dens == 0.0
+    np.divide(sem, dens[:, None], out=sem, where=~undefined[:, None])
+    sem.transpose(0, 2, 1)[undefined] = 1.0 / c_occ
+    alpha = np.subtract(1.0, f.keep, out=f.keep)
+    sem *= alpha[:, None]
+    np.subtract(1.0, alpha, out=dens)
+    step = max(1, _CHUNK_PAIRS // np.prod(f.acc.shape[1:]))
+    for t in range(0, len(f.acc), step):
+        vox = _flat_voxels([i[:, t:t + step] for i in f.idx], f.dims)
+        tiles = f.acc[t:t + step]
+        # labels: the first maximum of the float32 channels, as argmax_labels
+        # takes it; channels: each rounds to float32 once, here
+        tiles = (np.argmax(tiles.astype(np.float32), axis=1) if labels
+                 else tiles.transpose(0, 2, 1))
+        flat[vox[vox >= 0]] = tiles[vox >= 0]
 
 
 def render(grid: VoxelGrid, primitives: PrimitiveBatch, labels: bool = False) -> VoxelGrid:
@@ -209,16 +256,7 @@ def render(grid: VoxelGrid, primitives: PrimitiveBatch, labels: bool = False) ->
     allocation, if it fails `check_geometry` with the primitives' C.
     """
     check_geometry(grid.origin, grid.voxel_size, grid.dims, primitives.n_logits + 1)
-    f = splat_fields(grid, primitives)
-    c_occ = f.acc.shape[1] - 1
-    # finalise the tiles in place: the density channel becomes 1 - alpha
-    sem, dens = f.acc[:, :c_occ], f.acc[:, c_occ]
-    undefined = dens == 0.0
-    np.divide(sem, dens[:, None], out=sem, where=~undefined[:, None])
-    sem.transpose(0, 2, 1)[undefined] = 1.0 / c_occ
-    alpha = np.subtract(1.0, f.keep, out=f.keep)
-    sem *= alpha[:, None]
-    np.subtract(1.0, alpha, out=dens)
+    c_occ = primitives.n_logits
     if labels:
         # a voxel in no tile holds (0, ..., 0, 1), whose first maximum is C - 1
         values = np.full(grid.dims, c_occ, dtype=np.uint16)
@@ -227,15 +265,9 @@ def render(grid: VoxelGrid, primitives: PrimitiveBatch, labels: bool = False) ->
         values = np.zeros(grid.dims + (c_occ + 1,), dtype=np.float32)
         values[..., c_occ] = 1.0
         flat = values.reshape(-1, c_occ + 1)
-    step = max(1, _CHUNK_PAIRS // np.prod(f.acc.shape[1:]))
-    for t in range(0, len(f.acc), step):
-        vox = _flat_voxels([i[:, t:t + step] for i in f.idx], grid.dims)
-        tiles = f.acc[t:t + step]
-        # labels: the first maximum of the float32 channels, as argmax_labels
-        # takes it; channels: each rounds to float32 once, here
-        tiles = (np.argmax(tiles.astype(np.float32), axis=1) if labels
-                 else tiles.transpose(0, 2, 1))
-        flat[vox[vox >= 0]] = tiles[vox >= 0]
+    for f in splat_slabs(grid, primitives):
+        _write_slab(f, flat, labels)
+        del f  # before the next slab is splatted
     return VoxelGrid(grid.origin.copy(), grid.voxel_size, grid.dims, values,
                      LABEL_MODE if labels else PROB_MODE, c_occ + 1)
 

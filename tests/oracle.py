@@ -21,7 +21,7 @@ from splatmem.conf import confidence_values, entropy_batch
 from splatmem.core import _QUAT_NORM_EPS, MIN_SCALE, PrimitiveBatch, cell_key
 from splatmem.errors import InvalidInputError
 from splatmem.grid import VoxelGrid
-from splatmem.splat import SplatFields, _flat_voxels
+from splatmem.splat import SplatFields, _flat_voxels, splat_slabs
 
 
 def cell_of(points, origin, size: float) -> np.ndarray:
@@ -189,6 +189,15 @@ def confidence(g: GaussianPrimitive) -> float:
 def centers(grid: VoxelGrid) -> np.ndarray:
     """World coordinates of all voxel centers, shape dims + (3,)."""
     return np.stack(np.meshgrid(*grid.axis_centers(), indexing="ij"), axis=-1)
+
+
+def splat_fields(grid: VoxelGrid, primitives: PrimitiveBatch) -> SplatFields:
+    """The fields of every slab of one splatting pass, joined."""
+    slabs = list(splat_slabs(grid, primitives))
+    return SplatFields(grid.dims,
+                       [np.concatenate([f.idx[a] for f in slabs], axis=1) for a in range(3)],
+                       np.concatenate([f.keep for f in slabs]),
+                       np.concatenate([f.acc for f in slabs]))
 
 
 def _full(f: SplatFields, outside, inside: np.ndarray) -> np.ndarray:

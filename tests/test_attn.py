@@ -199,6 +199,8 @@ class TestMha:
             mha(RNG.normal(size=(2, D)), np.zeros((0, D)), np.zeros((0, D)), 4)
 
     def test_finite_under_extreme_scores(self):
+        # identical keys all score exactly 0 relative to the first key, so
+        # the heads' bounds are a few units and no row subtracts its max
         Q = np.full((2, D), 1e3)
         K = np.full((3, D), 1e3)
         V = RNG.normal(size=(3, D))
@@ -217,8 +219,10 @@ class TestMha:
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_finite_for_scores_near_1e3(self, sign):
-        # scores q.k / sqrt(dh) = sqrt(dh) * amp**2 of about +-1e3: exp
-        # overflows or underflows unless each block subtracts its row max
+        # scores q.k / sqrt(dh) = sqrt(dh) * amp**2 of about +-1e3; the keys
+        # differ by 1%, so relative to the first key the heads' bounds are
+        # 35-48, under _EXP2_LIMIT, and no row subtracts its max (only
+        # test_one_head_past_the_guard takes that path)
         rng = np.random.default_rng(5)
         amp = np.sqrt(1e3 / np.sqrt(D // 4))
         Q = np.full((300, D), sign * amp)

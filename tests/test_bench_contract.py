@@ -17,8 +17,9 @@ import splatmem.cli as cli
 import splatmem.memory as memory
 import splatmem.synth as synth
 from splatmem.cavf import FusionConfig
+from splatmem.grid import VoxelGrid
 from splatmem.memory import init_memory
-from test_memory import make_batch
+from test_memory import C, make_batch
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -46,3 +47,11 @@ def test_the_mha_hook_counts_a_real_call():
     bound = inspect.signature(attn.mha).bind(*args).arguments
     assert counts(bound, attn.mha(*args)) == {
         "attn.query_rows": 5, "attn.key_rows": 7, "attn.score_elems": 4 * 5 * 7}
+
+
+def test_the_render_hook_counts_a_real_call():
+    (counts,) = [c for module, attr, _, c in HOOKS if (module, attr) == (cli, "render")]
+    args = (VoxelGrid.empty_labels((0, 0, 0), 0.1, (7, 5, 3), C), make_batch(30, hi=0.7, seed=4))
+    bound = inspect.signature(cli.render).bind(*args).arguments
+    assert counts(bound, cli.render(*args)) == {
+        "splat.primitives_in": 30, "splat.voxels_out": 7 * 5 * 3}

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 import oracle
 import splatmem.grid as grid_mod
 import splatmem.splat as splat_mod
-from oracle import GaussianPrimitive, from_primitives, kernel
+from oracle import GaussianPrimitive, from_primitives, kernel, splat_fields
 from splatmem.core import PrimitiveBatch, quats_to_rotations
 from splatmem.errors import InvalidInputError
 from splatmem.grid import LABEL_MODE, PROB_MODE, VoxelGrid, load_vgrid, save_vgrid
-from splatmem.splat import CELL_FACTOR, argmax_labels, render, splat_fields
+from splatmem.splat import CELL_FACTOR, argmax_labels, render
 from splatmem.synth import (DEFAULT_SCENE, NoiseParams, StubConfig, generate_scene,
                             generate_trajectory, parse_scene_spec, scene_maps, stub_predict)
 
@@ -369,13 +369,14 @@ class TestBatchedMatchesLoop:
         assert peak - outputs < 32 * 2**20
 
     # aligned to the cells, offset from them (as a CLI render's default
-    # origin is), and with voxel centres on cell faces
-    @pytest.mark.parametrize("origin", [0.0, 0.1, 0.04], ids=["aligned", "offset", "half_voxel"])
-    def test_render_memory_is_bounded(self, origin):
+    # origin is), and with voxel centres on cell faces; then 4x the batch
+    @pytest.mark.parametrize("origin,n", [(0.0, 12000), (0.1, 12000), (0.04, 12000),
+                                          (0.0, 48000)],
+                             ids=["aligned", "offset", "half_voxel", "aligned_4x"])
+    def test_render_memory_is_bounded(self, origin, n):
         # 12,000 primitives over the benchmark's 60 x 60 x 36 grid, about
-        # as many as the final render of the concat baseline
+        # as many as the final render of the concat baseline, or 4x as many
         rng = np.random.default_rng(44)
-        n = 12000
         grid = make_grid(dims=(60, 60, 36), voxel_size=0.08, origin=(origin,) * 3)
         q = rng.normal(size=(n, 4))
         b = PrimitiveBatch(
@@ -388,9 +389,13 @@ class TestBatchedMatchesLoop:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The peak comes in `splat_fields`, before the 5.9 MiB output
-        # exists, so the bound is on everything traced, output included.
-        assert peak < 25 * 2**20
+        # Beyond its 5.9 MiB output, a render holds 236 B per primitive of
+        # setup that every slab reads, and one slab's working set. Each
+        # x-layer here is a slab of its own, with 135 tiles and 14,000 pairs
+        # at 12,000 primitives or 55,000 at 48,000; the peaks were 11.3,
+        # 12.4 and 11.5 MiB, and 22.4 MiB at 4x, each at least 1.2 MiB
+        # under this bound.
+        assert peak < out.values.nbytes + n * 256 + 6 * 2**20
 
 
 class TestBoxMatchesFullGrid:
@@ -412,6 +417,26 @@ class TestBoxMatchesFullGrid:
         channels = oracle.channels(f)
         assert np.array_equal(channels, full_grid_render(grid, b, truncation))
         assert_stored(render(grid, b), channels)
+
+    @pytest.mark.parametrize("truncation", [3.0, np.inf])
+    @pytest.mark.parametrize("name", sorted(reference_batches()))
+    def test_a_slab_per_layer_changes_nothing(self, monkeypatch, name, truncation):
+        # each x-layer of tiles its own slab, as in a scene too dense for
+        # one slab to hold two layers
+        monkeypatch.setattr(splat_mod, "_SLAB_PAIRS", 1)
+        truncate_at(monkeypatch, truncation)
+        grid = reference_grid(name)
+        b = batch(reference_batches()[name])
+        assert all(len(np.unique(f.idx[0][0])) <= 1 for f in splat_mod.splat_slabs(grid, b))
+        f = splat_fields(grid, b)
+        alpha, sem, undefined = loop_splat_fields(grid, b, truncation)
+        assert np.array_equal(oracle.alpha(f), alpha)
+        assert np.array_equal(oracle.semantics(f), sem)
+        assert np.array_equal(oracle.undefined(f), undefined)
+        channels = full_grid_render(grid, b, truncation)
+        assert_stored(render(grid, b), channels)
+        assert np.array_equal(render(grid, b, labels=True).values,
+                              np.argmax(channels.astype(np.float32), axis=-1))
 
     @pytest.mark.parametrize("name,box_shape", [
         ("empty", (0, 0, 0)), ("all_outside", (0, 0, 0)), ("every_face", (8, 8, 8)),
@@ -503,7 +528,7 @@ def test_render_checks_its_grid_before_it_splats(monkeypatch):
     # the given grid's 2
     monkeypatch.setattr(grid_mod, "MAX_GRID_CELLS", 100)
     grid = VoxelGrid.empty_labels((0, 0, 0), 0.1, (5, 5, 2), 2)
-    monkeypatch.setattr(splat_mod, "splat_fields", lambda *args: pytest.fail("splatted"))
+    monkeypatch.setattr(splat_mod, "splat_slabs", lambda *args: pytest.fail("splatted"))
     with pytest.raises(InvalidInputError, match="exceed"):
         render(grid, batch(random_primitives(1, seed=5)))
 

@@ -26,9 +26,9 @@ excluded from the determinism contract. A float32 product in the
 attention rounds differently when its reduction is split across threads,
 so importing `splatmem` pins OpenBLAS, OpenMP and MKL to one thread. The
 pin takes effect only when `splatmem` is imported before numpy, as
-`python -m splatmem.cli` and the `splatmem` script do; a process that
-loaded numpy first keeps its BLAS thread count, and its checkpoints may
-differ from theirs.
+`python -m splatmem.cli` and the `splatmem` script do. Imported after
+numpy, it warns (UserWarning) unless OPENBLAS_NUM_THREADS was already 1:
+such a process keeps its BLAS thread count, and its checkpoints may differ.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ from .memory import (GaussianMemory, gmem_nbytes, init_memory, load_gmem, save_g
                      update)
 from .metrics import MetricReport, iou, local_mask, observed_mask
 from .splat import argmax_labels, render
-from .synth import (DEFAULT_SCENE, NoiseParams, SceneSpec, StubConfig, generate_scene,
-                    generate_trajectory, parse_scene_spec, scene_maps, stub_predict)
+from .synth import (DEFAULT_SCENE, GT_VOXEL_SIZE, NoiseParams, StubConfig, generate_scene,
+                    generate_trajectory, scene_maps, stub_predict)
 
 MODE_LOCAL = "local"
 MODE_EMBODIED = "embodied"
@@ -85,7 +85,6 @@ class RunConfig:
 
 # JSON values each declared field type accepts; bool is an int to Python.
 _ACCEPTS = {
-    "bool": lambda v: isinstance(v, bool),
     "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     "str": lambda v: isinstance(v, str),
@@ -145,18 +144,17 @@ def load_run_config(path: str | None, overrides: dict, mode: str) -> RunConfig:
 def _episode(cfg: RunConfig, *modes: str):
     """The set-up of a run in one of `modes`: the output directory, the
     scene's maps (which carry its ground-truth grid), the trajectory and
-    the encoder weights. The scene file, or `DEFAULT_SCENE`, is parsed,
-    voxelized once, built into maps and given its trajectory before the
-    directory is made, so a scene that fails any of these is a config
+    the encoder weights. The scene file, or `DEFAULT_SCENE`, is voxelized
+    once as it is parsed, built into maps and given its trajectory before
+    the directory is made, so a scene that fails any of these is a config
     error that leaves no directory behind."""
     if cfg.mode not in modes:
         raise ConfigError(f"this run takes mode {' or '.join(map(repr, modes))}, "
                           f"not {cfg.mode!r}")
     try:
-        spec = parse_scene_spec(DEFAULT_SCENE if cfg.scene == "default"
-                                else Path(cfg.scene).read_text())
-        maps = scene_maps(generate_scene(spec))
-        frames = generate_trajectory(spec, maps, cfg.n_frames, cfg.trajectory_seed)
+        maps = scene_maps(generate_scene(DEFAULT_SCENE if cfg.scene == "default"
+                                         else Path(cfg.scene).read_text()))
+        frames = generate_trajectory(maps, cfg.n_frames, cfg.trajectory_seed)
     except (InvalidInputError, UnicodeDecodeError, OSError) as e:
         raise ConfigError(f"scene file {cfg.scene}: {e}") from e
     out = Path(cfg.output_dir)
@@ -295,7 +293,7 @@ def cmd_render(args) -> None:
         elif len(mem.batch) == 0:
             raise ConfigError("cannot derive a grid from an empty memory")
         else:
-            vs = SceneSpec.gt_voxel_size if args.voxel_size is None else args.voxel_size
+            vs = GT_VOXEL_SIZE if args.voxel_size is None else args.voxel_size
             lo = mem.batch.means.min(axis=0) - 0.5
             hi = mem.batch.means.max(axis=0) + 0.5
             with np.errstate(divide="ignore", over="ignore"):  # a bad size fails the check
@@ -367,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--dims", type=int, nargs=3)
     p_render.add_argument("--origin", type=float, nargs=3)
     p_render.add_argument("--voxel-size", type=float, help="voxel size (default "
-                          f"{SceneSpec.gt_voxel_size} m where the grid is derived)")
+                          f"{GT_VOXEL_SIZE} m where the grid is derived)")
     p_render.add_argument("--labels", action="store_true",
                           help="write the argmax label grid (uint16, the only "
                                "full-grid array built) instead of the probabilities")

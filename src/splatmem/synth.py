@@ -1,8 +1,8 @@
 """Synthetic scenes standing in for a learned perception stack.
 
-Scenes are box compositions, each read from scene-file text by
-`parse_scene_spec` (`DEFAULT_SCENE` is the default run's) and voxelized
-into a ground-truth label grid. Exact voxel ray marching (amanatides-woo
+Scenes are box compositions, each voxelized into a ground-truth label
+grid as `generate_scene` parses its scene-file text (`DEFAULT_SCENE` is
+the default run's). Exact voxel ray marching (amanatides-woo
 stepping) finds the surface each sampled pixel ray strikes, and a noise
 controllable stub predictor turns those hits into per-frame primitive
 batches so the temporal pipeline can run end to end. Each march starts
@@ -19,14 +19,13 @@ shape the splats.
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import D_MODEL, NUM_CLASSES, CameraFrame, PrimitiveBatch
 from .errors import InvalidInputError
-from .grid import LABEL_MODE, VoxelGrid, check_geometry
+from .grid import LABEL_MODE, VoxelGrid
 
 DEFAULT_INTRINSICS = np.array([[500.0, 0.0, 320.0], [0.0, 500.0, 240.0], [0.0, 0.0, 1.0]])
 DEFAULT_WIDTH, DEFAULT_HEIGHT = 640, 480
@@ -79,61 +78,26 @@ box 2.24 2.24 0.64 2.64 2.64 0.72 4  # floating shelf slab
 """
 
 
-@dataclass
-class SceneSpec:
-    """Axis-aligned box composition over a bounded extent: (lo, hi, class)
-    boxes, each with hi > lo on every axis, inside the extent and of an
-    occupied class given as an integer, not a bool. Overlapping boxes
-    resolve by list order: the last box containing a voxel center wins."""
-
-    extent: np.ndarray
-    boxes: list[tuple[np.ndarray, np.ndarray, int]] = field(default_factory=list)
-    gt_voxel_size: float = 0.08
-    num_classes: int = NUM_CLASSES
-
-    def __post_init__(self):
-        e = self.extent = np.asarray(self.extent, dtype=np.float64)
-        if not (e.shape == (3,) and np.all(np.isfinite(e) & (e > 0))):
-            raise InvalidInputError(f"extent must be 3 finite positive values, got {e.tolist()}")
-        # the check reports a bad voxel size before the dims it gives
-        with np.errstate(divide="ignore", over="ignore"):
-            check_geometry((0.0, 0.0, 0.0), self.gt_voxel_size,
-                           np.round(e / self.gt_voxel_size), self.num_classes)
-        self.boxes = [(np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64), cls)
-                      for lo, hi, cls in self.boxes]
-        for lo, hi, cls in self.boxes:
-            if not np.all(hi > lo):  # also rejects NaN
-                raise InvalidInputError(f"box {lo} to {hi}: hi must exceed lo on every axis")
-            if np.any(lo < -1e-9) or np.any(hi > e + 1e-9):
-                raise InvalidInputError(f"box {lo} to {hi} exceeds the scene extent")
-            if isinstance(cls, bool) or not isinstance(cls, numbers.Integral):
-                raise InvalidInputError(f"box class {cls!r} is not an integer")
-            if not (0 <= cls <= self.num_classes - 2):
-                raise InvalidInputError(f"box class {cls} outside occupied range")
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return tuple(int(n) for n in np.round(self.extent / self.gt_voxel_size))
+# scene-file record -> the number of values it takes
+_RECORDS = {"extent": 3, "voxel_size": 1, "classes": 1, "box": 7}
+GT_VOXEL_SIZE = 0.08
 
 
-# scene-file record: (the values it takes, the SceneSpec field it sets)
-_RECORDS = {"extent": (3, "extent"), "voxel_size": (1, "gt_voxel_size"),
-            "classes": (1, "num_classes"), "box": (7, "boxes")}
-
-
-def parse_scene_spec(text: str) -> SceneSpec:
-    """A scene spec from its text form: one record per line, `#` starts a
-    comment. The records are
+def generate_scene(text: str) -> VoxelGrid:
+    """The label grid of scene-file text: one record per line, `#` starts
+    a comment. The records are
         extent X Y Z                       (required)
-        voxel_size S                       (default SceneSpec.gt_voxel_size)
-        classes C                          (default SceneSpec.num_classes)
+        voxel_size S                       (default GT_VOXEL_SIZE)
+        classes C                          (default NUM_CLASSES)
         box X0 Y0 Z0 X1 Y1 Z1 CLASS        (any number; CLASS an integer)
     Each record takes exactly the values shown, and extent, voxel_size and
-    classes appear at most once. InvalidInputError names the line of a
-    record that breaks either rule, is unknown or has a value that does not
-    parse. SceneSpec checks the values; a record left out keeps its default.
+    classes appear at most once. The grid lies at the world origin with
+    round(extent / S) voxels per axis. Each box, hi > lo inside the extent,
+    paints the voxel centres it holds with its class, 0 to C - 2, and the
+    last box wins. InvalidInputError names the line of a bad record.
     """
-    fields: dict = {"boxes": []}
+    single: dict = {}
+    boxes = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -142,32 +106,38 @@ def parse_scene_spec(text: str) -> SceneSpec:
         try:
             if key not in _RECORDS:
                 raise ValueError(f"unknown record {key!r}")
-            count, name = _RECORDS[key]
-            if len(vals) != count:
-                raise ValueError(f"{key} takes {count} values, got {len(vals)}")
+            if len(vals) != _RECORDS[key]:
+                raise ValueError(f"{key} takes {_RECORDS[key]} values, got {len(vals)}")
             if key == "box":
-                c = [float(v) for v in vals[:6]]
-                fields[name].append((c[:3], c[3:], int(vals[6])))
-            elif name in fields:
+                c = np.array([float(v) for v in vals[:6]])
+                boxes.append((lineno, c[:3], c[3:], int(vals[6])))
+            elif key in single:
                 raise ValueError(f"a second {key} record")
             else:
-                v = [(int if key == "classes" else float)(x) for x in vals]
-                fields[name] = v if key == "extent" else v[0]
+                single[key] = [(int if key == "classes" else float)(x) for x in vals]
         except ValueError as e:
             raise InvalidInputError(f"scene spec line {lineno}: {e}") from e
-    if "extent" not in fields:
+    if "extent" not in single:
         raise InvalidInputError("scene spec is missing the extent record")
-    return SceneSpec(**fields)
-
-
-def generate_scene(spec: SceneSpec) -> VoxelGrid:
-    """Voxelize a scene spec into a label grid (last box wins on overlap)."""
-    grid = VoxelGrid.empty_labels((0.0, 0.0, 0.0), spec.gt_voxel_size, spec.dims,
-                                  spec.num_classes)
-    for box_lo, box_hi, cls in spec.boxes:
-        # a box with no voxel center gives lo > hi, an empty slice
-        lo, hi = grid.voxel_span(box_lo, box_hi)
-        grid.values[lo[0] : hi[0] + 1, lo[1] : hi[1] + 1, lo[2] : hi[2] + 1] = cls
+    extent = np.array(single["extent"])
+    if not np.all(np.isfinite(extent) & (extent > 0)):
+        raise InvalidInputError(f"extent must be 3 finite positive values, got {extent.tolist()}")
+    (vs,) = single.get("voxel_size", [GT_VOXEL_SIZE])
+    (n_classes,) = single.get("classes", [NUM_CLASSES])
+    # the check reports a bad voxel size before the dims it gives
+    with np.errstate(divide="ignore", over="ignore"):
+        grid = VoxelGrid.empty_labels((0.0, 0.0, 0.0), vs, np.round(extent / vs), n_classes)
+    for lineno, lo, hi, cls in boxes:
+        at = f"scene spec line {lineno}: box"
+        if not np.all(hi > lo):  # also rejects NaN
+            raise InvalidInputError(f"{at} {lo} to {hi}: hi must exceed lo on every axis")
+        if np.any(lo < -1e-9) or np.any(hi > extent + 1e-9):
+            raise InvalidInputError(f"{at} {lo} to {hi} exceeds the scene extent")
+        if not 0 <= cls <= n_classes - 2:
+            raise InvalidInputError(f"{at} class {cls} outside occupied range")
+        # a box with no voxel center gives i0 > i1, an empty slice
+        i0, i1 = grid.voxel_span(lo, hi)
+        grid.values[i0[0] : i1[0] + 1, i0[1] : i1[1] + 1, i0[2] : i1[2] + 1] = cls
     return grid
 
 
@@ -429,7 +399,7 @@ def stub_predict(
     # surface actually extends, so splats never spill past panel rims.
     runs = maps.runs[tuple(voxels.T)]
     entry = hits.face_axis[sel]
-    normal_axis = np.argmin(runs, axis=1)
+    normal_axis = maps.thin_axis[tuple(voxels.T)]
     entry_is_min = runs[np.arange(len(sel)), entry] <= runs.min(axis=1)
     normal_axis[entry_is_min] = entry[entry_is_min]
     hit_label = gt.values[tuple(voxels.T)]
@@ -468,27 +438,29 @@ def _look_at_pose(position: np.ndarray, forward: np.ndarray) -> np.ndarray:
     return pose
 
 
-def generate_trajectory(spec: SceneSpec, maps: SceneMaps, n_frames: int,
-                        seed: int) -> list[CameraFrame]:
+def generate_trajectory(maps: SceneMaps, n_frames: int, seed: int) -> list[CameraFrame]:
     """Seeded orbital sweep that pans across the scene over n_frames.
 
     Cameras sit on a circle around the scene center inside free space and
     look inward across the room with a cycling pitch, so the sweep
     progressively covers the floor, the opposite walls, and interior
-    structure. The circle follows `spec.extent`; free space is read from
-    `maps.codes`, the maps of the run's grid of `spec`. Positions that
-    fall in an occupied voxel or off the grid retreat toward the center
-    deterministically; a scene with no free voxel at all is rejected. Each
-    camera's free on-grid voxel is where `trace_rays` starts its march.
+    structure. The circle follows the extent of the scene's grid, its dims
+    times its voxel size, and free space is read from `maps.codes`.
+    Positions that fall in an occupied voxel or off the grid retreat toward
+    the center deterministically; a scene with no free voxel at all is
+    rejected. Each camera's free on-grid voxel is where `trace_rays` starts
+    its march.
     """
     if n_frames < 1:
         raise InvalidInputError("n_frames must be >= 1")
     if not np.any(maps.codes == 0):
         raise InvalidInputError("scene has no free space for a trajectory")
     rng = np.random.default_rng(seed)
-    center = spec.extent / 2.0
-    radius = ORBIT_RADIUS_FRAC * float(min(spec.extent[0], spec.extent[1]))
-    z = ORBIT_HEIGHT_FRAC * float(spec.extent[2])
+    gt = maps.grid
+    extent = np.array(gt.dims) * gt.voxel_size
+    center = gt.origin + extent / 2.0
+    radius = ORBIT_RADIUS_FRAC * float(min(extent[0], extent[1]))
+    z = gt.origin[2] + ORBIT_HEIGHT_FRAC * float(extent[2])
     pitches = np.array([-0.38, -0.06, 0.2])  # rad, cycled per frame
 
     frames = []
@@ -502,7 +474,7 @@ def generate_trajectory(spec: SceneSpec, maps: SceneMaps, n_frames: int,
         ])
         r = radius
         for _ in range(32):
-            if maps.codes[tuple(maps.grid.voxel_of(pos)[0] + 1)] == 0:
+            if maps.codes[tuple(gt.voxel_of(pos)[0] + 1)] == 0:
                 break
             r *= 0.85
             pos[0] = center[0] + r * np.cos(theta)

@@ -2,7 +2,8 @@
 hooks functions by module and attribute, binds their arguments by
 parameter name, and counts the duplicate cells of a reloaded checkpoint
 (`memory.gmem_cell_dupes`). These tests read `perfbench/` and keep a
-rename in `src/` from surfacing only in a traced benchmark run. The count
+rename in `src/`, or a hooked call that no run makes any more, from
+surfacing only in a traced benchmark run. The count
 must keep working on the memory's cell keys, which are the cells of its
 means."""
 
@@ -24,6 +25,7 @@ from test_memory import C, make_batch
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import episode  # noqa: E402
+from tracer import Tracer  # noqa: E402
 
 HOOKS = episode._span_hooks(cli, memory, attn, synth)
 
@@ -38,6 +40,22 @@ def test_a_duplicated_key_is_counted():
 def test_every_hooked_function_exists():
     for module, attr, name, _ in HOOKS:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} ({name})"
+
+
+def test_every_hooked_span_fires(tmp_path):
+    # A hook on a function that no run calls any more still installs, and
+    # its metrics read 0 where they should fail.
+    tracer = Tracer()
+    try:
+        for hook in HOOKS:
+            tracer.hook(*hook)
+        for mode in (cli.MODE_EMBODIED, cli.MODE_LOCAL, cli.MODE_CONCAT):
+            run = cli.run_local if mode == cli.MODE_LOCAL else cli.run_embodied
+            run(cli.RunConfig(mode=mode, n_frames=2, output_dir=str(tmp_path / mode),
+                              stub=synth.StubConfig(grid_h=6, grid_w=8)))
+    finally:
+        tracer.uninstall()
+    assert {s.name for s in tracer.spans} == {name for _, _, name, _ in HOOKS}
 
 
 def test_the_mha_hook_counts_a_real_call():

@@ -245,9 +245,9 @@ class TestEmbodied:
 def test_a_run_voxelizes_its_scene_once(tmp_path, monkeypatch, mode):
     calls = []
 
-    def counted(spec):
-        calls.append(spec)
-        return generate_scene(spec)
+    def counted(text):
+        calls.append(text)
+        return generate_scene(text)
     monkeypatch.setattr(cli, "generate_scene", counted)
     monkeypatch.setattr(synth_mod, "generate_scene", counted)
     cfg = dataclasses.replace(small_config(tmp_path, mode=mode), n_frames=2)
@@ -284,6 +284,28 @@ def test_checkpoint_is_independent_of_the_blas_thread_count(tmp_path):
                        capture_output=True)
         digests.append(sha256(out / "final.gmem"))
     assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("imports,preset,warns", [
+    ("numpy, splatmem", None, True),
+    ("splatmem, numpy", None, False),
+    ("numpy, splatmem", "1", False),
+], ids=["numpy_first", "splatmem_first", "numpy_first_pinned"])
+def test_importing_after_an_unpinned_numpy_warns(imports, preset, warns):
+    # Such a process keeps its BLAS thread count. A child given the variable
+    # at start, as the benchmark gives its episodes, loaded numpy pinned.
+    # The children start without the thread variables, which importing
+    # splatmem has set in this process.
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if preset:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    err = subprocess.run([sys.executable, "-c", f"import {imports}"], env=env, check=True,
+                         capture_output=True, text=True).stderr
+    assert ("UserWarning: numpy was imported before splatmem" in err) == warns
+    assert warns or err == ""
 
 
 def blas_threads():

@@ -15,7 +15,7 @@ from splatmem.errors import InvalidInputError
 from splatmem.grid import LABEL_MODE, PROB_MODE, VoxelGrid, load_vgrid, save_vgrid
 from splatmem.splat import CELL_FACTOR, argmax_labels, render
 from splatmem.synth import (DEFAULT_SCENE, NoiseParams, StubConfig, generate_scene,
-                            generate_trajectory, parse_scene_spec, scene_maps, stub_predict)
+                            generate_trajectory, scene_maps, stub_predict)
 
 RNG = np.random.default_rng(11)
 C = 12
@@ -625,10 +625,9 @@ class TestLabels:
 
     def test_a_local_frame_never_builds_the_probability_grid(self):
         # the first frame of the default local run, on the 60 x 60 x 36 grid
-        spec = parse_scene_spec(DEFAULT_SCENE)
-        gt = generate_scene(spec)
+        gt = generate_scene(DEFAULT_SCENE)
         maps = scene_maps(gt)
-        frame = generate_trajectory(spec, maps, 1, 0)[0]
+        frame = generate_trajectory(maps, 1, 0)[0]
         b = stub_predict(maps, frame, NoiseParams(), 0, StubConfig())
         prob_grid = np.prod(gt.dims) * gt.num_classes * np.dtype(np.float32).itemsize
         tracemalloc.start()

@@ -27,14 +27,12 @@ from splatmem.synth import (DEFAULT_FAR, DEFAULT_HEIGHT, DEFAULT_INTRINSICS,
                             STUB_LOGIT_MAGNITUDE, STUB_MEAN_CENTERING, STUB_MOVED_OPACITY,
                             STUB_NORMAL_SCALE, STUB_SPILL_MARGIN, STUB_TANGENT_SCALE_MAX,
                             STUB_TANGENT_SCALE_MIN, SURFACE_EXTENT_REACH, NoiseParams,
-                            RayHits, SceneSpec, StubConfig, _look_at_pose, _surface_extent,
-                            generate_scene, generate_trajectory,
-                            parse_scene_spec, sample_pixels, scene_maps, stub_predict,
-                            trace_rays)
+                            RayHits, StubConfig, _look_at_pose, _surface_extent,
+                            generate_scene, generate_trajectory, sample_pixels, scene_maps,
+                            stub_predict, trace_rays)
 
-SPEC = parse_scene_spec(DEFAULT_SCENE)
-GT = generate_scene(SPEC)
-EXTENT = SPEC.extent
+GT = generate_scene(DEFAULT_SCENE)
+EXTENT = np.array(GT.dims) * GT.voxel_size
 LIFT_GRIDS = [(21, 28), (30, 40)]
 FIELDS = ("means", "scales", "rotations", "opacities", "logits", "features")
 
@@ -307,26 +305,45 @@ DEFAULT_LABELS_SHA256 = "e6032480682c1f7a01206b35a9f6bd2e8e85a6bfa9d8e25fcfd5a22
 
 
 class TestSceneSpec:
+    """`generate_scene` on scene-file text. The parse errors that every
+    run reaches are tested through the command line in test_e2e."""
+
     def test_default_label_grid_pinned(self):
         assert GT.dims == (60, 60, 36) and GT.values.dtype == np.uint16
         assert hashlib.sha256(GT.values.tobytes()).hexdigest() == DEFAULT_LABELS_SHA256
 
-    @pytest.mark.parametrize("lo,hi", [
-        ((0, 0, 0), (1, 0, 1)), ((0, 0, 0.5), (1, 1, 0.25)), ((np.nan, 0, 0), (1, 1, 1)),
-        ((0, 0, 0), (1, 1, np.nan)),
+    @pytest.mark.parametrize("box", [
+        "0 0 0 1 0 1", "0 0 0.5 1 1 0.25", "nan 0 0 1 1 1", "0 0 0 1 1 nan",
     ], ids=["flat", "inverted", "nan_lo", "nan_hi"])
-    def test_box_hi_must_exceed_lo(self, lo, hi):
-        with pytest.raises(InvalidInputError, match="hi must exceed lo"):
-            SceneSpec((1.0, 1.0, 1.0), [(lo, hi, 1)])
+    def test_box_hi_must_exceed_lo(self, box):
+        with pytest.raises(InvalidInputError,
+                           match="^scene spec line 3: box .* hi must exceed lo"):
+            generate_scene(f"extent 1 1 1\n\nbox {box} 1\n")
 
-    @pytest.mark.parametrize("cls", [1.5, True, np.bool_(True), 1.0], ids=repr)
+    @pytest.mark.parametrize("cls", ["1.5", "True", "1.0"], ids=str)
     def test_box_class_must_be_an_integer(self, cls):
-        with pytest.raises(InvalidInputError, match="not an integer"):
-            SceneSpec((1, 1, 1), [((0, 0, 0), (1, 1, 1), cls)], 0.5)
+        with pytest.raises(InvalidInputError, match="^scene spec line 2: invalid literal for int"):
+            generate_scene(f"extent 1 1 1\nbox 0 0 0 1 1 1 {cls}\nvoxel_size 0.5\n")
 
-    def test_numpy_integer_box_class_accepted(self):
-        spec = SceneSpec((1, 1, 1), [((0, 0, 0), (1, 1, 1), np.int64(3))], 0.5)
-        assert np.all(generate_scene(spec).values == 3)
+    @pytest.mark.parametrize("box,error", [
+        ("0 0 0 1 1 1.5 1", "exceeds the scene extent"),
+        ("-0.1 0 0 1 1 1 1", "exceeds the scene extent"),
+        ("0 0 0 1 1 1 11", "class 11 outside occupied range"),
+        ("0 0 0 1 1 1 -1", "class -1 outside occupied range"),
+    ], ids=["past_hi", "before_lo", "empty_class", "negative_class"])
+    def test_box_errors_name_their_line(self, box, error):
+        text = f"# a box past the extent or of no occupied class\nextent 1 1 1\nbox {box}\n"
+        with pytest.raises(InvalidInputError, match=f"^scene spec line 3: box .*{error}$"):
+            generate_scene(text)
+
+    def test_boxes_paint_in_file_order_on_a_grid_at_the_origin(self):
+        gt = generate_scene("voxel_size 0.5\nbox 0 0 0 1 1 1 3\nclasses 6\n"
+                            "box 0.5 0 0 1 1 1 4\nextent 1 1.5 1\n")
+        assert gt.dims == (2, 3, 2) and gt.num_classes == 6 and gt.voxel_size == 0.5
+        assert np.array_equal(gt.origin, [0.0, 0.0, 0.0])
+        want = np.full((2, 3, 2), 5)
+        want[0, :2], want[1, :2] = 3, 4
+        assert np.array_equal(gt.values, want)
 
 
 class TestSceneMaps:
@@ -381,7 +398,7 @@ class TestTraceRays:
     def test_trajectory_matches_loop(self, seed, grid_hw):
         maps = scene_maps(GT)
         pixels = sample_pixels(DEFAULT_WIDTH, DEFAULT_HEIGHT, *grid_hw)
-        for frame in generate_trajectory(SPEC, maps, 12, seed):
+        for frame in generate_trajectory(maps, 12, seed):
             assert_hits_equal(trace_rays(maps, frame, pixels),
                               loop_trace_rays(GT, frame, pixels))
 
@@ -509,7 +526,7 @@ def hit_voxels(seed, frames=6):
     maps = scene_maps(GT)
     pixels = sample_pixels(DEFAULT_WIDTH, DEFAULT_HEIGHT, 30, 40)
     out = []
-    for frame in generate_trajectory(SPEC, maps, frames, seed):
+    for frame in generate_trajectory(maps, frames, seed):
         hits = trace_rays(maps, frame, pixels)
         out.append((hits.voxel[hits.hit], hits.face_axis[hits.hit]))
     return out
@@ -551,7 +568,7 @@ class TestStubPredict:
     def test_batches_match_reference(self, seed, grid_hw, noise):
         cfg = StubConfig(grid_h=grid_hw[0], grid_w=grid_hw[1])
         maps = scene_maps(GT)
-        for i, frame in enumerate(generate_trajectory(SPEC, maps, 8, seed)):
+        for i, frame in enumerate(generate_trajectory(maps, 8, seed)):
             got = stub_predict(maps, frame, noise, seed + i, cfg)
             ref = reference_stub_predict(GT, frame, noise, seed + i, cfg)
             assert len(got) == len(ref) > 0
@@ -578,21 +595,34 @@ box 0.4 1.4 0 0.8 1.8 1.6 6
 
 
 class TestGenerateTrajectory:
-    @pytest.mark.parametrize("spec,retreats", [
-        (SPEC, []),
-        (parse_scene_spec(PANELS_ON_THE_ORBIT), [0, 5]),
+    @pytest.mark.parametrize("text,extent,retreats", [
+        (DEFAULT_SCENE, (4.8, 4.8, 2.88), []),
+        (PANELS_ON_THE_ORBIT, (3.2, 3.2, 2.0), [0, 5]),
     ], ids=["default", "panels_on_the_orbit"])
-    def test_cameras_sit_in_free_voxels(self, spec, retreats):
-        gt = generate_scene(spec)
-        frames = generate_trajectory(spec, scene_maps(gt), 10, 0)
-        radius = synth.ORBIT_RADIUS_FRAC * min(spec.extent[:2])
+    def test_cameras_sit_in_free_voxels(self, text, extent, retreats):
+        gt = generate_scene(text)
+        # each pinned extent is a whole number of voxels, to the bit
+        assert np.array_equal(np.array(gt.dims) * gt.voxel_size, extent)
+        frames = generate_trajectory(scene_maps(gt), 10, 0)
+        radius = synth.ORBIT_RADIUS_FRAC * min(extent[:2])
         retreated = []
         for i, frame in enumerate(frames):
             vox = cell_of(frame.position, gt.origin, gt.voxel_size)
             assert np.all((vox >= 0) & (vox < gt.dims))
             assert gt.values[tuple(vox)] == gt.num_classes - 1
-            r = np.hypot(*(frame.position[:2] - spec.extent[:2] / 2))
+            r = np.hypot(*(frame.position[:2] - np.array(extent[:2]) / 2))
             if not np.isclose(r, radius):
                 assert r == pytest.approx(0.85**2 * radius)
                 retreated.append(i)
         assert retreated == retreats
+
+    def test_the_orbit_follows_the_grid_extent(self):
+        # 3.3 m is 41.25 voxels, so the grid spans 41 voxels, 3.28 m
+        gt = generate_scene("extent 3.3 3.3 2.0\n")
+        extent = np.array(gt.dims) * gt.voxel_size
+        assert gt.dims == (41, 41, 25) and extent[0] != 3.3
+        radius = synth.ORBIT_RADIUS_FRAC * extent[0]
+        for frame in generate_trajectory(scene_maps(gt), 12, 3):
+            x, y, z = frame.position
+            assert np.hypot(x - extent[0] / 2, y - extent[1] / 2) == pytest.approx(radius)
+            assert abs(z - synth.ORBIT_HEIGHT_FRAC * extent[2]) <= 0.08
